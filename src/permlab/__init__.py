@@ -116,7 +116,6 @@ from .relations import (
     brute_census,
     census,
     class_representatives,
-    perms_with_cycle_type,
 )
 from .tableau import (
     count_syt,

@@ -1,15 +1,17 @@
 """Class-closed avoidance and containment enumeration.
 
 Everything here is built on one two-pass scheme: first scan S_n with the
-occurrence engine to get the per-permutation verdicts, then walk equivalence
-classes only as needed, expanding each class at most once. A class is counted
-for avoidance when every member avoids, and for containment when every member
-matches; counts report permutations in the union of counted classes, with the
-class tally carried alongside.
+occurrence engine to get the per-permutation verdicts, then close the kept
+permutations under the relation, by tallying class keys against closed-form
+class sizes or, for toric classes, by expanding each class at most once. A
+class is counted for avoidance when every member avoids, and for containment
+when every member matches; counts report permutations in the union of counted
+classes, with the class tally carried alongside.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .catalog import CATALOG, DIVISOR_PATTERN, SEQUENCE_TABLES, match_tables
@@ -77,6 +79,27 @@ def match_all(pats: list[BivincularPattern] | tuple[BivincularPattern, ...], n: 
 
 
 def _class_closed(kept: list[Word], rel: Relation, want_members: bool) -> tuple[int, int, list[Word] | None]:
+    """(permutations, classes, members or None) of the classes lying wholly
+    inside `kept`, a lex-ordered list of permutations of one degree.
+
+    Where the relation has a closed-form class size, each kept permutation is
+    keyed once and a class lies inside `kept` exactly when its key's tally
+    equals its size; the members are then the kept words with such a key,
+    still in lex order. Otherwise each class is expanded once as an orbit.
+    """
+    if rel.class_size is None:
+        return _orbits_closed(kept, rel, want_members)
+    keys = [rel.key(w) for w in kept]
+    tally = Counter(keys)
+    n = len(kept[0]) if kept else 0
+    closed = {k for k, t in tally.items() if t == rel.class_size(n, k)}
+    count = sum(tally[k] for k in closed)
+    members = [w for w, k in zip(kept, keys) if k in closed] if want_members else None
+    return count, len(closed), members
+
+
+def _orbits_closed(kept: list[Word], rel: Relation, want_members: bool) -> tuple[int, int, list[Word] | None]:
+    """`_class_closed` for a relation without class sizes, by `rel.class_of`."""
     kept_set = set(kept)
     processed: set[Word] = set()
     count = 0
@@ -307,7 +330,9 @@ class SequenceCheckReport:
 
     @property
     def ok(self) -> bool:
-        return all(self.computed[n] == self.expected[n - self.start] for n in self.computed)
+        """Every compared degree agrees, and at least one was compared."""
+        return bool(self.computed) and all(
+            self.computed[n] == self.expected[n - self.start] for n in self.computed)
 
     def to_payload(self) -> dict:
         return {

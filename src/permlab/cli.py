@@ -28,7 +28,7 @@ from .census import (
 from .core import format_perm, parse_perm
 from .errors import BudgetExceeded, InternalCheckError, ParseError
 from .pattern import parse_pattern
-from .relations import RELATIONS, census
+from .relations import RELATIONS, census, resolve_budget
 from .tableau import format_tableau, rsk
 
 
@@ -40,6 +40,12 @@ def _parallel_map(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _check_degree(n: int) -> int:
+    if n < 0:
+        raise ParseError(f"degree {n} is negative")
+    return n
+
+
 def _parse_n_spec(text: str) -> list[int]:
     """Accept a single degree like "6" or an inclusive range like "2..6"."""
     try:
@@ -48,10 +54,11 @@ def _parse_n_spec(text: str) -> list[int]:
             lo, hi = int(lo_text), int(hi_text)
             if lo > hi:
                 raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        else:
+            lo = hi = int(text)
     except ValueError:
         raise ParseError(f"bad degree spec {text!r}: expected N or LO..HI") from None
+    return list(range(_check_degree(lo), hi + 1))
 
 
 def _print_json(payload) -> None:
@@ -95,7 +102,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    result = census(RELATIONS[args.relation], args.n, budget=args.budget_n)
+    result = census(RELATIONS[args.relation], _check_degree(args.n), budget=args.budget_n)
     if args.emit == "json":
         _print_json({
             "n": result.n,
@@ -220,6 +227,9 @@ def cmd_robin(args) -> int:
 
 def cmd_seq_check(args) -> int:
     report = sequence_check(args.id, budget=args.budget_n)
+    if not report.computed:
+        raise BudgetExceeded(f"every degree of {args.id} exceeds the budget "
+                             f"{resolve_budget(args.budget_n)}; nothing was checked")
     if args.emit == "json":
         _print_json(report.to_payload())
     else:
@@ -310,6 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ParseError(f"--threads must be at least 1, not {args.threads}")
         return args.func(args)
     except ParseError as exc:
         print(f"permlab: {exc}", file=sys.stderr)

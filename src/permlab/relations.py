@@ -1,10 +1,11 @@
 """Equivalence relations on S_n: conjugacy, order, Knuth, toric, descent.
 
-Each relation is a (canonical key, class generator) pair plus the list of
-r/c/i compositions that transport its classes to classes (so class-avoider
-counts are invariant under them). Censuses aggregate class sizes; conjugacy,
-order and Knuth have exact partition-indexed censuses, toric and descent are
-keyed by streaming over S_n.
+Each relation has a canonical class key and the list of r/c/i compositions
+that transport its classes to classes (so class-avoider counts are invariant
+under them). Conjugacy, order, Knuth and descent classes also have a
+closed-form size for each key: n!/z_lam, its sums over a fixed lcm, f^lam and
+beta_n(S). Toric classes have none and are generated as orbits instead.
+Censuses aggregate class sizes.
 """
 
 from __future__ import annotations
@@ -13,14 +14,13 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Callable, Hashable, Iterator, Sequence
 
 from .core import Word, cycle_type, descent_set, order, s_n, toric_class
 from .errors import BudgetExceeded, InternalCheckError
 from .pattern import BivincularPattern, shift_orbit
-from .tableau import count_syt, inverse_rsk, knuth_class, partitions, rsk, shape_of, standard_tableaux
+from .tableau import count_syt, knuth_class, partitions, rsk, shape_of
 
 DEFAULT_BUDGET_N = 9
 BUDGET_ENV_VAR = "PERMLAB_BUDGET_N"
@@ -42,13 +42,18 @@ def check_budget(n: int, budget: int | None = None) -> None:
 
 @dataclass(frozen=True)
 class Relation:
-    """A named equivalence relation with key, class generator, and the r/c/i
-    compositions compatible with it."""
+    """A named equivalence relation with its class key and the r/c/i
+    compositions compatible with it.
+
+    A relation with a closed-form `class_size(n, key)` is closed by tallying
+    keys; one without it (toric) walks each class as an orbit by `class_of`.
+    """
 
     name: str
     key: Callable[[Word], Hashable]
-    class_of: Callable[[Word], frozenset[Word]]
     symmetries: tuple[str, ...]
+    class_size: Callable[[int, Hashable], int] | None = None
+    class_of: Callable[[Word], frozenset[Word]] | None = None
     extends_to_patterns: bool = False
     pattern_class: Callable[[BivincularPattern], frozenset[BivincularPattern]] | None = None
 
@@ -73,73 +78,57 @@ class ClassCensus:
         return sum(self.by_size.values())
 
 
-def perms_with_cycle_type(n: int, parts: Sequence[int]) -> Iterator[Word]:
-    """All permutations of S_n with the given cycle lengths.
-
-    Cycles are rooted at their smallest element and built in increasing leader
-    order, so each permutation appears exactly once.
-
-    >>> sorted(perms_with_cycle_type(3, (3,)))
-    [(2, 3, 1), (3, 1, 2)]
-    """
-    parts = tuple(sorted(parts, reverse=True))
-    if sum(parts) != n:
-        raise ValueError(f"cycle lengths {parts} do not sum to {n}")
-
-    def rec(unused: tuple[int, ...], lengths: tuple[int, ...]) -> Iterator[tuple[Word, ...]]:
-        if not unused:
-            yield ()
-            return
-        leader, rest = unused[0], unused[1:]
-        for length in sorted(set(lengths)):
-            idx = lengths.index(length)
-            remaining = lengths[:idx] + lengths[idx + 1 :]
-            for companions in combinations(rest, length - 1):
-                taken = set(companions)
-                left = tuple(v for v in rest if v not in taken)
-                for arrangement in permutations(companions):
-                    head = ((leader,) + arrangement,)
-                    for tail in rec(left, remaining):
-                        yield head + tail
-
-    for cycs in rec(tuple(range(1, n + 1)), parts):
-        word = list(range(1, n + 1))
-        for cyc in cycs:
-            for i, v in enumerate(cyc):
-                word[v - 1] = cyc[(i + 1) % len(cyc)]
-        yield tuple(word)
+def _cycle_index_size(n: int, lam: Sequence[int]) -> int:
+    """Number of permutations of S_n with cycle type lam: n! / z_lam, where
+    z_lam = prod(l^m * m!) over the parts l of multiplicity m."""
+    z = 1
+    for length, mult in Counter(lam).items():
+        z *= length**mult * math.factorial(mult)
+    return math.factorial(n) // z
 
 
-def _conjugacy_class(pi: Word) -> frozenset[Word]:
-    return frozenset(perms_with_cycle_type(len(pi), cycle_type(pi)))
-
-
-def _order_class(pi: Word) -> frozenset[Word]:
-    n = len(pi)
-    target = order(pi)
-    members: set[Word] = set()
-    for lam in partitions(n):
-        if math.lcm(*lam) == target:
-            members.update(perms_with_cycle_type(n, lam))
-    return frozenset(members)
+def _order_size(n: int, m: int) -> int:
+    """Number of permutations of S_n of order m: the conjugacy class sizes
+    summed over the partitions of n with lcm m."""
+    return sum(_cycle_index_size(n, lam) for lam in partitions(n) if math.lcm(*lam) == m)
 
 
 def _knuth_key(pi: Word) -> Hashable:
     return rsk(pi)[0]
 
 
-def _knuth_class(pi: Word) -> frozenset[Word]:
-    p = rsk(pi)[0]
-    return frozenset(inverse_rsk(p, q) for q in standard_tableaux(shape_of(p)))
+def _knuth_size(n: int, p: Hashable) -> int:
+    """Knuth class of insertion tableau p: one member per standard tableau of
+    its shape, f^lam of them by the hook length formula."""
+    return count_syt(shape_of(p))
+
+
+def _ascent_run_size(n: int, cuts: Sequence[int]) -> int:
+    """alpha_n(T) for T = cuts (increasing): the permutations whose descents
+    all lie in T, the multinomial n! / (t1! (t2 - t1)! ... (n - tk)!)."""
+    size = math.factorial(n)
+    prev = 0
+    for cut in (*cuts, n):
+        size //= math.factorial(cut - prev)
+        prev = cut
+    return size
+
+
+def _descent_size(n: int, s: frozenset[int]) -> int:
+    """beta_n(S), the permutations of S_n with descent set exactly S, by
+    inclusion-exclusion: the sum of (-1)^|S - T| alpha_n(T) over T in S
+    (Stanley, Enumerative Combinatorics 1, section 1.4).
+
+    >>> [_descent_size(4, frozenset(s)) for s in ((), (1,), (2,), (1, 3))]
+    [1, 3, 5, 5]
+    """
+    s = sorted(s)
+    return sum((-1) ** (len(s) - r) * _ascent_run_size(n, t)
+               for r in range(len(s) + 1) for t in combinations(s, r))
 
 
 def _toric_key(pi: Word) -> Hashable:
     return min(toric_class(pi))
-
-
-@lru_cache(maxsize=256)
-def _descent_class(n: int, key: frozenset[int]) -> frozenset[Word]:
-    return frozenset(w for w in s_n(n) if descent_set(w) == key)
 
 
 def _knuth_pattern_class(pat: BivincularPattern) -> frozenset[BivincularPattern]:
@@ -153,22 +142,22 @@ def _toric_pattern_class(pat: BivincularPattern) -> frozenset[BivincularPattern]
 CONJUGACY = Relation(
     name="conjugacy",
     key=cycle_type,
-    class_of=_conjugacy_class,
     symmetries=("", "i", "rc", "irc"),
+    class_size=_cycle_index_size,
 )
 
 ORDER = Relation(
     name="order",
     key=order,
-    class_of=_order_class,
     symmetries=("", "i", "rc", "irc"),
+    class_size=_order_size,
 )
 
 KNUTH = Relation(
     name="knuth",
     key=_knuth_key,
-    class_of=_knuth_class,
     symmetries=("", "r", "c", "rc"),
+    class_size=_knuth_size,
     extends_to_patterns=True,
     pattern_class=_knuth_pattern_class,
 )
@@ -176,8 +165,8 @@ KNUTH = Relation(
 TORIC = Relation(
     name="toric",
     key=_toric_key,
-    class_of=toric_class,
     symmetries=("", "r", "c", "rc", "i", "ir", "ic", "irc"),
+    class_of=toric_class,
     extends_to_patterns=True,
     pattern_class=_toric_pattern_class,
 )
@@ -185,8 +174,8 @@ TORIC = Relation(
 DESCENT = Relation(
     name="descent",
     key=descent_set,
-    class_of=lambda pi: _descent_class(len(pi), descent_set(pi)),
     symmetries=("", "r", "c", "rc"),
+    class_size=_descent_size,
 )
 
 RELATIONS: dict[str, Relation] = {
@@ -194,40 +183,37 @@ RELATIONS: dict[str, Relation] = {
 }
 
 
-def _cycle_index_size(n: int, lam: Sequence[int]) -> int:
-    """Number of permutations of S_n with cycle type lam: n! / prod(l^m * m!)."""
-    z = 1
-    for length, mult in Counter(lam).items():
-        z *= length**mult * math.factorial(mult)
-    return math.factorial(n) // z
-
-
 def census(rel: Relation, n: int, budget: int | None = None) -> ClassCensus:
-    """Class-size histogram of the relation on S_n."""
-    check_budget(n, budget)
+    """Class-size histogram of the relation on S_n.
+
+    Conjugacy, order and Knuth are sums over the partitions of n and scan
+    nothing, so only toric and descent, whose work grows like n! and 3^n,
+    are held to the degree budget.
+    """
     by_size: Counter[int] = Counter()
     if rel.name == "conjugacy":
         for lam in partitions(n):
             by_size[_cycle_index_size(n, lam)] += 1
     elif rel.name == "order":
-        size_by_order: Counter[int] = Counter()
-        for lam in partitions(n):
-            size_by_order[math.lcm(*lam)] += _cycle_index_size(n, lam)
-        for size in size_by_order.values():
-            by_size[size] += 1
+        for m in {math.lcm(*lam) for lam in partitions(n)}:
+            by_size[_order_size(n, m)] += 1
     elif rel.name == "knuth":
         for lam in partitions(n):
             f = count_syt(lam)
             by_size[f] += f
     elif rel.name == "toric":
+        check_budget(n, budget)
         for pi in s_n(n):
             cls = toric_class(pi)
             if min(cls) == pi:
                 by_size[len(cls)] += 1
     else:
-        key_counts = Counter(rel.key(pi) for pi in s_n(n))
-        for size in key_counts.values():
-            by_size[size] += 1
+        # Descent: one class per subset S of 1..n-1, of size beta_n(S).
+        check_budget(n, budget)
+        positions = range(1, n)
+        for r in range(len(positions) + 1):
+            for s in combinations(positions, r):
+                by_size[_descent_size(n, frozenset(s))] += 1
     return ClassCensus(relation=rel.name, n=n, by_size=dict(sorted(by_size.items())))
 
 

@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the code paths they are meant to check:
 occurrence search is a plain filter over position subsets, divisor sums come
-from a sieve, class structure from exhaustive key grouping. Expected values
+from a sieve, and classes are built without the relations' keys or class
+sizes (cycle-type generation, Knuth-move closure, descent-set grouping,
+toric orbits). Expected values
 frozen into the tests were produced by these oracles or quoted from the
 embedded reference rows.
 """
@@ -10,12 +12,14 @@ embedded reference rows.
 from __future__ import annotations
 
 import itertools
+import math
+from typing import Iterator, Sequence
 
 import pytest
 
-from permlab.core import Word, s_n
+from permlab.core import Word, descent_set, s_n, toric_class
 from permlab.pattern import BivincularPattern, all_patterns, avoids
-from permlab.relations import RELATIONS
+from permlab.tableau import knuth_class, partitions
 
 
 def oracle_occurrences(pat: BivincularPattern, w: Word) -> list[tuple[int, ...]]:
@@ -76,7 +80,7 @@ def place_by_steps(k: int, n: int) -> Word:
     return tuple(slots[1:])
 
 
-PERMS_BY_N = {n: list(s_n(n)) for n in range(0, 7)}
+PERMS_BY_N = {n: list(s_n(n)) for n in range(0, 8)}
 
 
 @pytest.fixture(scope="session")
@@ -97,29 +101,80 @@ def avoid_masks() -> dict[BivincularPattern, dict[int, int]]:
     return masks
 
 
+def perms_with_cycle_type(n: int, parts: Sequence[int]) -> Iterator[Word]:
+    """All permutations of S_n with the given cycle lengths.
+
+    Cycles are rooted at their smallest element and built in increasing leader
+    order, so each permutation appears exactly once.
+    """
+    parts = tuple(sorted(parts, reverse=True))
+    if sum(parts) != n:
+        raise ValueError(f"cycle lengths {parts} do not sum to {n}")
+
+    def rec(unused: tuple[int, ...], lengths: tuple[int, ...]) -> Iterator[tuple[Word, ...]]:
+        if not unused:
+            yield ()
+            return
+        leader, rest = unused[0], unused[1:]
+        for length in sorted(set(lengths)):
+            idx = lengths.index(length)
+            remaining = lengths[:idx] + lengths[idx + 1 :]
+            for companions in itertools.combinations(rest, length - 1):
+                taken = set(companions)
+                left = tuple(v for v in rest if v not in taken)
+                for arrangement in itertools.permutations(companions):
+                    head = ((leader,) + arrangement,)
+                    for tail in rec(left, remaining):
+                        yield head + tail
+
+    for cycs in rec(tuple(range(1, n + 1)), parts):
+        word = list(range(1, n + 1))
+        for cyc in cycs:
+            for i, v in enumerate(cyc):
+                word[v - 1] = cyc[(i + 1) % len(cyc)]
+        yield tuple(word)
+
+
+def oracle_classes(rel_name: str, n: int) -> list[frozenset[Word]]:
+    """The classes of S_n under a relation, built without its key or class
+    size: conjugacy from cycle-type generation, order as unions of conjugacy
+    classes with one lcm, Knuth by closure under elementary moves, descent by
+    grouping S_n on the descent set, toric as shift orbits."""
+    if rel_name == "conjugacy":
+        return [frozenset(perms_with_cycle_type(n, lam)) for lam in partitions(n)]
+    if rel_name == "order":
+        by_lcm: dict[int, set[Word]] = {}
+        for lam in partitions(n):
+            by_lcm.setdefault(math.lcm(*lam), set()).update(perms_with_cycle_type(n, lam))
+        return [frozenset(cls) for cls in by_lcm.values()]
+    if rel_name == "descent":
+        by_set: dict[frozenset[int], set[Word]] = {}
+        for w in s_n(n):
+            by_set.setdefault(descent_set(w), set()).add(w)
+        return [frozenset(cls) for cls in by_set.values()]
+    grow = {"knuth": knuth_class, "toric": toric_class}[rel_name]
+    seen: set[Word] = set()
+    out = []
+    for w in s_n(n):
+        if w not in seen:
+            cls = frozenset(grow(w))
+            seen |= cls
+            out.append(cls)
+    return out
+
+
 @pytest.fixture(scope="session")
 def class_masks():
-    """Callable (relation name, n) -> list of class bitmasks over lex S_n."""
+    """Callable (relation name, n) -> list of class bitmasks over lex S_n,
+    in the order of each class's lex-least member."""
     cache: dict[tuple[str, int], list[int]] = {}
 
     def build(rel_name: str, n: int) -> list[int]:
         key = (rel_name, n)
         if key not in cache:
-            perms = PERMS_BY_N[n]
-            index = {w: i for i, w in enumerate(perms)}
-            rel = RELATIONS[rel_name]
-            seen: set[Word] = set()
-            out = []
-            for w in perms:
-                if w in seen:
-                    continue
-                cls = rel.class_of(w)
-                seen |= cls
-                m = 0
-                for u in cls:
-                    m |= 1 << index[u]
-                out.append(m)
-            cache[key] = out
+            index = {w: i for i, w in enumerate(PERMS_BY_N[n])}
+            masks = [sum(1 << index[u] for u in cls) for cls in oracle_classes(rel_name, n)]
+            cache[key] = sorted(masks, key=lambda m: m & -m)
         return cache[key]
 
     return build

@@ -4,7 +4,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import PERMS_BY_N
 from permlab.catalog import KNUTH_MATCHING_PATTERN, SEQUENCE_TABLES, vincular_run_pattern
 from permlab.census import (
     avoid_all,
@@ -20,7 +22,7 @@ from permlab.census import (
 )
 from permlab.arith import sigma_arith
 from permlab.core import s_n
-from permlab.pattern import all_patterns, avoids, pattern
+from permlab.pattern import all_patterns, avoids, matches, pattern
 
 
 def _catalan(m: int) -> int:
@@ -88,6 +90,57 @@ class TestClassClosed:
         assert payload["patterns"] == ["21;x=;y="]
         assert payload["count"] == 1
         assert payload["members"] == ["123"]
+
+
+RELATION_NAMES = ("conjugacy", "order", "knuth", "toric", "descent")
+
+
+def _closed_by_masks(kept_mask: int, classes: list[int], n: int):
+    """(count, class_count, members) of the oracle classes inside kept_mask."""
+    closed = [cls for cls in classes if cls & kept_mask == cls]
+    union = 0
+    for cls in closed:
+        union |= cls
+    members = tuple(w for i, w in enumerate(PERMS_BY_N[n]) if union >> i & 1)
+    return len(members), len(closed), members
+
+
+def _as_triple(res):
+    return res.count, res.class_count, res.members
+
+
+class TestClassClosedDifferential:
+    """Class-closed avoiders and matchers against classes built by the
+    oracles in conftest, which use neither the keys nor the class sizes."""
+
+    @pytest.mark.parametrize("rel", RELATION_NAMES)
+    def test_all_length3_patterns(self, rel, avoid_masks, class_masks):
+        for n in range(1, 6):
+            classes = class_masks(rel, n)
+            full = (1 << math.factorial(n)) - 1
+            for pat in all_patterns(3):
+                avoid = avoid_masks[pat][n]
+                got = class_avoiders([pat], rel, n, want_members=True)
+                assert _as_triple(got) == _closed_by_masks(avoid, classes, n), (rel, n, str(pat))
+                got = class_matchers([pat], rel, n, want_members=True)
+                assert _as_triple(got) == _closed_by_masks(full & ~avoid, classes, n), (
+                    rel, n, str(pat))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_patterns(self, class_masks, data):
+        k = data.draw(st.integers(0, 4))
+        p = tuple(data.draw(st.permutations(list(range(1, k + 1)))))
+        pat = pattern(p, x=data.draw(st.sets(st.integers(0, k))),
+                      y=data.draw(st.sets(st.integers(0, k))))
+        rel = data.draw(st.sampled_from(RELATION_NAMES))
+        n = data.draw(st.integers(0, 7))
+        avoid_mode = data.draw(st.booleans())
+        verdict = avoids if avoid_mode else matches
+        kept = sum(1 << i for i, w in enumerate(PERMS_BY_N[n]) if verdict(pat, w))
+        fn = class_avoiders if avoid_mode else class_matchers
+        got = fn([pat], rel, n, want_members=True)
+        assert _as_triple(got) == _closed_by_masks(kept, class_masks(rel, n), n)
 
 
 class TestKnuthMatching:
@@ -239,6 +292,13 @@ class TestSequenceCheck:
         assert rep.ok
         assert set(rep.computed) == {1, 2, 3, 4, 5, 6}
         assert rep.skipped == (7, 8, 9)
+
+    def test_nothing_computed_is_not_ok(self):
+        rep = sequence_check("A000124", budget=0)
+        assert rep.computed == {}
+        assert rep.skipped == tuple(range(1, 10))
+        assert not rep.ok
+        assert not sequence_check("A000124", {20: 211}).ok
 
     def test_recompute_class_count_row(self):
         rep = sequence_check("A000041", budget=5)

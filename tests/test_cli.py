@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from permlab import cli
 
 
@@ -9,6 +11,12 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_err(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 class TestEnumerate:
@@ -88,6 +96,22 @@ class TestEnumerate:
                       "--n", "12", "--budget-n", "6")
         assert code == 3
 
+    def test_negative_degree(self, capsys):
+        code, out, err = run_err(capsys, "enumerate", "--mode", "avoid",
+                                 "--pattern", "231", "--relation", "none", "--n", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "permlab: degree -1 is negative\n"
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one(self, capsys, threads):
+        code, out, err = run_err(capsys, "enumerate", "--mode", "avoid",
+                                 "--pattern", "231", "--relation", "none", "--n", "4",
+                                 "--threads", threads)
+        assert code == 2
+        assert out == ""
+        assert err == f"permlab: --threads must be at least 1, not {threads}\n"
+
 
 class TestClasses:
     def test_text_sizes(self, capsys):
@@ -109,6 +133,20 @@ class TestClasses:
                         "--emit", "csv")
         assert code == 0
         assert out.splitlines()[0] == "size,count"
+
+    def test_negative_degree(self, capsys):
+        code, out, err = run_err(capsys, "classes", "--relation", "conjugacy", "--n", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "permlab: degree -1 is negative\n"
+
+    def test_partition_censuses_ignore_budget(self, capsys):
+        for rel, want in (("conjugacy", 77), ("order", 23), ("knuth", 140152)):
+            code, out = run(capsys, "classes", "--relation", rel, "--n", "12")
+            assert (code, out) == (0, f"classes {want}\n"), rel
+        for rel in ("toric", "descent"):
+            code, _ = run(capsys, "classes", "--relation", rel, "--n", "12")
+            assert code == 3, rel
 
 
 class TestSurvey:
@@ -241,6 +279,13 @@ class TestSeqCheck:
     def test_unknown_id(self, capsys):
         code, _ = run(capsys, "seq-check", "--id", "A999999")
         assert code == 2
+
+    def test_every_degree_over_budget(self, capsys):
+        code, out, err = run_err(capsys, "seq-check", "--id", "A000124", "--budget-n", "0")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("permlab: ")
+        assert "budget 0" in err
 
     def test_json(self, capsys):
         code, out = run(capsys, "seq-check", "--id", "A000085",

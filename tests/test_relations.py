@@ -1,9 +1,10 @@
-"""Equivalence relations, class generation, censuses."""
+"""Equivalence relations, class keys and sizes, censuses."""
 
 import math
 
 import pytest
 
+from conftest import oracle_classes, perms_with_cycle_type
 from permlab.core import cycle_type, identity, order, s_n
 from permlab.errors import BudgetExceeded, InternalCheckError
 from permlab.relations import (
@@ -13,9 +14,16 @@ from permlab.relations import (
     census,
     class_representatives,
     check_budget,
-    perms_with_cycle_type,
     resolve_budget,
 )
+
+
+def class_size(rel, w):
+    """Size of w's class: the closed form where the relation has one,
+    otherwise the size of its generated orbit."""
+    if rel.class_size is not None:
+        return rel.class_size(len(w), rel.key(w))
+    return len(rel.class_of(w))
 
 
 class TestCycleTypeGeneration:
@@ -51,25 +59,45 @@ class TestCycleTypeGeneration:
 class TestClassOf:
     @pytest.mark.parametrize("rel_name", sorted(RELATIONS))
     def test_class_of_equals_key_grouping(self, rel_name):
+        """The key groups S_n into exactly the oracle's classes, and the class
+        size of each member is the size of its class."""
         rel = RELATIONS[rel_name]
         for n in range(0, 6):
             by_key = {}
             for w in s_n(n):
                 by_key.setdefault(rel.key(w), set()).add(w)
+            assert sorted(map(sorted, by_key.values())) == sorted(
+                map(sorted, oracle_classes(rel_name, n))), (rel_name, n)
             for w in s_n(n):
-                assert rel.class_of(w) == by_key[rel.key(w)], (rel_name, w)
+                assert class_size(rel, w) == len(by_key[rel.key(w)]), (rel_name, w)
+                if rel.class_of is not None:
+                    assert rel.class_of(w) == by_key[rel.key(w)], (rel_name, w)
 
     def test_identity_alone_in_conjugacy_class(self):
-        assert RELATIONS["conjugacy"].class_of(identity(5)) == {identity(5)}
+        rel = RELATIONS["conjugacy"]
+        assert class_size(rel, identity(5)) == 1
+        assert [w for w in s_n(5) if rel.key(w) == rel.key(identity(5))] == [identity(5)]
 
     def test_order_unions_conjugacy(self):
         rel = RELATIONS["order"]
+        conj = RELATIONS["conjugacy"]
         for w in s_n(5):
-            assert rel.class_of(w) == {u for u in s_n(5) if order(u) == order(w)}
+            same_order = {u for u in s_n(5) if order(u) == order(w)}
+            assert {u for u in s_n(5) if rel.key(u) == rel.key(w)} == same_order
+            one_per_type = {cycle_type(u): u for u in same_order}
+            assert class_size(rel, w) == len(same_order) == sum(
+                class_size(conj, u) for u in one_per_type.values())
 
     def test_toric_class_anchor(self):
         assert RELATIONS["toric"].class_of((1, 2, 4, 3)) == {
             (1, 2, 4, 3), (4, 1, 2, 3), (2, 3, 4, 1), (2, 1, 3, 4), (1, 3, 2, 4)}
+
+    @pytest.mark.parametrize("rel_name", ["conjugacy", "order", "knuth", "descent"])
+    def test_closed_form_sizes_at_seven(self, rel_name):
+        rel = RELATIONS[rel_name]
+        for cls in oracle_classes(rel_name, 7):
+            w = min(cls)
+            assert rel.class_size(7, rel.key(w)) == len(cls), (rel_name, w)
 
 
 class TestCensus:
@@ -108,8 +136,8 @@ class TestCensus:
             rel = RELATIONS[rel_name]
             reps = list(class_representatives(rel, 4))
             assert reps == sorted(reps)
-            assert all(w == min(rel.class_of(w)) for w in reps)
-            assert sum(len(rel.class_of(w)) for w in reps) == 24
+            assert all(w == min(u for u in s_n(4) if rel.key(u) == rel.key(w)) for w in reps)
+            assert sum(class_size(rel, w) for w in reps) == 24
 
 
 class TestBudget:

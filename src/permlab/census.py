@@ -1,12 +1,14 @@
 """Class-closed avoidance and containment enumeration.
 
-Everything here is built on one two-pass scheme: first scan S_n with the
-occurrence engine to get the per-permutation verdicts, then close the kept
-permutations under the relation, by tallying class keys against closed-form
-class sizes or, for toric classes, by expanding each class at most once. A
-class is counted for avoidance when every member avoids, and for containment
-when every member matches; counts report permutations in the union of counted
-classes, with the class tally carried alongside.
+Everything here is built on one two-pass scheme: first generate the
+permutations that avoid (or contain) the patterns by extending prefixes one
+letter at a time and dropping a prefix as soon as an occurrence ends at its
+new letter, then close the kept permutations under the relation, by tallying
+class keys against closed-form class sizes or, for toric classes, by
+expanding each class at most once. A class is counted for avoidance when
+every member avoids, and for containment when every member matches; counts
+report permutations in the union of counted classes, with the class tally
+carried alongside.
 """
 
 from __future__ import annotations
@@ -15,15 +17,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .catalog import CATALOG, DIVISOR_PATTERN, SEQUENCE_TABLES, match_tables
-from .core import Word, s_n
-from .pattern import (
-    BivincularPattern,
-    all_patterns,
-    apply_symmetry,
-    avoids,
-    matches,
-    pat_shift,
-)
+from .core import Word
+from .generate import avoiders, containers
+from .pattern import BivincularPattern, all_patterns, apply_symmetry, pat_shift
 from .relations import RELATIONS, Relation, census, check_budget, resolve_budget
 
 
@@ -68,14 +64,14 @@ def avoid_all(pats: list[BivincularPattern] | tuple[BivincularPattern, ...], n: 
               *, budget: int | None = None) -> list[Word]:
     """Permutations of 1..n avoiding every given pattern, in lex order."""
     check_budget(n, budget)
-    return [w for w in s_n(n) if all(avoids(p, w) for p in pats)]
+    return avoiders(pats, n)
 
 
 def match_all(pats: list[BivincularPattern] | tuple[BivincularPattern, ...], n: int,
               *, budget: int | None = None) -> list[Word]:
     """Permutations of 1..n containing every given pattern, in lex order."""
     check_budget(n, budget)
-    return [w for w in s_n(n) if all(matches(p, w) for p in pats)]
+    return containers(pats, n)
 
 
 def _class_closed(kept: list[Word], rel: Relation, want_members: bool) -> tuple[int, int, list[Word] | None]:
@@ -210,6 +206,8 @@ def stability(pat: BivincularPattern, relation: Relation | str, n_max: int, *,
     rel = _as_relation(relation)
     if not rel.extends_to_patterns or rel.pattern_class is None:
         raise ValueError(f"relation {rel.name!r} does not act on patterns")
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, not {n_max}")
     ptilde = tuple(sorted(rel.pattern_class(pat), key=_pat_key))
     for n in range(1, n_max + 1):
         check_budget(n, budget)

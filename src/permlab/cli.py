@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 a requested check found a mismatch, 2 bad arguments
 or unparsable input, 3 enumeration budget exceeded, 4 internal consistency
 check failed. Output is deterministic: identical invocations produce
-byte-identical output regardless of --threads.
+byte-identical output. Degrees run one after another; --threads is accepted
+and validated but does not change the work done.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .arith import natural_perms, robin_range, sigma_arith, sigma_via_divisor_perms
 from .census import (
@@ -32,18 +32,16 @@ from .relations import RELATIONS, census, resolve_budget
 from .tableau import format_tableau, rsk
 
 
-def _parallel_map(fn, items, threads: int) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _check_degree(n: int) -> int:
     if n < 0:
         raise ParseError(f"degree {n} is negative")
     return n
+
+
+def _check_n_max(n_max: int) -> int:
+    if n_max < 1:
+        raise ParseError(f"--n-max must be at least 1, not {n_max}")
+    return n_max
 
 
 def _parse_n_spec(text: str) -> list[int]:
@@ -83,7 +81,7 @@ def cmd_enumerate(args) -> int:
         fn = class_avoiders if args.mode == "class-avoid" else class_matchers
         run = lambda n: fn(pats, args.relation, n, want_members=args.members, budget=args.budget_n)
 
-    results = _parallel_map(run, _parse_n_spec(args.n), args.threads)
+    results = [run(n) for n in _parse_n_spec(args.n)]
     if args.emit == "json":
         payloads = [r.to_payload() for r in results]
         _print_json(payloads[0] if len(payloads) == 1 else {"results": payloads})
@@ -125,12 +123,13 @@ def cmd_classes(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    result = survey(args.relation, args.length, n_range=range(1, args.n_max + 1),
+    n_max = _check_n_max(args.n_max)
+    result = survey(args.relation, args.length, n_range=range(1, n_max + 1),
                     merge_shift=args.merge_shift, budget=args.budget_n)
     if args.emit == "json":
         _print_json(result.to_payload())
         return 0
-    degrees = list(range(1, args.n_max + 1))
+    degrees = list(range(1, n_max + 1))
     if args.emit == "csv":
         writer = _csv_writer()
         writer.writerow(["pattern", "orbit_size"] + [f"n{n}" for n in degrees] + ["tables"])
@@ -150,7 +149,7 @@ def cmd_survey(args) -> int:
 
 
 def cmd_stable(args) -> int:
-    report = stability(parse_pattern(args.pattern), args.relation, args.n_max,
+    report = stability(parse_pattern(args.pattern), args.relation, _check_n_max(args.n_max),
                        budget=args.budget_n)
     if args.emit == "json":
         _print_json(report.to_payload())
@@ -177,7 +176,7 @@ def cmd_rsk(args) -> int:
 
 
 def cmd_natural(args) -> int:
-    words = natural_perms(args.n)
+    words = natural_perms(_check_degree(args.n))
     if args.emit == "json":
         _print_json([
             {"k": w.k, "word": format_perm(w.word), "divisor": w.is_divisor_word}
@@ -250,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--emit", choices=("text", "json", "csv"), default="text",
                         help="output format (default text)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent degrees (output is unchanged)")
+                        help="accepted for compatibility; degrees run one after another, "
+                             "so it changes neither the output nor the work done")
     common.add_argument("--budget-n", type=int, default=None, dest="budget_n",
                         help="largest degree enumerations may touch "
                              "(default: PERMLAB_BUDGET_N or 9)")

@@ -12,7 +12,7 @@ class ParseError(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """An exhaustive scan was requested beyond the configured degree cap."""
+    """An enumeration was requested beyond the configured degree cap."""
 
 
 class InternalCheckError(RuntimeError):

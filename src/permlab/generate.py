@@ -1,0 +1,259 @@
+"""Avoiders and containers of bivincular patterns, generated by prefix extension.
+
+Rather than test each of the n! permutations with the single-word engine of
+`permlab.pattern`, the permutations are grown one absolute value at a time,
+smallest letter first, so they come out in lex order. Each new letter is
+checked only for occurrences ending at it: the pattern's last slot is pinned
+to the letter, then the other slots are searched to its left. Every
+constraint can be decided on a prefix (values are absolute, and k in X only
+means the last slot sits at position n), so an occurrence in a prefix
+persists in each of its completions. This is the generating-tree method of
+J. West (Discrete Math. 157, 1996) applied to bivincular patterns.
+
+The walks are module-level recursive functions with explicit arguments: a
+nested function calling itself would form a reference cycle that keeps each
+call's result alive until the cyclic garbage collector runs.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import permutations
+from typing import Iterable
+
+from .core import Word
+from .pattern import BivincularPattern, _compile, _empty_pattern_occurs
+
+
+@dataclass(frozen=True, slots=True)
+class _Tail:
+    """Plan for finding an occurrence whose last slot sits at a given position.
+
+    Values are held in a per-search list: index 0 is the virtual rank 0 (value
+    0), index 1 the virtual rank k+1 (value n+1), and index 2+j the value of
+    the j-th slot placed. The slots are placed in this order: first the last
+    slot and the slots chained to it by X, each pinned to a known position
+    counted back from the end, then the remaining slots left to right. Each
+    step names the values bounding it from below and above (the nearest ranks
+    already placed) and, when its Y-run already holds a placed rank, the value
+    it is offset from (ref, or -1) and by how much (delta).
+    """
+
+    pinned: tuple[tuple[int, int, int, int], ...]      # (ref, delta, lo, hi)
+    free: tuple[tuple[int, int, int, int, bool], ...]  # (ref, delta, lo, hi, chain)
+    fixed_start: bool   # X holds 0..k-1: the occurrence fills positions 1..k
+    at_end: bool        # k in X: the last slot sits at position n
+    fills_values: bool  # Y holds 0..k: the occurrence's values are 1..n
+
+
+@lru_cache(maxsize=None)
+def _tail(pat: BivincularPattern) -> _Tail:
+    # The plan is built afresh, not through _compile's cache, so that listing
+    # avoiders keeps one cached object per pattern rather than two.
+    plan = _compile.__wrapped__(pat)
+    slots = plan.slots
+    k = len(slots)
+    npinned = 1
+    while npinned < k and slots[k - npinned].chain:
+        npinned += 1
+    order = list(range(k - 1, k - 1 - npinned, -1)) + list(range(k - npinned))
+    placed = {0: 0, k + 1: 1}  # rank -> index of its value
+    run_ref: dict[int, tuple[int, int]] = {}  # run -> (value index, rank)
+    if plan.anchor_low is not None:
+        run_ref[plan.anchor_low] = (0, 0)
+    if plan.anchor_high is not None:
+        run_ref[plan.anchor_high] = (1, k + 1)
+    steps = []
+    for j, s in enumerate(order):
+        slot = slots[s]
+        ref, rank0 = run_ref.get(slot.run, (-1, slot.rank))
+        lo = placed[max(r for r in placed if r < slot.rank)]
+        hi = placed[min(r for r in placed if r > slot.rank)]
+        placed[slot.rank] = 2 + j
+        run_ref.setdefault(slot.run, (2 + j, slot.rank))
+        steps.append((ref, slot.rank - rank0, lo, hi, slot.chain))
+    return _Tail(
+        pinned=tuple(step[:4] for step in steps[:npinned]),
+        free=tuple(steps[npinned:]),
+        fixed_start=npinned == k and slots[0].chain,
+        at_end=slots[-1].last,
+        fills_values=plan.anchor_low is not None and plan.anchor_low == plan.anchor_high,
+    )
+
+
+def _window(pat: BivincularPattern, n: int) -> tuple[int, int]:
+    """The positions m at which an occurrence in a word of length n can end;
+    empty (first > last) when the pattern cannot occur at all."""
+    k = pat.k
+    if k == 0 or k > n:
+        return 1, 0
+    tail = _tail(pat)
+    first, last = k, n
+    if tail.fixed_start:
+        last = k
+    if tail.at_end:
+        first = n
+    if tail.fills_values and n != k:
+        return 1, 0
+    return first, last
+
+
+def _ends_at(tail: _Tail, m: int, prefix: list[int], posv: list[int], vals: list[int]) -> bool:
+    """True iff an occurrence ends at position m of `prefix`, whose letters
+    are indexed by value in `posv` (0 for a letter not yet placed)."""
+    j = 2
+    for ref, delta, lo, hi in tail.pinned:
+        v = prefix[m + 1 - j]
+        if (ref >= 0 and v != vals[ref] + delta) or not vals[lo] < v < vals[hi]:
+            return False
+        vals[j] = v
+        j += 1
+    free = tail.free
+    return not free or _place_free(free, 0, j, m + 3 - j - len(free), 0, prefix, posv, vals)
+
+
+def _place_free(free, i: int, j: int, limit: int, prev: int,
+                prefix: list[int], posv: list[int], vals: list[int]) -> bool:
+    """Place free step i (value index j) right of position `prev` and at most
+    at position limit + i, then the steps after it."""
+    ref, delta, lo, hi, chain = free[i]
+    lo, hi = vals[lo], vals[hi]
+    top = limit + i
+    last = i + 1 == len(free)
+    if ref >= 0:
+        v = vals[ref] + delta
+        if not lo < v < hi:
+            return False
+        pos = posv[v]
+        if pos <= prev or pos > top or (chain and pos != prev + 1):
+            return False
+    elif chain:
+        pos = prev + 1
+        if pos > top:
+            return False
+        v = prefix[prev]
+        if not lo < v < hi:
+            return False
+    elif last:
+        for v in prefix[prev:top]:
+            if lo < v < hi:
+                return True
+        return False
+    else:
+        for pos in range(prev + 1, top + 1):
+            v = prefix[pos - 1]
+            if lo < v < hi:
+                vals[j] = v
+                if _place_free(free, i + 1, j + 1, limit, pos, prefix, posv, vals):
+                    return True
+        return False
+    vals[j] = v
+    return last or _place_free(free, i + 1, j + 1, limit, pos, prefix, posv, vals)
+
+
+def _checks(pats: tuple[BivincularPattern, ...], n: int) -> list[tuple]:
+    """(first, last, tail, value buffer, letter) for each pattern that can
+    occur in a word of length n, where `letter` is the value the last slot
+    must take, or 0 when it is free."""
+    out = []
+    for pat in pats:
+        first, last = _window(pat, n)
+        if first <= last:
+            tail = _tail(pat)
+            vals = [0, n + 1] + [0] * pat.k
+            ref, delta = tail.pinned[0][:2]
+            out.append((first, last, tail, vals, vals[ref] + delta if ref >= 0 else 0))
+    return out
+
+
+def avoiders(pats: Iterable[BivincularPattern], n: int) -> list[Word]:
+    """The permutations of 1..n avoiding every pattern, in lex order.
+
+    Prefixes are extended one letter at a time, smallest letter first, and a
+    child is dropped as soon as an occurrence ends at its new letter. Values
+    are absolute, so an occurrence inside a prefix stays in every completion;
+    past the last position where an occurrence can end, every completion is
+    kept.
+
+    >>> from permlab.pattern import pattern
+    >>> avoiders([pattern((2, 3, 1))], 3)
+    [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2), (3, 2, 1)]
+    """
+    pats = tuple(pats)
+    if any(pat.k == 0 and _empty_pattern_occurs(pat, n) for pat in pats):
+        return []
+    checks = _checks(pats, n)
+    live_at = [[(tail, vals, letter) for first, last, tail, vals, letter in checks
+                if first <= m <= last] for m in range(n + 1)]
+    horizon = max((last for _, last, _, _, _ in checks), default=0)
+    out: list[Word] = []
+    _grow_avoiders(live_at, horizon, [], [0] * (n + 2), list(range(1, n + 1)), out)
+    return out
+
+
+def _grow_avoiders(live_at, horizon: int, prefix: list[int], posv: list[int],
+                   free: list[int], out: list[Word]) -> None:
+    m = len(prefix) + 1
+    if m > horizon:
+        out.extend(map(tuple(prefix).__add__, permutations(free)))
+        return
+    live = live_at[m]
+    for i, v in enumerate(free):
+        prefix.append(v)
+        posv[v] = m
+        for tail, vals, letter in live:
+            if (not letter or letter == v) and _ends_at(tail, m, prefix, posv, vals):
+                break
+        else:
+            _grow_avoiders(live_at, horizon, prefix, posv, free[:i] + free[i + 1:], out)
+        prefix.pop()
+        posv[v] = 0
+
+
+def containers(pats: Iterable[BivincularPattern], n: int) -> list[Word]:
+    """The permutations of 1..n containing every pattern, in lex order: S_n
+    minus the union of the patterns' avoider sets.
+
+    The walk is that of `avoiders`, keeping per prefix the patterns not yet
+    found in it; a prefix in which all occur contributes every completion,
+    and one holding a pattern that can no longer end anywhere is dropped.
+
+    >>> from permlab.pattern import pattern
+    >>> containers([pattern((2, 3, 1))], 3)
+    [(2, 3, 1)]
+    """
+    pats = tuple(pats)
+    if any(pat.k == 0 and not _empty_pattern_occurs(pat, n) for pat in pats):
+        return []
+    checks = tuple(_checks(pats, n))
+    if len(checks) < sum(pat.k > 0 for pat in pats):
+        return []
+    out: list[Word] = []
+    until = min((last for _, last, _, _, _ in checks), default=n)
+    _grow_containers(checks, until, [], [0] * (n + 2), list(range(1, n + 1)), out)
+    return out
+
+
+def _grow_containers(needed, until: int, prefix: list[int], posv: list[int], free: list[int],
+                     out: list[Word]) -> None:
+    """`needed` holds the checks of the patterns not yet found in `prefix`;
+    past position `until`, one of them can no longer end anywhere."""
+    if not needed:
+        out.extend(map(tuple(prefix).__add__, permutations(free)))
+        return
+    m = len(prefix) + 1
+    for i, v in enumerate(free):
+        prefix.append(v)
+        posv[v] = m
+        left = needed
+        for check in needed:
+            first, last, tail, vals, letter = check
+            if first <= m <= last and (not letter or letter == v) and _ends_at(
+                    tail, m, prefix, posv, vals):
+                left = tuple(c for c in left if c is not check)
+        reach = until if left is needed else min((c[1] for c in left), default=m + 1)
+        if reach > m:
+            _grow_containers(left, reach, prefix, posv, free[:i] + free[i + 1:], out)
+        prefix.pop()
+        posv[v] = 0

@@ -15,7 +15,8 @@ so 0 and k in X (resp. Y) pin the occurrence to the ends of the position
 The engine walks positions left to right. Constraints from X become forced
 position jumps; Y partitions the pattern ranks into runs of consecutive
 values, and once a run's base value is known every other rank in the run is
-looked up in O(1) through the host's inverse table.
+looked up in O(1) through the host's inverse table. It answers queries about
+one word; `permlab.generate` lists whole sets of avoiders.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ def resolve_budget(budget: int | None = None) -> int:
 def check_budget(n: int, budget: int | None = None) -> None:
     cap = resolve_budget(budget)
     if n > cap:
-        raise BudgetExceeded(f"degree {n} exceeds the exhaustive-scan budget {cap}")
+        raise BudgetExceeded(f"degree {n} exceeds the degree budget {cap}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Shared oracles and fixtures.
 
 The oracles here deliberately avoid the code paths they are meant to check:
-occurrence search is a plain filter over position subsets, divisor sums come
-from a sieve, and classes are built without the relations' keys or class
-sizes (cycle-type generation, Knuth-move closure, descent-set grouping,
-toric orbits). Expected values
+occurrence search is a plain filter over position subsets, avoider and
+matcher lists come from scanning S_n with the single-word engine instead of
+extending prefixes, divisor sums come from a sieve, and classes are built
+without the relations' keys or class sizes (cycle-type generation,
+Knuth-move closure, descent-set grouping, toric orbits). Expected values
 frozen into the tests were produced by these oracles or quoted from the
 embedded reference rows.
 """
@@ -18,7 +19,7 @@ from typing import Iterator, Sequence
 import pytest
 
 from permlab.core import Word, descent_set, s_n, toric_class
-from permlab.pattern import BivincularPattern, all_patterns, avoids
+from permlab.pattern import BivincularPattern, all_patterns, avoids, matches
 from permlab.tableau import knuth_class, partitions
 
 
@@ -81,6 +82,17 @@ def place_by_steps(k: int, n: int) -> Word:
 
 
 PERMS_BY_N = {n: list(s_n(n)) for n in range(0, 8)}
+
+
+def scan_avoiders(pats: Sequence[BivincularPattern], n: int) -> list[Word]:
+    """Avoiders of every pattern by running the single-word engine on each
+    permutation of S_n in lex order."""
+    return [w for w in s_n(n) if all(avoids(p, w) for p in pats)]
+
+
+def scan_matchers(pats: Sequence[BivincularPattern], n: int) -> list[Word]:
+    """Permutations of S_n containing every pattern, by the same scan."""
+    return [w for w in s_n(n) if all(matches(p, w) for p in pats)]
 
 
 @pytest.fixture(scope="session")

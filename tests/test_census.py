@@ -1,12 +1,13 @@
 """Class-closed enumeration, stability, survey, and sequence checking."""
 
+import gc
 import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import PERMS_BY_N
+from conftest import PERMS_BY_N, scan_avoiders, scan_matchers
 from permlab.catalog import KNUTH_MATCHING_PATTERN, SEQUENCE_TABLES, vincular_run_pattern
 from permlab.census import (
     avoid_all,
@@ -90,6 +91,56 @@ class TestClassClosed:
         assert payload["patterns"] == ["21;x=;y="]
         assert payload["count"] == 1
         assert payload["members"] == ["123"]
+
+
+@st.composite
+def _patterns(draw, max_k: int = 4):
+    k = draw(st.integers(0, max_k))
+    p = tuple(draw(st.permutations(list(range(1, k + 1)))))
+    return pattern(p, x=draw(st.sets(st.integers(0, k))), y=draw(st.sets(st.integers(0, k))))
+
+
+class TestGenerationAgainstScan:
+    """`avoid_all` and `match_all` extend prefixes; the oracle scans S_n
+    with the single-word engine."""
+
+    def test_every_short_pattern(self, avoid_masks):
+        for pat, per_n in avoid_masks.items():
+            for n, mask in per_n.items():
+                perms = PERMS_BY_N[n]
+                assert avoid_all([pat], n) == [w for i, w in enumerate(perms) if mask >> i & 1], (
+                    str(pat), n)
+                assert match_all([pat], n) == [w for i, w in enumerate(perms)
+                                               if not mask >> i & 1], (str(pat), n)
+
+    def test_empty_patterns_and_degree_zero(self):
+        for pat in list(all_patterns(0)) + list(all_patterns(1)):
+            for n in range(0, 4):
+                assert avoid_all([pat], n) == scan_avoiders([pat], n), (str(pat), n)
+                assert match_all([pat], n) == scan_matchers([pat], n), (str(pat), n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pats=st.lists(_patterns(), min_size=1, max_size=3), n=st.integers(0, 8))
+    @example(pats=[pattern((1, 3, 2), x=[3], y=[0, 1, 3])], n=6)      # k in X, 0 and k in Y
+    @example(pats=[pattern((2, 3, 1), x=[0, 1], y=[0, 1, 2])], n=7)   # 0 in X
+    @example(pats=[pattern((1, 2), x=[0, 1, 2], y=[0, 1, 2])], n=2)   # fills positions and values
+    @example(pats=[pattern(()), pattern((2, 1))], n=0)                # k = 0
+    @example(pats=[pattern((), x=[0]), pattern((1, 2), y=[2])], n=3)  # k = 0 with a hook
+    @example(pats=[pattern((2, 4, 1, 3)), pattern((1,))], n=3)        # k > n
+    def test_random_pattern_sets(self, pats, n):
+        assert avoid_all(pats, n) == scan_avoiders(pats, n)
+        assert match_all(pats, n) == scan_matchers(pats, n)
+
+    def test_no_reference_cycles(self):
+        pats = [pattern((2, 1, 3), y=[1]), pattern((1, 2), x=[0], y=[1, 2])]
+        avoid_all(pats, 5), match_all(pats, 5)
+        gc.collect()
+        gc.disable()
+        try:
+            avoid_all(pats, 6), match_all(pats, 6)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 RELATION_NAMES = ("conjugacy", "order", "knuth", "toric", "descent")
@@ -207,6 +258,11 @@ class TestStability:
     def test_relation_without_pattern_action(self):
         with pytest.raises(ValueError):
             stability(pattern((2, 1)), "conjugacy", 4)
+
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_no_degree_is_not_stable(self, n_max):
+        with pytest.raises(ValueError):
+            stability(pattern((2, 3, 1)), "knuth", n_max)
 
     def test_payload(self):
         rep = stability(vincular_run_pattern(3), "knuth", 6)

@@ -165,6 +165,12 @@ class TestSurvey:
         assert lines[0] == "pattern,orbit_size,n1,n2,tables"
         assert len(lines) > 1
 
+    def test_n_max_below_one(self, capsys):
+        code, out, err = run_err(capsys, "survey", "--relation", "toric", "--length", "2",
+                                 "--n-max", "-1")
+        assert (code, out) == (2, "")
+        assert err == "permlab: --n-max must be at least 1, not -1\n"
+
 
 class TestStable:
     def test_stable_text(self, capsys):
@@ -186,6 +192,13 @@ class TestStable:
         payload = json.loads(out)
         assert payload["relation"] == "toric"
         assert "stable" in payload
+
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_n_max_below_one(self, capsys, n_max):
+        code, out, err = run_err(capsys, "stable", "--relation", "knuth",
+                                 "--pattern", "231", "--n-max", n_max)
+        assert (code, out) == (2, "")
+        assert err == f"permlab: --n-max must be at least 1, not {n_max}\n"
 
 
 class TestRsk:
@@ -224,6 +237,11 @@ class TestNatural:
         assert [row["k"] for row in payload] == [1, 2, 3, 4, 5, 6]
         assert payload[2]["word"] == "531642"
         assert payload[2]["divisor"] is True
+
+    def test_negative_degree(self, capsys):
+        code, out, err = run_err(capsys, "natural", "--n", "-1")
+        assert (code, out) == (2, "")
+        assert err == "permlab: degree -1 is negative\n"
 
 
 class TestSigma:

@@ -3,18 +3,23 @@
 Everything here is built on one two-pass scheme: first generate the
 permutations that avoid (or contain) the patterns by extending prefixes one
 letter at a time and dropping a prefix as soon as an occurrence ends at its
-new letter, then close the kept permutations under the relation, by tallying
-class keys against closed-form class sizes or, for toric classes, by
-expanding each class at most once. A class is counted for avoidance when
-every member avoids, and for containment when every member matches; counts
-report permutations in the union of counted classes, with the class tally
-carried alongside.
+new letter, then close the kept permutations under the relation by tallying
+class keys against class sizes. Conjugacy, order, Knuth and descent keys
+have closed-form sizes; a toric class is keyed by one orbit walk, which
+gives every member the key min(orbit) and the class its size. A class is
+counted for avoidance when every member avoids, and for containment when
+every member matches; counts report permutations in the union of counted
+classes, with the class tally carried alongside. A survey shares one class
+table per degree among all its patterns, so each permutation is keyed and
+each class sized once per degree.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from typing import Hashable
 
 from .catalog import CATALOG, DIVISOR_PATTERN, SEQUENCE_TABLES, match_tables
 from .core import Word
@@ -74,47 +79,70 @@ def match_all(pats: list[BivincularPattern] | tuple[BivincularPattern, ...], n: 
     return containers(pats, n)
 
 
-def _class_closed(kept: list[Word], rel: Relation, want_members: bool) -> tuple[int, int, list[Word] | None]:
+class _ClassTable:
+    """Keys and class sizes of one relation on S_n, filled as words are met:
+    `keys` maps word -> key and `sizes` maps key -> class size.
+
+    A relation with a closed-form size keys a word by `rel.key` and sizes a
+    key by `rel.class_size`. Toric has none: a missing word is keyed by one
+    `rel.class_of` walk, which files every member of its orbit under the key
+    min(orbit) and records the orbit's length as that class's size.
+    """
+
+    def __init__(self, rel: Relation, n: int) -> None:
+        self.rel = rel
+        self.n = n
+        self.keys: dict[Word, Hashable] = {}
+        self.sizes: dict[Hashable, int] = {}
+
+    def keys_of(self, words: list[Word]) -> list[Hashable]:
+        keys = self.keys
+        return [keys[w] if w in keys else self._fill(w) for w in words]
+
+    def _fill(self, w: Word) -> Hashable:
+        rel = self.rel
+        if rel.class_size is not None:
+            k = self.keys[w] = rel.key(w)
+            return k
+        orbit = rel.class_of(w)
+        k = min(orbit)
+        self.keys.update(dict.fromkeys(orbit, k))
+        self.sizes[k] = len(orbit)
+        return k
+
+    def size(self, k: Hashable) -> int:
+        size = self.sizes.get(k)
+        if size is None:
+            size = self.sizes[k] = self.rel.class_size(self.n, k)
+        return size
+
+
+def _class_closed(kept: list[Word], rel: Relation, want_members: bool,
+                  table: _ClassTable | None = None) -> tuple[int, int, list[Word] | None]:
     """(permutations, classes, members or None) of the classes lying wholly
     inside `kept`, a lex-ordered list of permutations of one degree.
 
-    Where the relation has a closed-form class size, each kept permutation is
-    keyed once and a class lies inside `kept` exactly when its key's tally
-    equals its size; the members are then the kept words with such a key,
-    still in lex order. Otherwise each class is expanded once as an orbit.
+    Each kept permutation is keyed once and a class lies inside `kept`
+    exactly when its key's tally equals its size; the members are then the
+    kept words with such a key, still in lex order. Keys and sizes come from
+    `table` when one is given, and fill it. Without one, a relation with a
+    closed-form size keys by plain `rel.key`, and toric walks its orbits into
+    a table of this call's own.
     """
-    if rel.class_size is None:
-        return _orbits_closed(kept, rel, want_members)
-    keys = [rel.key(w) for w in kept]
-    tally = Counter(keys)
     n = len(kept[0]) if kept else 0
-    closed = {k for k, t in tally.items() if t == rel.class_size(n, k)}
+    if table is None and rel.class_size is not None:
+        keys = [rel.key(w) for w in kept]
+        size = partial(rel.class_size, n)
+    else:
+        if table is None:
+            table = _ClassTable(rel, n)
+        keys = table.keys_of(kept)
+        size = table.size
+    tally = Counter(keys)
+    closed = {k for k, t in tally.items() if t == size(k)}
     count = sum(tally[k] for k in closed)
     members = [w for w, k in zip(kept, keys) if k in closed] if want_members else None
     return count, len(closed), members
-
-
-def _orbits_closed(kept: list[Word], rel: Relation, want_members: bool) -> tuple[int, int, list[Word] | None]:
-    """`_class_closed` for a relation without class sizes, by `rel.class_of`."""
-    kept_set = set(kept)
-    processed: set[Word] = set()
-    count = 0
-    class_count = 0
-    members: list[Word] = []
-    for w in kept:
-        if w in processed:
-            continue
-        cls = rel.class_of(w)
-        processed.update(cls & kept_set)
-        if cls <= kept_set:
-            class_count += 1
-            count += len(cls)
-            if want_members:
-                members.extend(cls)
-    if not want_members:
-        return count, class_count, None
-    members.sort()
-    return count, class_count, members
 
 
 def class_avoiders(pats, relation: Relation | str, n: int, *,
@@ -157,6 +185,8 @@ def sigma_via_avoiders(n: int, *, budget: int | None = None) -> int:
     """Divisor sum recovered by full enumeration: total the position of the
     letter 1 over the class-closed avoiders of the divisor pattern under the
     cyclic relation."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
     result = class_avoiders([DIVISOR_PATTERN], "toric", n, want_members=True, budget=budget)
     return sum(w.index(1) + 1 for w in result.members)
 
@@ -270,6 +300,8 @@ def survey(relation: Relation | str, length: int, *, n_range=range(1, 6),
     earlier row's numbers.
     """
     rel = _as_relation(relation)
+    if length < 0:
+        raise ValueError(f"pattern length must be at least 0, not {length}")
     pats = list(all_patterns(length))
     seen: set[BivincularPattern] = set()
     reps: list[tuple[BivincularPattern, int]] = []
@@ -308,12 +340,20 @@ def survey(relation: Relation | str, length: int, *, n_range=range(1, 6),
             merged.setdefault(find(i), []).append(rc)
         groups = list(merged.values())
 
-    rows: list[SurveyRow] = []
-    for group in groups:
-        rep = min((p for p, _ in group), key=_pat_key)
-        size = sum(c for _, c in group)
-        counts = {n: class_avoiders([rep], rel, n, budget=budget).count for n in n_range}
-        rows.append(SurveyRow(rep, size, counts, tuple(match_tables(counts))))
+    degrees = list(n_range)
+    for n in degrees:  # fail on a degree over budget before doing any work
+        check_budget(n, budget)
+    row_reps = [min((p for p, _ in group), key=_pat_key) for group in groups]
+    counts: list[dict[int, int]] = [{} for _ in groups]
+    # Degrees outermost, so every row at a degree shares one class table,
+    # released before the next degree.
+    for n in degrees:
+        table = _ClassTable(rel, n)
+        for rep, row_counts in zip(row_reps, counts):
+            kept = avoid_all([rep], n, budget=budget)
+            row_counts[n] = _class_closed(kept, rel, False, table)[0]
+    rows = [SurveyRow(rep, sum(c for _, c in group), row_counts, tuple(match_tables(row_counts)))
+            for rep, group, row_counts in zip(row_reps, groups, counts)]
     rows.sort(key=lambda row: _pat_key(row.pat))
     return SurveyResult(rel.name, length, len(pats), rows)
 

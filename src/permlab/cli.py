@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -244,7 +245,11 @@ def cmd_seq_check(args) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it:
+    building one costs more than a small command, and each build leaves
+    reference cycles for the garbage collector."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--emit", choices=("text", "json", "csv"), default="text",
                         help="output format (default text)")

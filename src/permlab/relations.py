@@ -4,8 +4,10 @@ Each relation has a canonical class key and the list of r/c/i compositions
 that transport its classes to classes (so class-avoider counts are invariant
 under them). Conjugacy, order, Knuth and descent classes also have a
 closed-form size for each key: n!/z_lam, its sums over a fixed lcm, f^lam and
-beta_n(S). Toric classes have none and are generated as orbits instead.
-Censuses aggregate class sizes.
+beta_n(S). Toric classes have none; class closure keys them by one orbit walk
+per class, which yields the key min(orbit) for every member and the orbit's
+length as the size, and then tallies them like the others. Censuses
+aggregate class sizes.
 """
 
 from __future__ import annotations
@@ -45,8 +47,10 @@ class Relation:
     """A named equivalence relation with its class key and the r/c/i
     compositions compatible with it.
 
-    A relation with a closed-form `class_size(n, key)` is closed by tallying
-    keys; one without it (toric) walks each class as an orbit by `class_of`.
+    Class closure tallies keys against class sizes. A relation with a
+    closed-form `class_size(n, key)` is keyed word by word; one without it
+    (toric) is keyed by `class_of`, one orbit walk per class, which gives
+    every member its key and the class its size.
     """
 
     name: str

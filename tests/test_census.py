@@ -1,6 +1,7 @@
 """Class-closed enumeration, stability, survey, and sequence checking."""
 
 import gc
+import importlib
 import math
 import random
 
@@ -24,6 +25,10 @@ from permlab.census import (
 from permlab.arith import sigma_arith
 from permlab.core import s_n
 from permlab.pattern import all_patterns, avoids, matches, pattern
+
+
+# `permlab.census` is also the name of the census() function the package exports.
+census_module = importlib.import_module("permlab.census")
 
 
 def _catalan(m: int) -> int:
@@ -321,12 +326,64 @@ class TestSurvey:
         tagged = [row for row in res.rows if "A000124" in row.tables]
         assert tagged, "central polygonal row should be recognized"
 
+    @pytest.mark.parametrize("length", [-1, -2])
+    def test_negative_length(self, length):
+        with pytest.raises(ValueError):
+            survey("toric", length)
+
     def test_payload(self):
         res = survey("descent", 1, n_range=range(1, 4))
         payload = res.to_payload()
         assert payload["relation"] == "descent"
         assert payload["pattern_count"] == 16
         assert len(payload["rows"]) == payload["orbit_count"]
+
+
+class TestSurveyAgainstOracles:
+    """Every survey row against the conftest oracles. The survey keys words
+    through one class table per degree; order keys (an int m) and descent
+    keys (a set S) recur at several degrees with different class sizes, so a
+    table leaking across degrees shows here."""
+
+    @staticmethod
+    def _check(res, rel, degrees, avoid_masks, class_masks):
+        assert res.rows
+        for row in res.rows:
+            want = {n: _mask_class_count(avoid_masks[row.pat][n], class_masks(rel, n))
+                    for n in degrees}
+            assert row.counts == want, (rel, str(row.pat))
+            assert list(row.counts) == list(degrees)
+
+    @pytest.mark.parametrize("rel", RELATION_NAMES)
+    def test_length3(self, rel, avoid_masks, class_masks):
+        degrees = range(1, 6)
+        self._check(survey(rel, 3, n_range=degrees), rel, degrees, avoid_masks, class_masks)
+
+    @pytest.mark.parametrize("rel", RELATION_NAMES)
+    def test_length2_to_six(self, rel, avoid_masks, class_masks):
+        degrees = range(1, 7)
+        self._check(survey(rel, 2, n_range=degrees), rel, degrees, avoid_masks, class_masks)
+
+    def test_one_table_per_degree(self, monkeypatch):
+        built = []
+
+        class Counted(census_module._ClassTable):
+            def __init__(self, rel, n):
+                built.append(n)
+                super().__init__(rel, n)
+
+        monkeypatch.setattr(census_module, "_ClassTable", Counted)
+        survey("order", 2, n_range=range(1, 5))
+        assert built == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("rel", ["conjugacy", "order", "knuth", "descent"])
+    def test_single_keyed_call_builds_no_table(self, rel, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a single keyed enumeration built a class table")
+
+        monkeypatch.setattr(census_module, "_ClassTable", refuse)
+        class_avoiders([pattern((2, 3, 1))], rel, 5, want_members=True)
+        class_matchers([pattern((2, 3, 1))], rel, 5)
 
 
 class TestSequenceCheck:
@@ -381,3 +438,8 @@ class TestSigmaViaAvoiders:
     def test_matches_arithmetic(self):
         for n in range(1, 9):
             assert sigma_via_avoiders(n) == sigma_arith(n)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_degree_below_one(self, n):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            sigma_via_avoiders(n)

@@ -1,5 +1,6 @@
 """Command-line surface: verbs, emit formats, exit codes, determinism."""
 
+import gc
 import json
 
 import pytest
@@ -171,6 +172,12 @@ class TestSurvey:
         assert (code, out) == (2, "")
         assert err == "permlab: --n-max must be at least 1, not -1\n"
 
+    @pytest.mark.parametrize("length", ["-1", "-2"])
+    def test_negative_length(self, capsys, length):
+        code, out, err = run_err(capsys, "survey", "--relation", "toric", "--length", length)
+        assert (code, out) == (2, "")
+        assert err == f"permlab: pattern length must be at least 0, not {length}\n"
+
 
 class TestStable:
     def test_stable_text(self, capsys):
@@ -253,6 +260,12 @@ class TestSigma:
             values.append(out)
         assert values[0] == values[1] == values[2] == "sigma(8) = 15\n"
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_avoiders_below_one(self, capsys, n):
+        for via in ("avoiders", "arith", "perms"):
+            code, out, err = run_err(capsys, "sigma", "--n", n, "--via", via)
+            assert (code, out, err) == (2, "", "permlab: n must be a positive integer\n"), via
+
     def test_json(self, capsys):
         code, out = run(capsys, "sigma", "--n", "12", "--via", "arith",
                         "--emit", "json")
@@ -312,3 +325,19 @@ class TestSeqCheck:
         payload = json.loads(out)
         assert payload["ok"] is True
         assert payload["skipped"] == [5, 6, 7, 8, 9]
+
+
+class TestRepeatedCalls:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_reference_cycles(self, capsys):
+        argv = ["classes", "--relation", "toric", "--n", "4"]
+        run(capsys, *argv)
+        gc.collect()
+        gc.disable()
+        try:
+            assert run(capsys, *argv) == (0, "classes 8\n")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

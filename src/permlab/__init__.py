@@ -113,9 +113,7 @@ from .relations import (
     TORIC,
     ClassCensus,
     Relation,
-    brute_census,
     census,
-    class_representatives,
 )
 from .tableau import (
     count_syt,

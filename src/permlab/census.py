@@ -9,9 +9,13 @@ have closed-form sizes; a toric class is keyed by one orbit walk, which
 gives every member the key min(orbit) and the class its size. A class is
 counted for avoidance when every member avoids, and for containment when
 every member matches; counts report permutations in the union of counted
-classes, with the class tally carried alongside. A survey shares one class
-table per degree among all its patterns, so each permutation is keyed and
-each class sized once per degree.
+classes, with the class tally carried alongside.
+
+A survey asks this of hundreds of patterns at once, so it makes one pass
+over S_n per degree instead: each word is keyed once and gets one bitmask
+of the patterns occurring in it, each class gathers the OR of its members'
+masks, and a pattern's count is the size of the classes whose OR lacks its
+bit. No class size is needed there, since every class is seen whole.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from functools import partial
 from typing import Hashable
 
 from .catalog import CATALOG, DIVISOR_PATTERN, SEQUENCE_TABLES, match_tables
-from .core import Word
-from .generate import avoiders, containers
+from .core import Word, s_n
+from .generate import avoiders, containers, occurrence_masks
 from .pattern import BivincularPattern, all_patterns, apply_symmetry, pat_shift
 from .relations import RELATIONS, Relation, census, check_budget, resolve_budget
 
@@ -80,64 +84,49 @@ def match_all(pats: list[BivincularPattern] | tuple[BivincularPattern, ...], n: 
 
 
 class _ClassTable:
-    """Keys and class sizes of one relation on S_n, filled as words are met:
-    `keys` maps word -> key and `sizes` maps key -> class size.
+    """Toric keys and class sizes for words of one degree, filled by orbit
+    walks as words are met: `keys` maps word -> key and `sizes` maps key ->
+    class size.
 
-    A relation with a closed-form size keys a word by `rel.key` and sizes a
-    key by `rel.class_size`. Toric has none: a missing word is keyed by one
+    Toric has no closed-form size, so a missing word is keyed by one
     `rel.class_of` walk, which files every member of its orbit under the key
     min(orbit) and records the orbit's length as that class's size.
     """
 
-    def __init__(self, rel: Relation, n: int) -> None:
+    def __init__(self, rel: Relation) -> None:
         self.rel = rel
-        self.n = n
         self.keys: dict[Word, Hashable] = {}
         self.sizes: dict[Hashable, int] = {}
 
-    def keys_of(self, words: list[Word]) -> list[Hashable]:
-        keys = self.keys
-        return [keys[w] if w in keys else self._fill(w) for w in words]
-
-    def _fill(self, w: Word) -> Hashable:
-        rel = self.rel
-        if rel.class_size is not None:
-            k = self.keys[w] = rel.key(w)
-            return k
-        orbit = rel.class_of(w)
-        k = min(orbit)
-        self.keys.update(dict.fromkeys(orbit, k))
-        self.sizes[k] = len(orbit)
+    def key(self, w: Word) -> Hashable:
+        k = self.keys.get(w)
+        if k is None:
+            orbit = self.rel.class_of(w)
+            k = min(orbit)
+            self.keys.update(dict.fromkeys(orbit, k))
+            self.sizes[k] = len(orbit)
         return k
 
-    def size(self, k: Hashable) -> int:
-        size = self.sizes.get(k)
-        if size is None:
-            size = self.sizes[k] = self.rel.class_size(self.n, k)
-        return size
 
-
-def _class_closed(kept: list[Word], rel: Relation, want_members: bool,
-                  table: _ClassTable | None = None) -> tuple[int, int, list[Word] | None]:
+def _class_closed(kept: list[Word], rel: Relation,
+                  want_members: bool) -> tuple[int, int, list[Word] | None]:
     """(permutations, classes, members or None) of the classes lying wholly
     inside `kept`, a lex-ordered list of permutations of one degree.
 
     Each kept permutation is keyed once and a class lies inside `kept`
     exactly when its key's tally equals its size; the members are then the
-    kept words with such a key, still in lex order. Keys and sizes come from
-    `table` when one is given, and fill it. Without one, a relation with a
-    closed-form size keys by plain `rel.key`, and toric walks its orbits into
-    a table of this call's own.
+    kept words with such a key, still in lex order. A relation with a
+    closed-form size keys by plain `rel.key`; toric walks its orbits into a
+    table of this call's own.
     """
     n = len(kept[0]) if kept else 0
-    if table is None and rel.class_size is not None:
+    if rel.class_size is not None:
         keys = [rel.key(w) for w in kept]
         size = partial(rel.class_size, n)
     else:
-        if table is None:
-            table = _ClassTable(rel, n)
-        keys = table.keys_of(kept)
-        size = table.size
+        table = _ClassTable(rel)
+        keys = [table.key(w) for w in kept]
+        size = table.sizes.__getitem__
     tally = Counter(keys)
     closed = {k for k, t in tally.items() if t == size(k)}
     count = sum(tally[k] for k in closed)
@@ -295,6 +284,10 @@ def survey(relation: Relation | str, length: int, *, n_range=range(1, 6),
     """Class-closed avoidance counts for all patterns of one length, reduced
     to one representative per symmetry orbit of the relation.
 
+    Each degree is one pass over S_n that tests every row's pattern at once
+    (`occurrence_masks`) and keys each word once; toric words are keyed by
+    one orbit walk per class.
+
     `merge_shift` additionally merges orbits linked by the shift map where it
     preserves counts (the rank lies in Y); this trims rows that repeat an
     earlier row's numbers.
@@ -345,13 +338,22 @@ def survey(relation: Relation | str, length: int, *, n_range=range(1, 6),
         check_budget(n, budget)
     row_reps = [min((p for p, _ in group), key=_pat_key) for group in groups]
     counts: list[dict[int, int]] = [{} for _ in groups]
-    # Degrees outermost, so every row at a degree shares one class table,
-    # released before the next degree.
     for n in degrees:
-        table = _ClassTable(rel, n)
-        for rep, row_counts in zip(row_reps, counts):
-            kept = avoid_all([rep], n, budget=budget)
-            row_counts[n] = _class_closed(kept, rel, False, table)[0]
+        # One pass over S_n: each class gathers the OR of its members'
+        # occurrence masks and its member count. A row's class-closed avoiders
+        # are the members of the classes whose OR lacks the row's bit.
+        key = rel.key if rel.class_size is not None else _ClassTable(rel).key
+        classes: dict[Hashable, list[int]] = {}
+        for w, mask in zip(s_n(n), occurrence_masks(row_reps, n)):
+            k = key(w)
+            entry = classes.get(k)
+            if entry is None:
+                classes[k] = [mask, 1]
+            else:
+                entry[0] |= mask
+                entry[1] += 1
+        for i, row_counts in enumerate(counts):
+            row_counts[n] = sum(size for seen, size in classes.values() if not seen >> i & 1)
     rows = [SurveyRow(rep, sum(c for _, c in group), row_counts, tuple(match_tables(row_counts)))
             for rep, group, row_counts in zip(row_reps, groups, counts)]
     rows.sort(key=lambda row: _pat_key(row.pat))

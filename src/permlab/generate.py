@@ -13,14 +13,18 @@ J. West (Discrete Math. 157, 1996) applied to bivincular patterns.
 The walks are module-level recursive functions with explicit arguments: a
 nested function calling itself would form a reference cycle that keeps each
 call's result alive until the cyclic garbage collector runs.
+
+`occurrence_masks` answers the opposite question, which of many patterns of
+one length occur in each word of S_n, by reading every position subset of
+the word once against a memo of subset signatures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
-from typing import Iterable
+from itertools import combinations, permutations
+from typing import Iterable, Iterator, Sequence
 
 from .core import Word
 from .pattern import BivincularPattern, _compile, _empty_pattern_occurs
@@ -257,3 +261,54 @@ def _grow_containers(needed, until: int, prefix: list[int], posv: list[int], fre
             _grow_containers(left, reach, prefix, posv, free[:i] + free[i + 1:], out)
         prefix.pop()
         posv[v] = 0
+
+
+def _bits(members: Iterable[int]) -> int:
+    return sum(1 << v for v in members)
+
+
+def occurrence_masks(pats: Sequence[BivincularPattern], n: int) -> Iterator[int]:
+    """For each permutation of 1..n in lex order, the mask whose bit i is set
+    iff pats[i] occurs in it; the patterns all have one length k.
+
+    Each k-subset of positions has a signature: its letters' standardization
+    p, the set of x in 0..k with i_{x+1} = i_x + 1 and the set of y with
+    j_{y+1} = j_y + 1, under the conventions i_0 = j_0 = 0 and
+    i_{k+1} = j_{k+1} = n+1. A pattern occurs at the subset exactly when it
+    has that p and its X and Y lie within those sets. The mask of every
+    signature met is memoised by (X-set, letters), so a word costs C(n, k)
+    lookups.
+
+    >>> from permlab.pattern import pattern
+    >>> list(occurrence_masks([pattern((1, 2)), pattern((2, 1), x=[1])], 3))
+    [1, 3, 3, 3, 3, 2]
+    """
+    k = pats[0].k if pats else 0
+    if any(pat.k != k for pat in pats):
+        raise ValueError("the patterns must all have one length")
+    by_p: dict[Word, list[tuple[int, int, int]]] = {}
+    for i, pat in enumerate(pats):
+        by_p.setdefault(pat.p, []).append((_bits(pat.x), _bits(pat.y), 1 << i))
+    # Positions are 0-based here, so i_0 and i_{k+1} become -1 and n.
+    subsets = [(comb, _bits(x for x in range(k + 1) if ends[x + 1] == ends[x] + 1))
+               for comb in combinations(range(n), k) for ends in [(-1, *comb, n)]]
+    memo: dict[tuple[int, Word], int] = {}
+    for w in permutations(range(1, n + 1)):
+        mask = 0
+        for comb, xs in subsets:
+            letters = tuple([w[i] for i in comb])
+            hit = memo.get((xs, letters))
+            if hit is None:
+                hit = memo[xs, letters] = _signature_mask(by_p, xs, letters, n)
+            mask |= hit
+        yield mask
+
+
+def _signature_mask(by_p, xs: int, letters: Word, n: int) -> int:
+    """The mask of the patterns occurring at a position subset with X-set xs
+    and these letters."""
+    ranks = sorted(letters)
+    p = tuple(ranks.index(v) + 1 for v in letters)
+    js = (0, *ranks, n + 1)
+    ys = _bits(y for y in range(len(letters) + 1) if js[y + 1] == js[y] + 1)
+    return sum(bit for x, y, bit in by_p.get(p, ()) if not (x & ~xs or y & ~ys))

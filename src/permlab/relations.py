@@ -17,7 +17,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .core import Word, cycle_type, descent_set, order, s_n, toric_class
 from .errors import BudgetExceeded, InternalCheckError
@@ -220,22 +220,3 @@ def census(rel: Relation, n: int, budget: int | None = None) -> ClassCensus:
                 by_size[_descent_size(n, frozenset(s))] += 1
     return ClassCensus(relation=rel.name, n=n, by_size=dict(sorted(by_size.items())))
 
-
-def brute_census(rel: Relation, n: int, budget: int | None = None) -> ClassCensus:
-    """Census by exhaustively keying S_n; reference path for any relation."""
-    check_budget(n, budget)
-    key_counts = Counter(rel.key(pi) for pi in s_n(n))
-    by_size: Counter[int] = Counter()
-    for size in key_counts.values():
-        by_size[size] += 1
-    return ClassCensus(relation=rel.name, n=n, by_size=dict(sorted(by_size.items())))
-
-
-def class_representatives(rel: Relation, n: int) -> Iterator[Word]:
-    """One canonical (key-minimal) member per class, in lex order."""
-    seen: set[Hashable] = set()
-    for pi in s_n(n):
-        k = rel.key(pi)
-        if k not in seen:
-            seen.add(k)
-            yield pi

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Sequence
+from collections import Counter
+from typing import Hashable, Iterator, Sequence
 
 import pytest
 
 from permlab.core import Word, descent_set, s_n, toric_class
 from permlab.pattern import BivincularPattern, all_patterns, avoids, matches
+from permlab.relations import ClassCensus, Relation
 from permlab.tableau import knuth_class, partitions
 
 
@@ -190,3 +192,19 @@ def class_masks():
         return cache[key]
 
     return build
+
+
+def brute_census(rel: Relation, n: int) -> ClassCensus:
+    """Census by exhaustively keying S_n; reference path for any relation."""
+    by_size = Counter(Counter(rel.key(pi) for pi in s_n(n)).values())
+    return ClassCensus(relation=rel.name, n=n, by_size=dict(sorted(by_size.items())))
+
+
+def class_representatives(rel: Relation, n: int) -> Iterator[Word]:
+    """One canonical (key-minimal) member per class, in lex order."""
+    seen: set[Hashable] = set()
+    for pi in s_n(n):
+        k = rel.key(pi)
+        if k not in seen:
+            seen.add(k)
+            yield pi

@@ -24,6 +24,7 @@ from permlab.census import (
 )
 from permlab.arith import sigma_arith
 from permlab.core import s_n
+from permlab.generate import occurrence_masks
 from permlab.pattern import all_patterns, avoids, matches, pattern
 
 
@@ -99,8 +100,8 @@ class TestClassClosed:
 
 
 @st.composite
-def _patterns(draw, max_k: int = 4):
-    k = draw(st.integers(0, max_k))
+def _patterns(draw, min_k: int = 0, max_k: int = 4):
+    k = draw(st.integers(min_k, max_k))
     p = tuple(draw(st.permutations(list(range(1, k + 1)))))
     return pattern(p, x=draw(st.sets(st.integers(0, k))), y=draw(st.sets(st.integers(0, k))))
 
@@ -146,6 +147,37 @@ class TestGenerationAgainstScan:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+@st.composite
+def _one_length_patterns(draw):
+    k = draw(st.integers(0, 4))
+    return draw(st.lists(_patterns(k, k), min_size=1, max_size=40))
+
+
+class TestOccurrenceMasks:
+    """`occurrence_masks` reads position subsets against a signature memo;
+    the oracle is the backtracking single-word engine, `pattern.matches`."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pats=_one_length_patterns(), n=st.integers(0, 7))
+    # 0 and k in X and in Y; then an occurrence filling all positions and values
+    @example(pats=[pattern((1, 3, 2), x=[0, 3], y=[0, 3]), pattern((1, 3, 2), x=[1])], n=5)
+    @example(pats=[pattern((2, 1), x=[0, 1, 2], y=[0, 1, 2]), pattern((1, 2), y=[2])], n=2)
+    @example(pats=[pattern(()), pattern((), x=[0]), pattern((), y=[0])], n=0)  # k = 0
+    @example(pats=[pattern(()), pattern((), x=[0]), pattern((), y=[0])], n=3)
+    @example(pats=[pattern((2, 4, 1, 3)), pattern((1, 2, 3, 4), x=[4])], n=3)  # k > n
+    def test_against_engine(self, pats, n):
+        masks = list(occurrence_masks(pats, n))
+        assert len(masks) == math.factorial(n)
+        for w, mask in zip(s_n(n), masks):
+            assert [bool(mask >> i & 1) for i in range(len(pats))] == [
+                matches(pat, w) for pat in pats], w
+            assert mask >> len(pats) == 0
+
+    def test_rejects_mixed_lengths(self):
+        with pytest.raises(ValueError):
+            list(occurrence_masks([pattern((1, 2)), pattern((1,))], 3))
 
 
 RELATION_NAMES = ("conjugacy", "order", "knuth", "toric", "descent")
@@ -340,10 +372,11 @@ class TestSurvey:
 
 
 class TestSurveyAgainstOracles:
-    """Every survey row against the conftest oracles. The survey keys words
-    through one class table per degree; order keys (an int m) and descent
-    keys (a set S) recur at several degrees with different class sizes, so a
-    table leaking across degrees shows here."""
+    """Every survey row against the conftest oracles. A survey makes one pass
+    over S_n per degree and gathers each class's occurrence masks by key;
+    order keys (an int m) and descent keys (a set S) recur at several
+    degrees with different classes, so classes leaking across degrees show
+    here."""
 
     @staticmethod
     def _check(res, rel, degrees, avoid_masks, class_masks):
@@ -364,17 +397,32 @@ class TestSurveyAgainstOracles:
         degrees = range(1, 7)
         self._check(survey(rel, 2, n_range=degrees), rel, degrees, avoid_masks, class_masks)
 
-    def test_one_table_per_degree(self, monkeypatch):
-        built = []
+    @pytest.mark.parametrize("rel", RELATION_NAMES)
+    def test_length1_to_six(self, rel, avoid_masks, class_masks):
+        degrees = range(1, 7)
+        self._check(survey(rel, 1, n_range=degrees), rel, degrees, avoid_masks, class_masks)
 
-        class Counted(census_module._ClassTable):
-            def __init__(self, rel, n):
-                built.append(n)
-                super().__init__(rel, n)
+    @pytest.mark.parametrize("rel", RELATION_NAMES)
+    @pytest.mark.parametrize("length", [2, 3])
+    def test_merge_shift(self, rel, length, avoid_masks, class_masks):
+        degrees = range(1, 6)
+        res = survey(rel, length, n_range=degrees, merge_shift=True)
+        assert len(res.rows) < len(survey(rel, length, n_range=range(1, 2)).rows)
+        self._check(res, rel, degrees, avoid_masks, class_masks)
 
-        monkeypatch.setattr(census_module, "_ClassTable", Counted)
-        survey("order", 2, n_range=range(1, 5))
-        assert built == [1, 2, 3, 4]
+    def test_each_word_drawn_once_per_degree(self, monkeypatch):
+        drawn = []
+
+        def counted(n):
+            for w in s_n(n):
+                drawn.append(w)
+                yield w
+
+        monkeypatch.setattr(census_module, "s_n", counted)
+        for rel in ("order", "toric"):
+            drawn.clear()
+            survey(rel, 2, n_range=range(1, 5))
+            assert drawn == [w for n in range(1, 5) for w in s_n(n)], rel
 
     @pytest.mark.parametrize("rel", ["conjugacy", "order", "knuth", "descent"])
     def test_single_keyed_call_builds_no_table(self, rel, monkeypatch):

@@ -4,15 +4,13 @@ import math
 
 import pytest
 
-from conftest import oracle_classes, perms_with_cycle_type
+from conftest import brute_census, class_representatives, oracle_classes, perms_with_cycle_type
 from permlab.core import cycle_type, identity, order, s_n
 from permlab.errors import BudgetExceeded, InternalCheckError
 from permlab.relations import (
     RELATIONS,
     ClassCensus,
-    brute_census,
     census,
-    class_representatives,
     check_budget,
     resolve_budget,
 )

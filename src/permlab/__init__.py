@@ -76,7 +76,6 @@ from .core import (
     inverse,
     order,
     oplus,
-    ominus,
     parse_perm,
     reverse,
     s_n,

@@ -4,9 +4,7 @@ Everything here is built on one two-pass scheme: first generate the
 permutations that avoid (or contain) the patterns by extending prefixes one
 letter at a time and dropping a prefix as soon as an occurrence ends at its
 new letter, then close the kept permutations under the relation by tallying
-class keys against class sizes. Conjugacy, order, Knuth and descent keys
-have closed-form sizes; a toric class is keyed by one orbit walk, which
-gives every member the key min(orbit) and the class its size. A class is
+class keys against the relation's closed-form class sizes. A class is
 counted for avoidance when every member avoids, and for containment when
 every member matches; counts report permutations in the union of counted
 classes, with the class tally carried alongside.
@@ -22,7 +20,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from typing import Hashable
 
 from .catalog import CATALOG, DIVISOR_PATTERN, SEQUENCE_TABLES, match_tables
@@ -83,52 +80,19 @@ def match_all(pats: list[BivincularPattern] | tuple[BivincularPattern, ...], n: 
     return containers(pats, n)
 
 
-class _ClassTable:
-    """Toric keys and class sizes for words of one degree, filled by orbit
-    walks as words are met: `keys` maps word -> key and `sizes` maps key ->
-    class size.
-
-    Toric has no closed-form size, so a missing word is keyed by one
-    `rel.class_of` walk, which files every member of its orbit under the key
-    min(orbit) and records the orbit's length as that class's size.
-    """
-
-    def __init__(self, rel: Relation) -> None:
-        self.rel = rel
-        self.keys: dict[Word, Hashable] = {}
-        self.sizes: dict[Hashable, int] = {}
-
-    def key(self, w: Word) -> Hashable:
-        k = self.keys.get(w)
-        if k is None:
-            orbit = self.rel.class_of(w)
-            k = min(orbit)
-            self.keys.update(dict.fromkeys(orbit, k))
-            self.sizes[k] = len(orbit)
-        return k
-
-
 def _class_closed(kept: list[Word], rel: Relation,
                   want_members: bool) -> tuple[int, int, list[Word] | None]:
     """(permutations, classes, members or None) of the classes lying wholly
     inside `kept`, a lex-ordered list of permutations of one degree.
 
     Each kept permutation is keyed once and a class lies inside `kept`
-    exactly when its key's tally equals its size; the members are then the
-    kept words with such a key, still in lex order. A relation with a
-    closed-form size keys by plain `rel.key`; toric walks its orbits into a
-    table of this call's own.
+    exactly when its key's tally equals its closed-form size; the members
+    are then the kept words with such a key, still in lex order.
     """
     n = len(kept[0]) if kept else 0
-    if rel.class_size is not None:
-        keys = [rel.key(w) for w in kept]
-        size = partial(rel.class_size, n)
-    else:
-        table = _ClassTable(rel)
-        keys = [table.key(w) for w in kept]
-        size = table.sizes.__getitem__
+    keys = [rel.key(w) for w in kept]
     tally = Counter(keys)
-    closed = {k for k, t in tally.items() if t == size(k)}
+    closed = {k for k, t in tally.items() if t == rel.class_size(n, k)}
     count = sum(tally[k] for k in closed)
     members = [w for w, k in zip(kept, keys) if k in closed] if want_members else None
     return count, len(closed), members
@@ -223,7 +187,7 @@ def stability(pat: BivincularPattern, relation: Relation | str, n_max: int, *,
     while a relation classmate of it contains `pat`.
     """
     rel = _as_relation(relation)
-    if not rel.extends_to_patterns or rel.pattern_class is None:
+    if rel.pattern_class is None:
         raise ValueError(f"relation {rel.name!r} does not act on patterns")
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, not {n_max}")
@@ -285,8 +249,7 @@ def survey(relation: Relation | str, length: int, *, n_range=range(1, 6),
     to one representative per symmetry orbit of the relation.
 
     Each degree is one pass over S_n that tests every row's pattern at once
-    (`occurrence_masks`) and keys each word once; toric words are keyed by
-    one orbit walk per class.
+    (`occurrence_masks`) and keys each word once by `rel.key`.
 
     `merge_shift` additionally merges orbits linked by the shift map where it
     preserves counts (the rank lies in Y); this trims rows that repeat an
@@ -338,11 +301,11 @@ def survey(relation: Relation | str, length: int, *, n_range=range(1, 6),
         check_budget(n, budget)
     row_reps = [min((p for p, _ in group), key=_pat_key) for group in groups]
     counts: list[dict[int, int]] = [{} for _ in groups]
+    key = rel.key
     for n in degrees:
         # One pass over S_n: each class gathers the OR of its members'
         # occurrence masks and its member count. A row's class-closed avoiders
         # are the members of the classes whose OR lacks the row's bit.
-        key = rel.key if rel.class_size is not None else _ClassTable(rel).key
         classes: dict[Hashable, list[int]] = {}
         for w, mask in zip(s_n(n), occurrence_masks(row_reps, n)):
             k = key(w)

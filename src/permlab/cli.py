@@ -327,6 +327,7 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ParseError(f"--threads must be at least 1, not {args.threads}")
+        resolve_budget(args.budget_n)
         return args.func(args)
     except ParseError as exc:
         print(f"permlab: {exc}", file=sys.stderr)

@@ -179,11 +179,6 @@ def circ_oplus(lam: Sequence[int], m: int) -> Word:
     return canonical_circular(tuple((v + m) % size for v in lam))
 
 
-def circ_reverse(lam: Sequence[int]) -> Word:
-    """Reverse the circular word (orientation flip), canonicalized."""
-    return canonical_circular(tuple(lam)[::-1])
-
-
 def circ_complement(lam: Sequence[int]) -> Word:
     """Negate every letter mod n+1 (0 stays fixed), canonicalized."""
     size = len(lam)
@@ -209,11 +204,6 @@ def oplus(pi: Sequence[int], m: int) -> Word:
     (2, 3, 4, 1)
     """
     return from_circular(circ_oplus(to_circular(pi), m))
-
-
-def ominus(pi: Sequence[int], m: int) -> Word:
-    """Inverse toric shift."""
-    return oplus(pi, -m % (len(pi) + 1))
 
 
 def toric_class(pi: Sequence[int]) -> frozenset[Word]:

@@ -1,13 +1,10 @@
 """Equivalence relations on S_n: conjugacy, order, Knuth, toric, descent.
 
-Each relation has a canonical class key and the list of r/c/i compositions
-that transport its classes to classes (so class-avoider counts are invariant
-under them). Conjugacy, order, Knuth and descent classes also have a
-closed-form size for each key: n!/z_lam, its sums over a fixed lcm, f^lam and
-beta_n(S). Toric classes have none; class closure keys them by one orbit walk
-per class, which yields the key min(orbit) for every member and the orbit's
-length as the size, and then tallies them like the others. Censuses
-aggregate class sizes.
+Each relation has a canonical class key, a closed-form size for each key,
+and the list of r/c/i compositions that transport its classes to classes (so
+class-avoider counts are invariant under them). The sizes are n!/z_lam, its
+sums over a fixed lcm, f^lam, the least period of a toric step cycle and
+beta_n(S). Censuses aggregate class sizes.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Hashable, Sequence
 
-from .core import Word, cycle_type, descent_set, order, s_n, toric_class
+from .core import Word, cycle_type, descent_set, order, s_n
 from .errors import BudgetExceeded, InternalCheckError
 from .pattern import BivincularPattern, shift_orbit
 from .tableau import count_syt, knuth_class, partitions, rsk, shape_of
@@ -29,11 +26,26 @@ BUDGET_ENV_VAR = "PERMLAB_BUDGET_N"
 
 
 def resolve_budget(budget: int | None = None) -> int:
-    """Explicit argument beats the PERMLAB_BUDGET_N env var beats the default."""
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_BUDGET_N
+    """Explicit argument beats the PERMLAB_BUDGET_N env var beats the default.
+
+    A budget that is negative or not an integer is a ValueError naming where
+    it came from. Budget 0 is valid: it admits only the empty permutation.
+    """
+    source = "--budget-n"
+    if budget is None:
+        text = os.environ.get(BUDGET_ENV_VAR)
+        if not text:
+            return DEFAULT_BUDGET_N
+        source = BUDGET_ENV_VAR
+        try:
+            budget = int(text)
+        except ValueError:
+            budget = text
+    if not isinstance(budget, int):
+        raise ValueError(f"degree budget {budget!r} from {source} is not an integer")
+    if budget < 0:
+        raise ValueError(f"degree budget {budget} from {source} is negative")
+    return budget
 
 
 def check_budget(n: int, budget: int | None = None) -> None:
@@ -44,21 +56,17 @@ def check_budget(n: int, budget: int | None = None) -> None:
 
 @dataclass(frozen=True)
 class Relation:
-    """A named equivalence relation with its class key and the r/c/i
-    compositions compatible with it.
-
-    Class closure tallies keys against class sizes. A relation with a
-    closed-form `class_size(n, key)` is keyed word by word; one without it
-    (toric) is keyed by `class_of`, one orbit walk per class, which gives
-    every member its key and the class its size.
+    """A named equivalence relation: its class key, the closed-form size
+    `class_size(n, key)` of the class with that key in S_n, and the r/c/i
+    compositions compatible with it. Class closure tallies keys against
+    these sizes. `pattern_class` is set for the relations that also act on
+    patterns (Knuth and toric).
     """
 
     name: str
     key: Callable[[Word], Hashable]
     symmetries: tuple[str, ...]
-    class_size: Callable[[int, Hashable], int] | None = None
-    class_of: Callable[[Word], frozenset[Word]] | None = None
-    extends_to_patterns: bool = False
+    class_size: Callable[[int, Hashable], int]
     pattern_class: Callable[[BivincularPattern], frozenset[BivincularPattern]] | None = None
 
 
@@ -131,8 +139,32 @@ def _descent_size(n: int, s: frozenset[int]) -> int:
                for r in range(len(s) + 1) for t in combinations(s, r))
 
 
-def _toric_key(pi: Word) -> Hashable:
-    return min(toric_class(pi))
+def _toric_key(pi: Word) -> tuple[int, ...]:
+    """The steps of the circular word 0|pi, d_i = lam_{i+1} - lam_i mod n+1,
+    read from their least rotation. A toric shift adds a constant to every
+    letter and re-reads the circle from 0, so it only rotates the steps; the
+    word read from 0 along each rotation is one member of the class.
+
+    >>> _toric_key((1, 2, 4, 3)) == _toric_key((2, 1, 3, 4)) == (1, 1, 2, 4, 2)
+    True
+    """
+    size = len(pi) + 1
+    steps = tuple((b - a) % size for a, b in zip((0, *pi), (*pi, 0)))
+    low = min(steps)
+    cycle = steps + steps
+    return min(cycle[i:i + size] for i in range(size) if steps[i] == low)
+
+
+def _toric_size(n: int, steps: tuple[int, ...]) -> int:
+    """Toric class of a step cycle: one member per distinct rotation, that is
+    the cycle's least period, a divisor of n+1.
+
+    >>> [_toric_size(4, s) for s in ((1, 1, 1, 1, 1), (1, 1, 2, 4, 2))]
+    [1, 5]
+    """
+    size = n + 1
+    return next(p for p in range(1, size + 1)
+                if size % p == 0 and steps[p:] + steps[:p] == steps)
 
 
 def _knuth_pattern_class(pat: BivincularPattern) -> frozenset[BivincularPattern]:
@@ -162,7 +194,6 @@ KNUTH = Relation(
     key=_knuth_key,
     symmetries=("", "r", "c", "rc"),
     class_size=_knuth_size,
-    extends_to_patterns=True,
     pattern_class=_knuth_pattern_class,
 )
 
@@ -170,8 +201,7 @@ TORIC = Relation(
     name="toric",
     key=_toric_key,
     symmetries=("", "r", "c", "rc", "i", "ir", "ic", "irc"),
-    class_of=toric_class,
-    extends_to_patterns=True,
+    class_size=_toric_size,
     pattern_class=_toric_pattern_class,
 )
 
@@ -207,10 +237,8 @@ def census(rel: Relation, n: int, budget: int | None = None) -> ClassCensus:
             by_size[f] += f
     elif rel.name == "toric":
         check_budget(n, budget)
-        for pi in s_n(n):
-            cls = toric_class(pi)
-            if min(cls) == pi:
-                by_size[len(cls)] += 1
+        for size in Counter(map(_toric_key, s_n(n))).values():
+            by_size[size] += 1
     else:
         # Descent: one class per subset S of 1..n-1, of size beta_n(S).
         check_budget(n, budget)

@@ -424,15 +424,6 @@ class TestSurveyAgainstOracles:
             survey(rel, 2, n_range=range(1, 5))
             assert drawn == [w for n in range(1, 5) for w in s_n(n)], rel
 
-    @pytest.mark.parametrize("rel", ["conjugacy", "order", "knuth", "descent"])
-    def test_single_keyed_call_builds_no_table(self, rel, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a single keyed enumeration built a class table")
-
-        monkeypatch.setattr(census_module, "_ClassTable", refuse)
-        class_avoiders([pattern((2, 3, 1))], rel, 5, want_members=True)
-        class_matchers([pattern((2, 3, 1))], rel, 5)
-
 
 class TestSequenceCheck:
     def test_dict_comparator(self):

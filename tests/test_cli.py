@@ -114,6 +114,36 @@ class TestEnumerate:
         assert err == f"permlab: --threads must be at least 1, not {threads}\n"
 
 
+class TestBudgetArgument:
+    def test_negative_rejected_before_any_work(self, capsys):
+        code, out, err = run_err(capsys, "enumerate", "--mode", "avoid", "--pattern", "1",
+                                 "--relation", "none", "--n", "3", "--budget-n", "-1")
+        assert (code, out) == (2, "")
+        assert err == "permlab: degree budget -1 from --budget-n is negative\n"
+
+    def test_negative_rejected_where_no_budget_applies(self, capsys):
+        code, out, err = run_err(capsys, "classes", "--relation", "conjugacy", "--n", "5",
+                                 "--budget-n", "-5")
+        assert (code, out) == (2, "")
+        assert err == "permlab: degree budget -5 from --budget-n is negative\n"
+
+    @pytest.mark.parametrize("text, problem", [
+        ("abc", "'abc' from PERMLAB_BUDGET_N is not an integer"),
+        ("2.5", "'2.5' from PERMLAB_BUDGET_N is not an integer"),
+        ("-2", "-2 from PERMLAB_BUDGET_N is negative"),
+    ])
+    def test_bad_env_var(self, capsys, monkeypatch, text, problem):
+        monkeypatch.setenv("PERMLAB_BUDGET_N", text)
+        code, out, err = run_err(capsys, "classes", "--relation", "toric", "--n", "3")
+        assert (code, out) == (2, "")
+        assert err == f"permlab: degree budget {problem}\n"
+
+    def test_argument_overrides_bad_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("PERMLAB_BUDGET_N", "abc")
+        assert run(capsys, "classes", "--relation", "toric", "--n", "3",
+                   "--budget-n", "3") == (0, "classes 3\n")
+
+
 class TestClasses:
     def test_text_sizes(self, capsys):
         code, out = run(capsys, "classes", "--relation", "toric", "--n", "5",

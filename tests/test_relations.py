@@ -1,11 +1,14 @@
 """Equivalence relations, class keys and sizes, censuses."""
 
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import brute_census, class_representatives, oracle_classes, perms_with_cycle_type
-from permlab.core import cycle_type, identity, order, s_n
+from permlab.arith import steggall_census
+from permlab.core import cycle_type, identity, order, s_n, toric_class
 from permlab.errors import BudgetExceeded, InternalCheckError
 from permlab.relations import (
     RELATIONS,
@@ -17,11 +20,8 @@ from permlab.relations import (
 
 
 def class_size(rel, w):
-    """Size of w's class: the closed form where the relation has one,
-    otherwise the size of its generated orbit."""
-    if rel.class_size is not None:
-        return rel.class_size(len(w), rel.key(w))
-    return len(rel.class_of(w))
+    """Closed-form size of w's class."""
+    return rel.class_size(len(w), rel.key(w))
 
 
 class TestCycleTypeGeneration:
@@ -68,8 +68,6 @@ class TestClassOf:
                 map(sorted, oracle_classes(rel_name, n))), (rel_name, n)
             for w in s_n(n):
                 assert class_size(rel, w) == len(by_key[rel.key(w)]), (rel_name, w)
-                if rel.class_of is not None:
-                    assert rel.class_of(w) == by_key[rel.key(w)], (rel_name, w)
 
     def test_identity_alone_in_conjugacy_class(self):
         rel = RELATIONS["conjugacy"]
@@ -87,10 +85,31 @@ class TestClassOf:
                 class_size(conj, u) for u in one_per_type.values())
 
     def test_toric_class_anchor(self):
-        assert RELATIONS["toric"].class_of((1, 2, 4, 3)) == {
+        rel = RELATIONS["toric"]
+        key = rel.key((1, 2, 4, 3))
+        assert {w for w in s_n(4) if rel.key(w) == key} == {
             (1, 2, 4, 3), (4, 1, 2, 3), (2, 3, 4, 1), (2, 1, 3, 4), (1, 3, 2, 4)}
+        assert class_size(rel, (1, 2, 4, 3)) == 5
 
-    @pytest.mark.parametrize("rel_name", ["conjugacy", "order", "knuth", "descent"])
+    @given(st.integers(min_value=0, max_value=12).flatmap(
+        lambda n: st.permutations(list(range(1, n + 1))).map(tuple)))
+    def test_toric_key_against_orbit(self, w):
+        """The step key is constant on the shift orbit, and the closed-form
+        size is the orbit's length."""
+        rel = RELATIONS["toric"]
+        orbit = toric_class(w)
+        assert {rel.key(u) for u in orbit} == {rel.key(w)}
+        assert class_size(rel, w) == len(orbit)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_toric_sizes_match_steggall(self, n):
+        """n+1 = 8 has periods 1, 2, 4, 8 and n+1 = 9 has 1, 3, 9; the sizes of
+        the distinct keys of S_n, tallied by size, give the counting formula."""
+        rel = RELATIONS["toric"]
+        keys = {rel.key(w) for w in s_n(n)}
+        assert dict(Counter(rel.class_size(n, k) for k in keys)) == steggall_census(n)
+
+    @pytest.mark.parametrize("rel_name", ["conjugacy", "order", "knuth", "toric", "descent"])
     def test_closed_form_sizes_at_seven(self, rel_name):
         rel = RELATIONS[rel_name]
         for cls in oracle_classes(rel_name, 7):
@@ -148,6 +167,11 @@ class TestBudget:
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("PERMLAB_BUDGET_N", "7")
         assert resolve_budget(None) == 7
+
+    def test_zero_is_valid(self, monkeypatch):
+        assert resolve_budget(0) == 0
+        monkeypatch.setenv("PERMLAB_BUDGET_N", "0")
+        assert resolve_budget(None) == 0
 
     def test_check_raises(self):
         with pytest.raises(BudgetExceeded):

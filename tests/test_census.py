@@ -4,6 +4,7 @@ import gc
 import importlib
 import math
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +25,7 @@ from permlab.census import (
 )
 from permlab.arith import sigma_arith
 from permlab.core import s_n
+from permlab import generate
 from permlab.generate import occurrence_masks
 from permlab.pattern import all_patterns, avoids, matches, pattern
 
@@ -133,6 +135,12 @@ class TestGenerationAgainstScan:
     @example(pats=[pattern(()), pattern((2, 1))], n=0)                # k = 0
     @example(pats=[pattern((), x=[0]), pattern((1, 2), y=[2])], n=3)  # k = 0 with a hook
     @example(pats=[pattern((2, 4, 1, 3)), pattern((1,))], n=3)        # k > n
+    @example(pats=[pattern((2, 3, 1)), pattern((2, 1), x=[1], y=[0, 2])], n=7)  # position-free and chained
+    @example(pats=[pattern((2, 1, 3), y=[1]), pattern((1, 3, 2), x=[3], y=[0, 1, 3])], n=7)  # and pinned
+    @example(pats=[pattern((1,), x=[0], y=[0]), pattern((2, 4, 1, 3))], n=6)  # k = 1 and classical
+    @example(pats=[pattern((1, 2), y=[1])], n=6)                        # the last slot's window is
+    @example(pats=[pattern((2, 1), y=[0])], n=6)                        # one value
+    @example(pats=[pattern((2, 3, 1), x=[0, 1])], n=7)                  # all but the last slot fixed
     def test_random_pattern_sets(self, pats, n):
         assert avoid_all(pats, n) == scan_avoiders(pats, n)
         assert match_all(pats, n) == scan_matchers(pats, n)
@@ -147,6 +155,68 @@ class TestGenerationAgainstScan:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def _position_free(k: int) -> list:
+    """The patterns of length k whose last slot is neither chained to the one
+    before it nor pinned to position n."""
+    return [pat for pat in all_patterns(k) if not {k - 1, k} & pat.x]
+
+
+def _stirling2(n: int, j: int) -> int:
+    if n == j:
+        return 1
+    if j == 0 or j > n:
+        return 0
+    return j * _stirling2(n - 1, j) + _stirling2(n - 1, j - 1)
+
+
+class TestGenerationPruning:
+    """For a position-free pattern the avoider walk drops a prefix as soon as
+    every completion contains the pattern, so each prefix it enters extends
+    to an avoider."""
+
+    @pytest.fixture
+    def entered(self, monkeypatch):
+        """The prefixes the avoider walk enters, recorded as it goes."""
+        seen: set = set()
+        grow = generate._grow_avoiders
+
+        def record(live_at, horizon, prefix, *rest):
+            seen.add(tuple(prefix))
+            return grow(live_at, horizon, prefix, *rest)
+
+        monkeypatch.setattr(generate, "_grow_avoiders", record)
+        return seen
+
+    def test_no_dead_prefix_entered(self, entered):
+        cases = [(pat, n) for k in (2, 3) for pat in _position_free(k) for n in range(7)]
+        cases += [(pattern(p), 7) for p in permutations(range(1, 5))]
+        assert len(cases) == 7 * (2 * 2 * 8 + 6 * 4 * 16) + 24
+        for pat, n in cases:
+            entered.clear()
+            found = generate.avoiders([pat], n)
+            live = {w[:m] for w in found for m in range(n + 1)}
+            assert entered <= live, (str(pat), n, sorted(entered - live)[:3])
+
+    def test_entered_prefixes_at_nine(self, entered):
+        # The live prefixes of 231 at n = 9; a walk that drops a child only
+        # once an occurrence ends at its new letter enters 51,822.
+        assert len(generate.avoiders([pattern((2, 3, 1))], 9)) == _catalan(9)
+        assert len(entered) == 11934
+
+    @pytest.mark.parametrize("pat, want", [
+        (pattern((2, 3, 1)), _catalan(9)),
+        (pattern((3, 2, 1)), _catalan(9)),
+        (pattern((2, 1, 3), y=[1]), sum(_stirling2(9, j) for j in range(10))),  # Bell
+        (pattern((2, 4, 1, 3)), 91245),                                         # A022558
+        (pattern((1, 2, 3, 4)), 94359),                                         # A005802
+    ])
+    def test_counts_at_nine(self, pat, want):
+        # Beyond the reach of the scan oracle, so checked against the known
+        # sequences instead.
+        assert len(generate.avoiders([pat], 9)) == want
+        assert len(generate.containers([pat], 9)) == math.factorial(9) - want
 
 
 @st.composite

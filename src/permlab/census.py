@@ -9,6 +9,13 @@ counted for avoidance when every member avoids, and for containment when
 every member matches; counts report permutations in the union of counted
 classes, with the class tally carried alongside.
 
+A call that asks only for counts reads them from whichever side is smaller.
+A class is counted exactly when none of its members lies on the other side
+(the words containing some pattern, for avoidance), so once the requested
+side passes n!/2 words its walk is dropped and the other side is keyed
+instead: the count is n! less the sizes of the classes it touches, and the
+class count the relation's class total less their number.
+
 A survey asks this of hundreds of patterns at once, so it makes one pass
 over S_n per degree instead: each word is keyed once and gets one bitmask
 of the patterns occurring in it, each class gathers the OR of its members'
@@ -18,6 +25,7 @@ bit. No class size is needed there, since every class is seen whole.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable
@@ -98,24 +106,55 @@ def _class_closed(kept: list[Word], rel: Relation,
     return count, len(closed), members
 
 
+def _count_closed(pats: tuple[BivincularPattern, ...], rel: Relation, n: int, avoid: bool,
+                  budget: int | None) -> tuple[int, int]:
+    """(permutations, classes) of the classes in which every member avoids
+    (or, with avoid False, contains) every pattern, read from the smaller
+    side as the module docstring describes. The other side is the union of
+    one walk per pattern: its containers for avoidance, its avoiders for
+    containment.
+    """
+    check_budget(n, budget)
+    total = math.factorial(n)
+    walk, other = (avoiders, containers) if avoid else (containers, avoiders)
+    kept = walk(pats, n, total // 2)
+    if kept is not None:
+        count, class_count, _ = _class_closed(kept, rel, False)
+        return count, class_count
+    touched = set()
+    for pat in pats:
+        touched.update(map(rel.key, other([pat], n)))
+    return (total - sum(rel.class_size(n, k) for k in touched),
+            census(rel, n, budget=budget).class_count - len(touched))
+
+
+def _closed_result(avoid: bool, pats, relation: Relation | str, n: int, want_members: bool,
+                   budget: int | None) -> EnumerationResult:
+    rel = _as_relation(relation)
+    if n < 0:
+        raise ValueError(f"degree {n} is negative")
+    pats = tuple(pats)
+    members = None
+    if want_members:
+        kept = (avoid_all if avoid else match_all)(pats, n, budget=budget)
+        count, class_count, members = _class_closed(kept, rel, True)
+        members = tuple(members)
+    else:
+        count, class_count = _count_closed(pats, rel, n, avoid, budget)
+    return EnumerationResult("class-avoid" if avoid else "class-match", rel.name, pats, n,
+                             count, class_count, members)
+
+
 def class_avoiders(pats, relation: Relation | str, n: int, *,
                    want_members: bool = False, budget: int | None = None) -> EnumerationResult:
     """Union of relation classes in which every member avoids every pattern."""
-    rel = _as_relation(relation)
-    kept = avoid_all(pats, n, budget=budget)
-    count, class_count, members = _class_closed(kept, rel, want_members)
-    return EnumerationResult("class-avoid", rel.name, tuple(pats), n, count, class_count,
-                             tuple(members) if members is not None else None)
+    return _closed_result(True, pats, relation, n, want_members, budget)
 
 
 def class_matchers(pats, relation: Relation | str, n: int, *,
                    want_members: bool = False, budget: int | None = None) -> EnumerationResult:
     """Union of relation classes in which every member contains every pattern."""
-    rel = _as_relation(relation)
-    kept = match_all(pats, n, budget=budget)
-    count, class_count, members = _class_closed(kept, rel, want_members)
-    return EnumerationResult("class-match", rel.name, tuple(pats), n, count, class_count,
-                             tuple(members) if members is not None else None)
+    return _closed_result(False, pats, relation, n, want_members, budget)
 
 
 def plain_avoiders(pats, n: int, *, want_members: bool = False,

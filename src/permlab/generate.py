@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .core import Word
@@ -213,18 +214,27 @@ def _gapped_at(checks: list[tuple], n: int) -> list[bool]:
     return [any(c[2].gap and c[0] <= m <= c[1] for c in checks) for m in range(n + 1)]
 
 
-def avoiders(pats: Iterable[BivincularPattern], n: int) -> list[Word]:
-    """The permutations of 1..n avoiding every pattern, in lex order.
+class _OverCap(Exception):
+    """Raised inside a capped walk that would emit more words than its cap."""
+
+
+def avoiders(pats: Iterable[BivincularPattern], n: int,
+             cap: int | None = None) -> list[Word] | None:
+    """The permutations of 1..n avoiding every pattern, in lex order, or None
+    if there are more than `cap` of them.
 
     Prefixes are extended one letter at a time, smallest letter first. A
     child is dropped as soon as a position-free pattern occurs in every
     completion of it (see the module docstring), or an occurrence of any
     other pattern ends at its new letter. Past the last position where a
-    check can end, every completion is kept.
+    check can end, every completion is kept. A capped walk stops as soon as
+    the words it would emit pass the cap.
 
     >>> from permlab.pattern import pattern
     >>> avoiders([pattern((2, 3, 1))], 3)
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2), (3, 2, 1)]
+    >>> avoiders([pattern((2, 3, 1))], 3, cap=4) is None
+    True
     """
     pats = tuple(pats)
     if any(pat.k == 0 and _empty_pattern_occurs(pat, n) for pat in pats):
@@ -235,14 +245,19 @@ def avoiders(pats: Iterable[BivincularPattern], n: int) -> list[Word]:
                for m, gapped in enumerate(_gapped_at(checks, n))]
     horizon = max((last for _, last, _, _, _ in checks), default=0)
     out: list[Word] = []
-    _grow_avoiders(live_at, horizon, [], [0] * (n + 2), list(range(1, n + 1)), out)
+    try:
+        _grow_avoiders(live_at, horizon, [], [0] * (n + 2), list(range(1, n + 1)), out, cap)
+    except _OverCap:
+        return None
     return out
 
 
 def _grow_avoiders(live_at, horizon: int, prefix: list[int], posv: list[int],
-                   free: list[int], out: list[Word]) -> None:
+                   free: list[int], out: list[Word], cap: int | None) -> None:
     m = len(prefix) + 1
     if m > horizon:
+        if cap is not None and len(out) + factorial(len(free)) > cap:
+            raise _OverCap
         out.extend(map(tuple(prefix).__add__, permutations(free)))
         return
     live, gapped = live_at[m]
@@ -256,14 +271,16 @@ def _grow_avoiders(live_at, horizon: int, prefix: list[int], posv: list[int],
             if (not letter or letter == v) and _ends_at(tail, m, prefix, posv, vals, rest):
                 break
         else:
-            _grow_avoiders(live_at, horizon, prefix, posv, free[:i] + free[i + 1:], out)
+            _grow_avoiders(live_at, horizon, prefix, posv, free[:i] + free[i + 1:], out, cap)
         prefix.pop()
         posv[v] = 0
 
 
-def containers(pats: Iterable[BivincularPattern], n: int) -> list[Word]:
+def containers(pats: Iterable[BivincularPattern], n: int,
+               cap: int | None = None) -> list[Word] | None:
     """The permutations of 1..n containing every pattern, in lex order: S_n
-    minus the union of the patterns' avoider sets.
+    minus the union of the patterns' avoider sets. None if there are more
+    than `cap` of them.
 
     The walk is that of `avoiders`, keeping per prefix the patterns not yet
     found in it. A position-free pattern counts as found as soon as every
@@ -275,6 +292,8 @@ def containers(pats: Iterable[BivincularPattern], n: int) -> list[Word]:
     >>> from permlab.pattern import pattern
     >>> containers([pattern((2, 3, 1))], 3)
     [(2, 3, 1)]
+    >>> containers([], 3, cap=5) is None
+    True
     """
     pats = tuple(pats)
     if any(pat.k == 0 and not _empty_pattern_occurs(pat, n) for pat in pats):
@@ -284,16 +303,21 @@ def containers(pats: Iterable[BivincularPattern], n: int) -> list[Word]:
         return []
     out: list[Word] = []
     until = min((last for _, last, _, _, _ in checks), default=n)
-    _grow_containers(tuple(checks), until, _gapped_at(checks, n), [], [0] * (n + 2),
-                     list(range(1, n + 1)), out)
+    try:
+        _grow_containers(tuple(checks), until, _gapped_at(checks, n), [], [0] * (n + 2),
+                         list(range(1, n + 1)), out, cap)
+    except _OverCap:
+        return None
     return out
 
 
 def _grow_containers(needed, until: int, gapped_at: list[bool], prefix: list[int],
-                     posv: list[int], free: list[int], out: list[Word]) -> None:
+                     posv: list[int], free: list[int], out: list[Word], cap: int | None) -> None:
     """`needed` holds the checks of the patterns not yet found in `prefix`;
     past position `until`, the search of one of them can no longer end."""
     if not needed:
+        if cap is not None and len(out) + factorial(len(free)) > cap:
+            raise _OverCap
         out.extend(map(tuple(prefix).__add__, permutations(free)))
         return
     m = len(prefix) + 1
@@ -309,7 +333,8 @@ def _grow_containers(needed, until: int, gapped_at: list[bool], prefix: list[int
                 left = tuple(c for c in left if c is not check)
         reach = until if left is needed else min((c[1] for c in left), default=m + 1)
         if reach > m:
-            _grow_containers(left, reach, gapped_at, prefix, posv, free[:i] + free[i + 1:], out)
+            _grow_containers(left, reach, gapped_at, prefix, posv, free[:i] + free[i + 1:], out,
+                             cap)
         prefix.pop()
         posv[v] = 0
 

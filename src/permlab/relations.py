@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Hashable, Sequence
 
-from .core import Word, cycle_type, descent_set, order, s_n
+from .arith import steggall_census
+from .core import Word, cycle_type, descent_set, order
 from .errors import BudgetExceeded, InternalCheckError
 from .pattern import BivincularPattern, shift_orbit
 from .tableau import count_syt, knuth_class, partitions, rsk, shape_of
@@ -220,9 +221,12 @@ RELATIONS: dict[str, Relation] = {
 def census(rel: Relation, n: int, budget: int | None = None) -> ClassCensus:
     """Class-size histogram of the relation on S_n.
 
-    Conjugacy, order and Knuth are sums over the partitions of n and scan
-    nothing, so only toric and descent, whose work grows like n! and 3^n,
-    are held to the degree budget.
+    Nothing is scanned: conjugacy, order and Knuth are sums over the
+    partitions of n, toric is the cycle-type counting formula
+    `arith.steggall_census`, and descent sums beta_n(S) over the subsets S of
+    1..n-1. Descent, whose work grows like 3^n, is held to the degree budget.
+    Toric is held to it too, although its formula is cheap, so that a toric
+    census over the budget raises BudgetExceeded (exit 3 on the command line).
     """
     by_size: Counter[int] = Counter()
     if rel.name == "conjugacy":
@@ -237,8 +241,7 @@ def census(rel: Relation, n: int, budget: int | None = None) -> ClassCensus:
             by_size[f] += f
     elif rel.name == "toric":
         check_budget(n, budget)
-        for size in Counter(map(_toric_key, s_n(n))).values():
-            by_size[size] += 1
+        by_size.update(steggall_census(n))
     else:
         # Descent: one class per subset S of 1..n-1, of size beta_n(S).
         check_budget(n, budget)

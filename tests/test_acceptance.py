@@ -51,7 +51,7 @@ from permlab.tableau import (
     rsk,
     standard_tableaux,
 )
-from conftest import PERMS_BY_N, oracle_occurrences, sieve_sigma
+from conftest import PERMS_BY_N, brute_census, oracle_occurrences, sieve_sigma
 
 
 def report(capfd, num: int, ok: bool, detail: str) -> None:
@@ -203,7 +203,9 @@ def test_criterion_07_toric_census(capfd):
         if sum(steggall_census(n).values()) != totals[n]:
             problems.append(f"steggall total n={n}")
     for n in range(1, 9):
-        if steggall_census(n) != census(RELATIONS["toric"], n).by_size:
+        # census() reads toric from the counting formula itself, so the
+        # formula is held to the exhaustive census.
+        if steggall_census(n) != brute_census(RELATIONS["toric"], n).by_size:
             problems.append(f"steggall vs brute census n={n}")
     printed = {
         4: {1: 4, 5: 4},

@@ -4,6 +4,7 @@ import gc
 import importlib
 import math
 import random
+from contextlib import contextmanager
 from itertools import permutations
 
 import pytest
@@ -86,6 +87,12 @@ class TestClassClosed:
         m = plain_matchers([pat], 4)
         assert res.count + m.count == 24
 
+    @pytest.mark.parametrize("want_members", [False, True])
+    def test_negative_degree(self, want_members):
+        for fn in (class_avoiders, class_matchers):
+            with pytest.raises(ValueError, match="degree -1 is negative"):
+                fn([pattern((2, 1))], "conjugacy", -1, want_members=want_members)
+
     def test_members_sorted(self):
         res = class_avoiders([pattern((2, 3, 1))], "knuth", 5, want_members=True)
         assert list(res.members) == sorted(res.members)
@@ -152,6 +159,46 @@ class TestGenerationAgainstScan:
         gc.disable()
         try:
             avoid_all(pats, 6), match_all(pats, 6)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestCappedWalk:
+    """Given a cap, `avoiders` and `containers` return the uncapped list when
+    it has at most `cap` words and None, not a partial list, otherwise."""
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(17)
+        threes = list(all_patterns(3))
+        cases = [([pat], n) for k in (0, 1, 2) for pat in all_patterns(k) for n in range(6)]
+        cases += [([pat], n) for pat in rng.sample(threes, 40) for n in (5, 6)]
+        cases += [(rng.sample(threes, 2), n) for n in (4, 6) for _ in range(20)]
+        cases += [([], n) for n in range(5)]
+        return cases
+
+    @pytest.mark.parametrize("walk", [generate.avoiders, generate.containers])
+    def test_cap_at_the_size(self, walk):
+        over = 0
+        for pats, n in self._cases():
+            full = walk(pats, n)
+            assert walk(pats, n, len(full)) == full, ([str(p) for p in pats], n)
+            assert walk(pats, n, math.factorial(n)) == full, ([str(p) for p in pats], n)
+            if full:
+                assert walk(pats, n, len(full) - 1) is None, ([str(p) for p in pats], n)
+                assert walk(pats, n, 0) is None
+                over += 1
+        assert over > 100
+
+    def test_no_reference_cycles_when_over(self):
+        pats = [pattern((2, 1, 3), y=[1]), pattern((1, 2), x=[0], y=[1, 2])]
+        avoided, contained = len(generate.avoiders(pats, 6)), len(generate.containers(pats, 6))
+        gc.collect()
+        gc.disable()
+        try:
+            assert generate.avoiders(pats, 6, avoided // 2) is None
+            assert generate.containers(pats, 6, contained // 2) is None
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -299,6 +346,92 @@ class TestClassClosedDifferential:
         fn = class_avoiders if avoid_mode else class_matchers
         got = fn([pat], rel, n, want_members=True)
         assert _as_triple(got) == _closed_by_masks(kept, class_masks(rel, n), n)
+
+
+@contextmanager
+def _sides_walked():
+    """Record, for each count-only class-closed call, the side it counted
+    from: "kept" when the capped walk of the requested side stayed within its
+    cap, "other" when it went over and the other side was walked instead."""
+    sides: list[str] = []
+    saved = census_module.avoiders, census_module.containers
+
+    def recording(walk):
+        def capped(pats, n, cap=None):
+            out = walk(pats, n, cap)
+            if cap is not None:
+                sides.append("kept" if out is not None else "other")
+            return out
+        return capped
+
+    census_module.avoiders, census_module.containers = map(recording, saved)
+    try:
+        yield sides
+    finally:
+        census_module.avoiders, census_module.containers = saved
+
+
+def _counts(res):
+    return res.count, res.class_count
+
+
+def _words_mask(words, n: int) -> int:
+    index = {w: i for i, w in enumerate(PERMS_BY_N[n])}
+    return sum(1 << index[w] for w in words)
+
+
+class TestClassClosedCountOnly:
+    """Count-only class-closed calls read their counts from whichever side is
+    smaller: past n!/2 kept words they key the other side and subtract from
+    n! and the class total. They must agree with the oracle classes and with
+    the members path, and both sides must be taken."""
+
+    @pytest.mark.parametrize("rel", RELATION_NAMES)
+    def test_all_length3_patterns(self, rel, avoid_masks, class_masks):
+        for fn in (class_avoiders, class_matchers):
+            with _sides_walked() as sides:
+                calls = 0
+                for n in range(1, 6):
+                    classes = class_masks(rel, n)
+                    full = (1 << math.factorial(n)) - 1
+                    for pat in all_patterns(3):
+                        avoid = avoid_masks[pat][n]
+                        kept = avoid if fn is class_avoiders else full & ~avoid
+                        got = _counts(fn([pat], rel, n))
+                        calls += 1
+                        assert got == _closed_by_masks(kept, classes, n)[:2], (rel, n, str(pat))
+                        assert got == _counts(fn([pat], rel, n, want_members=True)), (
+                            rel, n, str(pat))
+            assert len(sides) == calls
+            assert set(sides) == {"kept", "other"}, (rel, fn.__name__)
+
+    @pytest.mark.parametrize("rel", RELATION_NAMES)
+    def test_degree_zero_and_no_patterns(self, rel, class_masks):
+        cases = [([], n) for n in range(6)]
+        cases += [([pat], 0) for k in range(4) for pat in all_patterns(k)]
+        for pats, n in cases:
+            classes = class_masks(rel, n)
+            for fn, scan in ((class_avoiders, scan_avoiders), (class_matchers, scan_matchers)):
+                want = _closed_by_masks(_words_mask(scan(pats, n), n), classes, n)[:2]
+                got = _counts(fn(pats, rel, n))
+                assert got == want == _counts(fn(pats, rel, n, want_members=True)), (
+                    rel, fn.__name__, [str(p) for p in pats], n)
+        # With no pattern every word avoids and contains: all of S_n, every class.
+        assert _counts(class_avoiders([], rel, 4)) == (24, len(class_masks(rel, 4)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(pats=st.lists(_patterns(max_k=4), min_size=2, max_size=3),
+           rel=st.sampled_from(RELATION_NAMES), n=st.integers(0, 7), avoid_mode=st.booleans())
+    # most words avoid both: the other side is the union of two container sets
+    @example(pats=[pattern((1,), x=[0], y=[0]), pattern((1, 2), x=[0, 1], y=[0, 1])],
+             rel="toric", n=7, avoid_mode=True)
+    # most words contain both: the other side is the union of two avoider sets
+    @example(pats=[pattern((1,)), pattern((2, 1))], rel="conjugacy", n=6, avoid_mode=False)
+    def test_random_pattern_sets(self, class_masks, pats, rel, n, avoid_mode):
+        scan = scan_avoiders if avoid_mode else scan_matchers
+        fn = class_avoiders if avoid_mode else class_matchers
+        want = _closed_by_masks(_words_mask(scan(pats, n), n), class_masks(rel, n), n)[:2]
+        assert _counts(fn(pats, rel, n)) == want
 
 
 class TestKnuthMatching:

@@ -10,8 +10,7 @@ interior y: consecutive values).
 
 Sequence tables hold reference rows exactly as published (OEIS ids where one
 exists, descriptive slugs otherwise); `start` is the degree n of the first
-value. Family builders carry OEIS ids as labels even where no reference row
-is embedded.
+value.
 """
 
 from __future__ import annotations
@@ -119,14 +118,6 @@ TOTIENT_PATTERN = pattern((2, 1, 3), y=[1, 3])
 #: toric class-avoiders are exactly the divisor permutations, d(n) of them.
 DIVISOR_PATTERN = pattern((2, 1, 3), y=[1])
 
-#: OEIS labels for the k-indexed families, k = 1..7. Only ids whose reference
-#: row appears in SEQUENCE_TABLES are checkable offline; the rest are labels.
-K_CYCLE_OEIS = ("A000166", "A000266", "A000090", "A000138", "A060725", "A060726", "A060727")
-BOUNDED_CYCLE_OEIS = ("A000004", "A000012", "A000085", "A057693", "A070945", "A070946", "A070947")
-CLASSICAL_RUN_OEIS = ("A000004", "A000012", "A000108", "A005802", "A047889", "A047890", "A052399")
-VALUE_RUN_OEIS = ("A000004", "A000012", "A049774", "A117158", "A177523", "A177533", "A177553")
-
-
 @dataclass(frozen=True)
 class SequenceTable:
     """A reference row: values[i] corresponds to degree start + i."""
@@ -141,30 +132,26 @@ class SequenceTable:
         return self.values[idx] if 0 <= idx < len(self.values) else None
 
 
-def _table(id_: str, start: int, values: tuple[int, ...], source: str) -> SequenceTable:
-    return SequenceTable(id_, start, values, source)
-
-
 SEQUENCE_TABLES: dict[str, SequenceTable] = {
     t.id: t
     for t in (
-        _table("A000166", 1, (0, 1, 2, 9, 44, 265, 1854, 14833, 133496), "OEIS A000166: derangements"),
-        _table("A000085", 1, (1, 2, 4, 10, 26, 76, 232, 764, 2620), "OEIS A000085: involutions / Young tableaux with n cells"),
-        _table("A000124", 1, (1, 2, 4, 7, 11, 16, 22, 29, 37), "OEIS A000124: central polygonal numbers"),
-        _table("A112849", 1, (1, 2, 4, 11, 36, 127, 463, 1717, 6436), "OEIS A112849, aligned here to degree 1"),
-        _table("A000041", 1, (1, 2, 3, 5, 7, 11, 15, 22, 30), "OEIS A000041: partitions of n"),
-        _table("A009490", 1, (1, 2, 3, 4, 6, 6, 9, 11, 14), "OEIS A009490: distinct orders of permutations of n letters"),
-        _table("A002619", 0, (1, 1, 2, 3, 8, 24, 108, 640, 4492), "OEIS A002619: toric class totals"),
-        _table("A000757", 1, (0, 1, 1, 8, 36, 229, 1625, 13208), "OEIS A000757: circular words without successor pairs"),
-        _table("A165962", 1, (1, 1, 5, 18, 95, 600, 4307, 35168), "OEIS A165962: circular words without modular 3-runs"),
-        _table("A000079", 1, (1, 2, 4, 8, 16, 32, 64, 128, 256), "OEIS A000079: powers of two (2^(n-1) here)"),
-        _table("A000108", 2, (1, 2, 5, 14, 42, 132, 429, 1430), "OEIS A000108: Catalan numbers, shifted to start at degree 2"),
-        _table("A000325", 1, (1, 2, 5, 12, 27, 58, 121, 248, 503), "OEIS A000325: 2^n - n"),
-        _table("transpositions", 1, (1, 1, 4, 7, 11, 16, 22, 29, 37), "identity-or-transposition classes: 1 + C(n,2) from n = 3"),
-        _table("fpf-involutions", 1, (1, 2, 3, 4, 1, 16, 1, 106, 1), "fixed-point-free involution classes; n = 3 exceeds the generic count"),
-        _table("id-3cycles", 1, (1, 2, 3, 9, 21, 41, 71, 113, 169), "identity plus 3-cycles: 1 + 2C(n,3)"),
-        _table("id-2cycles-3cycles", 1, (1, 2, 4, 15, 31, 56, 92, 141, 205), "identity, 2-cycles and 3-cycles: 1 + C(n,2) + 2C(n,3)"),
-        _table("order-products", 1, (0, 1, 2, 6, 44, 0, 1644, 7728, 84384), "order classes avoiding a leading fixed point"),
+        SequenceTable("A000166", 1, (0, 1, 2, 9, 44, 265, 1854, 14833, 133496), "OEIS A000166: derangements"),
+        SequenceTable("A000085", 1, (1, 2, 4, 10, 26, 76, 232, 764, 2620), "OEIS A000085: involutions / Young tableaux with n cells"),
+        SequenceTable("A000124", 1, (1, 2, 4, 7, 11, 16, 22, 29, 37), "OEIS A000124: central polygonal numbers"),
+        SequenceTable("A112849", 1, (1, 2, 4, 11, 36, 127, 463, 1717, 6436), "OEIS A112849, aligned here to degree 1"),
+        SequenceTable("A000041", 1, (1, 2, 3, 5, 7, 11, 15, 22, 30), "OEIS A000041: partitions of n"),
+        SequenceTable("A009490", 1, (1, 2, 3, 4, 6, 6, 9, 11, 14), "OEIS A009490: distinct orders of permutations of n letters"),
+        SequenceTable("A002619", 0, (1, 1, 2, 3, 8, 24, 108, 640, 4492), "OEIS A002619: toric class totals"),
+        SequenceTable("A000757", 1, (0, 1, 1, 8, 36, 229, 1625, 13208), "OEIS A000757: circular words without successor pairs"),
+        SequenceTable("A165962", 1, (1, 1, 5, 18, 95, 600, 4307, 35168), "OEIS A165962: circular words without modular 3-runs"),
+        SequenceTable("A000079", 1, (1, 2, 4, 8, 16, 32, 64, 128, 256), "OEIS A000079: powers of two (2^(n-1) here)"),
+        SequenceTable("A000108", 2, (1, 2, 5, 14, 42, 132, 429, 1430), "OEIS A000108: Catalan numbers, shifted to start at degree 2"),
+        SequenceTable("A000325", 1, (1, 2, 5, 12, 27, 58, 121, 248, 503), "OEIS A000325: 2^n - n"),
+        SequenceTable("transpositions", 1, (1, 1, 4, 7, 11, 16, 22, 29, 37), "identity-or-transposition classes: 1 + C(n,2) from n = 3"),
+        SequenceTable("fpf-involutions", 1, (1, 2, 3, 4, 1, 16, 1, 106, 1), "fixed-point-free involution classes; n = 3 exceeds the generic count"),
+        SequenceTable("id-3cycles", 1, (1, 2, 3, 9, 21, 41, 71, 113, 169), "identity plus 3-cycles: 1 + 2C(n,3)"),
+        SequenceTable("id-2cycles-3cycles", 1, (1, 2, 4, 15, 31, 56, 92, 141, 205), "identity, 2-cycles and 3-cycles: 1 + C(n,2) + 2C(n,3)"),
+        SequenceTable("order-products", 1, (0, 1, 2, 6, 44, 0, 1644, 7728, 84384), "order classes avoiding a leading fixed point"),
     )
 }
 

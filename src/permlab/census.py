@@ -9,12 +9,13 @@ counted for avoidance when every member avoids, and for containment when
 every member matches; counts report permutations in the union of counted
 classes, with the class tally carried alongside.
 
-A call that asks only for counts reads them from whichever side is smaller.
-A class is counted exactly when none of its members lies on the other side
-(the words containing some pattern, for avoidance), so once the requested
-side passes n!/2 words its walk is dropped and the other side is keyed
-instead: the count is n! less the sizes of the classes it touches, and the
-class count the relation's class total less their number.
+Each class-closed request makes one walk call on the side it asks for:
+uncapped when members are wanted, and capped at n!/2 words when only counts
+are. A class is counted exactly when none of its members lies on the other
+side (the words containing some pattern, for avoidance), so once a capped
+walk passes n!/2 words it is dropped and the other side is keyed instead:
+the count is n! less the sizes of the classes it touches, and the class
+count the relation's class total less their number.
 
 A survey asks this of hundreds of patterns at once, so it makes one pass
 over S_n per degree instead: each word is keyed once and gets one bitmask
@@ -89,7 +90,7 @@ def match_all(pats: list[BivincularPattern] | tuple[BivincularPattern, ...], n: 
 
 
 def _class_closed(kept: list[Word], rel: Relation,
-                  want_members: bool) -> tuple[int, int, list[Word] | None]:
+                  want_members: bool) -> tuple[int, int, tuple[Word, ...] | None]:
     """(permutations, classes, members or None) of the classes lying wholly
     inside `kept`, a lex-ordered list of permutations of one degree.
 
@@ -102,45 +103,33 @@ def _class_closed(kept: list[Word], rel: Relation,
     tally = Counter(keys)
     closed = {k for k, t in tally.items() if t == rel.class_size(n, k)}
     count = sum(tally[k] for k in closed)
-    members = [w for w, k in zip(kept, keys) if k in closed] if want_members else None
+    members = tuple(w for w, k in zip(kept, keys) if k in closed) if want_members else None
     return count, len(closed), members
-
-
-def _count_closed(pats: tuple[BivincularPattern, ...], rel: Relation, n: int, avoid: bool,
-                  budget: int | None) -> tuple[int, int]:
-    """(permutations, classes) of the classes in which every member avoids
-    (or, with avoid False, contains) every pattern, read from the smaller
-    side as the module docstring describes. The other side is the union of
-    one walk per pattern: its containers for avoidance, its avoiders for
-    containment.
-    """
-    check_budget(n, budget)
-    total = math.factorial(n)
-    walk, other = (avoiders, containers) if avoid else (containers, avoiders)
-    kept = walk(pats, n, total // 2)
-    if kept is not None:
-        count, class_count, _ = _class_closed(kept, rel, False)
-        return count, class_count
-    touched = set()
-    for pat in pats:
-        touched.update(map(rel.key, other([pat], n)))
-    return (total - sum(rel.class_size(n, k) for k in touched),
-            census(rel, n, budget=budget).class_count - len(touched))
 
 
 def _closed_result(avoid: bool, pats, relation: Relation | str, n: int, want_members: bool,
                    budget: int | None) -> EnumerationResult:
+    """Close one walk of the requested side, or past the n!/2 cap of a
+    count-only walk read the other side, as the module docstring describes.
+    The other side is the union of one walk per pattern: its containers for
+    avoidance, its avoiders for containment."""
     rel = _as_relation(relation)
     if n < 0:
         raise ValueError(f"degree {n} is negative")
     pats = tuple(pats)
-    members = None
-    if want_members:
-        kept = (avoid_all if avoid else match_all)(pats, n, budget=budget)
-        count, class_count, members = _class_closed(kept, rel, True)
-        members = tuple(members)
+    check_budget(n, budget)
+    total = math.factorial(n)
+    walk, other = (avoiders, containers) if avoid else (containers, avoiders)
+    kept = walk(pats, n, None if want_members else total // 2)
+    if kept is not None:
+        count, class_count, members = _class_closed(kept, rel, want_members)
     else:
-        count, class_count = _count_closed(pats, rel, n, avoid, budget)
+        touched = set()
+        for pat in pats:
+            touched.update(map(rel.key, other([pat], n)))
+        count = total - sum(rel.class_size(n, k) for k in touched)
+        class_count = census(rel, n, budget=budget).class_count - len(touched)
+        members = None
     return EnumerationResult("class-avoid" if avoid else "class-match", rel.name, pats, n,
                              count, class_count, members)
 
@@ -278,68 +267,56 @@ class SurveyResult:
         }
 
 
-def _symmetry_orbit_for(rel: Relation, pat: BivincularPattern) -> set[BivincularPattern]:
-    return {apply_symmetry(pat, ops) for ops in rel.symmetries}
-
-
 def survey(relation: Relation | str, length: int, *, n_range=range(1, 6),
            merge_shift: bool = False, budget: int | None = None) -> SurveyResult:
-    """Class-closed avoidance counts for all patterns of one length, reduced
-    to one representative per symmetry orbit of the relation.
+    """Class-closed avoidance counts for all patterns of one length, one row
+    per symmetry orbit of the relation.
 
     Each degree is one pass over S_n that tests every row's pattern at once
     (`occurrence_masks`) and keys each word once by `rel.key`.
 
-    `merge_shift` additionally merges orbits linked by the shift map where it
-    preserves counts (the rank lies in Y); this trims rows that repeat an
-    earlier row's numbers.
+    `merge_shift` additionally merges the orbits that the shift map links,
+    following it from each orbit's least pattern while the rank lies in Y,
+    where it preserves toric counts; this trims rows that repeat an earlier
+    row's numbers. A row is named by the least pattern (by `_pat_key`) it
+    covers, and its `orbit_size` counts the patterns it covers.
     """
     rel = _as_relation(relation)
     if length < 0:
         raise ValueError(f"pattern length must be at least 0, not {length}")
     pats = list(all_patterns(length))
-    seen: set[BivincularPattern] = set()
-    reps: list[tuple[BivincularPattern, int]] = []
+    # Each pattern maps to its row's name, the least pattern of its row (while
+    # orbits merge, to a pattern nearer that name).
+    row_of: dict[BivincularPattern, BivincularPattern] = {}
     for pat in pats:
-        if pat in seen:
-            continue
-        orbit = _symmetry_orbit_for(rel, pat)
-        seen.update(orbit)
-        reps.append((min(orbit, key=_pat_key), len(orbit)))
+        if pat not in row_of:
+            orbit = {apply_symmetry(pat, ops) for ops in rel.symmetries}
+            row_of.update(dict.fromkeys(orbit, min(orbit, key=_pat_key)))
 
-    groups: list[list[tuple[BivincularPattern, int]]] = [[rc] for rc in reps]
     if merge_shift:
-        index = {rep: i for i, (rep, _) in enumerate(reps)}
-        parent = list(range(len(reps)))
+        def find(pat: BivincularPattern) -> BivincularPattern:
+            while row_of[pat] != pat:
+                pat = row_of[pat]
+            return pat
 
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for rep, _ in reps:
-            cur = rep
+        for cur in [pat for pat, rep in row_of.items() if pat == rep]:
             for _ in range(length + 2):
                 # The shift preserves counts only when the rank lies in Y.
                 if not cur.p or length not in cur.y:
                     break
                 nxt = pat_shift(cur)
-                a = find(index[rep])
-                b = find(index[min(_symmetry_orbit_for(rel, nxt), key=_pat_key)])
-                if a != b:
-                    parent[b] = a
+                least, larger = sorted((find(cur), find(nxt)), key=_pat_key)
+                row_of[larger] = least
                 cur = nxt
-        merged: dict[int, list[tuple[BivincularPattern, int]]] = {}
-        for i, rc in enumerate(reps):
-            merged.setdefault(find(i), []).append(rc)
-        groups = list(merged.values())
+        for pat in row_of:
+            row_of[pat] = find(pat)
+    sizes = Counter(row_of.values())
+    row_reps = sorted(sizes, key=_pat_key)
 
     degrees = list(n_range)
     for n in degrees:  # fail on a degree over budget before doing any work
         check_budget(n, budget)
-    row_reps = [min((p for p, _ in group), key=_pat_key) for group in groups]
-    counts: list[dict[int, int]] = [{} for _ in groups]
+    counts: list[dict[int, int]] = [{} for _ in row_reps]
     key = rel.key
     for n in degrees:
         # One pass over S_n: each class gathers the OR of its members'
@@ -356,9 +333,8 @@ def survey(relation: Relation | str, length: int, *, n_range=range(1, 6),
                 entry[1] += 1
         for i, row_counts in enumerate(counts):
             row_counts[n] = sum(size for seen, size in classes.values() if not seen >> i & 1)
-    rows = [SurveyRow(rep, sum(c for _, c in group), row_counts, tuple(match_tables(row_counts)))
-            for rep, group, row_counts in zip(row_reps, groups, counts)]
-    rows.sort(key=lambda row: _pat_key(row.pat))
+    rows = [SurveyRow(rep, sizes[rep], row_counts, tuple(match_tables(row_counts)))
+            for rep, row_counts in zip(row_reps, counts)]
     return SurveyResult(rel.name, length, len(pats), rows)
 
 
@@ -390,34 +366,23 @@ class SequenceCheckReport:
 _CLASS_COUNT_IDS = {"A000041": "conjugacy", "A009490": "order", "A002619": "toric"}
 
 
-def sequence_check(table_id: str, values=None, *, budget: int | None = None) -> SequenceCheckReport:
-    """Compare values against an embedded reference row, degree by degree.
-
-    `values` may be a degree -> count mapping or a list aligned to the row's
-    first degree; when omitted, the row is recomputed from scratch instead.
-    Degrees not covered (or beyond the enumeration budget) are reported as
-    skipped.
+def sequence_check(table_id: str, *, budget: int | None = None) -> SequenceCheckReport:
+    """Recompute an embedded reference row degree by degree. Degrees beyond
+    the enumeration budget are reported as skipped.
     """
     try:
         table = SEQUENCE_TABLES[table_id]
     except KeyError:
         raise ValueError(f"unknown sequence id {table_id!r}") from None
-    degrees = range(table.start, table.start + len(table.values))
-    if values is not None:
-        if not isinstance(values, dict):
-            values = {table.start + i: v for i, v in enumerate(values)}
-        computed = {n: values[n] for n in degrees if n in values}
-        skipped = tuple(n for n in degrees if n not in values)
-        return SequenceCheckReport(table_id, table.start, table.values, computed, skipped)
     limit = resolve_budget(budget)
     computed = {}
-    skipped_list: list[int] = []
-    for n in degrees:
+    skipped: list[int] = []
+    for n in range(table.start, table.start + len(table.values)):
         if n > limit:
-            skipped_list.append(n)
-            continue
-        computed[n] = _recompute(table_id, n, budget)
-    return SequenceCheckReport(table_id, table.start, table.values, computed, tuple(skipped_list))
+            skipped.append(n)
+        else:
+            computed[n] = _recompute(table_id, n, budget)
+    return SequenceCheckReport(table_id, table.start, table.values, computed, tuple(skipped))
 
 
 def _recompute(table_id: str, n: int, budget: int | None) -> int:

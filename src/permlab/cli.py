@@ -291,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stable", parents=[common],
                        help="compare class-closed avoidance with plain avoidance of the pattern class")
-    p.add_argument("--relation", choices=("knuth", "toric"), required=True)
+    p.add_argument("--relation", required=True, choices=tuple(sorted(
+        name for name, rel in RELATIONS.items() if rel.pattern_class)))
     p.add_argument("--pattern", required=True)
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
     p.set_defaults(func=cmd_stable)

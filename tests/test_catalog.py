@@ -4,7 +4,6 @@ import math
 
 from permlab.catalog import (
     CATALOG,
-    CLASSICAL_RUN_OEIS,
     FPF_INVOLUTION_PATTERN,
     SEQUENCE_TABLES,
     SequenceTable,
@@ -99,7 +98,6 @@ class TestRunFamilies:
         pat = classical_run_pattern(3)
         got = [len(avoid_all([pat], n)) for n in range(1, 8)]
         assert got == [1, 2, 5, 14, 42, 132, 429]
-        assert CLASSICAL_RUN_OEIS[2] == "A000108"
 
     def test_vincular_run_counts_ascending_runs(self):
         # (12..k, {1..k-1}, {}) matches on a run of k consecutive positions

@@ -237,6 +237,14 @@ class TestStable:
         assert (code, out) == (2, "")
         assert err == f"permlab: --n-max must be at least 1, not {n_max}\n"
 
+    def test_relation_choices_act_on_patterns(self):
+        from permlab.relations import RELATIONS
+
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        action = next(a for a in sub.choices["stable"]._actions if a.dest == "relation")
+        assert list(action.choices) == sorted(
+            name for name, rel in RELATIONS.items() if rel.pattern_class)
+
 
 class TestRsk:
     def test_text(self, capsys):
@@ -355,6 +363,29 @@ class TestSeqCheck:
         payload = json.loads(out)
         assert payload["ok"] is True
         assert payload["skipped"] == [5, 6, 7, 8, 9]
+
+    @pytest.fixture
+    def wrong_row(self, monkeypatch):
+        """A000124 with its n=3 value off by one."""
+        from permlab.catalog import SEQUENCE_TABLES, SequenceTable
+
+        row = SEQUENCE_TABLES["A000124"]
+        values = row.values[:2] + (row.values[2] + 1,) + row.values[3:]
+        monkeypatch.setitem(SEQUENCE_TABLES, "A000124",
+                            SequenceTable(row.id, row.start, values, row.source))
+
+    def test_mismatch_exits_1(self, capsys, wrong_row):
+        code, out = run(capsys, "seq-check", "--id", "A000124", "--budget-n", "5")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[2] == "n=3 expected=5 computed=4 MISMATCH"
+        assert lines[-1] == "MISMATCH"
+
+    def test_mismatch_json(self, capsys, wrong_row):
+        code, out = run(capsys, "seq-check", "--id", "A000124", "--budget-n", "5",
+                        "--emit", "json")
+        assert code == 1
+        assert json.loads(out)["ok"] is False
 
 
 class TestRepeatedCalls:

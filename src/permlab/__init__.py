@@ -12,19 +12,16 @@ these enumerations and cross-checked against trial-division formulas.
 from .arith import (
     EULER_GAMMA,
     NaturalPermutation,
-    divisor_count,
     divisor_perms,
     divisors,
     factorize,
     mobius,
-    natural_perm,
     natural_perms,
     robin_check,
     robin_range,
     sigma_arith,
     sigma_via_divisor_perms,
     steggall_census,
-    toric_class_total,
     totient,
 )
 from .catalog import (
@@ -43,12 +40,8 @@ from .catalog import (
     TOTIENT_PATTERN,
     TRANSPOSITION_PATTERN,
     TWO_THREE_CYCLE_PATTERN,
-    anchored_value_run_pattern,
     bounded_cycle_pattern,
-    classical_run_pattern,
     k_cycle_pattern,
-    value_run_pattern,
-    vincular_run_pattern,
 )
 from .census import (
     EnumerationResult,
@@ -66,7 +59,6 @@ from .census import (
 from .core import (
     Word,
     complement,
-    compose,
     cycle_type,
     cycles,
     descent_set,
@@ -79,11 +71,9 @@ from .core import (
     parse_perm,
     reverse,
     s_n,
-    standardize,
     to_circular,
-    toric_class,
 )
-from .errors import BudgetExceeded, InternalCheckError, NoOccurrenceError, ParseError
+from .errors import BudgetExceeded, InternalCheckError, ParseError
 from .pattern import (
     BivincularPattern,
     all_patterns,
@@ -91,8 +81,6 @@ from .pattern import (
     avoids,
     format_pattern,
     matches,
-    minimal_occurrences,
-    occurrence_values,
     occurrences,
     parse_pattern,
     pat_complement,
@@ -101,7 +89,6 @@ from .pattern import (
     pat_shift,
     pattern,
     shift_orbit,
-    symmetry_orbit,
 )
 from .relations import (
     CONJUGACY,
@@ -117,16 +104,11 @@ from .relations import (
 from .tableau import (
     count_syt,
     format_tableau,
-    hook_shapes,
-    inverse_rsk,
-    is_hook,
-    is_standard,
     knuth_class,
     knuth_neighbors,
     partitions,
     rsk,
     shape_of,
-    standard_tableaux,
 )
 
 __version__ = "0.1.0"

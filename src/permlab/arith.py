@@ -56,10 +56,6 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def divisor_count(n: int) -> int:
-    return math.prod(e + 1 for _, e in factorize(n))
-
-
 def mobius(n: int) -> int:
     """Mobius function: 0 on non-squarefree n, else (-1)^(number of primes)."""
     fac = factorize(n)
@@ -130,15 +126,6 @@ class NaturalPermutation:
         return self.n % self.k == 0
 
 
-def natural_perm(k: int, n: int) -> Word:
-    """Word of the natural permutation with index k in degree n.
-
-    >>> natural_perm(2, 4)
-    (3, 1, 4, 2)
-    """
-    return NaturalPermutation(k, n).word
-
-
 def natural_perms(n: int) -> list[NaturalPermutation]:
     """All natural permutations of degree n; there are totient(n+1) of them."""
     return [NaturalPermutation(k, n) for k in range(1, n + 1) if math.gcd(k, n + 1) == 1]
@@ -197,19 +184,6 @@ def steggall_census(n: int) -> dict[int, int]:
         if count:
             out[k] = count
     return out
-
-
-def toric_class_total(n: int) -> int:
-    """Number of classes of S_n under the cyclic relation, by an independent
-    closed form: (1/(n+1)^2) * sum over factorizations kp = n+1 of
-    totient(p)^2 * k! * p^k.
-
-    >>> [toric_class_total(n) for n in range(7)]
-    [1, 1, 2, 3, 8, 24, 108]
-    """
-    m = n + 1
-    total = sum(totient(m // k) ** 2 * math.factorial(k) * (m // k) ** k for k in divisors(m))
-    return _exact_div(total, m * m, f"class total at degree {n}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import identity
 from .pattern import BivincularPattern, pattern
 
 
@@ -37,27 +36,6 @@ def bounded_cycle_pattern(k: int) -> BivincularPattern:
     if k < 1:
         raise ValueError("k must be >= 1")
     return pattern(tuple(range(2, k + 1)) + (1,), x=range(k - 1), y=range(k))
-
-
-def classical_run_pattern(k: int) -> BivincularPattern:
-    """Plain increasing pattern 12..k."""
-    return pattern(identity(k))
-
-
-def vincular_run_pattern(k: int) -> BivincularPattern:
-    """(12..k, {1..k-1}, {}): k increasing letters at consecutive positions."""
-    return pattern(identity(k), x=range(1, k))
-
-
-def value_run_pattern(k: int) -> BivincularPattern:
-    """(12..k, {}, {1..k-1}): k consecutive values in increasing position order."""
-    return pattern(identity(k), y=range(1, k))
-
-
-def anchored_value_run_pattern(k: int) -> BivincularPattern:
-    """(12..k, {}, {0..k-1}): the letters 1..k themselves in increasing position
-    order."""
-    return pattern(identity(k), y=range(k))
 
 
 #: (1, {0}, {0}) - occurs iff the first letter is 1. Conjugacy class-avoiders:
@@ -165,42 +143,41 @@ class CatalogEntry:
     relation: str
     mode: str  # class-avoid | class-match
     table: str | None
-    oeis: str | None
     note: str
 
 
 CATALOG: tuple[CatalogEntry, ...] = (
-    CatalogEntry("derangements", DERANGEMENT_PATTERN, "conjugacy", "class-avoid", "A000166", "A000166",
+    CatalogEntry("derangements", DERANGEMENT_PATTERN, "conjugacy", "class-avoid", "A000166",
                  "classes avoiding a leading fixed point: derangements"),
-    CatalogEntry("involutions", INVOLUTION_PATTERN, "conjugacy", "class-avoid", "A000085", "A000085",
+    CatalogEntry("involutions", INVOLUTION_PATTERN, "conjugacy", "class-avoid", "A000085",
                  "classes with all cycles shorter than 3: involutions"),
-    CatalogEntry("transpositions", TRANSPOSITION_PATTERN, "conjugacy", "class-avoid", "transpositions", None,
+    CatalogEntry("transpositions", TRANSPOSITION_PATTERN, "conjugacy", "class-avoid", "transpositions",
                  "identity and single transpositions from n = 3 on"),
-    CatalogEntry("central-polygonal", CENTRAL_POLYGONAL_PATTERN, "conjugacy", "class-avoid", "A000124", "A000124",
+    CatalogEntry("central-polygonal", CENTRAL_POLYGONAL_PATTERN, "conjugacy", "class-avoid", "A000124",
                  "permutations moving at most two letters"),
-    CatalogEntry("fpf-involutions", FPF_INVOLUTION_PATTERN, "conjugacy", "class-avoid", "fpf-involutions", None,
+    CatalogEntry("fpf-involutions", FPF_INVOLUTION_PATTERN, "conjugacy", "class-avoid", "fpf-involutions",
                  "fixed-point-free involutions plus identity at even degrees"),
-    CatalogEntry("id-3cycles", THREE_CYCLE_PATTERN, "conjugacy", "class-avoid", "id-3cycles", None,
+    CatalogEntry("id-3cycles", THREE_CYCLE_PATTERN, "conjugacy", "class-avoid", "id-3cycles",
                  "identity plus 3-cycles"),
-    CatalogEntry("id-2cycles-3cycles", TWO_THREE_CYCLE_PATTERN, "conjugacy", "class-avoid", "id-2cycles-3cycles", None,
+    CatalogEntry("id-2cycles-3cycles", TWO_THREE_CYCLE_PATTERN, "conjugacy", "class-avoid", "id-2cycles-3cycles",
                  "identity plus 2-cycles plus 3-cycles"),
-    CatalogEntry("order-products", DERANGEMENT_PATTERN, "order", "class-avoid", "order-products", None,
+    CatalogEntry("order-products", DERANGEMENT_PATTERN, "order", "class-avoid", "order-products",
                  "order classes in which no member starts with a fixed point"),
-    CatalogEntry("knuth-231", pattern((2, 3, 1)), "knuth", "class-avoid", "A000079", "A000079",
+    CatalogEntry("knuth-231", pattern((2, 3, 1)), "knuth", "class-avoid", "A000079",
                  "hook insertion tableaux filled by reading: 2^(n-1)"),
-    CatalogEntry("graph-pattern", GRAPH_PATTERN, "knuth", "class-avoid", "A112849", "A112849",
+    CatalogEntry("graph-pattern", GRAPH_PATTERN, "knuth", "class-avoid", "A112849",
                  "hook P with 2 in the first row, plus the reversed identity"),
-    CatalogEntry("knuth-matching", KNUTH_MATCHING_PATTERN, "knuth", "class-match", "A000108", "A000108",
+    CatalogEntry("knuth-matching", KNUTH_MATCHING_PATTERN, "knuth", "class-match", "A000108",
                  "classes whose every member matches: shifted Catalan"),
-    CatalogEntry("toric-successors", MODULAR2_PATTERN, "toric", "class-avoid", "A000757", "A000757",
+    CatalogEntry("toric-successors", MODULAR2_PATTERN, "toric", "class-avoid", "A000757",
                  "circular words without successor pairs"),
-    CatalogEntry("toric-modular3", MODULAR3_PATTERN, "toric", "class-avoid", "A165962", "A165962",
+    CatalogEntry("toric-modular3", MODULAR3_PATTERN, "toric", "class-avoid", "A165962",
                  "circular words without modular 3-runs"),
-    CatalogEntry("totient", TOTIENT_PATTERN, "toric", "class-avoid", None, None,
+    CatalogEntry("totient", TOTIENT_PATTERN, "toric", "class-avoid", None,
                  "natural permutations: phi(n+1) class-avoiders"),
-    CatalogEntry("divisors", DIVISOR_PATTERN, "toric", "class-avoid", None, None,
+    CatalogEntry("divisors", DIVISOR_PATTERN, "toric", "class-avoid", None,
                  "divisor permutations: d(n) class-avoiders"),
-    CatalogEntry("descent-321", pattern((3, 2, 1)), "descent", "class-avoid", "A000325", "A000325",
+    CatalogEntry("descent-321", pattern((3, 2, 1)), "descent", "class-avoid", "A000325",
                  "at most one descent: 2^n - n"),
 )
 

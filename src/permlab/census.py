@@ -276,12 +276,17 @@ def survey(relation: Relation | str, length: int, *, n_range=range(1, 6),
     (`occurrence_masks`) and keys each word once by `rel.key`.
 
     `merge_shift` additionally merges the orbits that the shift map links,
-    following it from each orbit's least pattern while the rank lies in Y,
-    where it preserves toric counts; this trims rows that repeat an earlier
-    row's numbers. A row is named by the least pattern (by `_pat_key`) it
-    covers, and its `orbit_size` counts the patterns it covers.
+    following it from each orbit's least pattern while the rank lies in Y;
+    this trims rows that repeat an earlier row's numbers. Toric classes are
+    closed under the value shift, so only there does the shift preserve
+    class-closed counts, and any other relation raises ValueError. A row is
+    named by the least pattern (by `_pat_key`) it covers, and its
+    `orbit_size` counts the patterns it covers.
     """
     rel = _as_relation(relation)
+    if merge_shift and rel.name != "toric":
+        raise ValueError("the shift preserves class-closed counts only under toric "
+                         f"equivalence, so rows cannot be merged along it under {rel.name}")
     if length < 0:
         raise ValueError(f"pattern length must be at least 0, not {length}")
     pats = list(all_patterns(length))

@@ -286,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--n-max", type=int, default=5, dest="n_max")
     p.add_argument("--merge-shift", action="store_true", dest="merge_shift",
-                   help="merge orbits linked by the count-preserving shift map")
+                   help="merge orbits linked by the shift map, which preserves class-closed "
+                        "counts only under --relation toric (any other relation exits 2)")
     p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("stable", parents=[common],

@@ -74,17 +74,6 @@ def format_perm(word: Sequence[int]) -> str:
     return "".join(str(v) for v in word)
 
 
-def compose(sigma: Sequence[int], tau: Sequence[int]) -> Word:
-    """Group product: result(i) = sigma(tau(i)).
-
-    >>> compose((2, 4, 6, 1, 3, 5), (3, 6, 2, 5, 1, 4))
-    (6, 5, 4, 3, 2, 1)
-    """
-    if len(sigma) != len(tau):
-        raise ValueError("length mismatch")
-    return tuple(sigma[t - 1] for t in tau)
-
-
 def inverse(pi: Sequence[int]) -> Word:
     """Group inverse.
 
@@ -179,24 +168,6 @@ def circ_oplus(lam: Sequence[int], m: int) -> Word:
     return canonical_circular(tuple((v + m) % size for v in lam))
 
 
-def circ_complement(lam: Sequence[int]) -> Word:
-    """Negate every letter mod n+1 (0 stays fixed), canonicalized."""
-    size = len(lam)
-    return canonical_circular(tuple((size - v) % size for v in lam))
-
-
-def circ_inverse(lam: Sequence[int]) -> Word:
-    """Functional inverse of the word as a bijection position -> letter on 0..n.
-
-    The canonical form starts with 0, so the inverse is canonical as stored.
-    """
-    lam = canonical_circular(lam)
-    out = [0] * len(lam)
-    for pos, v in enumerate(lam):
-        out[v] = pos
-    return tuple(out)
-
-
 def oplus(pi: Sequence[int], m: int) -> Word:
     """Toric shift: add m to every letter of 0|pi mod n+1 and re-read from 0.
 
@@ -204,16 +175,6 @@ def oplus(pi: Sequence[int], m: int) -> Word:
     (2, 3, 4, 1)
     """
     return from_circular(circ_oplus(to_circular(pi), m))
-
-
-def toric_class(pi: Sequence[int]) -> frozenset[Word]:
-    """Orbit of pi under the toric shift, as one-line words.
-
-    >>> sorted(toric_class((1, 2, 4, 3)))[:2]
-    [(1, 2, 4, 3), (1, 3, 2, 4)]
-    """
-    lam = to_circular(pi)
-    return frozenset(from_circular(circ_oplus(lam, m)) for m in range(len(lam)))
 
 
 def descent_set(pi: Sequence[int]) -> frozenset[int]:
@@ -228,13 +189,3 @@ def descent_set(pi: Sequence[int]) -> frozenset[int]:
 def s_n(n: int) -> Iterator[Word]:
     """All of S_n in lexicographic order."""
     return _permutations(range(1, n + 1))
-
-
-def standardize(word: Sequence[int]) -> Word:
-    """Relabel distinct letters order-isomorphically to 1..k.
-
-    >>> standardize((6, 2, 9))
-    (2, 1, 3)
-    """
-    ranking = {v: r for r, v in enumerate(sorted(word), start=1)}
-    return tuple(ranking[v] for v in word)

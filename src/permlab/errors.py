@@ -17,7 +17,3 @@ class BudgetExceeded(RuntimeError):
 
 class InternalCheckError(RuntimeError):
     """A closed-form computation failed its own consistency check."""
-
-
-class NoOccurrenceError(ValueError):
-    """An occurrence-dependent quantity was requested for an avoided pattern."""

@@ -27,7 +27,7 @@ from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 from .core import Word, check_perm, complement, format_perm, inverse, oplus, parse_perm, reverse
-from .errors import NoOccurrenceError, ParseError
+from .errors import ParseError
 
 Occurrence = tuple[int, ...]
 
@@ -293,25 +293,6 @@ def avoids(pat: BivincularPattern, pi: Sequence[int]) -> bool:
     return not matches(pat, pi)
 
 
-def occurrence_values(pi: Sequence[int], occ: Occurrence) -> Word:
-    """The letters of pi at the occurrence positions, in position order."""
-    return tuple(pi[i - 1] for i in occ)
-
-
-def minimal_occurrences(pat: BivincularPattern, pi: Sequence[int]) -> list[Occurrence]:
-    """The occurrences attaining the least area i_k - i_1.
-
-    Raises NoOccurrenceError when pat is avoided.
-    """
-    occs = occurrences(pat, pi)
-    if not occs:
-        raise NoOccurrenceError(f"{format_pattern(pat)} does not occur in {format_perm(tuple(pi))}")
-    if pat.k == 0:
-        return occs
-    best = min(o[-1] - o[0] for o in occs)
-    return [o for o in occs if o[-1] - o[0] == best]
-
-
 def pat_reverse(pat: BivincularPattern) -> BivincularPattern:
     """(p, X, Y)^r = (p^r, k - X, Y)."""
     k = pat.k
@@ -368,20 +349,6 @@ def shift_orbit(pat: BivincularPattern) -> tuple[BivincularPattern, ...]:
         seen.add(cur)
         cur = pat_shift(cur)
     return tuple(out)
-
-
-def symmetry_orbit(pat: BivincularPattern, generators: str = "rci") -> frozenset[BivincularPattern]:
-    """Closure of pat under the named generator maps."""
-    seen = {pat}
-    frontier = [pat]
-    while frontier:
-        cur = frontier.pop()
-        for g in generators:
-            nxt = SYMMETRY_OPS[g](cur)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
 
 
 def all_patterns(k: int) -> Iterator[BivincularPattern]:

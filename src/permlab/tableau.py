@@ -8,8 +8,7 @@ two, the first pair swaps when the last letter does.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from functools import lru_cache
+from bisect import bisect_right
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -50,53 +49,9 @@ def shape_of(rows: Rows) -> Shape:
     return tuple(len(r) for r in rows)
 
 
-def is_standard(rows: Rows) -> bool:
-    """Standard tableau check: partition shape, rows and columns strictly
-    increasing, letters exactly 1..n."""
-    shape = shape_of(rows)
-    if list(shape) != sorted(shape, reverse=True) or (shape and shape[-1] == 0):
-        return False
-    letters = [v for row in rows for v in row]
-    if sorted(letters) != list(range(1, len(letters) + 1)):
-        return False
-    for row in rows:
-        if any(a >= b for a, b in zip(row, row[1:])):
-            return False
-    for upper, lower in zip(rows, rows[1:]):
-        if any(upper[c] >= lower[c] for c in range(len(lower))):
-            return False
-    return True
-
-
 def format_tableau(rows: Rows) -> str:
     """Rows on separate lines, entries space-separated."""
     return "\n".join(" ".join(str(v) for v in row) for row in rows)
-
-
-def inverse_rsk(p: Rows, q: Rows) -> Word:
-    """The permutation with insertion tableau p and recording tableau q.
-
-    >>> inverse_rsk(((1, 3), (2, 4)), ((1, 2), (3, 4)))
-    (2, 4, 1, 3)
-    """
-    if shape_of(p) != shape_of(q):
-        raise ValueError("shape mismatch")
-    if not is_standard(p) or not is_standard(q):
-        raise ValueError("nonstandard tableau")
-    work = [list(row) for row in p]
-    where = {label: r for r, row in enumerate(q) for label in row}
-    out: list[int] = []
-    for step in range(sum(shape_of(p)), 0, -1):
-        r = where[step]
-        cur = work[r].pop()
-        for t in range(r - 1, -1, -1):
-            row = work[t]
-            idx = bisect_left(row, cur) - 1
-            row[idx], cur = cur, row[idx]
-        out.append(cur)
-    while work and not work[-1]:
-        work.pop()
-    return tuple(reversed(out))
 
 
 def knuth_neighbors(w: Sequence[int]) -> set[Word]:
@@ -138,12 +93,6 @@ def check_partition(shape: Sequence[int]) -> Shape:
     return shape
 
 
-def is_hook(shape: Sequence[int]) -> bool:
-    """True iff shape = (a, 1, 1, ..., 1) (or is empty)."""
-    shape = check_partition(shape)
-    return all(p == 1 for p in shape[1:])
-
-
 def count_syt(shape: Sequence[int]) -> int:
     """Number of standard Young tableaux of the shape, by hook lengths.
 
@@ -175,32 +124,3 @@ def partitions(n: int) -> Iterator[Shape]:
                 yield (part,) + rest
 
     return rec(n, n)
-
-
-@lru_cache(maxsize=None)
-def standard_tableaux(shape: Shape) -> tuple[Rows, ...]:
-    """All standard Young tableaux of the shape."""
-    shape = check_partition(shape)
-    n = sum(shape)
-    if n == 0:
-        return ((),)
-    out: list[Rows] = []
-    for r, part in enumerate(shape):
-        below = shape[r + 1] if r + 1 < len(shape) else 0
-        if part == below:
-            continue
-        smaller = shape[:r] + ((part - 1,) if part > 1 else ()) + shape[r + 1 :]
-        for sub in standard_tableaux(smaller):
-            rows = list(sub)
-            if r < len(rows):
-                rows[r] = rows[r] + (n,)
-            else:
-                rows.append((n,))
-            out.append(tuple(rows))
-    return tuple(out)
-
-
-def hook_shapes(n: int) -> Iterator[Shape]:
-    """All hook shapes of n: (a, 1^(n-a)) for a = 1..n."""
-    for a in range(1, n + 1):
-        yield (a,) + (1,) * (n - a)

@@ -1,17 +1,26 @@
 """Shared oracles and fixtures.
 
-The oracles here deliberately avoid the code paths they are meant to check:
-occurrence search is a plain filter over position subsets, avoider and
-matcher lists come from scanning S_n with the single-word engine instead of
-extending prefixes, divisor sums come from a sieve, and classes are built
-without the relations' keys or class sizes (cycle-type generation,
-Knuth-move closure, descent-set grouping, toric orbits). Expected values
-frozen into the tests were produced by these oracles or quoted from the
-embedded reference rows.
+The oracles here deliberately avoid the code paths they are meant to check.
+Occurrence is decided from its definition: `oracle_occurrences` filters
+position subsets, and the signature table behind `occurrence_mask`,
+`scan_avoiders`, `scan_matchers` and `avoid_masks` records, for each word of
+S_n with n <= 7 and each subset of at most 4 positions, the subset's
+standardized letters and its exact X- and Y-sets. Nothing of the package's
+occurrence engine (`pattern._compile` and the searches built on it) is used
+there, so the prefix walks, `occurrence_masks` and class closure are never
+checked against code they share. Divisor sums come from a sieve, and classes
+are built without the relations' keys or class sizes (cycle-type generation,
+Knuth-move closure, descent-set grouping, toric orbits). The brute-force
+helpers the package itself does not need (group product, toric orbits,
+inverse insertion, tableau listing, the toric class total) live here too.
+Expected values frozen into the tests were produced by these oracles or
+quoted from the embedded reference rows.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from collections import Counter
@@ -19,10 +28,11 @@ from typing import Hashable, Iterator, Sequence
 
 import pytest
 
-from permlab.core import Word, descent_set, s_n, toric_class
+from permlab.arith import divisors, totient
+from permlab.core import Word, circ_oplus, descent_set, from_circular, s_n, to_circular
 from permlab.pattern import BivincularPattern, all_patterns, avoids, matches
 from permlab.relations import ClassCensus, Relation
-from permlab.tableau import knuth_class, partitions
+from permlab.tableau import Rows, Shape, knuth_class, partitions, shape_of
 
 
 def oracle_occurrences(pat: BivincularPattern, w: Word) -> list[tuple[int, ...]]:
@@ -58,8 +68,6 @@ def sieve_sigma(limit: int) -> list[int]:
 
 def lis_length(w: Word) -> int:
     """Longest increasing subsequence length, patience-style."""
-    import bisect
-
     piles: list[int] = []
     for v in w:
         i = bisect.bisect_left(piles, v)
@@ -83,36 +91,203 @@ def place_by_steps(k: int, n: int) -> Word:
     return tuple(slots[1:])
 
 
+def compose(sigma: Sequence[int], tau: Sequence[int]) -> Word:
+    """Group product: result(i) = sigma(tau(i)).
+
+    >>> compose((2, 4, 6, 1, 3, 5), (3, 6, 2, 5, 1, 4))
+    (6, 5, 4, 3, 2, 1)
+    """
+    if len(sigma) != len(tau):
+        raise ValueError("length mismatch")
+    return tuple(sigma[t - 1] for t in tau)
+
+
+def toric_class(pi: Sequence[int]) -> frozenset[Word]:
+    """Orbit of pi under the toric shift, as one-line words: add each m to
+    every letter of 0|pi mod n+1 and read the circle from 0.
+
+    >>> sorted(toric_class((1, 2, 4, 3)))[:2]
+    [(1, 2, 4, 3), (1, 3, 2, 4)]
+    """
+    lam = to_circular(pi)
+    return frozenset(from_circular(circ_oplus(lam, m)) for m in range(len(lam)))
+
+
+def toric_class_total(n: int) -> int:
+    """Number of classes of S_n under the cyclic relation, by a closed form
+    independent of the cycle-type counting formula: (1/(n+1)^2) * sum over
+    factorizations kp = n+1 of totient(p)^2 * k! * p^k.
+
+    >>> [toric_class_total(n) for n in range(7)]
+    [1, 1, 2, 3, 8, 24, 108]
+    """
+    m = n + 1
+    total = sum(totient(m // k) ** 2 * math.factorial(k) * (m // k) ** k for k in divisors(m))
+    count, rem = divmod(total, m * m)
+    assert rem == 0, (n, total)
+    return count
+
+
+def is_standard(rows: Rows) -> bool:
+    """Standard tableau check: partition shape, rows and columns strictly
+    increasing, letters exactly 1..n."""
+    shape = shape_of(rows)
+    if list(shape) != sorted(shape, reverse=True) or (shape and shape[-1] == 0):
+        return False
+    letters = [v for row in rows for v in row]
+    if sorted(letters) != list(range(1, len(letters) + 1)):
+        return False
+    for row in rows:
+        if any(a >= b for a, b in zip(row, row[1:])):
+            return False
+    for upper, lower in zip(rows, rows[1:]):
+        if any(upper[c] >= lower[c] for c in range(len(lower))):
+            return False
+    return True
+
+
+def inverse_rsk(p: Rows, q: Rows) -> Word:
+    """The permutation with insertion tableau p and recording tableau q, by
+    reverse bumping.
+
+    >>> inverse_rsk(((1, 3), (2, 4)), ((1, 2), (3, 4)))
+    (2, 4, 1, 3)
+    """
+    if shape_of(p) != shape_of(q):
+        raise ValueError("shape mismatch")
+    if not is_standard(p) or not is_standard(q):
+        raise ValueError("nonstandard tableau")
+    work = [list(row) for row in p]
+    where = {label: r for r, row in enumerate(q) for label in row}
+    out: list[int] = []
+    for step in range(sum(shape_of(p)), 0, -1):
+        r = where[step]
+        cur = work[r].pop()
+        for t in range(r - 1, -1, -1):
+            row = work[t]
+            idx = bisect.bisect_left(row, cur) - 1
+            row[idx], cur = cur, row[idx]
+        out.append(cur)
+    return tuple(reversed(out))
+
+
+@functools.cache
+def standard_tableaux(shape: Shape) -> tuple[Rows, ...]:
+    """All standard Young tableaux of a partition shape, by removing the
+    corner that holds n."""
+    n = sum(shape)
+    if n == 0:
+        return ((),)
+    out: list[Rows] = []
+    for r, part in enumerate(shape):
+        below = shape[r + 1] if r + 1 < len(shape) else 0
+        if part == below:
+            continue
+        smaller = shape[:r] + ((part - 1,) if part > 1 else ()) + shape[r + 1 :]
+        for sub in standard_tableaux(smaller):
+            rows = list(sub)
+            if r < len(rows):
+                rows[r] = rows[r] + (n,)
+            else:
+                rows.append((n,))
+            out.append(tuple(rows))
+    return tuple(out)
+
+
 PERMS_BY_N = {n: list(s_n(n)) for n in range(0, 8)}
+
+#: The signature table covers S_0..S_7 and position subsets of size 0..4.
+TABLE_N, TABLE_K = 7, 4
+
+
+def _bits(members) -> int:
+    return sum(1 << v for v in members)
+
+
+@functools.cache
+def signature_table() -> dict[tuple[int, Word], list[tuple[int, int, int]]]:
+    """Occurrence from its definition, tabulated once per test run.
+
+    A k-subset i_1 < ... < i_k of the positions of a word w of S_n has a
+    signature: its letters standardized to p, the set of x in 0..k with
+    i_{x+1} = i_x + 1, and the set of y in 0..k with j_{y+1} = j_y + 1, where
+    j_1 < ... < j_k are the subset's letters sorted and i_0 = j_0 = 0,
+    i_{k+1} = j_{k+1} = n+1. The table maps (n, p) to a list of (X-set bits,
+    Y-set bits, bitmask over lex S_n of the words having that signature),
+    for n <= TABLE_N and k <= min(n, TABLE_K).
+    """
+    table: dict[tuple[int, Word], list[tuple[int, int, int]]] = {}
+    for n in range(TABLE_N + 1):
+        for k in range(min(n, TABLE_K) + 1):
+            holders: dict[tuple[Word, int, int], set[int]] = {}
+            for idx, w in enumerate(PERMS_BY_N[n]):
+                for comb in itertools.combinations(range(1, n + 1), k):
+                    letters = [w[i - 1] for i in comb]
+                    ranks = sorted(letters)
+                    p = tuple(ranks.index(v) + 1 for v in letters)
+                    ei = (0, *comb, n + 1)
+                    js = (0, *ranks, n + 1)
+                    xs = _bits(x for x in range(k + 1) if ei[x + 1] == ei[x] + 1)
+                    ys = _bits(y for y in range(k + 1) if js[y + 1] == js[y] + 1)
+                    holders.setdefault((p, xs, ys), set()).add(idx)
+            for (p, xs, ys), idxs in holders.items():
+                table.setdefault((n, p), []).append((xs, ys, _bits(idxs)))
+    return table
+
+
+def occurrence_mask(pat: BivincularPattern, n: int) -> int:
+    """Bitmask over lex S_n of the words in which pat occurs: those with a
+    signature of pat's p whose X- and Y-sets contain pat's X and Y. Needs
+    n <= TABLE_N and pat.k <= TABLE_K; a pattern longer than n never occurs."""
+    if n > TABLE_N or pat.k > TABLE_K:
+        raise ValueError(f"{pat} at n = {n} lies outside the signature table")
+    want_x, want_y = _bits(pat.x), _bits(pat.y)
+    out = 0
+    for xs, ys, words in signature_table().get((n, pat.p), ()):
+        if not (want_x & ~xs or want_y & ~ys):
+            out |= words
+    return out
+
+
+def words_of(mask: int, n: int) -> list[Word]:
+    """The words of S_n whose lex index has its bit set in mask, in lex order."""
+    return [w for i, w in enumerate(PERMS_BY_N[n]) if mask >> i & 1]
+
+
+def _in_table(pats: Sequence[BivincularPattern], n: int) -> bool:
+    return n <= TABLE_N and all(pat.k <= TABLE_K for pat in pats)
 
 
 def scan_avoiders(pats: Sequence[BivincularPattern], n: int) -> list[Word]:
-    """Avoiders of every pattern by running the single-word engine on each
-    permutation of S_n in lex order."""
-    return [w for w in s_n(n) if all(avoids(p, w) for p in pats)]
+    """Permutations of S_n avoiding every pattern, in lex order, from the
+    signature table. Beyond it (n = 8 in the random walk tests, where the
+    definition costs seconds per pattern) each word of S_n is put to the
+    single-word engine instead."""
+    if not _in_table(pats, n):
+        return [w for w in s_n(n) if all(avoids(p, w) for p in pats)]
+    hit = 0
+    for pat in pats:
+        hit |= occurrence_mask(pat, n)
+    return words_of(((1 << len(PERMS_BY_N[n])) - 1) & ~hit, n)
 
 
 def scan_matchers(pats: Sequence[BivincularPattern], n: int) -> list[Word]:
-    """Permutations of S_n containing every pattern, by the same scan."""
-    return [w for w in s_n(n) if all(matches(p, w) for p in pats)]
+    """Permutations of S_n containing every pattern, in the same way."""
+    if not _in_table(pats, n):
+        return [w for w in s_n(n) if all(matches(p, w) for p in pats)]
+    kept = (1 << len(PERMS_BY_N[n])) - 1
+    for pat in pats:
+        kept &= occurrence_mask(pat, n)
+    return words_of(kept, n)
 
 
 @pytest.fixture(scope="session")
 def avoid_masks() -> dict[BivincularPattern, dict[int, int]]:
     """For every pattern of length 1..3 and every degree 1..6, the bitmask of
-    avoiding permutations over lex-ordered S_n."""
-    masks: dict[BivincularPattern, dict[int, int]] = {}
-    for k in (1, 2, 3):
-        for pat in all_patterns(k):
-            per_n = {}
-            for n in range(1, 7):
-                m = 0
-                for idx, w in enumerate(PERMS_BY_N[n]):
-                    if avoids(pat, w):
-                        m |= 1 << idx
-                per_n[n] = m
-            masks[pat] = per_n
-    return masks
+    avoiding permutations over lex-ordered S_n, from the signature table."""
+    return {pat: {n: ((1 << len(PERMS_BY_N[n])) - 1) & ~occurrence_mask(pat, n)
+                  for n in range(1, 7)}
+            for k in (1, 2, 3) for pat in all_patterns(k)}
 
 
 def perms_with_cycle_type(n: int, parts: Sequence[int]) -> Iterator[Word]:

@@ -9,14 +9,13 @@ import time
 from itertools import permutations
 
 from permlab.arith import (
-    divisor_count,
     divisor_perms,
+    divisors,
     natural_perms,
     robin_check,
     robin_range,
     sigma_arith,
     steggall_census,
-    toric_class_total,
     totient,
 )
 from permlab.catalog import (
@@ -27,10 +26,9 @@ from permlab.catalog import (
     INVOLUTION_PATTERN,
     KNUTH_MATCHING_PATTERN,
     TOTIENT_PATTERN,
-    vincular_run_pattern,
 )
 from permlab.census import avoid_all, class_avoiders, class_matchers, match_all, stability, survey
-from permlab.core import descent_set, oplus, s_n, toric_class
+from permlab.core import descent_set, oplus, s_n
 from permlab.pattern import (
     all_patterns,
     apply_symmetry,
@@ -42,16 +40,17 @@ from permlab.pattern import (
     pattern,
 )
 from permlab.relations import RELATIONS, census
-from permlab.tableau import (
-    count_syt,
-    hook_shapes,
+from permlab.tableau import count_syt, knuth_class, rsk
+from conftest import (
+    PERMS_BY_N,
+    brute_census,
     inverse_rsk,
-    is_hook,
-    knuth_class,
-    rsk,
+    oracle_occurrences,
+    sieve_sigma,
     standard_tableaux,
+    toric_class,
+    toric_class_total,
 )
-from conftest import PERMS_BY_N, brute_census, oracle_occurrences, sieve_sigma
 
 
 def report(capfd, num: int, ok: bool, detail: str) -> None:
@@ -130,7 +129,7 @@ def test_criterion_04_knuth_avoidance(capfd):
     ]
     if stable_fails:
         problems.append(f"classical unstable: {stable_fails}")
-    vin = stability(vincular_run_pattern(3), "knuth", 6)
+    vin = stability(pattern((1, 2, 3), x=[1, 2]), "knuth", 6)
     if vin.stable or vin.witness_n != 4 or vin.witness != (1, 3, 2, 4):
         problems.append("vincular 123 should fail at n=4 with witness 1324")
     ok = not problems
@@ -145,14 +144,14 @@ def _hook_members(n: int) -> set:
     out = {tuple(range(n, 0, -1))}
     for w in PERMS_BY_N[n] if n <= 6 else s_n(n):
         p, _ = rsk(w)
-        if is_hook([len(r) for r in p]) and 2 in p[0]:
+        if all(len(r) == 1 for r in p[1:]) and 2 in p[0]:
             out.add(w)
     return out
 
 
 def _hook_char_count(n: int) -> int:
     total = 1
-    for shape in hook_shapes(n):
+    for shape in ((a,) + (1,) * (n - a) for a in range(1, n + 1)):
         fills_with_2_high = sum(1 for t in standard_tableaux(shape) if 2 in t[0])
         total += fills_with_2_high * count_syt(shape)
     return total
@@ -270,7 +269,7 @@ def test_criterion_08_toric_number_theory(capfd):
         res = class_avoiders([DIVISOR_PATTERN], "toric", n, want_members=True,
                              budget=10)
         want = {w.word for w in divisor_perms(n)}
-        if set(res.members) != want or res.count != divisor_count(n):
+        if set(res.members) != want or res.count != len(divisors(n)):
             problems.append(f"divisor members n={n}")
     for n, rows in APPENDIX_ROWS.items():
         got = {w.k: w.word for w in natural_perms(n)}

@@ -7,21 +7,19 @@ from hypothesis import given, strategies as st
 
 from permlab.arith import (
     EULER_GAMMA,
-    divisor_count,
+    NaturalPermutation,
     divisor_perms,
     divisors,
     factorize,
     mobius,
-    natural_perm,
     natural_perms,
     robin_check,
     sigma_arith,
     sigma_via_divisor_perms,
     steggall_census,
-    toric_class_total,
     totient,
 )
-from conftest import place_by_steps, sieve_sigma
+from conftest import compose, place_by_steps, sieve_sigma, toric_class_total
 
 
 class TestElementary:
@@ -37,7 +35,7 @@ class TestElementary:
     def test_divisors(self):
         assert divisors(1) == [1]
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
-        assert divisor_count(12) == 6
+        assert len(divisors(12)) == 6
 
     def test_mobius(self):
         assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
@@ -61,15 +59,15 @@ class TestElementary:
 
 class TestNaturalPerms:
     def test_anchor_words(self):
-        assert natural_perm(2, 4) == (3, 1, 4, 2)
-        assert natural_perm(3, 6) == (5, 3, 1, 6, 4, 2)
-        assert natural_perm(4, 6) == (2, 4, 6, 1, 3, 5)
+        assert NaturalPermutation(2, 4).word == (3, 1, 4, 2)
+        assert NaturalPermutation(3, 6).word == (5, 3, 1, 6, 4, 2)
+        assert NaturalPermutation(4, 6).word == (2, 4, 6, 1, 3, 5)
 
     def test_rejects_noncoprime(self):
         with pytest.raises(ValueError):
-            natural_perm(3, 5)
+            NaturalPermutation(3, 5)
         with pytest.raises(ValueError):
-            natural_perm(0, 4)
+            NaturalPermutation(0, 4)
 
     def test_against_placement_oracle(self):
         for n in range(1, 13):
@@ -99,23 +97,21 @@ class TestNaturalPerms:
                 assert w.word[0] + w.word[-1] == n + 1
 
     def test_group_homomorphism(self):
-        from permlab.core import compose
-
         for n in range(1, 9):
             words = natural_perms(n)
             for a in words:
                 for b in words:
                     kk = a.k * b.k % (n + 1)
-                    assert compose(a.word, b.word) == natural_perm(kk, n)
+                    assert compose(a.word, b.word) == NaturalPermutation(kk, n).word
 
     def test_reverse_complement_inverse(self):
         from permlab.core import complement, inverse, reverse
 
         for n in range(1, 13):
             for w in natural_perms(n):
-                assert reverse(w.word) == natural_perm(n + 1 - w.k, n)
-                assert complement(w.word) == natural_perm(n + 1 - w.k, n)
-                assert inverse(w.word) == natural_perm(w.increment, n)
+                assert reverse(w.word) == NaturalPermutation(n + 1 - w.k, n).word
+                assert complement(w.word) == NaturalPermutation(n + 1 - w.k, n).word
+                assert inverse(w.word) == NaturalPermutation(w.increment, n).word
 
 
 class TestDivisorPerms:

@@ -7,16 +7,13 @@ from permlab.catalog import (
     FPF_INVOLUTION_PATTERN,
     SEQUENCE_TABLES,
     SequenceTable,
-    anchored_value_run_pattern,
     bounded_cycle_pattern,
-    classical_run_pattern,
     k_cycle_pattern,
     match_tables,
-    value_run_pattern,
-    vincular_run_pattern,
 )
 from permlab.census import avoid_all, class_avoiders, class_matchers
-from permlab.core import cycle_type, s_n
+from permlab.core import cycle_type, identity, s_n
+from permlab.pattern import pattern
 from conftest import lis_length
 
 
@@ -39,13 +36,13 @@ class TestCatalogRows:
                         assert got == want, (entry.name, n, got, want)
 
     def test_totient_and_divisor_rows(self):
-        from permlab.arith import divisor_count, totient
+        from permlab.arith import divisors, totient
 
         tot = _entry("totient")
         div = _entry("divisors")
         for n in range(1, 8):
             assert class_avoiders([tot.pat], "toric", n).count == totient(n + 1)
-            assert class_avoiders([div.pat], "toric", n).count == divisor_count(n)
+            assert class_avoiders([div.pat], "toric", n).count == len(divisors(n))
 
     def test_table_ids_resolve(self):
         for entry in CATALOG:
@@ -88,14 +85,14 @@ class TestCycleFamilies:
 class TestRunFamilies:
     def test_classical_run_equals_lis_bound(self):
         for k in range(1, 5):
-            pat = classical_run_pattern(k)
+            pat = pattern(identity(k))
             for n in range(0, 7):
                 got = len(avoid_all([pat], n))
                 want = sum(1 for w in s_n(n) if lis_length(w) < k)
                 assert got == want, (k, n)
 
     def test_classical_catalan(self):
-        pat = classical_run_pattern(3)
+        pat = pattern(identity(3))
         got = [len(avoid_all([pat], n)) for n in range(1, 8)]
         assert got == [1, 2, 5, 14, 42, 132, 429]
 
@@ -103,7 +100,7 @@ class TestRunFamilies:
         # (12..k, {1..k-1}, {}) matches on a run of k consecutive positions
         # in increasing order.
         for k in (2, 3):
-            pat = vincular_run_pattern(k)
+            pat = pattern(identity(k), x=range(1, k))
             for n in range(1, 7):
                 got = avoid_all([pat], n)
                 want = [
@@ -118,7 +115,7 @@ class TestRunFamilies:
         # (12..k, {}, {1..k-1}) matches on k consecutive values appearing in
         # increasing position order.
         for k in (2, 3):
-            pat = value_run_pattern(k)
+            pat = pattern(identity(k), y=range(1, k))
             for n in range(1, 7):
                 got = avoid_all([pat], n)
                 want = [
@@ -134,7 +131,7 @@ class TestRunFamilies:
         # plain avoiders at every checked degree: avoidance is constant on
         # Knuth classes for this family.
         for k in (3, 4):
-            pat = value_run_pattern(k)
+            pat = pattern(identity(k), y=range(1, k))
             for n in range(1, 7):
                 a = avoid_all([pat], n)
                 b = class_avoiders([pat], "knuth", n, want_members=True).members
@@ -146,7 +143,7 @@ class TestRunFamilies:
         # inspection rather than asserted.
         lines = []
         for k in (2, 3):
-            pat = anchored_value_run_pattern(k)
+            pat = pattern(identity(k), y=range(k))
             for n in range(1, 7):
                 got = len(avoid_all([pat], n))
                 guess = math.factorial(n) - math.factorial(n) // math.factorial(k) if n >= k else 0

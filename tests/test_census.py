@@ -10,8 +10,8 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import PERMS_BY_N, scan_avoiders, scan_matchers
-from permlab.catalog import KNUTH_MATCHING_PATTERN, SEQUENCE_TABLES, vincular_run_pattern
+from conftest import PERMS_BY_N, occurrence_mask, scan_avoiders, scan_matchers
+from permlab.catalog import KNUTH_MATCHING_PATTERN, SEQUENCE_TABLES
 from permlab.census import (
     SequenceCheckReport,
     avoid_all,
@@ -29,11 +29,15 @@ from permlab.arith import sigma_arith
 from permlab.core import s_n
 from permlab import generate
 from permlab.generate import occurrence_masks
-from permlab.pattern import all_patterns, avoids, matches, pattern
+from permlab.pattern import all_patterns, pattern
 
 
 # `permlab.census` is also the name of the census() function the package exports.
 census_module = importlib.import_module("permlab.census")
+
+
+#: Three increasing letters at consecutive positions.
+VINCULAR_123 = pattern((1, 2, 3), x=[1, 2])
 
 
 def _catalan(m: int) -> int:
@@ -63,8 +67,7 @@ class TestClassClosed:
             closed = class_avoiders([pat], "knuth", n, want_members=True).members
             plain = avoid_all([pat], n)
             assert set(closed) <= set(plain) <= set(s_n(n))
-            for w in closed:
-                assert avoids(pat, w)
+            assert set(closed) <= set(scan_avoiders([pat], n))
 
     def test_matchers_subset_chain(self):
         for n in (3, 4, 5):
@@ -76,10 +79,7 @@ class TestClassClosed:
     def test_multiple_patterns_intersect(self):
         pats = [pattern((2, 3, 1)), pattern((2, 1, 3))]
         for n in (4, 5):
-            got = avoid_all(pats, n)
-            want = [w for w in s_n(n)
-                    if avoids(pats[0], w) and avoids(pats[1], w)]
-            assert got == want
+            assert avoid_all(pats, n) == scan_avoiders(pats, n)
 
     def test_plain_wrappers(self):
         pat = pattern((2, 3, 1))
@@ -117,7 +117,8 @@ def _patterns(draw, min_k: int = 0, max_k: int = 4):
 
 
 class TestGenerationAgainstScan:
-    """`avoid_all` and `match_all` extend prefixes; the oracle scans S_n
+    """`avoid_all` and `match_all` extend prefixes; the oracle reads S_n off
+    the conftest signature table, and at n = 8, beyond the table, scans it
     with the single-word engine."""
 
     def test_every_short_pattern(self, avoid_masks):
@@ -149,6 +150,7 @@ class TestGenerationAgainstScan:
     @example(pats=[pattern((1, 2), y=[1])], n=6)                        # the last slot's window is
     @example(pats=[pattern((2, 1), y=[0])], n=6)                        # one value
     @example(pats=[pattern((2, 3, 1), x=[0, 1])], n=7)                  # all but the last slot fixed
+    @example(pats=[pattern((2, 4, 1, 3), y=[3])], n=6)                  # a value link among four ranks
     def test_random_pattern_sets(self, pats, n):
         assert avoid_all(pats, n) == scan_avoiders(pats, n)
         assert match_all(pats, n) == scan_matchers(pats, n)
@@ -275,7 +277,8 @@ def _one_length_patterns(draw):
 
 class TestOccurrenceMasks:
     """`occurrence_masks` reads position subsets against a signature memo;
-    the oracle is the backtracking single-word engine, `pattern.matches`."""
+    the oracle is the conftest signature table, which shares none of its
+    code."""
 
     @settings(max_examples=40, deadline=None)
     @given(pats=_one_length_patterns(), n=st.integers(0, 7))
@@ -288,9 +291,10 @@ class TestOccurrenceMasks:
     def test_against_engine(self, pats, n):
         masks = list(occurrence_masks(pats, n))
         assert len(masks) == math.factorial(n)
-        for w, mask in zip(s_n(n), masks):
-            assert [bool(mask >> i & 1) for i in range(len(pats))] == [
-                matches(pat, w) for pat in pats], w
+        want = [occurrence_mask(pat, n) for pat in pats]
+        for idx, (w, mask) in enumerate(zip(s_n(n), masks)):
+            assert [mask >> i & 1 for i in range(len(pats))] == [
+                occurs >> idx & 1 for occurs in want], w
             assert mask >> len(pats) == 0
 
     def test_rejects_mixed_lengths(self):
@@ -342,8 +346,8 @@ class TestClassClosedDifferential:
         rel = data.draw(st.sampled_from(RELATION_NAMES))
         n = data.draw(st.integers(0, 7))
         avoid_mode = data.draw(st.booleans())
-        verdict = avoids if avoid_mode else matches
-        kept = sum(1 << i for i, w in enumerate(PERMS_BY_N[n]) if verdict(pat, w))
+        occurs = occurrence_mask(pat, n)
+        kept = ((1 << math.factorial(n)) - 1) & ~occurs if avoid_mode else occurs
         fn = class_avoiders if avoid_mode else class_matchers
         got = fn([pat], rel, n, want_members=True)
         assert _as_triple(got) == _closed_by_masks(kept, class_masks(rel, n), n)
@@ -470,7 +474,7 @@ class TestStability:
             assert rep.witness is None
 
     def test_vincular_run_unstable(self):
-        rep = stability(vincular_run_pattern(3), "knuth", 6)
+        rep = stability(VINCULAR_123, "knuth", 6)
         assert not rep.stable
         assert rep.witness_n == 4
         assert rep.witness == (1, 3, 2, 4)
@@ -478,8 +482,8 @@ class TestStability:
     def test_witness_direction(self):
         # The witness avoids the whole pattern class but has a classmate
         # containing the original pattern.
-        rep = stability(vincular_run_pattern(3), "knuth", 4)
-        closed = set(class_avoiders([vincular_run_pattern(3)], "knuth", 4,
+        rep = stability(VINCULAR_123, "knuth", 4)
+        closed = set(class_avoiders([VINCULAR_123], "knuth", 4,
                                     want_members=True).members)
         plain = set(avoid_all(rep.pattern_class, 4))
         assert closed <= plain
@@ -506,7 +510,7 @@ class TestStability:
             stability(pattern((2, 3, 1)), "knuth", n_max)
 
     def test_payload(self):
-        rep = stability(vincular_run_pattern(3), "knuth", 6)
+        rep = stability(VINCULAR_123, "knuth", 6)
         payload = rep.to_payload()
         assert payload["stable"] is False
         assert payload["witness"] == "1324"
@@ -606,9 +610,19 @@ class TestSurveyAgainstOracles:
         degrees = range(1, 7)
         self._check(survey(rel, 1, n_range=degrees), rel, degrees, avoid_masks, class_masks)
 
+    @staticmethod
+    def _rejects_merge(rel, length):
+        """Under a relation other than toric the shift changes class-closed
+        counts, so a merged survey is refused."""
+        with pytest.raises(ValueError, match="only under toric equivalence"):
+            survey(rel, length, n_range=range(1, 3), merge_shift=True)
+
     @pytest.mark.parametrize("rel", RELATION_NAMES)
     @pytest.mark.parametrize("length", [2, 3])
     def test_merge_shift(self, rel, length, avoid_masks, class_masks):
+        if rel != "toric":
+            self._rejects_merge(rel, length)
+            return
         degrees = range(1, 6)
         res = survey(rel, length, n_range=degrees, merge_shift=True)
         assert len(res.rows) < len(survey(rel, length, n_range=range(1, 2)).rows)
@@ -650,19 +664,20 @@ class TestSurveyAgainstOracles:
     def test_merged_rows_named_by_least_absorbed(self, rel, length):
         from permlab.census import _pat_key
 
+        if rel != "toric":
+            self._rejects_merge(rel, length)
+            return
         rows, merged, groups = self._merged_groups(rel, length)
         assert {row.pat: row.orbit_size for row in merged} == {
             min(group, key=_pat_key): sum(rows[p].orbit_size for p in group) for group in groups}
         assert len(merged) == len(groups)
 
-    @pytest.mark.parametrize("rel", [
-        pytest.param(rel, marks=pytest.mark.xfail(
-            strict=True, reason="the shift preserves class-closed counts only under toric "
-                                "equivalence, yet merge_shift joins rows under every relation"))
-        if rel != "toric" else rel
-        for rel in RELATION_NAMES])
+    @pytest.mark.parametrize("rel", RELATION_NAMES)
     @pytest.mark.parametrize("length", [2, 3])
     def test_merged_rows_repeat_absorbed_counts(self, rel, length):
+        if rel != "toric":
+            self._rejects_merge(rel, length)
+            return
         rows, merged, groups = self._merged_groups(rel, length)
         counts = {row.pat: row.counts for row in merged}
         for group in groups:

@@ -202,6 +202,15 @@ class TestSurvey:
         assert (code, out) == (2, "")
         assert err == "permlab: --n-max must be at least 1, not -1\n"
 
+    def test_merge_shift_needs_toric(self, capsys):
+        argv = ("survey", "--length", "2", "--n-max", "3", "--merge-shift")
+        code, out = run(capsys, *argv, "--relation", "toric")
+        assert (code, out.splitlines()[0]) == (0, "toric: 128 patterns, 16 orbits")
+        code, out, err = run_err(capsys, *argv, "--relation", "knuth")
+        assert (code, out) == (2, "")
+        assert err == ("permlab: the shift preserves class-closed counts only under toric "
+                       "equivalence, so rows cannot be merged along it under knuth\n")
+
     @pytest.mark.parametrize("length", ["-1", "-2"])
     def test_negative_length(self, capsys, length):
         code, out, err = run_err(capsys, "survey", "--relation", "toric", "--length", length)

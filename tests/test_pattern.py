@@ -1,20 +1,19 @@
 """Occurrence engine and pattern algebra."""
 
 import itertools
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from permlab.core import s_n
-from permlab.errors import NoOccurrenceError, ParseError
+from permlab.errors import ParseError
 from permlab.pattern import (
     all_patterns,
     apply_symmetry,
     avoids,
     format_pattern,
     matches,
-    minimal_occurrences,
-    occurrence_values,
     occurrences,
     parse_pattern,
     pat_complement,
@@ -23,9 +22,8 @@ from permlab.pattern import (
     pat_shift,
     pattern,
     shift_orbit,
-    symmetry_orbit,
 )
-from conftest import oracle_occurrences
+from conftest import PERMS_BY_N, TABLE_K, TABLE_N, occurrence_mask, oracle_occurrences
 
 W = (2, 4, 1, 6, 3, 5)
 
@@ -34,7 +32,7 @@ class TestSectionExamples:
     def test_classical_123(self):
         occ = occurrences(pattern((1, 2, 3)), W)
         assert occ == [(1, 2, 4), (1, 2, 6), (1, 5, 6), (3, 5, 6)]
-        assert sorted(occurrence_values(W, o) for o in occ) == [
+        assert sorted(tuple(W[i - 1] for i in o) for o in occ) == [
             (1, 3, 5), (2, 3, 5), (2, 4, 5), (2, 4, 6)]
 
     def test_position_adjacency(self):
@@ -54,14 +52,14 @@ class TestSectionExamples:
         p = pattern((3, 4, 2, 1), x=[2, 3], y=[1, 2, 4])
         occ = occurrences(p, w)
         assert occ == [(2, 5, 6, 7)]
-        assert occurrence_values(w, occ[0]) == (6, 8, 5, 4)
+        assert tuple(w[i - 1] for i in occ[0]) == (6, 8, 5, 4)
         from permlab.core import oplus
 
         w2 = oplus(w, 1)
         assert w2 == (6, 5, 4, 1, 8, 7, 2, 3)
         occ2 = occurrences(pat_shift(p), w2)
         assert (1, 2, 4, 6) in occ2
-        assert occurrence_values(w2, (1, 2, 4, 6)) == (6, 5, 1, 7)
+        assert tuple(w2[i - 1] for i in (1, 2, 4, 6)) == (6, 5, 1, 7)
 
 
 class TestEngineAgainstOracle:
@@ -89,6 +87,38 @@ class TestEngineAgainstOracle:
         w = tuple(data.draw(st.permutations(list(range(1, n + 1)))))
         pat = pattern(p, x=x, y=y)
         assert occurrences(pat, w) == oracle_occurrences(pat, w)
+
+
+@st.composite
+def _table_patterns(draw):
+    k = draw(st.integers(0, TABLE_K))
+    p = tuple(draw(st.permutations(list(range(1, k + 1)))))
+    return pattern(p, x=draw(st.sets(st.integers(0, k))), y=draw(st.sets(st.integers(0, k))))
+
+
+class TestSignatureTable:
+    """The conftest signature table, the oracle of the prefix walks, of
+    `occurrence_masks` and of class closure, against the definition itself:
+    `oracle_occurrences` on every word of S_n up to S_5, and on 120 sampled
+    words of S_6 and S_7."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(pat=_table_patterns(), n=st.integers(0, TABLE_N), rng=st.randoms(use_true_random=False))
+    @example(pat=pattern(()), n=0, rng=random.Random(0))                # k = 0
+    @example(pat=pattern((), x=[0]), n=0, rng=random.Random(0))
+    @example(pat=pattern((), y=[0]), n=3, rng=random.Random(0))
+    @example(pat=pattern((2, 1, 3)), n=2, rng=random.Random(0))         # k > n
+    @example(pat=pattern((1, 2), x=[0, 1, 2], y=[0, 1, 2]), n=2, rng=random.Random(0))  # fills S_2
+    @example(pat=pattern((2, 4, 1, 3), x=[0, 4], y=[2]), n=7, rng=random.Random(0))     # k = 4, n = 7
+    def test_against_oracle_occurrences(self, pat, n, rng):
+        words = PERMS_BY_N[n]
+        sample = range(len(words))
+        if len(words) > 120:
+            sample = rng.sample(sample, 120)
+        mask = occurrence_mask(pat, n)
+        for idx in sample:
+            assert mask >> idx & 1 == bool(oracle_occurrences(pat, words[idx])), (
+                str(pat), words[idx])
 
 
 class TestEmptyPattern:
@@ -120,12 +150,24 @@ class TestSymmetries:
             assert pat_inverse(pat_inverse(pat)) == pat
 
     def test_orbit_count_length3(self):
+        # The toric relation lists all eight compositions of r, c and i: each
+        # orbit equals the closure of its pattern under the three maps.
+        from permlab.relations import TORIC
+
         seen = set()
         orbits = 0
         for pat in all_patterns(3):
             if pat in seen:
                 continue
-            seen |= symmetry_orbit(pat)
+            closure, frontier = {pat}, [pat]
+            while frontier:
+                cur = frontier.pop()
+                for nxt in (pat_reverse(cur), pat_complement(cur), pat_inverse(cur)):
+                    if nxt not in closure:
+                        closure.add(nxt)
+                        frontier.append(nxt)
+            assert closure == {apply_symmetry(pat, ops) for ops in TORIC.symmetries}, str(pat)
+            seen |= closure
             orbits += 1
         assert orbits == 212
 
@@ -179,11 +221,6 @@ class TestTextFormat:
 
 
 class TestOccurrenceHelpers:
-    def test_minimal_occurrences(self):
-        assert minimal_occurrences(pattern((1, 2, 3)), W) == [(1, 2, 4), (3, 5, 6)]
-        with pytest.raises(NoOccurrenceError):
-            minimal_occurrences(pattern((3, 2, 1)), W)
-
     def test_counts_all_patterns(self):
         assert sum(1 for _ in all_patterns(0)) == 4
         assert sum(1 for _ in all_patterns(1)) == 16

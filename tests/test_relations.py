@@ -6,9 +6,15 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import brute_census, class_representatives, oracle_classes, perms_with_cycle_type
+from conftest import (
+    brute_census,
+    class_representatives,
+    oracle_classes,
+    perms_with_cycle_type,
+    toric_class,
+)
 from permlab.arith import steggall_census
-from permlab.core import cycle_type, identity, order, s_n, toric_class
+from permlab.core import cycle_type, identity, order, s_n
 from permlab.errors import BudgetExceeded, InternalCheckError
 from permlab.relations import (
     RELATIONS,

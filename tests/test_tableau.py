@@ -5,20 +5,16 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import inverse_rsk, is_standard, standard_tableaux
 from permlab.core import s_n
 from permlab.tableau import (
     count_syt,
     format_tableau,
-    hook_shapes,
-    inverse_rsk,
-    is_hook,
-    is_standard,
     knuth_class,
     knuth_neighbors,
     partitions,
     rsk,
     shape_of,
-    standard_tableaux,
 )
 
 perms = st.integers(min_value=0, max_value=6).flatmap(
@@ -97,14 +93,6 @@ class TestShapes:
         assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
         assert list(partitions(0)) == [()]
 
-    def test_is_hook(self):
-        assert is_hook((4, 1, 1))
-        assert is_hook((1,))
-        assert not is_hook((3, 2))
-
-    def test_hook_shapes(self):
-        assert list(hook_shapes(4)) == [(1, 1, 1, 1), (2, 1, 1), (3, 1), (4,)]
-
     def test_count_syt_anchor(self):
         assert count_syt((2, 2, 2)) == 5
         assert count_syt((1,)) == 1
@@ -117,7 +105,8 @@ class TestShapes:
 
     def test_hook_syt_counts_are_binomials(self):
         for n in range(1, 8):
-            counts = sorted(count_syt(s) for s in hook_shapes(n))
+            hooks = [(a,) + (1,) * (n - a) for a in range(1, n + 1)]
+            counts = sorted(count_syt(s) for s in hooks)
             assert counts == sorted(math.comb(n - 1, r) for r in range(n))
             assert sum(counts) == 2 ** (n - 1)
 

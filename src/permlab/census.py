@@ -149,16 +149,18 @@ def class_matchers(pats, relation: Relation | str, n: int, *,
 def plain_avoiders(pats, n: int, *, want_members: bool = False,
                    budget: int | None = None) -> EnumerationResult:
     """Ordinary avoidance, no relation: each permutation is its own class."""
+    pats = tuple(pats)
     kept = avoid_all(pats, n, budget=budget)
-    return EnumerationResult("avoid", "none", tuple(pats), n, len(kept), len(kept),
+    return EnumerationResult("avoid", "none", pats, n, len(kept), len(kept),
                              tuple(kept) if want_members else None)
 
 
 def plain_matchers(pats, n: int, *, want_members: bool = False,
                    budget: int | None = None) -> EnumerationResult:
     """Ordinary containment, no relation: each permutation is its own class."""
+    pats = tuple(pats)
     kept = match_all(pats, n, budget=budget)
-    return EnumerationResult("class-match", "none", tuple(pats), n, len(kept), len(kept),
+    return EnumerationResult("class-match", "none", pats, n, len(kept), len(kept),
                              tuple(kept) if want_members else None)
 
 

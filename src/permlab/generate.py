@@ -1,11 +1,12 @@
 """Avoiders and containers of bivincular patterns, generated by prefix extension.
 
-Rather than test each of the n! permutations with the single-word engine of
-`permlab.pattern`, the permutations are grown one absolute value at a time,
-smallest letter first, so they come out in lex order. Every constraint can be
-decided on a prefix (values are absolute, and k in X only means the last slot
-sits at position n), so an occurrence in a prefix persists in each of its
-completions. Each new letter is checked in one of two ways:
+Rather than put each of the n! permutations to `permlab.pattern.matches`,
+the permutations are grown one absolute value at a time, smallest letter
+first, so they come out in lex order. Every constraint can be decided on a
+prefix (values are absolute, and k in X only means the last slot sits at
+position n), so an occurrence in a prefix persists in each of its
+completions. Each new letter is checked by the pattern's plan, the one
+`matches` runs, in one of two ways:
 
 - A position-free pattern, of length k >= 2 whose last slot L is neither
   chained to the slot before it nor pinned to position n, is checked for
@@ -35,177 +36,19 @@ the word once against a memo of subset signatures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .core import Word
-from .pattern import BivincularPattern, _compile, _empty_pattern_occurs
-
-
-@dataclass(frozen=True, slots=True)
-class _Tail:
-    """Plan for finding an occurrence whose last slot sits at a given position.
-
-    Values are held in a per-search list: index 0 is the virtual rank 0 (value
-    0), index 1 the virtual rank k+1 (value n+1), and index 2+j the value of
-    the j-th slot placed. The slots are placed in this order: first the last
-    slot and the slots chained to it by X, each pinned to a known position
-    counted back from the end, then the remaining slots left to right. Each
-    step names the values bounding it from below and above (the nearest ranks
-    already placed) and, when its Y-run already holds a placed rank, the value
-    it is offset from (ref, or -1) and by how much (delta).
-
-    A gap plan is for a position-free pattern: k >= 2 and its last slot L is
-    neither chained to the slot before it nor pinned to position n. Its
-    pinned and free steps then find an occurrence of the first k-1 slots
-    ending at the given position, and a last free step, marked by chain None,
-    takes L's value from the values still unplaced: any later position can
-    hold it.
-    """
-
-    pinned: tuple[tuple[int, int, int, int], ...]             # (ref, delta, lo, hi)
-    free: tuple[tuple[int, int, int, int, bool | None], ...]  # (ref, delta, lo, hi, chain)
-    fixed_start: bool   # the slots searched in the prefix are chained from position 1
-    at_end: bool        # k in X: the last slot sits at position n
-    fills_values: bool  # Y holds 0..k: the occurrence's values are 1..n
-    gap: bool           # a gap plan
-
-
-@lru_cache(maxsize=None)
-def _tail(pat: BivincularPattern) -> _Tail:
-    # The plan is built afresh, not through _compile's cache, so that listing
-    # avoiders keeps one cached object per pattern rather than two.
-    plan = _compile.__wrapped__(pat)
-    slots = plan.slots
-    k = len(slots)
-    gap = k >= 2 and not slots[-1].chain and not slots[-1].last
-    end = k - gap  # the slots searched in the prefix
-    npinned = 1
-    while npinned < end and slots[end - npinned].chain:
-        npinned += 1
-    order = list(range(end - 1, end - 1 - npinned, -1)) + list(range(end - npinned)) + [k - 1] * gap
-    placed = {0: 0, k + 1: 1}  # rank -> index of its value
-    run_ref: dict[int, tuple[int, int]] = {}  # run -> (value index, rank)
-    if plan.anchor_low is not None:
-        run_ref[plan.anchor_low] = (0, 0)
-    if plan.anchor_high is not None:
-        run_ref[plan.anchor_high] = (1, k + 1)
-    steps = []
-    for j, s in enumerate(order):
-        slot = slots[s]
-        ref, rank0 = run_ref.get(slot.run, (-1, slot.rank))
-        lo = placed[max(r for r in placed if r < slot.rank)]
-        hi = placed[min(r for r in placed if r > slot.rank)]
-        placed[slot.rank] = 2 + j
-        run_ref.setdefault(slot.run, (2 + j, slot.rank))
-        steps.append((ref, slot.rank - rank0, lo, hi, slot.chain if s < end else None))
-    return _Tail(
-        pinned=tuple(step[:4] for step in steps[:npinned]),
-        free=tuple(steps[npinned:]),
-        fixed_start=npinned == end and slots[0].chain,
-        at_end=slots[-1].last,
-        fills_values=plan.anchor_low is not None and plan.anchor_low == plan.anchor_high,
-        gap=gap,
-    )
-
-
-def _window(pat: BivincularPattern, n: int) -> tuple[int, int]:
-    """The positions m at which the plan's search can end: where an
-    occurrence ends or, for a gap plan, where its first k-1 slots end. Empty
-    (first > last) when the pattern cannot occur at all."""
-    k = pat.k
-    if k == 0 or k > n:
-        return 1, 0
-    tail = _tail(pat)
-    first, last = k - tail.gap, n - tail.gap
-    if tail.fixed_start:
-        last = first
-    if tail.at_end:
-        first = n
-    if tail.fills_values and n != k:
-        return 1, 0
-    return first, last
-
-
-def _ends_at(tail: _Tail, m: int, prefix: list[int], posv: list[int], vals: list[int],
-             rest: int) -> bool:
-    """True iff an occurrence ends at position m of `prefix`, whose letters
-    are indexed by value in `posv` (0 for a letter not yet placed). For a gap
-    plan: iff an occurrence of all slots but the last ends there and leaves
-    the last slot a value in the bitmask `rest`, so that every completion
-    holds an occurrence."""
-    j = 2
-    for ref, delta, lo, hi in tail.pinned:
-        v = prefix[m + 1 - j]
-        if (ref >= 0 and v != vals[ref] + delta) or not vals[lo] < v < vals[hi]:
-            return False
-        vals[j] = v
-        j += 1
-    free = tail.free  # a gap plan's last free step takes no position in the prefix
-    return not free or _place_free(free, 0, j, m + 3 + tail.gap - j - len(free), 0,
-                                   prefix, posv, vals, rest)
-
-
-def _place_free(free, i: int, j: int, limit: int, prev: int,
-                prefix: list[int], posv: list[int], vals: list[int], rest: int) -> bool:
-    """Place free step i (value index j) right of position `prev` and at most
-    at position limit + i, then the steps after it. A gap plan's last step
-    is met when its window holds a value of `rest`."""
-    ref, delta, lo, hi, chain = free[i]
-    lo, hi = vals[lo], vals[hi]
-    top = limit + i
-    last = i + 1 == len(free)
-    if ref >= 0:
-        v = vals[ref] + delta
-        if not lo < v < hi:
-            return False
-        if chain is None:
-            return rest >> v & 1 == 1
-        pos = posv[v]
-        if pos <= prev or pos > top or (chain and pos != prev + 1):
-            return False
-    elif chain:
-        pos = prev + 1
-        if pos > top:
-            return False
-        v = prefix[prev]
-        if not lo < v < hi:
-            return False
-    elif last:
-        if chain is None:
-            return rest & ((1 << hi) - (2 << lo)) != 0
-        for v in prefix[prev:top]:
-            if lo < v < hi:
-                return True
-        return False
-    else:
-        for pos in range(prev + 1, top + 1):
-            v = prefix[pos - 1]
-            if lo < v < hi:
-                vals[j] = v
-                if _place_free(free, i + 1, j + 1, limit, pos, prefix, posv, vals, rest):
-                    return True
-        return False
-    vals[j] = v
-    return last or _place_free(free, i + 1, j + 1, limit, pos, prefix, posv, vals, rest)
+from .pattern import (BivincularPattern, _bits, _check, _empty_pattern_occurs, _ends_at,
+                      _position_subsets, _signature_mask)
 
 
 def _checks(pats: tuple[BivincularPattern, ...], n: int) -> list[tuple]:
-    """(first, last, tail, value buffer, letter) for each pattern that can
-    occur in a word of length n, where `letter` is the value the last slot
-    searched in the prefix must take, or 0 when it is free."""
-    out = []
-    for pat in pats:
-        first, last = _window(pat, n)
-        if first <= last:
-            tail = _tail(pat)
-            vals = [0, n + 1] + [0] * pat.k
-            ref, delta = tail.pinned[0][:2]
-            out.append((first, last, tail, vals, vals[ref] + delta if ref >= 0 else 0))
-    return out
+    """The search (`pattern._check`) of each pattern that can occur in a
+    word of length n."""
+    return [check for check in (_check(pat, n) for pat in pats) if check]
 
 
 def _gapped_at(checks: list[tuple], n: int) -> list[bool]:
@@ -339,21 +182,13 @@ def _grow_containers(needed, until: int, gapped_at: list[bool], prefix: list[int
         posv[v] = 0
 
 
-def _bits(members: Iterable[int]) -> int:
-    return sum(1 << v for v in members)
-
-
 def occurrence_masks(pats: Sequence[BivincularPattern], n: int) -> Iterator[int]:
     """For each permutation of 1..n in lex order, the mask whose bit i is set
     iff pats[i] occurs in it; the patterns all have one length k.
 
-    Each k-subset of positions has a signature: its letters' standardization
-    p, the set of x in 0..k with i_{x+1} = i_x + 1 and the set of y with
-    j_{y+1} = j_y + 1, under the conventions i_0 = j_0 = 0 and
-    i_{k+1} = j_{k+1} = n+1. A pattern occurs at the subset exactly when it
-    has that p and its X and Y lie within those sets. The mask of every
-    signature met is memoised by (X-set, letters), so a word costs C(n, k)
-    lookups.
+    Each k-subset of positions is read for its signature
+    (`pattern._signature_mask`). The mask of every signature met is
+    memoised by (X-set, letters), so a word costs C(n, k) lookups.
 
     >>> from permlab.pattern import pattern
     >>> list(occurrence_masks([pattern((1, 2)), pattern((2, 1), x=[1])], 3))
@@ -365,9 +200,7 @@ def occurrence_masks(pats: Sequence[BivincularPattern], n: int) -> Iterator[int]
     by_p: dict[Word, list[tuple[int, int, int]]] = {}
     for i, pat in enumerate(pats):
         by_p.setdefault(pat.p, []).append((_bits(pat.x), _bits(pat.y), 1 << i))
-    # Positions are 0-based here, so i_0 and i_{k+1} become -1 and n.
-    subsets = [(comb, _bits(x for x in range(k + 1) if ends[x + 1] == ends[x] + 1))
-               for comb in combinations(range(n), k) for ends in [(-1, *comb, n)]]
+    subsets = _position_subsets(n, k)
     memo: dict[tuple[int, Word], int] = {}
     for w in permutations(range(1, n + 1)):
         mask = 0
@@ -378,13 +211,3 @@ def occurrence_masks(pats: Sequence[BivincularPattern], n: int) -> Iterator[int]
                 hit = memo[xs, letters] = _signature_mask(by_p, xs, letters, n)
             mask |= hit
         yield mask
-
-
-def _signature_mask(by_p, xs: int, letters: Word, n: int) -> int:
-    """The mask of the patterns occurring at a position subset with X-set xs
-    and these letters."""
-    ranks = sorted(letters)
-    p = tuple(ranks.index(v) + 1 for v in letters)
-    js = (0, *ranks, n + 1)
-    ys = _bits(y for y in range(len(letters) + 1) if js[y + 1] == js[y] + 1)
-    return sum(bit for x, y, bit in by_p.get(p, ()) if not (x & ~xs or y & ~ys))

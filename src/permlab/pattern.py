@@ -1,4 +1,4 @@
-"""Bivincular patterns, the occurrence engine, and the pattern symmetry algebra.
+"""Bivincular patterns, the occurrence test, and the pattern symmetry algebra.
 
 A bivincular pattern is a triple (p, X, Y): a classical pattern p of length k
 plus adjacency constraints X, Y subsets of {0..k}. An occurrence in a word w of
@@ -12,18 +12,23 @@ to p, subject to
 so 0 and k in X (resp. Y) pin the occurrence to the ends of the position
 (resp. value) range. With X = Y = {} this is the classical notion.
 
-The engine walks positions left to right. Constraints from X become forced
-position jumps; Y partitions the pattern ranks into runs of consecutive
-values, and once a run's base value is known every other rank in the run is
-looked up in O(1) through the host's inverse table. It answers queries about
-one word; `permlab.generate` lists whole sets of avoiders.
+A pattern is compiled once, into a plan (`_tail`) that finds an occurrence
+ending at a given position m. The last slot and the slots chained to it by X
+are pinned to the positions before m; the others are searched left to right.
+Y partitions the ranks into runs of consecutive values, and once one rank of
+a run is placed every other rank's value is known. One plan serves both
+callers: `matches` tries each end position of a whole word, and the walks of
+`permlab.generate` try the newest letter of each prefix they grow.
+`occurrences` lists the position subsets whose signature (standardized
+letters, X-set and Y-set) admits the pattern, the test `occurrence_masks`
+makes for many patterns at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
 from .core import Word, check_perm, complement, format_perm, inverse, oplus, parse_perm, reverse
@@ -99,152 +104,158 @@ def format_pattern(pat: BivincularPattern) -> str:
     return f"{format_perm(pat.p)};x={ints(pat.x)};y={ints(pat.y)}"
 
 
-@dataclass(frozen=True)
-class _Slot:
-    rank: int      # pattern letter at this position: the value placed here is the rank-th smallest
-    chain: bool    # position forced to previous + 1 (for the first slot: to 1)
-    last: bool     # position forced to n
-    run: int       # index of the value run this rank belongs to
-    offset: int    # rank - first rank of the run
+def _bits(members: Iterable[int]) -> int:
+    return sum(1 << v for v in members)
 
 
-@dataclass(frozen=True)
-class _Plan:
-    slots: tuple[_Slot, ...]
-    run_len: tuple[int, ...]
-    run_start: tuple[int, ...]
-    anchor_low: int | None   # run whose base value is pinned to 1
-    anchor_high: int | None  # run whose top value is pinned to n
+@dataclass(frozen=True, slots=True)
+class _Tail:
+    """Plan for finding an occurrence whose last slot sits at a given position.
+
+    Values are held in a per-search list: index 0 is the virtual rank 0 (value
+    0), index 1 the virtual rank k+1 (value n+1), and index 2+j the value of
+    the j-th slot placed. The slots are placed in this order: first the last
+    slot and the slots chained to it by X, each pinned to a known position
+    counted back from the end, then the remaining slots left to right. Each
+    step names the values bounding it from below and above (the nearest ranks
+    already placed) and, when its Y-run already holds a placed rank, the value
+    it is offset from (ref, or -1) and by how much (delta).
+
+    A gap plan is for a position-free pattern: k >= 2 and its last slot L is
+    neither chained to the slot before it nor pinned to position n. Its
+    pinned and free steps then find an occurrence of the first k-1 slots
+    ending at the given position, and a last free step, marked by chain None,
+    takes L's value from the values still unplaced: any later position can
+    hold it.
+    """
+
+    pinned: tuple[tuple[int, int, int, int], ...]             # (ref, delta, lo, hi)
+    free: tuple[tuple[int, int, int, int, bool | None], ...]  # (ref, delta, lo, hi, chain)
+    fixed_start: bool   # the slots searched in the prefix are chained from position 1
+    at_end: bool        # k in X: the last slot sits at position n
+    fills_values: bool  # Y holds 0..k: the occurrence's values are 1..n
+    gap: bool           # a gap plan
 
 
 @lru_cache(maxsize=None)
-def _compile(pat: BivincularPattern) -> _Plan:
+def _tail(pat: BivincularPattern) -> _Tail:
+    k, p, x = pat.k, pat.p, pat.x
+    gap = k >= 2 and k - 1 not in x and k not in x
+    end = k - gap  # the slots searched in the prefix
+    npinned = 1
+    while npinned < end and end - npinned in x:
+        npinned += 1
+    order = list(range(end - 1, end - 1 - npinned, -1)) + list(range(end - npinned)) + [k - 1] * gap
+    # Y splits the ranks 0..k+1 into runs of consecutive values: y in Y joins
+    # ranks y and y+1. The virtual ranks 0 and k+1 hold the values 0 and n+1.
+    run = [0]
+    for rank in range(1, k + 2):
+        run.append(run[-1] + (rank - 1 not in pat.y))
+    placed = {0: 0, k + 1: 1}  # rank -> index of its value
+    run_ref = {run[0]: (0, 0), run[k + 1]: (1, k + 1)}  # run -> (value index, rank)
+    steps = []
+    for j, s in enumerate(order):
+        rank = p[s]
+        ref, rank0 = run_ref.get(run[rank], (-1, rank))
+        lo = placed[max(r for r in placed if r < rank)]
+        hi = placed[min(r for r in placed if r > rank)]
+        placed[rank] = 2 + j
+        run_ref.setdefault(run[rank], (2 + j, rank))
+        steps.append((ref, rank - rank0, lo, hi, s in x if s < end else None))
+    return _Tail(
+        pinned=tuple(step[:4] for step in steps[:npinned]),
+        free=tuple(steps[npinned:]),
+        fixed_start=npinned == end and 0 in x,
+        at_end=k in x,
+        fills_values=run[0] == run[k + 1],
+        gap=gap,
+    )
+
+
+def _check(pat: BivincularPattern, n: int) -> tuple[int, int, _Tail, list[int], int] | None:
+    """(first, last, tail, value buffer, letter) for a search of pat in a
+    word of length n, or None when pat, of length k >= 1, cannot occur there.
+    The search can end at the positions first..last: where an occurrence
+    ends or, for a gap plan, where its first k-1 slots end. `letter` is the
+    value the last slot searched in the prefix must take, or 0 when it is
+    free."""
     k = pat.k
-    links = {y for y in pat.y if 1 <= y < k}
-    run_of: dict[int, int] = {}
-    run_len: list[int] = []
-    run_start: list[int] = []
-    for rank in range(1, k + 1):
-        if rank == 1 or (rank - 1) not in links:
-            run_start.append(rank)
-            run_len.append(0)
-        run_of[rank] = len(run_len) - 1
-        run_len[-1] += 1
-    slots = tuple(
-        _Slot(
-            rank=pat.p[s],
-            chain=s in pat.x,
-            last=(s == k - 1 and k in pat.x),
-            run=run_of[pat.p[s]],
-            offset=pat.p[s] - run_start[run_of[pat.p[s]]],
-        )
-        for s in range(k)
-    )
-    return _Plan(
-        slots=slots,
-        run_len=tuple(run_len),
-        run_start=tuple(run_start),
-        anchor_low=run_of[1] if 0 in pat.y else None,
-        anchor_high=run_of[k] if k in pat.y else None,
-    )
+    if k == 0 or k > n:
+        return None
+    tail = _tail(pat)
+    first, last = k - tail.gap, n - tail.gap
+    if tail.fixed_start:
+        last = first
+    if tail.at_end:
+        first = n
+    if first > last or (tail.fills_values and n != k):
+        return None
+    vals = [0, n + 1] + [0] * k
+    ref, delta = tail.pinned[0][:2]
+    return first, last, tail, vals, vals[ref] + delta if ref >= 0 else 0
 
 
-def _search(
-    plan: _Plan,
-    w: Word,
-    posv: list[int],
-    s: int,
-    positions: list[int],
-    chosen: list[tuple[int, int]],
-    bases: list[int | None],
-    collect: list[Occurrence] | None,
-) -> bool:
-    """Extend the partial occurrence at slot s. Returns True to stop early."""
-    k = len(plan.slots)
-    n = len(w)
-    if s == k:
-        if collect is None:
-            return True
-        collect.append(tuple(positions))
-        return False
-    slot = plan.slots[s]
-    prev = positions[-1] if positions else 0
-    lo, hi = 0, n + 1
-    for rank0, val0 in chosen:
-        if rank0 < slot.rank:
-            if val0 > lo:
-                lo = val0
-        elif val0 < hi:
-            hi = val0
+def _ends_at(tail: _Tail, m: int, prefix: Sequence[int], posv: list[int], vals: list[int],
+             rest: int) -> bool:
+    """True iff an occurrence ends at position m of `prefix`, whose letters
+    are indexed by value in `posv` (0 for a letter not yet placed). For a gap
+    plan: iff an occurrence of all slots but the last ends there and leaves
+    the last slot a value in the bitmask `rest`, so that every completion
+    holds an occurrence. Letters past position m are never read."""
+    j = 2
+    for ref, delta, lo, hi in tail.pinned:
+        v = prefix[m + 1 - j]
+        if (ref >= 0 and v != vals[ref] + delta) or not vals[lo] < v < vals[hi]:
+            return False
+        vals[j] = v
+        j += 1
+    free = tail.free  # a gap plan's last free step takes no position in the prefix
+    return not free or _place_free(free, 0, j, m + 3 + tail.gap - j - len(free), 0,
+                                   prefix, posv, vals, rest)
 
-    base = bases[slot.run]
-    if base is not None:
-        v = base + slot.offset
+
+def _place_free(free, i: int, j: int, limit: int, prev: int,
+                prefix: Sequence[int], posv: list[int], vals: list[int], rest: int) -> bool:
+    """Place free step i (value index j) right of position `prev` and at most
+    at position limit + i, then the steps after it. A gap plan's last step
+    is met when its window holds a value of `rest`."""
+    ref, delta, lo, hi, chain = free[i]
+    lo, hi = vals[lo], vals[hi]
+    top = limit + i
+    last = i + 1 == len(free)
+    if ref >= 0:
+        v = vals[ref] + delta
         if not lo < v < hi:
             return False
+        if chain is None:
+            return rest >> v & 1 == 1
         pos = posv[v]
-        if (
-            pos <= prev
-            or (slot.chain and pos != prev + 1)
-            or (slot.last and pos != n)
-            or n - pos < k - s - 1
-        ):
+        if pos <= prev or pos > top or (chain and pos != prev + 1):
             return False
-        positions.append(pos)
-        chosen.append((slot.rank, v))
-        stop = _search(plan, w, posv, s + 1, positions, chosen, bases, collect)
-        positions.pop()
-        chosen.pop()
-        return stop
-
-    if slot.chain:
-        candidates: Iterable[int] = (prev + 1,) if prev + 1 <= n else ()
-    elif slot.last:
-        candidates = (n,) if n > prev else ()
-    else:
-        candidates = range(prev + 1, n - (k - s - 1) + 1)
-    for pos in candidates:
-        if (slot.last and pos != n) or n - pos < k - s - 1:
-            continue
-        v = w[pos - 1]
+    elif chain:
+        pos = prev + 1
+        if pos > top:
+            return False
+        v = prefix[prev]
         if not lo < v < hi:
-            continue
-        b = v - slot.offset
-        if b < 1 or b + plan.run_len[slot.run] - 1 > n:
-            continue
-        bases[slot.run] = b
-        positions.append(pos)
-        chosen.append((slot.rank, v))
-        stop = _search(plan, w, posv, s + 1, positions, chosen, bases, collect)
-        positions.pop()
-        chosen.pop()
-        bases[slot.run] = None
-        if stop:
-            return True
-    return False
-
-
-def _prepare(pat: BivincularPattern, w: Word) -> tuple[_Plan, list[int], list[int | None]] | None:
-    """Compile and pre-pin anchored run bases; None if infeasible outright."""
-    n = len(w)
-    k = pat.k
-    plan = _compile(pat)
-    bases: list[int | None] = [None] * len(plan.run_len)
-    if plan.anchor_low is not None:
-        bases[plan.anchor_low] = 1
-    if plan.anchor_high is not None:
-        b = n - (k - plan.run_start[plan.anchor_high])
-        if bases[plan.anchor_high] is None:
-            bases[plan.anchor_high] = b
-        elif bases[plan.anchor_high] != b:
-            return None
-    for rid, b in enumerate(bases):
-        if b is not None and not (b >= 1 and b + plan.run_len[rid] - 1 <= n):
-            return None
-    posv = [0] * (n + 1)
-    for idx, v in enumerate(w, start=1):
-        posv[v] = idx
-    return plan, posv, bases
+            return False
+    elif last:
+        if chain is None:
+            return rest & ((1 << hi) - (2 << lo)) != 0
+        for v in prefix[prev:top]:
+            if lo < v < hi:
+                return True
+        return False
+    else:
+        for pos in range(prev + 1, top + 1):
+            v = prefix[pos - 1]
+            if lo < v < hi:
+                vals[j] = v
+                if _place_free(free, i + 1, j + 1, limit, pos, prefix, posv, vals, rest):
+                    return True
+        return False
+    vals[j] = v
+    return last or _place_free(free, i + 1, j + 1, limit, pos, prefix, posv, vals, rest)
 
 
 def _empty_pattern_occurs(pat: BivincularPattern, n: int) -> bool:
@@ -252,8 +263,37 @@ def _empty_pattern_occurs(pat: BivincularPattern, n: int) -> bool:
     return (0 not in pat.x or n == 0) and (0 not in pat.y or n == 0)
 
 
+@lru_cache(maxsize=None)
+def _position_subsets(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each k-subset of the positions of a word of length n, 0-based, with
+    the bits of its X-set: the x in 0..k with i_{x+1} = i_x + 1, where i_0
+    and i_{k+1} become -1 and n."""
+    return tuple((comb, _bits(x for x in range(k + 1) if ends[x + 1] == ends[x] + 1))
+                 for comb in combinations(range(n), k) for ends in [(-1, *comb, n)])
+
+
+def _signature_mask(by_p, xs: int, letters: Word, n: int) -> int:
+    """The mask of the patterns occurring at a position subset with X-set xs
+    and these letters. by_p maps p to (X bits, Y bits, pattern bit) triples.
+
+    The subset's signature is its letters' standardization p, its X-set and
+    its Y-set: the y in 0..k with j_{y+1} = j_y + 1, where j_1 < ... < j_k
+    are the letters sorted, j_0 = 0 and j_{k+1} = n+1. A pattern occurs at
+    the subset exactly when it has that p and its X and Y lie within those
+    sets."""
+    ranks = sorted(letters)
+    same_p = by_p.get(tuple([ranks.index(v) + 1 for v in letters]))
+    if not same_p:
+        return 0
+    js = (0, *ranks, n + 1)
+    ys = _bits(y for y in range(len(letters) + 1) if js[y + 1] == js[y] + 1)
+    return sum(bit for x, y, bit in same_p if not (x & ~xs or y & ~ys))
+
+
 def occurrences(pat: BivincularPattern, pi: Sequence[int]) -> list[Occurrence]:
-    """All occurrences of pat in pi as 1-based position tuples, lex sorted.
+    """All occurrences of pat in pi as 1-based position tuples, lex sorted:
+    none unless `matches` finds one, else every position subset whose
+    signature admits pat.
 
     >>> occurrences(pattern((1, 2, 3)), (2, 4, 1, 6, 3, 5))
     [(1, 2, 4), (1, 2, 6), (1, 5, 6), (3, 5, 6)]
@@ -261,31 +301,35 @@ def occurrences(pat: BivincularPattern, pi: Sequence[int]) -> list[Occurrence]:
     [(1, 4)]
     """
     w = tuple(pi)
-    if pat.k == 0:
-        return [()] if _empty_pattern_occurs(pat, len(w)) else []
-    if pat.k > len(w):
+    if not matches(pat, w):
         return []
-    ready = _prepare(pat, w)
-    if ready is None:
-        return []
-    plan, posv, bases = ready
-    out: list[Occurrence] = []
-    _search(plan, w, posv, 0, [], [], bases, out)
-    return out
+    by_p = {pat.p: [(_bits(pat.x), _bits(pat.y), 1)]}
+    return [tuple([i + 1 for i in comb]) for comb, xs in _position_subsets(len(w), pat.k)
+            if _signature_mask(by_p, xs, tuple([w[i] for i in comb]), len(w))]
 
 
 def matches(pat: BivincularPattern, pi: Sequence[int]) -> bool:
-    """True iff pat occurs in pi."""
+    """True iff pat occurs in pi: an occurrence ends at some position m of
+    the plan's window or, for a gap plan, an occurrence of its first k-1
+    slots ends there and a later letter fits its last slot."""
     w = tuple(pi)
+    n = len(w)
     if pat.k == 0:
-        return _empty_pattern_occurs(pat, len(w))
-    if pat.k > len(w):
+        return _empty_pattern_occurs(pat, n)
+    check = _check(pat, n)
+    if check is None:
         return False
-    ready = _prepare(pat, w)
-    if ready is None:
-        return False
-    plan, posv, bases = ready
-    return _search(plan, w, posv, 0, [], [], bases, None)
+    first, last, tail, vals, _ = check
+    posv = [0] * (n + 1)
+    for i, v in enumerate(w, start=1):
+        posv[v] = i
+    rest = _bits(w[first:]) if tail.gap else 0  # the letters after position m
+    for m in range(first, last + 1):
+        if _ends_at(tail, m, w, posv, vals, rest):
+            return True
+        if tail.gap:
+            rest ^= 1 << w[m]
+    return False
 
 
 def avoids(pat: BivincularPattern, pi: Sequence[int]) -> bool:

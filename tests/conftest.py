@@ -5,11 +5,14 @@ Occurrence is decided from its definition: `oracle_occurrences` filters
 position subsets, and the signature table behind `occurrence_mask`,
 `scan_avoiders`, `scan_matchers` and `avoid_masks` records, for each word of
 S_n with n <= 7 and each subset of at most 4 positions, the subset's
-standardized letters and its exact X- and Y-sets. Nothing of the package's
-occurrence engine (`pattern._compile` and the searches built on it) is used
-there, so the prefix walks, `occurrence_masks` and class closure are never
-checked against code they share. Divisor sums come from a sieve, and classes
-are built without the relations' keys or class sizes (cycle-type generation,
+standardized letters and its exact X- and Y-sets. Past the table (n = 8, or
+k > 4), `construction_mask` builds the words holding an occurrence by
+placing the pattern at every admissible choice of positions and values.
+Nothing of the package's occurrence code (the plan behind `matches` and the
+prefix walks, the signature reading behind `occurrences` and
+`occurrence_masks`) is used there, so none of it is ever checked against
+code it shares. Divisor sums come from a sieve, and classes are built
+without the relations' keys or class sizes (cycle-type generation,
 Knuth-move closure, descent-set grouping, toric orbits). The brute-force
 helpers the package itself does not need (group product, toric orbits,
 inverse insertion, tableau listing, the toric class total) live here too.
@@ -30,7 +33,7 @@ import pytest
 
 from permlab.arith import divisors, totient
 from permlab.core import Word, circ_oplus, descent_set, from_circular, s_n, to_circular
-from permlab.pattern import BivincularPattern, all_patterns, avoids, matches
+from permlab.pattern import BivincularPattern, all_patterns
 from permlab.relations import ClassCensus, Relation
 from permlab.tableau import Rows, Shape, knuth_class, partitions, shape_of
 
@@ -249,35 +252,84 @@ def occurrence_mask(pat: BivincularPattern, n: int) -> int:
     return out
 
 
+@functools.cache
+def lex_words(n: int) -> list[Word]:
+    """S_n in lex order."""
+    return PERMS_BY_N[n] if n in PERMS_BY_N else list(s_n(n))
+
+
 def words_of(mask: int, n: int) -> list[Word]:
     """The words of S_n whose lex index has its bit set in mask, in lex order."""
-    return [w for i, w in enumerate(PERMS_BY_N[n]) if mask >> i & 1]
+    return [w for i, w in enumerate(lex_words(n)) if mask >> i & 1]
 
 
-def _in_table(pats: Sequence[BivincularPattern], n: int) -> bool:
-    return n <= TABLE_N and all(pat.k <= TABLE_K for pat in pats)
+def _adjacent_subsets(adj: frozenset[int], k: int, n: int) -> list[tuple[int, ...]]:
+    """The k-subsets e_1 < ... < e_k of 1..n with e_{a+1} = e_a + 1 for every
+    a in adj, where e_0 = 0 and e_{k+1} = n+1."""
+    out = []
+    for comb in itertools.combinations(range(1, n + 1), k):
+        ends = (0, *comb, n + 1)
+        if all(ends[a + 1] == ends[a] + 1 for a in adj):
+            out.append(comb)
+    return out
+
+
+@functools.cache
+def _cell_masks(n: int) -> dict[tuple[int, int], int]:
+    """(position i, letter v) -> bitmask over lex S_n of the words with the
+    letter v at position i."""
+    cells = {}
+    for i in range(1, n + 1):
+        column = [w[i - 1] for w in reversed(lex_words(n))]  # the last word is the top bit
+        for v in range(1, n + 1):
+            cells[i, v] = int("".join(["1" if letter == v else "0" for letter in column]), 2)
+    return cells
+
+
+def construction_mask(pat: BivincularPattern, n: int) -> int:
+    """Bitmask over lex S_n of the words in which pat occurs, built from the
+    definition the other way round: choose the positions i_1 < ... < i_k
+    that satisfy X and the values j_1 < ... < j_k that satisfy Y (with
+    i_0 = j_0 = 0 and i_{k+1} = j_{k+1} = n+1), place p by putting the value
+    j_{p_s} at position i_s, and set the bit of every completion, the words
+    holding each placed letter at its position. Any n, any k.
+
+    >>> words_of(construction_mask(BivincularPattern((1, 2), y=frozenset({1})), 3), 3)
+    [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)]
+    """
+    cells = _cell_masks(n)
+    everything = (1 << len(lex_words(n))) - 1
+    out = 0
+    for positions in _adjacent_subsets(pat.x, pat.k, n):
+        for values in _adjacent_subsets(pat.y, pat.k, n):
+            completions = everything
+            for i, rank in zip(positions, pat.p):
+                completions &= cells[i, values[rank - 1]]
+            out |= completions
+    return out
+
+
+def _occurs_mask(pat: BivincularPattern, n: int) -> int:
+    if n <= TABLE_N and pat.k <= TABLE_K:
+        return occurrence_mask(pat, n)
+    return construction_mask(pat, n)
 
 
 def scan_avoiders(pats: Sequence[BivincularPattern], n: int) -> list[Word]:
     """Permutations of S_n avoiding every pattern, in lex order, from the
-    signature table. Beyond it (n = 8 in the random walk tests, where the
-    definition costs seconds per pattern) each word of S_n is put to the
-    single-word engine instead."""
-    if not _in_table(pats, n):
-        return [w for w in s_n(n) if all(avoids(p, w) for p in pats)]
+    signature table, or from `construction_mask` beyond it (n = 8 in the
+    random walk tests)."""
     hit = 0
     for pat in pats:
-        hit |= occurrence_mask(pat, n)
-    return words_of(((1 << len(PERMS_BY_N[n])) - 1) & ~hit, n)
+        hit |= _occurs_mask(pat, n)
+    return words_of(((1 << len(lex_words(n))) - 1) & ~hit, n)
 
 
 def scan_matchers(pats: Sequence[BivincularPattern], n: int) -> list[Word]:
     """Permutations of S_n containing every pattern, in the same way."""
-    if not _in_table(pats, n):
-        return [w for w in s_n(n) if all(matches(p, w) for p in pats)]
-    kept = (1 << len(PERMS_BY_N[n])) - 1
+    kept = (1 << len(lex_words(n))) - 1
     for pat in pats:
-        kept &= occurrence_mask(pat, n)
+        kept &= _occurs_mask(pat, n)
     return words_of(kept, n)
 
 

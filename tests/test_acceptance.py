@@ -32,6 +32,7 @@ from permlab.core import descent_set, oplus, s_n
 from permlab.pattern import (
     all_patterns,
     apply_symmetry,
+    matches,
     occurrences,
     pat_complement,
     pat_inverse,
@@ -66,7 +67,8 @@ def test_criterion_01_engine_matches_oracle(capfd):
     for pat in all_patterns(3):
         for w in words:
             checked += 1
-            if occurrences(pat, w) != oracle_occurrences(pat, w):
+            want = oracle_occurrences(pat, w)
+            if occurrences(pat, w) != want or matches(pat, w) != bool(want):
                 mismatches += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 60.0

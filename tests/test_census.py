@@ -88,6 +88,13 @@ class TestClassClosed:
         m = plain_matchers([pat], 4)
         assert res.count + m.count == 24
 
+    @pytest.mark.parametrize("plain", [plain_avoiders, plain_matchers])
+    def test_plain_wrappers_take_one_shot_iterables(self, plain):
+        pats = [pattern((2, 3, 1)), pattern((1, 2), y=[1])]
+        res = plain(iter(pats), 4, want_members=True)
+        assert res == plain(pats, 4, want_members=True)
+        assert res.to_payload()["patterns"] == ["231;x=;y=", "12;x=;y=1"]
+
     @pytest.mark.parametrize("want_members", [False, True])
     def test_negative_degree(self, want_members):
         for fn in (class_avoiders, class_matchers):
@@ -118,8 +125,9 @@ def _patterns(draw, min_k: int = 0, max_k: int = 4):
 
 class TestGenerationAgainstScan:
     """`avoid_all` and `match_all` extend prefixes; the oracle reads S_n off
-    the conftest signature table, and at n = 8, beyond the table, scans it
-    with the single-word engine."""
+    the conftest signature table, and at n = 8, beyond the table, off
+    `conftest.construction_mask`, which places each pattern in every
+    admissible way."""
 
     def test_every_short_pattern(self, avoid_masks):
         for pat, per_n in avoid_masks.items():

@@ -1,4 +1,4 @@
-"""Occurrence engine and pattern algebra."""
+"""Occurrence test and pattern algebra."""
 
 import itertools
 import random
@@ -23,7 +23,14 @@ from permlab.pattern import (
     pattern,
     shift_orbit,
 )
-from conftest import PERMS_BY_N, TABLE_K, TABLE_N, occurrence_mask, oracle_occurrences
+from conftest import (
+    PERMS_BY_N,
+    TABLE_K,
+    TABLE_N,
+    construction_mask,
+    occurrence_mask,
+    oracle_occurrences,
+)
 
 W = (2, 4, 1, 6, 3, 5)
 
@@ -62,19 +69,24 @@ class TestSectionExamples:
         assert tuple(w2[i - 1] for i in (1, 2, 4, 6)) == (6, 5, 1, 7)
 
 
+def _agrees(pat, w) -> bool:
+    want = oracle_occurrences(pat, w)
+    return occurrences(pat, w) == want and matches(pat, w) == bool(want)
+
+
 class TestEngineAgainstOracle:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_short_patterns_everywhere(self, k):
         for pat in all_patterns(k):
             for n in range(0, 5):
                 for w in s_n(n):
-                    assert occurrences(pat, w) == oracle_occurrences(pat, w), (pat, w)
+                    assert _agrees(pat, w), (str(pat), w)
 
     def test_length3_sample_s4(self):
         pats = list(all_patterns(3))
         for pat in pats[::7]:
             for w in s_n(4):
-                assert occurrences(pat, w) == oracle_occurrences(pat, w), (pat, w)
+                assert _agrees(pat, w), (str(pat), w)
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -86,7 +98,7 @@ class TestEngineAgainstOracle:
         n = data.draw(st.integers(0, 6))
         w = tuple(data.draw(st.permutations(list(range(1, n + 1)))))
         pat = pattern(p, x=x, y=y)
-        assert occurrences(pat, w) == oracle_occurrences(pat, w)
+        assert _agrees(pat, w)
 
 
 @st.composite
@@ -119,6 +131,21 @@ class TestSignatureTable:
         for idx in sample:
             assert mask >> idx & 1 == bool(oracle_occurrences(pat, words[idx])), (
                 str(pat), words[idx])
+
+
+class TestConstructionOracle:
+    """`conftest.construction_mask`, the oracle of the prefix walks past the
+    signature table, against the table."""
+
+    def test_every_short_pattern(self):
+        for k in range(4):
+            for pat in all_patterns(k):
+                for n in range(7):
+                    assert construction_mask(pat, n) == occurrence_mask(pat, n), (str(pat), n)
+
+    def test_length4_sample_s7(self):
+        for pat in itertools.islice(all_patterns(4), 0, None, 97):
+            assert construction_mask(pat, 7) == occurrence_mask(pat, 7), str(pat)
 
 
 class TestEmptyPattern:

@@ -1,12 +1,15 @@
 """Pattern avoidance on classes of permutations.
 
 Bivincular patterns (position and value adjacency constraints, with endpoint
-anchors) are matched against permutations by a small backtracking engine.
-Avoidance is then lifted to equivalence classes: a class counts as avoiding
-only when every member does. Supported relations: conjugacy, common order,
-Knuth equivalence, cyclic (toric) equivalence, and equal descent set.
-The arithmetic side (totients, divisors, divisor sums) is recovered from
-these enumerations and cross-checked against trial-division formulas.
+anchors) are compiled into end-anchored plans. The avoiders or containers of
+a set of patterns are generated by prefix-extension walks that run each
+pattern's plan at every new letter; a survey instead reads the signatures of
+position subsets to test many patterns at once. Avoidance is then lifted to
+equivalence classes: a class counts as avoiding only when every member does.
+Supported relations: conjugacy, common order, Knuth equivalence, cyclic
+(toric) equivalence, and equal descent set. The arithmetic side (totients,
+divisors, divisor sums) is recovered from these enumerations and
+cross-checked against trial-division formulas.
 """
 
 from .arith import (
@@ -63,7 +66,6 @@ from .core import (
     cycles,
     descent_set,
     format_perm,
-    from_circular,
     identity,
     inverse,
     order,
@@ -71,7 +73,6 @@ from .core import (
     parse_perm,
     reverse,
     s_n,
-    to_circular,
 )
 from .errors import BudgetExceeded, InternalCheckError, ParseError
 from .pattern import (
@@ -87,7 +88,6 @@ from .pattern import (
     pat_inverse,
     pat_reverse,
     pat_shift,
-    pattern,
     shift_orbit,
 )
 from .relations import (
@@ -99,7 +99,6 @@ from .relations import (
     TORIC,
     ClassCensus,
     Relation,
-    census,
 )
 from .tableau import (
     count_syt,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from .catalog import CATALOG, DIVISOR_PATTERN, SEQUENCE_TABLES, match_tables
-from .core import Word, s_n
+from .core import Word, format_perm, s_n
 from .generate import avoiders, containers, occurrence_masks
 from .pattern import BivincularPattern, all_patterns, apply_symmetry, pat_shift
 from .relations import RELATIONS, Relation, census, check_budget, resolve_budget
@@ -60,8 +60,6 @@ class EnumerationResult:
     members: tuple[Word, ...] | None
 
     def to_payload(self) -> dict:
-        from .core import format_perm
-
         payload: dict = {
             "mode": self.mode,
             "relation": self.relation,
@@ -188,8 +186,6 @@ class StabilityReport:
     witness: Word | None
 
     def to_payload(self) -> dict:
-        from .core import format_perm
-
         payload: dict = {
             "pattern": str(self.pat),
             "relation": self.relation,

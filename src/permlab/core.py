@@ -1,9 +1,7 @@
-"""Permutations in one-line notation, plus the circular layer behind toric shifts.
+"""Permutations in one-line notation, plus the toric shift.
 
 A permutation of S_n is a tuple of ints using each letter of 1..n exactly once.
-The circular layer works with words on 0..n, stored rotated so that 0 leads;
-two circular words are equal iff their canonical rotations are equal. All
-functions are pure and all values immutable.
+All functions are pure and all values immutable.
 """
 
 from __future__ import annotations
@@ -137,44 +135,16 @@ def order(pi: Sequence[int]) -> int:
     return math.lcm(*cycle_type(pi)) if pi else 1
 
 
-def to_circular(pi: Sequence[int]) -> Word:
-    """Prepend 0: the circular word on 0..n read from 0.
-
-    >>> to_circular((1, 2, 4, 3))
-    (0, 1, 2, 4, 3)
-    """
-    return (0,) + tuple(pi)
-
-
-def canonical_circular(word: Sequence[int]) -> Word:
-    """Rotate a word on 0..n so that 0 leads."""
-    w = tuple(word)
-    z = w.index(0)
-    return w[z:] + w[:z]
-
-
-def from_circular(lam: Sequence[int]) -> Word:
-    """Read a circular word from 0: rotate 0 to the front and drop it.
-
-    >>> from_circular((1, 3, 0, 2, 5, 4))
-    (2, 5, 4, 1, 3)
-    """
-    return canonical_circular(lam)[1:]
-
-
-def circ_oplus(lam: Sequence[int], m: int) -> Word:
-    """Add m to every letter mod n+1 and re-canonicalize."""
-    size = len(lam)
-    return canonical_circular(tuple((v + m) % size for v in lam))
-
-
 def oplus(pi: Sequence[int], m: int) -> Word:
     """Toric shift: add m to every letter of 0|pi mod n+1 and re-read from 0.
 
     >>> oplus((1, 2, 4, 3), 2)
     (2, 3, 4, 1)
     """
-    return from_circular(circ_oplus(to_circular(pi), m))
+    size = len(pi) + 1
+    circle = [(v + m) % size for v in (0, *pi)]
+    z = circle.index(0)
+    return tuple(circle[z + 1 :] + circle[:z])
 
 
 def descent_set(pi: Sequence[int]) -> frozenset[int]:

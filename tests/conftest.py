@@ -11,9 +11,12 @@ placing the pattern at every admissible choice of positions and values.
 Nothing of the package's occurrence code (the plan behind `matches` and the
 prefix walks, the signature reading behind `occurrences` and
 `occurrence_masks`) is used there, so none of it is ever checked against
-code it shares. Divisor sums come from a sieve, and classes are built
-without the relations' keys or class sizes (cycle-type generation,
-Knuth-move closure, descent-set grouping, toric orbits). The brute-force
+code it shares. Divisor sums come from a sieve. Classes are built without
+the relations' keys, class sizes or the package's toric shift, none of
+which (`cycle_type`, `order`, `rsk`, `descent_set`, `oplus`) is imported:
+conjugacy by cycle-type generation, order as unions of those, Knuth by
+closure under elementary moves, descent by grouping S_n on which adjacent
+letters fall, and toric by rotating the circle 0|pi. The brute-force
 helpers the package itself does not need (group product, toric orbits,
 inverse insertion, tableau listing, the toric class total) live here too.
 Expected values frozen into the tests were produced by these oracles or
@@ -32,7 +35,7 @@ from typing import Hashable, Iterator, Sequence
 import pytest
 
 from permlab.arith import divisors, totient
-from permlab.core import Word, circ_oplus, descent_set, from_circular, s_n, to_circular
+from permlab.core import Word, s_n
 from permlab.pattern import BivincularPattern, all_patterns
 from permlab.relations import ClassCensus, Relation
 from permlab.tableau import Rows, Shape, knuth_class, partitions, shape_of
@@ -112,8 +115,14 @@ def toric_class(pi: Sequence[int]) -> frozenset[Word]:
     >>> sorted(toric_class((1, 2, 4, 3)))[:2]
     [(1, 2, 4, 3), (1, 3, 2, 4)]
     """
-    lam = to_circular(pi)
-    return frozenset(from_circular(circ_oplus(lam, m)) for m in range(len(lam)))
+    circle = (0, *pi)
+    size = len(circle)
+    out = set()
+    for m in range(size):
+        # After adding m, the letter -m is the one that becomes 0.
+        start = circle.index(-m % size)
+        out.add(tuple((circle[(start + i) % size] + m) % size for i in range(1, size)))
+    return frozenset(out)
 
 
 def toric_class_total(n: int) -> int:
@@ -389,10 +398,10 @@ def oracle_classes(rel_name: str, n: int) -> list[frozenset[Word]]:
             by_lcm.setdefault(math.lcm(*lam), set()).update(perms_with_cycle_type(n, lam))
         return [frozenset(cls) for cls in by_lcm.values()]
     if rel_name == "descent":
-        by_set: dict[frozenset[int], set[Word]] = {}
+        by_descents: dict[tuple[bool, ...], set[Word]] = {}
         for w in s_n(n):
-            by_set.setdefault(descent_set(w), set()).add(w)
-        return [frozenset(cls) for cls in by_set.values()]
+            by_descents.setdefault(tuple(a > b for a, b in zip(w, w[1:])), set()).add(w)
+        return [frozenset(cls) for cls in by_descents.values()]
     grow = {"knuth": knuth_class, "toric": toric_class}[rel_name]
     seen: set[Word] = set()
     out = []

@@ -1,7 +1,7 @@
 """Class-closed enumeration, stability, survey, and sequence checking."""
 
 import gc
-import importlib
+import inspect
 import math
 import random
 from contextlib import contextmanager
@@ -10,7 +10,9 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import PERMS_BY_N, occurrence_mask, scan_avoiders, scan_matchers
+import permlab
+import permlab.census as census_module
+from conftest import PERMS_BY_N, occurrence_mask, scan_avoiders, scan_matchers, words_of
 from permlab.catalog import KNUTH_MATCHING_PATTERN, SEQUENCE_TABLES
 from permlab.census import (
     SequenceCheckReport,
@@ -32,10 +34,6 @@ from permlab.generate import occurrence_masks
 from permlab.pattern import all_patterns, pattern
 
 
-# `permlab.census` is also the name of the census() function the package exports.
-census_module = importlib.import_module("permlab.census")
-
-
 #: Three increasing letters at consecutive positions.
 VINCULAR_123 = pattern((1, 2, 3), x=[1, 2])
 
@@ -44,23 +42,35 @@ def _catalan(m: int) -> int:
     return math.comb(2 * m, m) // (m + 1)
 
 
-def _mask_class_count(avoid_mask: int, classes: list[int]) -> int:
-    return sum(cls.bit_count() for cls in classes if cls & avoid_mask == cls)
+def _closed_classes(kept_mask: int, classes: list[int]) -> list[int]:
+    """The oracle class masks lying wholly inside kept_mask."""
+    return [cls for cls in classes if cls & kept_mask == cls]
+
+
+def _oracle_triple(closed: list[int], n: int) -> tuple:
+    """(count, class_count, members) of a list of closed class masks of S_n,
+    the members in lex order, as a class-closed result reports them."""
+    union = 0
+    for cls in closed:
+        union |= cls
+    return union.bit_count(), len(closed), tuple(words_of(union, n))
+
+
+def _as_triple(res):
+    return res.count, res.class_count, res.members
+
+
+def _counts(res):
+    return res.count, res.class_count
+
+
+def test_package_root_names_are_modules():
+    # The package exports no function under a module's name.
+    assert inspect.ismodule(permlab.census) and inspect.ismodule(permlab.pattern)
+    assert permlab.census is census_module
 
 
 class TestClassClosed:
-    def test_against_masks(self, avoid_masks, class_masks):
-        rng = random.Random(7)
-        pats = [p for p in avoid_masks if len(p.p) <= 2]
-        pats += rng.sample([p for p in avoid_masks if len(p.p) == 3], 60)
-        for rel in ("conjugacy", "order", "knuth", "toric", "descent"):
-            for n in (3, 4, 5):
-                classes = class_masks(rel, n)
-                for pat in pats:
-                    want = _mask_class_count(avoid_masks[pat][n], classes)
-                    got = class_avoiders([pat], rel, n).count
-                    assert got == want, (rel, n, str(pat))
-
     def test_members_subset_chain(self):
         pat = pattern((2, 3, 1), y=[0])
         for n in (3, 4, 5):
@@ -313,36 +323,63 @@ class TestOccurrenceMasks:
 RELATION_NAMES = ("conjugacy", "order", "knuth", "toric", "descent")
 
 
-def _closed_by_masks(kept_mask: int, classes: list[int], n: int):
-    """(count, class_count, members) of the oracle classes inside kept_mask."""
-    closed = [cls for cls in classes if cls & kept_mask == cls]
-    union = 0
-    for cls in closed:
-        union |= cls
-    members = tuple(w for i, w in enumerate(PERMS_BY_N[n]) if union >> i & 1)
-    return len(members), len(closed), members
+@contextmanager
+def _sides_walked():
+    """Record, for each count-only class-closed call, the walk it capped and
+    the side it counted from: "kept" when that walk stayed within its cap,
+    "other" when it went over and the other side was walked instead."""
+    sides: list[tuple[str, str]] = []
+    saved = census_module.avoiders, census_module.containers
+
+    def recording(walk):
+        def capped(pats, n, cap=None):
+            out = walk(pats, n, cap)
+            if cap is not None:
+                sides.append((walk.__name__, "kept" if out is not None else "other"))
+            return out
+        return capped
+
+    census_module.avoiders, census_module.containers = map(recording, saved)
+    try:
+        yield sides
+    finally:
+        census_module.avoiders, census_module.containers = saved
 
 
-def _as_triple(res):
-    return res.count, res.class_count, res.members
+def _words_mask(words, n: int) -> int:
+    index = {w: i for i, w in enumerate(PERMS_BY_N[n])}
+    return sum(1 << index[w] for w in words)
 
 
 class TestClassClosedDifferential:
     """Class-closed avoiders and matchers against classes built by the
-    oracles in conftest, which use neither the keys nor the class sizes."""
+    oracles in conftest, which use neither the keys nor the class sizes.
+
+    A call with members walks its side uncapped and closes it. A count-only
+    call reads its counts from whichever side is smaller: past n!/2 kept
+    words it keys the other side and subtracts from n! and the class total.
+    Each path is compared with the oracle, never with the other."""
 
     @pytest.mark.parametrize("rel", RELATION_NAMES)
-    def test_all_length3_patterns(self, rel, avoid_masks, class_masks):
-        for n in range(1, 6):
-            classes = class_masks(rel, n)
-            full = (1 << math.factorial(n)) - 1
-            for pat in all_patterns(3):
-                avoid = avoid_masks[pat][n]
-                got = class_avoiders([pat], rel, n, want_members=True)
-                assert _as_triple(got) == _closed_by_masks(avoid, classes, n), (rel, n, str(pat))
-                got = class_matchers([pat], rel, n, want_members=True)
-                assert _as_triple(got) == _closed_by_masks(full & ~avoid, classes, n), (
-                    rel, n, str(pat))
+    def test_short_patterns(self, rel, avoid_masks, class_masks):
+        # Every pattern of length 1-3 at n = 1..5, avoiding and containing,
+        # with and without members; count-only calls must take both sides.
+        calls = 0
+        with _sides_walked() as sides:
+            for n in range(1, 6):
+                classes = class_masks(rel, n)
+                full = (1 << math.factorial(n)) - 1
+                for pat, per_n in avoid_masks.items():
+                    avoid = per_n[n]
+                    for fn, kept in ((class_avoiders, avoid), (class_matchers, full & ~avoid)):
+                        want = _oracle_triple(_closed_classes(kept, classes), n)
+                        cell = (fn.__name__, n, str(pat))
+                        assert _as_triple(fn([pat], rel, n, want_members=True)) == want, cell
+                        assert _counts(fn([pat], rel, n)) == want[:2], cell
+                        calls += 1
+        assert len(sides) == calls
+        assert set(sides) == {(walk, side) for walk in ("avoiders", "containers")
+                              for side in ("kept", "other")}
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -358,65 +395,13 @@ class TestClassClosedDifferential:
         kept = ((1 << math.factorial(n)) - 1) & ~occurs if avoid_mode else occurs
         fn = class_avoiders if avoid_mode else class_matchers
         got = fn([pat], rel, n, want_members=True)
-        assert _as_triple(got) == _closed_by_masks(kept, class_masks(rel, n), n)
-
-
-@contextmanager
-def _sides_walked():
-    """Record, for each count-only class-closed call, the side it counted
-    from: "kept" when the capped walk of the requested side stayed within its
-    cap, "other" when it went over and the other side was walked instead."""
-    sides: list[str] = []
-    saved = census_module.avoiders, census_module.containers
-
-    def recording(walk):
-        def capped(pats, n, cap=None):
-            out = walk(pats, n, cap)
-            if cap is not None:
-                sides.append("kept" if out is not None else "other")
-            return out
-        return capped
-
-    census_module.avoiders, census_module.containers = map(recording, saved)
-    try:
-        yield sides
-    finally:
-        census_module.avoiders, census_module.containers = saved
-
-
-def _counts(res):
-    return res.count, res.class_count
-
-
-def _words_mask(words, n: int) -> int:
-    index = {w: i for i, w in enumerate(PERMS_BY_N[n])}
-    return sum(1 << index[w] for w in words)
+        assert _as_triple(got) == _oracle_triple(_closed_classes(kept, class_masks(rel, n)), n)
 
 
 class TestClassClosedCountOnly:
-    """Count-only class-closed calls read their counts from whichever side is
-    smaller: past n!/2 kept words they key the other side and subtract from
-    n! and the class total. They must agree with the oracle classes and with
-    the members path, and both sides must be taken."""
-
-    @pytest.mark.parametrize("rel", RELATION_NAMES)
-    def test_all_length3_patterns(self, rel, avoid_masks, class_masks):
-        for fn in (class_avoiders, class_matchers):
-            with _sides_walked() as sides:
-                calls = 0
-                for n in range(1, 6):
-                    classes = class_masks(rel, n)
-                    full = (1 << math.factorial(n)) - 1
-                    for pat in all_patterns(3):
-                        avoid = avoid_masks[pat][n]
-                        kept = avoid if fn is class_avoiders else full & ~avoid
-                        got = _counts(fn([pat], rel, n))
-                        calls += 1
-                        assert got == _closed_by_masks(kept, classes, n)[:2], (rel, n, str(pat))
-                        assert got == _counts(fn([pat], rel, n, want_members=True)), (
-                            rel, n, str(pat))
-            assert len(sides) == calls
-            assert set(sides) == {"kept", "other"}, (rel, fn.__name__)
+    """Count-only class-closed calls on the cases the grid above leaves out:
+    degree zero, no patterns, and sets of several patterns, whose other side
+    is a union of one walk per pattern."""
 
     @pytest.mark.parametrize("rel", RELATION_NAMES)
     def test_degree_zero_and_no_patterns(self, rel, class_masks):
@@ -425,7 +410,8 @@ class TestClassClosedCountOnly:
         for pats, n in cases:
             classes = class_masks(rel, n)
             for fn, scan in ((class_avoiders, scan_avoiders), (class_matchers, scan_matchers)):
-                want = _closed_by_masks(_words_mask(scan(pats, n), n), classes, n)[:2]
+                closed = _closed_classes(_words_mask(scan(pats, n), n), classes)
+                want = _oracle_triple(closed, n)[:2]
                 got = _counts(fn(pats, rel, n))
                 assert got == want == _counts(fn(pats, rel, n, want_members=True)), (
                     rel, fn.__name__, [str(p) for p in pats], n)
@@ -443,8 +429,8 @@ class TestClassClosedCountOnly:
     def test_random_pattern_sets(self, class_masks, pats, rel, n, avoid_mode):
         scan = scan_avoiders if avoid_mode else scan_matchers
         fn = class_avoiders if avoid_mode else class_matchers
-        want = _closed_by_masks(_words_mask(scan(pats, n), n), class_masks(rel, n), n)[:2]
-        assert _counts(fn(pats, rel, n)) == want
+        closed = _closed_classes(_words_mask(scan(pats, n), n), class_masks(rel, n))
+        assert _counts(fn(pats, rel, n)) == _oracle_triple(closed, n)[:2]
 
 
 class TestKnuthMatching:
@@ -552,8 +538,8 @@ class TestSurvey:
             shifted = pat_shift(pat)
             for n in (3, 4, 5):
                 classes = class_masks("toric", n)
-                a = _mask_class_count(avoid_masks[pat][n], classes)
-                b = _mask_class_count(avoid_masks[shifted][n], classes)
+                a = _oracle_triple(_closed_classes(avoid_masks[pat][n], classes), n)[0]
+                b = _oracle_triple(_closed_classes(avoid_masks[shifted][n], classes), n)[0]
                 assert a == b, (str(pat), n)
 
     def test_counts_constant_on_orbit(self):
@@ -598,7 +584,8 @@ class TestSurveyAgainstOracles:
     def _check(res, rel, degrees, avoid_masks, class_masks):
         assert res.rows
         for row in res.rows:
-            want = {n: _mask_class_count(avoid_masks[row.pat][n], class_masks(rel, n))
+            want = {n: _oracle_triple(_closed_classes(avoid_masks[row.pat][n],
+                                                      class_masks(rel, n)), n)[0]
                     for n in degrees}
             assert row.counts == want, (rel, str(row.pat))
             assert list(row.counts) == list(degrees)

@@ -5,14 +5,11 @@ from hypothesis import given, strategies as st
 
 from conftest import compose, toric_class
 from permlab.core import (
-    canonical_circular,
-    circ_oplus,
     complement,
     cycle_type,
     cycles,
     descent_set,
     format_perm,
-    from_circular,
     identity,
     inverse,
     oplus,
@@ -20,7 +17,6 @@ from permlab.core import (
     parse_perm,
     reverse,
     s_n,
-    to_circular,
 )
 from permlab.errors import ParseError
 
@@ -100,20 +96,9 @@ class TestAlgebra:
 
 
 class TestCircular:
-    def test_to_circular(self):
-        assert to_circular((1, 2, 4, 3)) == (0, 1, 2, 4, 3)
-
-    def test_from_circular_anchor(self):
-        assert from_circular((1, 3, 0, 2, 5, 4)) == (2, 5, 4, 1, 3)
-
-    @given(perms)
-    def test_roundtrip(self, w):
-        assert from_circular(to_circular(w)) == w
-
     def test_oplus_anchor(self):
         assert oplus((1, 2, 4, 3), 2) == (2, 3, 4, 1)
-        lam = (0, 4, 3, 7, 2, 1, 5, 6)
-        assert circ_oplus(lam, 1) == canonical_circular((1, 5, 4, 0, 3, 2, 6, 7))
+        assert oplus((4, 3, 7, 2, 1, 5, 6), 1) == (3, 2, 6, 7, 1, 5, 4)
 
     @given(perms, st.integers(min_value=0, max_value=13))
     def test_oplus_group_action(self, w, a):
@@ -133,11 +118,13 @@ class TestCircular:
         assert (len(w) + 1) % len(toric_class(w)) == 0
 
     def test_reverse_complement_commute_with_circle(self):
+        # Reversing w reads the circle 0|w backwards, which commutes with
+        # adding m; complementing negates every letter mod n+1, which turns
+        # adding m into adding -m.
         for w in s_n(5):
-            assert from_circular(canonical_circular(tuple(reversed(to_circular(w))))) == reverse(w)
-            # Negating every letter of 0|w mod n+1 keeps 0 in place.
-            negated = tuple(-v % (len(w) + 1) for v in to_circular(w))
-            assert from_circular(negated) == complement(w)
+            for m in range(7):
+                assert reverse(oplus(w, m)) == oplus(reverse(w), m)
+                assert complement(oplus(w, m)) == oplus(complement(w), -m)
 
     def test_inverse_orbit_identity(self):
         for w in s_n(5):

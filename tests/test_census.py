@@ -351,35 +351,33 @@ def _words_mask(words, n: int) -> int:
     return sum(1 << index[w] for w in words)
 
 
+def _short_pattern_cells(rel, avoid_masks, class_masks):
+    """Every pattern of length 1-3 at n = 1..5, avoiding and containing:
+    (function, n, pattern, oracle triple), the oracle's closed classes
+    computed once per side."""
+    for n in range(1, 6):
+        classes = class_masks(rel, n)
+        full = (1 << math.factorial(n)) - 1
+        for pat, per_n in avoid_masks.items():
+            avoid = per_n[n]
+            for fn, kept in ((class_avoiders, avoid), (class_matchers, full & ~avoid)):
+                yield fn, n, pat, _oracle_triple(_closed_classes(kept, classes), n)
+
+
 class TestClassClosedDifferential:
     """Class-closed avoiders and matchers against classes built by the
     oracles in conftest, which use neither the keys nor the class sizes.
 
-    A call with members walks its side uncapped and closes it. A count-only
-    call reads its counts from whichever side is smaller: past n!/2 kept
-    words it keys the other side and subtracts from n! and the class total.
-    Each path is compared with the oracle, never with the other."""
+    A call with members walks its side uncapped and closes it; it is checked
+    here. A count-only call is checked in TestClassClosedCountOnly. Each
+    path is compared with the oracle, never with the other."""
 
     @pytest.mark.parametrize("rel", RELATION_NAMES)
-    def test_short_patterns(self, rel, avoid_masks, class_masks):
-        # Every pattern of length 1-3 at n = 1..5, avoiding and containing,
-        # with and without members; count-only calls must take both sides.
-        calls = 0
-        with _sides_walked() as sides:
-            for n in range(1, 6):
-                classes = class_masks(rel, n)
-                full = (1 << math.factorial(n)) - 1
-                for pat, per_n in avoid_masks.items():
-                    avoid = per_n[n]
-                    for fn, kept in ((class_avoiders, avoid), (class_matchers, full & ~avoid)):
-                        want = _oracle_triple(_closed_classes(kept, classes), n)
-                        cell = (fn.__name__, n, str(pat))
-                        assert _as_triple(fn([pat], rel, n, want_members=True)) == want, cell
-                        assert _counts(fn([pat], rel, n)) == want[:2], cell
-                        calls += 1
-        assert len(sides) == calls
-        assert set(sides) == {(walk, side) for walk in ("avoiders", "containers")
-                              for side in ("kept", "other")}
+    def test_all_length3_patterns(self, rel, avoid_masks, class_masks):
+        # The grid covers every pattern of length 1-3, not only length 3.
+        for fn, n, pat, want in _short_pattern_cells(rel, avoid_masks, class_masks):
+            got = fn([pat], rel, n, want_members=True)
+            assert _as_triple(got) == want, (fn.__name__, n, str(pat))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -399,10 +397,25 @@ class TestClassClosedDifferential:
 
 
 class TestClassClosedCountOnly:
-    """Count-only class-closed calls on the cases the grid above leaves out:
-    degree zero, no patterns, and sets of several patterns, whose other side
-    is a union of one walk per pattern."""
+    """Count-only class-closed calls read their counts from whichever side is
+    smaller: past n!/2 kept words they key the other side and subtract from
+    n! and the class total. They are compared with the oracle classes, and
+    both sides must be taken."""
 
+    @pytest.mark.parametrize("rel", RELATION_NAMES)
+    def test_all_length3_patterns(self, rel, avoid_masks, class_masks):
+        # The same grid as the members path, patterns of length 1-3.
+        calls = 0
+        with _sides_walked() as sides:
+            for fn, n, pat, want in _short_pattern_cells(rel, avoid_masks, class_masks):
+                assert _counts(fn([pat], rel, n)) == want[:2], (fn.__name__, n, str(pat))
+                calls += 1
+        assert len(sides) == calls
+        assert set(sides) == {(walk, side) for walk in ("avoiders", "containers")
+                              for side in ("kept", "other")}
+
+    # Degree zero, no patterns, and sets of several patterns, whose other
+    # side is a union of one walk per pattern, are left out of the grid.
     @pytest.mark.parametrize("rel", RELATION_NAMES)
     def test_degree_zero_and_no_patterns(self, rel, class_masks):
         cases = [([], n) for n in range(6)]

@@ -66,7 +66,6 @@ from .core import (
     cycles,
     descent_set,
     format_perm,
-    identity,
     inverse,
     order,
     oplus,

@@ -128,6 +128,8 @@ class NaturalPermutation:
 
 def natural_perms(n: int) -> list[NaturalPermutation]:
     """All natural permutations of degree n; there are totient(n+1) of them."""
+    if n < 0:
+        raise ValueError(f"degree {n} is negative")
     return [NaturalPermutation(k, n) for k in range(1, n + 1) if math.gcd(k, n + 1) == 1]
 
 

@@ -33,8 +33,8 @@ from typing import Hashable
 
 from .catalog import CATALOG, DIVISOR_PATTERN, SEQUENCE_TABLES, match_tables
 from .core import Word, format_perm, s_n
-from .generate import avoiders, containers, occurrence_masks
-from .pattern import BivincularPattern, all_patterns, apply_symmetry, pat_shift
+from .generate import avoiders, containers
+from .pattern import BivincularPattern, all_patterns, apply_symmetry, occurrence_masks, pat_shift
 from .relations import RELATIONS, Relation, census, check_budget, resolve_budget
 
 
@@ -112,8 +112,6 @@ def _closed_result(avoid: bool, pats, relation: Relation | str, n: int, want_mem
     The other side is the union of one walk per pattern: its containers for
     avoidance, its avoiders for containment."""
     rel = _as_relation(relation)
-    if n < 0:
-        raise ValueError(f"degree {n} is negative")
     pats = tuple(pats)
     check_budget(n, budget)
     total = math.factorial(n)

@@ -33,12 +33,6 @@ from .relations import RELATIONS, census, resolve_budget
 from .tableau import format_tableau, rsk
 
 
-def _check_degree(n: int) -> int:
-    if n < 0:
-        raise ParseError(f"degree {n} is negative")
-    return n
-
-
 def _check_n_max(n_max: int) -> int:
     if n_max < 1:
         raise ParseError(f"--n-max must be at least 1, not {n_max}")
@@ -57,7 +51,7 @@ def _parse_n_spec(text: str) -> list[int]:
             lo = hi = int(text)
     except ValueError:
         raise ParseError(f"bad degree spec {text!r}: expected N or LO..HI") from None
-    return list(range(_check_degree(lo), hi + 1))
+    return list(range(lo, hi + 1))
 
 
 def _print_json(payload) -> None:
@@ -101,7 +95,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    result = census(RELATIONS[args.relation], _check_degree(args.n), budget=args.budget_n)
+    result = census(RELATIONS[args.relation], args.n, budget=args.budget_n)
     if args.emit == "json":
         _print_json({
             "n": result.n,
@@ -177,7 +171,7 @@ def cmd_rsk(args) -> int:
 
 
 def cmd_natural(args) -> int:
-    words = natural_perms(_check_degree(args.n))
+    words = natural_perms(args.n)
     if args.emit == "json":
         _print_json([
             {"k": w.k, "word": format_perm(w.word), "divisor": w.is_divisor_word}
@@ -331,9 +325,6 @@ def main(argv=None) -> int:
             raise ParseError(f"--threads must be at least 1, not {args.threads}")
         resolve_budget(args.budget_n)
         return args.func(args)
-    except ParseError as exc:
-        print(f"permlab: {exc}", file=sys.stderr)
-        return 2
     except BudgetExceeded as exc:
         print(f"permlab: {exc}", file=sys.stderr)
         return 3

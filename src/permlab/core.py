@@ -31,11 +31,6 @@ def check_perm(word: Sequence[int]) -> Word:
     return w
 
 
-def identity(n: int) -> Word:
-    """The identity permutation 12...n."""
-    return tuple(range(1, n + 1))
-
-
 def parse_perm(text: str) -> Word:
     """Parse one-line text: a digit string for n <= 9, comma-separated otherwise.
 

@@ -27,34 +27,24 @@ applied to bivincular patterns.
 
 The walks are module-level recursive functions with explicit arguments: a
 nested function calling itself would form a reference cycle that keeps each
-call's result alive until the cyclic garbage collector runs.
-
-`occurrence_masks` answers the opposite question, which of many patterns of
-one length occur in each word of S_n, by reading every position subset of
-the word once against a memo of subset signatures.
+call's result alive until the cyclic garbage collector runs. Each call takes
+the bitmask of the values not yet placed, which a gap test reads.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 from .core import Word
-from .pattern import (BivincularPattern, _bits, _check, _empty_pattern_occurs, _ends_at,
-                      _position_subsets, _signature_mask)
+from .pattern import BivincularPattern, _check, _empty_pattern_occurs, _ends_at
 
 
 def _checks(pats: tuple[BivincularPattern, ...], n: int) -> list[tuple]:
     """The search (`pattern._check`) of each pattern that can occur in a
     word of length n."""
     return [check for check in (_check(pat, n) for pat in pats) if check]
-
-
-def _gapped_at(checks: list[tuple], n: int) -> list[bool]:
-    """For each position m, whether a gap plan's search can end there, so
-    that the walk needs the mask of the unplaced values."""
-    return [any(c[2].gap and c[0] <= m <= c[1] for c in checks) for m in range(n + 1)]
 
 
 class _OverCap(Exception):
@@ -83,30 +73,29 @@ def avoiders(pats: Iterable[BivincularPattern], n: int,
     if any(pat.k == 0 and _empty_pattern_occurs(pat, n) for pat in pats):
         return []
     checks = _checks(pats, n)
-    live_at = [([(tail, vals, letter) for first, last, tail, vals, letter in checks
-                 if first <= m <= last], gapped)
-               for m, gapped in enumerate(_gapped_at(checks, n))]
+    live_at = [[(tail, vals, letter) for first, last, tail, vals, letter in checks
+                if first <= m <= last] for m in range(n + 1)]
     horizon = max((last for _, last, _, _, _ in checks), default=0)
     out: list[Word] = []
     try:
-        _grow_avoiders(live_at, horizon, [], [0] * (n + 2), list(range(1, n + 1)), out, cap)
+        _grow_avoiders(live_at, horizon, [], [0] * (n + 2), list(range(1, n + 1)), (2 << n) - 2,
+                       out, cap)
     except _OverCap:
         return None
     return out
 
 
 def _grow_avoiders(live_at, horizon: int, prefix: list[int], posv: list[int],
-                   free: list[int], out: list[Word], cap: int | None) -> None:
+                   free: list[int], rest: int, out: list[Word], cap: int | None) -> None:
+    """`rest` has the bits of the unplaced values, `free`. The new letter
+    never lies in a window for L, so each child's gap test reads it."""
     m = len(prefix) + 1
     if m > horizon:
         if cap is not None and len(out) + factorial(len(free)) > cap:
             raise _OverCap
         out.extend(map(tuple(prefix).__add__, permutations(free)))
         return
-    live, gapped = live_at[m]
-    # The new letter never lies in a window for L, so the unplaced values
-    # before it is placed serve every child.
-    rest = _bits(free) if gapped else 0
+    live = live_at[m]
     for i, v in enumerate(free):
         prefix.append(v)
         posv[v] = m
@@ -114,7 +103,8 @@ def _grow_avoiders(live_at, horizon: int, prefix: list[int], posv: list[int],
             if (not letter or letter == v) and _ends_at(tail, m, prefix, posv, vals, rest):
                 break
         else:
-            _grow_avoiders(live_at, horizon, prefix, posv, free[:i] + free[i + 1:], out, cap)
+            _grow_avoiders(live_at, horizon, prefix, posv, free[:i] + free[i + 1:], rest ^ 1 << v,
+                           out, cap)
         prefix.pop()
         posv[v] = 0
 
@@ -147,24 +137,24 @@ def containers(pats: Iterable[BivincularPattern], n: int,
     out: list[Word] = []
     until = min((last for _, last, _, _, _ in checks), default=n)
     try:
-        _grow_containers(tuple(checks), until, _gapped_at(checks, n), [], [0] * (n + 2),
-                         list(range(1, n + 1)), out, cap)
+        _grow_containers(tuple(checks), until, [], [0] * (n + 2), list(range(1, n + 1)),
+                         (2 << n) - 2, out, cap)
     except _OverCap:
         return None
     return out
 
 
-def _grow_containers(needed, until: int, gapped_at: list[bool], prefix: list[int],
-                     posv: list[int], free: list[int], out: list[Word], cap: int | None) -> None:
+def _grow_containers(needed, until: int, prefix: list[int], posv: list[int], free: list[int],
+                     rest: int, out: list[Word], cap: int | None) -> None:
     """`needed` holds the checks of the patterns not yet found in `prefix`;
-    past position `until`, the search of one of them can no longer end."""
+    past position `until`, the search of one of them can no longer end.
+    `rest` is as in `_grow_avoiders`."""
     if not needed:
         if cap is not None and len(out) + factorial(len(free)) > cap:
             raise _OverCap
         out.extend(map(tuple(prefix).__add__, permutations(free)))
         return
     m = len(prefix) + 1
-    rest = _bits(free) if gapped_at[m] else 0
     for i, v in enumerate(free):
         prefix.append(v)
         posv[v] = m
@@ -176,38 +166,8 @@ def _grow_containers(needed, until: int, gapped_at: list[bool], prefix: list[int
                 left = tuple(c for c in left if c is not check)
         reach = until if left is needed else min((c[1] for c in left), default=m + 1)
         if reach > m:
-            _grow_containers(left, reach, gapped_at, prefix, posv, free[:i] + free[i + 1:], out,
-                             cap)
+            _grow_containers(left, reach, prefix, posv, free[:i] + free[i + 1:], rest ^ 1 << v,
+                             out, cap)
         prefix.pop()
         posv[v] = 0
 
-
-def occurrence_masks(pats: Sequence[BivincularPattern], n: int) -> Iterator[int]:
-    """For each permutation of 1..n in lex order, the mask whose bit i is set
-    iff pats[i] occurs in it; the patterns all have one length k.
-
-    Each k-subset of positions is read for its signature
-    (`pattern._signature_mask`). The mask of every signature met is
-    memoised by (X-set, letters), so a word costs C(n, k) lookups.
-
-    >>> from permlab.pattern import pattern
-    >>> list(occurrence_masks([pattern((1, 2)), pattern((2, 1), x=[1])], 3))
-    [1, 3, 3, 3, 3, 2]
-    """
-    k = pats[0].k if pats else 0
-    if any(pat.k != k for pat in pats):
-        raise ValueError("the patterns must all have one length")
-    by_p: dict[Word, list[tuple[int, int, int]]] = {}
-    for i, pat in enumerate(pats):
-        by_p.setdefault(pat.p, []).append((_bits(pat.x), _bits(pat.y), 1 << i))
-    subsets = _position_subsets(n, k)
-    memo: dict[tuple[int, Word], int] = {}
-    for w in permutations(range(1, n + 1)):
-        mask = 0
-        for comb, xs in subsets:
-            letters = tuple([w[i] for i in comb])
-            hit = memo.get((xs, letters))
-            if hit is None:
-                hit = memo[xs, letters] = _signature_mask(by_p, xs, letters, n)
-            mask |= hit
-        yield mask

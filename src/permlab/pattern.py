@@ -20,8 +20,8 @@ a run is placed every other rank's value is known. One plan serves both
 callers: `matches` tries each end position of a whole word, and the walks of
 `permlab.generate` try the newest letter of each prefix they grow.
 `occurrences` lists the position subsets whose signature (standardized
-letters, X-set and Y-set) admits the pattern, the test `occurrence_masks`
-makes for many patterns at once.
+letters, X-set and Y-set) admits the pattern, and a survey's
+`occurrence_masks` reads those of each word of S_n for many patterns at once.
 """
 
 from __future__ import annotations
@@ -210,19 +210,20 @@ def _ends_at(tail: _Tail, m: int, prefix: Sequence[int], posv: list[int], vals: 
         vals[j] = v
         j += 1
     free = tail.free  # a gap plan's last free step takes no position in the prefix
-    return not free or _place_free(free, 0, j, m + 3 + tail.gap - j - len(free), 0,
-                                   prefix, posv, vals, rest)
+    return _place_free(free, 0, j, m + 3 + tail.gap - j - len(free), 0, prefix, posv, vals, rest)
 
 
 def _place_free(free, i: int, j: int, limit: int, prev: int,
                 prefix: Sequence[int], posv: list[int], vals: list[int], rest: int) -> bool:
     """Place free step i (value index j) right of position `prev` and at most
-    at position limit + i, then the steps after it. A gap plan's last step
-    is met when its window holds a value of `rest`."""
+    at position limit + i, then the steps after it; past the last step, the
+    occurrence is whole. A gap plan's last step is met when its window holds
+    a value of `rest`."""
+    if i == len(free):
+        return True
     ref, delta, lo, hi, chain = free[i]
     lo, hi = vals[lo], vals[hi]
     top = limit + i
-    last = i + 1 == len(free)
     if ref >= 0:
         v = vals[ref] + delta
         if not lo < v < hi:
@@ -239,13 +240,8 @@ def _place_free(free, i: int, j: int, limit: int, prev: int,
         v = prefix[prev]
         if not lo < v < hi:
             return False
-    elif last:
-        if chain is None:
-            return rest & ((1 << hi) - (2 << lo)) != 0
-        for v in prefix[prev:top]:
-            if lo < v < hi:
-                return True
-        return False
+    elif chain is None:
+        return rest & ((1 << hi) - (2 << lo)) != 0
     else:
         for pos in range(prev + 1, top + 1):
             v = prefix[pos - 1]
@@ -255,7 +251,7 @@ def _place_free(free, i: int, j: int, limit: int, prev: int,
                     return True
         return False
     vals[j] = v
-    return last or _place_free(free, i + 1, j + 1, limit, pos, prefix, posv, vals, rest)
+    return _place_free(free, i + 1, j + 1, limit, pos, prefix, posv, vals, rest)
 
 
 def _empty_pattern_occurs(pat: BivincularPattern, n: int) -> bool:
@@ -270,6 +266,14 @@ def _position_subsets(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]
     and i_{k+1} become -1 and n."""
     return tuple((comb, _bits(x for x in range(k + 1) if ends[x + 1] == ends[x] + 1))
                  for comb in combinations(range(n), k) for ends in [(-1, *comb, n)])
+
+
+def _by_p(pats: Sequence[BivincularPattern]) -> dict[Word, list[tuple[int, int, int]]]:
+    """p -> the (X bits, Y bits, 1 << i) of each pats[i] of that p."""
+    by_p: dict[Word, list[tuple[int, int, int]]] = {}
+    for i, pat in enumerate(pats):
+        by_p.setdefault(pat.p, []).append((_bits(pat.x), _bits(pat.y), 1 << i))
+    return by_p
 
 
 def _signature_mask(by_p, xs: int, letters: Word, n: int) -> int:
@@ -303,9 +307,37 @@ def occurrences(pat: BivincularPattern, pi: Sequence[int]) -> list[Occurrence]:
     w = tuple(pi)
     if not matches(pat, w):
         return []
-    by_p = {pat.p: [(_bits(pat.x), _bits(pat.y), 1)]}
+    by_p = _by_p([pat])
     return [tuple([i + 1 for i in comb]) for comb, xs in _position_subsets(len(w), pat.k)
             if _signature_mask(by_p, xs, tuple([w[i] for i in comb]), len(w))]
+
+
+def occurrence_masks(pats: Sequence[BivincularPattern], n: int) -> Iterator[int]:
+    """For each permutation of 1..n in lex order, the mask whose bit i is set
+    iff pats[i] occurs in it; the patterns all have one length k.
+
+    Each k-subset of positions is read for its signature
+    (`_signature_mask`). The mask of every signature met is memoised by
+    (X-set, letters), so a word costs C(n, k) lookups.
+
+    >>> list(occurrence_masks([pattern((1, 2)), pattern((2, 1), x=[1])], 3))
+    [1, 3, 3, 3, 3, 2]
+    """
+    k = pats[0].k if pats else 0
+    if any(pat.k != k for pat in pats):
+        raise ValueError("the patterns must all have one length")
+    by_p = _by_p(pats)
+    subsets = _position_subsets(n, k)
+    memo: dict[tuple[int, Word], int] = {}
+    for w in permutations(range(1, n + 1)):
+        mask = 0
+        for comb, xs in subsets:
+            letters = tuple([w[i] for i in comb])
+            hit = memo.get((xs, letters))
+            if hit is None:
+                hit = memo[xs, letters] = _signature_mask(by_p, xs, letters, n)
+            mask |= hit
+        yield mask
 
 
 def matches(pat: BivincularPattern, pi: Sequence[int]) -> bool:

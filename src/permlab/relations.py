@@ -50,6 +50,9 @@ def resolve_budget(budget: int | None = None) -> int:
 
 
 def check_budget(n: int, budget: int | None = None) -> None:
+    """Raise ValueError for a negative degree n, else BudgetExceeded past the budget."""
+    if n < 0:
+        raise ValueError(f"degree {n} is negative")
     cap = resolve_budget(budget)
     if n > cap:
         raise BudgetExceeded(f"degree {n} exceeds the degree budget {cap}")
@@ -227,7 +230,10 @@ def census(rel: Relation, n: int, budget: int | None = None) -> ClassCensus:
     1..n-1. Descent, whose work grows like 3^n, is held to the degree budget.
     Toric is held to it too, although its formula is cheap, so that a toric
     census over the budget raises BudgetExceeded (exit 3 on the command line).
+    A negative degree is a ValueError for every relation.
     """
+    if n < 0:
+        raise ValueError(f"degree {n} is negative")
     by_size: Counter[int] = Counter()
     if rel.name == "conjugacy":
         for lam in partitions(n):

@@ -268,8 +268,12 @@ def lex_words(n: int) -> list[Word]:
 
 
 def words_of(mask: int, n: int) -> list[Word]:
-    """The words of S_n whose lex index has its bit set in mask, in lex order."""
-    return [w for i, w in enumerate(lex_words(n)) if mask >> i & 1]
+    """The words of S_n whose lex index has its bit set in mask, in lex order.
+    From n = 7 on the mask's binary digits are read once, rather than the
+    whole mask shifted once per word."""
+    if n < 7:
+        return [w for i, w in enumerate(lex_words(n)) if mask >> i & 1]
+    return list(itertools.compress(lex_words(n), map(int, reversed(bin(mask)[2:]))))
 
 
 def _adjacent_subsets(adj: frozenset[int], k: int, n: int) -> list[tuple[int, ...]]:

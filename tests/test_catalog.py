@@ -12,7 +12,7 @@ from permlab.catalog import (
     match_tables,
 )
 from permlab.census import avoid_all, class_avoiders, class_matchers
-from permlab.core import cycle_type, identity, s_n
+from permlab.core import cycle_type, s_n
 from permlab.pattern import pattern
 from conftest import lis_length
 
@@ -85,14 +85,14 @@ class TestCycleFamilies:
 class TestRunFamilies:
     def test_classical_run_equals_lis_bound(self):
         for k in range(1, 5):
-            pat = pattern(identity(k))
+            pat = pattern(tuple(range(1, k + 1)))
             for n in range(0, 7):
                 got = len(avoid_all([pat], n))
                 want = sum(1 for w in s_n(n) if lis_length(w) < k)
                 assert got == want, (k, n)
 
     def test_classical_catalan(self):
-        pat = pattern(identity(3))
+        pat = pattern(tuple(range(1, 4)))
         got = [len(avoid_all([pat], n)) for n in range(1, 8)]
         assert got == [1, 2, 5, 14, 42, 132, 429]
 
@@ -100,7 +100,7 @@ class TestRunFamilies:
         # (12..k, {1..k-1}, {}) matches on a run of k consecutive positions
         # in increasing order.
         for k in (2, 3):
-            pat = pattern(identity(k), x=range(1, k))
+            pat = pattern(tuple(range(1, k + 1)), x=range(1, k))
             for n in range(1, 7):
                 got = avoid_all([pat], n)
                 want = [
@@ -115,7 +115,7 @@ class TestRunFamilies:
         # (12..k, {}, {1..k-1}) matches on k consecutive values appearing in
         # increasing position order.
         for k in (2, 3):
-            pat = pattern(identity(k), y=range(1, k))
+            pat = pattern(tuple(range(1, k + 1)), y=range(1, k))
             for n in range(1, 7):
                 got = avoid_all([pat], n)
                 want = [
@@ -131,7 +131,7 @@ class TestRunFamilies:
         # plain avoiders at every checked degree: avoidance is constant on
         # Knuth classes for this family.
         for k in (3, 4):
-            pat = pattern(identity(k), y=range(1, k))
+            pat = pattern(tuple(range(1, k + 1)), y=range(1, k))
             for n in range(1, 7):
                 a = avoid_all([pat], n)
                 b = class_avoiders([pat], "knuth", n, want_members=True).members
@@ -143,7 +143,7 @@ class TestRunFamilies:
         # inspection rather than asserted.
         lines = []
         for k in (2, 3):
-            pat = pattern(identity(k), y=range(k))
+            pat = pattern(tuple(range(1, k + 1)), y=range(k))
             for n in range(1, 7):
                 got = len(avoid_all([pat], n))
                 guess = math.factorial(n) - math.factorial(n) // math.factorial(k) if n >= k else 0

@@ -27,11 +27,11 @@ from permlab.census import (
     stability,
     survey,
 )
-from permlab.arith import sigma_arith
+from permlab.arith import natural_perms, sigma_arith
 from permlab.core import s_n
 from permlab import generate
-from permlab.generate import occurrence_masks
 from permlab.pattern import all_patterns, pattern
+from permlab.relations import RELATIONS, census, check_budget
 
 
 #: Three increasing letters at consecutive positions.
@@ -68,6 +68,27 @@ def test_package_root_names_are_modules():
     # The package exports no function under a module's name.
     assert inspect.ismodule(permlab.census) and inspect.ismodule(permlab.pattern)
     assert permlab.census is census_module
+
+
+_231 = pattern((2, 3, 1))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: plain_avoiders([_231], -1), id="plain_avoiders"),
+    pytest.param(lambda: plain_matchers([_231], -1, want_members=True), id="plain_matchers"),
+    pytest.param(lambda: avoid_all([_231], -2), id="avoid_all"),
+    pytest.param(lambda: match_all([], -2), id="match_all"),
+    pytest.param(lambda: survey("conjugacy", 1, n_range=[-2, 1]), id="survey"),
+    pytest.param(lambda: check_budget(-1, 0), id="check_budget"),
+    pytest.param(lambda: natural_perms(-1), id="natural_perms"),
+    *[pytest.param(lambda rel=rel: census(rel, -1, budget=0), id=f"census-{rel.name}")
+      for rel in RELATIONS.values()],
+])
+def test_negative_degree_rejected(call):
+    # As `TestClassClosed.test_negative_degree` for the class-closed calls:
+    # refused before any budget test or work.
+    with pytest.raises(ValueError, match=r"^degree -[12] is negative$"):
+        call()
 
 
 class TestClassClosed:
@@ -285,39 +306,6 @@ class TestGenerationPruning:
         # sequences instead.
         assert len(generate.avoiders([pat], 9)) == want
         assert len(generate.containers([pat], 9)) == math.factorial(9) - want
-
-
-@st.composite
-def _one_length_patterns(draw):
-    k = draw(st.integers(0, 4))
-    return draw(st.lists(_patterns(k, k), min_size=1, max_size=40))
-
-
-class TestOccurrenceMasks:
-    """`occurrence_masks` reads position subsets against a signature memo;
-    the oracle is the conftest signature table, which shares none of its
-    code."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(pats=_one_length_patterns(), n=st.integers(0, 7))
-    # 0 and k in X and in Y; then an occurrence filling all positions and values
-    @example(pats=[pattern((1, 3, 2), x=[0, 3], y=[0, 3]), pattern((1, 3, 2), x=[1])], n=5)
-    @example(pats=[pattern((2, 1), x=[0, 1, 2], y=[0, 1, 2]), pattern((1, 2), y=[2])], n=2)
-    @example(pats=[pattern(()), pattern((), x=[0]), pattern((), y=[0])], n=0)  # k = 0
-    @example(pats=[pattern(()), pattern((), x=[0]), pattern((), y=[0])], n=3)
-    @example(pats=[pattern((2, 4, 1, 3)), pattern((1, 2, 3, 4), x=[4])], n=3)  # k > n
-    def test_against_engine(self, pats, n):
-        masks = list(occurrence_masks(pats, n))
-        assert len(masks) == math.factorial(n)
-        want = [occurrence_mask(pat, n) for pat in pats]
-        for idx, (w, mask) in enumerate(zip(s_n(n), masks)):
-            assert [mask >> i & 1 for i in range(len(pats))] == [
-                occurs >> idx & 1 for occurs in want], w
-            assert mask >> len(pats) == 0
-
-    def test_rejects_mixed_lengths(self):
-        with pytest.raises(ValueError):
-            list(occurrence_masks([pattern((1, 2)), pattern((1,))], 3))
 
 
 RELATION_NAMES = ("conjugacy", "order", "knuth", "toric", "descent")

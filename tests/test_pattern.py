@@ -1,6 +1,7 @@
 """Occurrence test and pattern algebra."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from permlab.pattern import (
     avoids,
     format_pattern,
     matches,
+    occurrence_masks,
     occurrences,
     parse_pattern,
     pat_complement,
@@ -102,8 +104,8 @@ class TestEngineAgainstOracle:
 
 
 @st.composite
-def _table_patterns(draw):
-    k = draw(st.integers(0, TABLE_K))
+def _table_patterns(draw, min_k: int = 0, max_k: int = TABLE_K):
+    k = draw(st.integers(min_k, max_k))
     p = tuple(draw(st.permutations(list(range(1, k + 1)))))
     return pattern(p, x=draw(st.sets(st.integers(0, k))), y=draw(st.sets(st.integers(0, k))))
 
@@ -146,6 +148,39 @@ class TestConstructionOracle:
     def test_length4_sample_s7(self):
         for pat in itertools.islice(all_patterns(4), 0, None, 97):
             assert construction_mask(pat, 7) == occurrence_mask(pat, 7), str(pat)
+
+
+@st.composite
+def _one_length_patterns(draw):
+    k = draw(st.integers(0, TABLE_K))
+    return draw(st.lists(_table_patterns(k, k), min_size=1, max_size=40))
+
+
+class TestOccurrenceMasks:
+    """`occurrence_masks` reads position subsets against a signature memo;
+    the oracle is the conftest signature table, which shares none of its
+    code."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pats=_one_length_patterns(), n=st.integers(0, 7))
+    # 0 and k in X and in Y; then an occurrence filling all positions and values
+    @example(pats=[pattern((1, 3, 2), x=[0, 3], y=[0, 3]), pattern((1, 3, 2), x=[1])], n=5)
+    @example(pats=[pattern((2, 1), x=[0, 1, 2], y=[0, 1, 2]), pattern((1, 2), y=[2])], n=2)
+    @example(pats=[pattern(()), pattern((), x=[0]), pattern((), y=[0])], n=0)  # k = 0
+    @example(pats=[pattern(()), pattern((), x=[0]), pattern((), y=[0])], n=3)
+    @example(pats=[pattern((2, 4, 1, 3)), pattern((1, 2, 3, 4), x=[4])], n=3)  # k > n
+    def test_against_engine(self, pats, n):
+        masks = list(occurrence_masks(pats, n))
+        assert len(masks) == math.factorial(n)
+        want = [occurrence_mask(pat, n) for pat in pats]
+        for idx, (w, mask) in enumerate(zip(s_n(n), masks)):
+            assert [mask >> i & 1 for i in range(len(pats))] == [
+                occurs >> idx & 1 for occurs in want], w
+            assert mask >> len(pats) == 0
+
+    def test_rejects_mixed_lengths(self):
+        with pytest.raises(ValueError):
+            list(occurrence_masks([pattern((1, 2)), pattern((1,))], 3))
 
 
 class TestEmptyPattern:

@@ -124,7 +124,10 @@ def _closed_result(avoid: bool, pats, relation: Relation | str, n: int, want_mem
         for pat in pats:
             touched.update(map(rel.key, other([pat], n)))
         count = total - sum(rel.class_size(n, k) for k in touched)
-        class_count = census(rel, n, budget=budget).class_count - len(touched)
+        # One descent class per subset of 1..n-1: no census need be built.
+        classes = (2 ** max(n - 1, 0) if rel.name == "descent"
+                   else census(rel, n, budget=budget).class_count)
+        class_count = classes - len(touched)
         members = None
     return EnumerationResult("class-avoid" if avoid else "class-match", rel.name, pats, n,
                              count, class_count, members)

@@ -5,8 +5,8 @@ the permutations are grown one absolute value at a time, smallest letter
 first, so they come out in lex order. Every constraint can be decided on a
 prefix (values are absolute, and k in X only means the last slot sits at
 position n), so an occurrence in a prefix persists in each of its
-completions. Each new letter is checked by the pattern's plan, the one
-`matches` runs, in one of two ways:
+completions. Each new letter is checked by the pattern's kernel, the
+compiled plan `matches` runs, in one of two ways:
 
 - A position-free pattern, of length k >= 2 whose last slot L is neither
   chained to the slot before it nor pinned to position n, is checked for
@@ -25,10 +25,12 @@ completions. Each new letter is checked by the pattern's plan, the one
 This is the generating-tree method of J. West (Discrete Math. 157, 1996)
 applied to bivincular patterns.
 
-The walks are module-level recursive functions with explicit arguments: a
-nested function calling itself would form a reference cycle that keeps each
-call's result alive until the cyclic garbage collector runs. Each call takes
-the bitmask of the values not yet placed, which a gap test reads.
+Past the horizon, the last position where a check can end, every completion
+is kept: the loop keeping a child there emits them. The walks are
+module-level recursive functions with explicit arguments: a nested function
+calling itself would form a reference cycle that keeps each call's result
+alive until the cyclic garbage collector runs. Each call takes the bitmask of
+the values not yet placed, which a gap test reads.
 """
 
 from __future__ import annotations
@@ -38,13 +40,7 @@ from math import factorial
 from typing import Iterable
 
 from .core import Word
-from .pattern import BivincularPattern, _check, _empty_pattern_occurs, _ends_at
-
-
-def _checks(pats: tuple[BivincularPattern, ...], n: int) -> list[tuple]:
-    """The search (`pattern._check`) of each pattern that can occur in a
-    word of length n."""
-    return [check for check in (_check(pat, n) for pat in pats) if check]
+from .pattern import BivincularPattern, _check, _empty_pattern_occurs
 
 
 class _OverCap(Exception):
@@ -59,9 +55,9 @@ def avoiders(pats: Iterable[BivincularPattern], n: int,
     Prefixes are extended one letter at a time, smallest letter first. A
     child is dropped as soon as a position-free pattern occurs in every
     completion of it (see the module docstring), or an occurrence of any
-    other pattern ends at its new letter. Past the last position where a
-    check can end, every completion is kept. A capped walk stops as soon as
-    the words it would emit pass the cap.
+    other pattern ends at its new letter. Past the horizon every completion
+    is kept. A capped walk stops as soon as the words it would emit pass the
+    cap.
 
     >>> from permlab.pattern import pattern
     >>> avoiders([pattern((2, 3, 1))], 3)
@@ -72,10 +68,12 @@ def avoiders(pats: Iterable[BivincularPattern], n: int,
     pats = tuple(pats)
     if any(pat.k == 0 and _empty_pattern_occurs(pat, n) for pat in pats):
         return []
-    checks = _checks(pats, n)
-    live_at = [[(tail, vals, letter) for first, last, tail, vals, letter in checks
+    checks = [check for pat in pats if (check := _check(pat, n))]
+    if not checks:
+        return None if cap is not None and factorial(n) > cap else list(permutations(range(1, n + 1)))
+    live_at = [[(ends_at, letter) for first, last, ends_at, letter in checks
                 if first <= m <= last] for m in range(n + 1)]
-    horizon = max((last for _, last, _, _, _ in checks), default=0)
+    horizon = max(last for _, last, _, _ in checks)
     out: list[Word] = []
     try:
         _grow_avoiders(live_at, horizon, [], [0] * (n + 2), list(range(1, n + 1)), (2 << n) - 2,
@@ -90,21 +88,22 @@ def _grow_avoiders(live_at, horizon: int, prefix: list[int], posv: list[int],
     """`rest` has the bits of the unplaced values, `free`. The new letter
     never lies in a window for L, so each child's gap test reads it."""
     m = len(prefix) + 1
-    if m > horizon:
-        if cap is not None and len(out) + factorial(len(free)) > cap:
-            raise _OverCap
-        out.extend(map(tuple(prefix).__add__, permutations(free)))
-        return
+    top = m + len(free)  # n + 1
     live = live_at[m]
     for i, v in enumerate(free):
         prefix.append(v)
         posv[v] = m
-        for tail, vals, letter in live:
-            if (not letter or letter == v) and _ends_at(tail, m, prefix, posv, vals, rest):
+        for ends_at, letter in live:
+            if (not letter or letter == v) and ends_at(m, prefix, posv, top, rest):
                 break
         else:
-            _grow_avoiders(live_at, horizon, prefix, posv, free[:i] + free[i + 1:], rest ^ 1 << v,
-                           out, cap)
+            left = free[:i] + free[i + 1:]
+            if m < horizon:
+                _grow_avoiders(live_at, horizon, prefix, posv, left, rest ^ 1 << v, out, cap)
+            elif cap is not None and len(out) + factorial(len(left)) > cap:
+                raise _OverCap
+            else:
+                out.extend(map(tuple(prefix).__add__, permutations(left)))
         prefix.pop()
         posv[v] = 0
 
@@ -131,11 +130,11 @@ def containers(pats: Iterable[BivincularPattern], n: int,
     pats = tuple(pats)
     if any(pat.k == 0 and not _empty_pattern_occurs(pat, n) for pat in pats):
         return []
-    checks = _checks(pats, n)
+    checks = [check for pat in pats if (check := _check(pat, n))]
     if len(checks) < sum(pat.k > 0 for pat in pats):
         return []
     out: list[Word] = []
-    until = min((last for _, last, _, _, _ in checks), default=n)
+    until = min((last for _, last, _, _ in checks), default=n)
     try:
         _grow_containers(tuple(checks), until, [], [0] * (n + 2), list(range(1, n + 1)),
                          (2 << n) - 2, out, cap)
@@ -155,14 +154,15 @@ def _grow_containers(needed, until: int, prefix: list[int], posv: list[int], fre
         out.extend(map(tuple(prefix).__add__, permutations(free)))
         return
     m = len(prefix) + 1
+    top = m + len(free)  # n + 1
     for i, v in enumerate(free):
         prefix.append(v)
         posv[v] = m
         left = needed
         for check in needed:
-            first, last, tail, vals, letter = check
-            if first <= m <= last and (not letter or letter == v) and _ends_at(
-                    tail, m, prefix, posv, vals, rest):
+            first, last, ends_at, letter = check
+            if first <= m <= last and (not letter or letter == v) and ends_at(
+                    m, prefix, posv, top, rest):
                 left = tuple(c for c in left if c is not check)
         reach = until if left is needed else min((c[1] for c in left), default=m + 1)
         if reach > m:

@@ -16,8 +16,10 @@ A pattern is compiled once, into a plan (`_tail`) that finds an occurrence
 ending at a given position m. The last slot and the slots chained to it by X
 are pinned to the positions before m; the others are searched left to right.
 Y partitions the ranks into runs of consecutive values, and once one rank of
-a run is placed every other rank's value is known. One plan serves both
-callers: `matches` tries each end position of a whole word, and the walks of
+a run is placed every other rank's value is known. Each distinct plan is
+compiled once more, into a kernel (`_kernel`): a Python function of nested
+loops with the plan's constants inlined. One kernel serves both callers:
+`matches` tries each end position of a whole word, and the walks of
 `permlab.generate` try the newest letter of each prefix they grow.
 `occurrences` lists the position subsets whose signature (standardized
 letters, X-set and Y-set) admits the pattern, and a survey's
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Word, check_perm, complement, format_perm, inverse, oplus, parse_perm, reverse
 from .errors import ParseError
@@ -112,14 +114,14 @@ def _bits(members: Iterable[int]) -> int:
 class _Tail:
     """Plan for finding an occurrence whose last slot sits at a given position.
 
-    Values are held in a per-search list: index 0 is the virtual rank 0 (value
-    0), index 1 the virtual rank k+1 (value n+1), and index 2+j the value of
-    the j-th slot placed. The slots are placed in this order: first the last
-    slot and the slots chained to it by X, each pinned to a known position
-    counted back from the end, then the remaining slots left to right. Each
-    step names the values bounding it from below and above (the nearest ranks
-    already placed) and, when its Y-run already holds a placed rank, the value
-    it is offset from (ref, or -1) and by how much (delta).
+    Values are numbered: 0 is the virtual rank 0 (value 0), 1 the virtual
+    rank k+1 (value n+1), and 2+j the value of the j-th slot placed. The
+    slots are placed in this order: first the last slot and the slots
+    chained to it by X, each pinned to a known position counted back from
+    the end, then the remaining slots left to right. Each step names the
+    values bounding it from below and above (the nearest ranks already
+    placed) and, when its Y-run already holds a placed rank, the value it is
+    offset from (ref, or -1) and by how much (delta).
 
     A gap plan is for a position-free pattern: k >= 2 and its last slot L is
     neither chained to the slot before it nor pinned to position n. Its
@@ -172,86 +174,82 @@ def _tail(pat: BivincularPattern) -> _Tail:
     )
 
 
-def _check(pat: BivincularPattern, n: int) -> tuple[int, int, _Tail, list[int], int] | None:
-    """(first, last, tail, value buffer, letter) for a search of pat in a
-    word of length n, or None when pat, of length k >= 1, cannot occur there.
-    The search can end at the positions first..last: where an occurrence
-    ends or, for a gap plan, where its first k-1 slots end. `letter` is the
-    value the last slot searched in the prefix must take, or 0 when it is
-    free."""
+def _check(pat: BivincularPattern, n: int) -> tuple[int, int, Callable[..., bool], int] | None:
+    """(first, last, kernel, letter) for a search of pat in a word of length
+    n, or None when pat, of length k >= 1, cannot occur there. The search
+    can end at the positions first..last: where an occurrence ends or, for a
+    gap plan, where its first k-1 slots end. `letter` is the value the last
+    slot searched in the prefix must take, or 0 when it is free."""
     k = pat.k
     if k == 0 or k > n:
         return None
     tail = _tail(pat)
-    first, last = k - tail.gap, n - tail.gap
-    if tail.fixed_start:
-        last = first
-    if tail.at_end:
-        first = n
+    first = n if tail.at_end else k - tail.gap
+    last = k - tail.gap if tail.fixed_start else n - tail.gap
     if first > last or (tail.fills_values and n != k):
         return None
-    vals = [0, n + 1] + [0] * k
     ref, delta = tail.pinned[0][:2]
-    return first, last, tail, vals, vals[ref] + delta if ref >= 0 else 0
+    return first, last, _kernel(tail.pinned, tail.free), (0, n + 1)[ref] + delta if ref >= 0 else 0
 
 
-def _ends_at(tail: _Tail, m: int, prefix: Sequence[int], posv: list[int], vals: list[int],
-             rest: int) -> bool:
-    """True iff an occurrence ends at position m of `prefix`, whose letters
-    are indexed by value in `posv` (0 for a letter not yet placed). For a gap
-    plan: iff an occurrence of all slots but the last ends there and leaves
-    the last slot a value in the bitmask `rest`, so that every completion
-    holds an occurrence. Letters past position m are never read."""
-    j = 2
-    for ref, delta, lo, hi in tail.pinned:
-        v = prefix[m + 1 - j]
-        if (ref >= 0 and v != vals[ref] + delta) or not vals[lo] < v < vals[hi]:
-            return False
-        vals[j] = v
-        j += 1
-    free = tail.free  # a gap plan's last free step takes no position in the prefix
-    return _place_free(free, 0, j, m + 3 + tail.gap - j - len(free), 0, prefix, posv, vals, rest)
+@lru_cache(maxsize=None)
+def _kernel(pinned: tuple, free: tuple) -> Callable[..., bool]:
+    """The plan compiled into `ends_at(m, prefix, posv, top, rest)`: whether
+    an occurrence ends at position m of `prefix` (for a gap plan, one of all
+    slots but the last that leaves the last a value of the bitmask `rest`,
+    so that every completion holds one). `posv` maps the placed letters to
+    their positions and the others to 0; top is n+1. Letters past position m
+    are never read.
 
+    Value j is the local v<j> (values 0 and 1 are 0 and top), p<j> its
+    position. A free step loops over the positions after the last step's
+    unless X chains it or Y links it; a failed test goes on to the innermost
+    loop's next position. The source holds only the plan's integers.
+    """
+    val = ["0", "top"] + [f"v{j}" for j in range(2, 2 + len(pinned) + len(free))]
+    lines = ["def ends_at(m, prefix, posv, top, rest):"]
+    depth, fail, prev = 1, "return False", "0"
 
-def _place_free(free, i: int, j: int, limit: int, prev: int,
-                prefix: Sequence[int], posv: list[int], vals: list[int], rest: int) -> bool:
-    """Place free step i (value index j) right of position `prev` and at most
-    at position limit + i, then the steps after it; past the last step, the
-    occurrence is whole. A gap plan's last step is met when its window holds
-    a value of `rest`."""
-    if i == len(free):
-        return True
-    ref, delta, lo, hi, chain = free[i]
-    lo, hi = vals[lo], vals[hi]
-    top = limit + i
-    if ref >= 0:
-        v = vals[ref] + delta
-        if not lo < v < hi:
-            return False
-        if chain is None:
-            return rest >> v & 1 == 1
-        pos = posv[v]
-        if pos <= prev or pos > top or (chain and pos != prev + 1):
-            return False
-    elif chain:
-        pos = prev + 1
-        if pos > top:
-            return False
-        v = prefix[prev]
-        if not lo < v < hi:
-            return False
-    elif chain is None:
-        return rest & ((1 << hi) - (2 << lo)) != 0
-    else:
-        for pos in range(prev + 1, top + 1):
-            v = prefix[pos - 1]
-            if lo < v < hi:
-                vals[j] = v
-                if _place_free(free, i + 1, j + 1, limit, pos, prefix, posv, vals, rest):
-                    return True
-        return False
-    vals[j] = v
-    return _place_free(free, i + 1, j + 1, limit, pos, prefix, posv, vals, rest)
+    def emit(*new: str) -> None:
+        lines.extend("    " * depth + line for line in new)
+
+    def bounds(j: int, lo: int, hi: int, read: bool = True) -> None:
+        # A letter read from the word lies in 1..n, so 0 and top bound it.
+        cond = [val[lo]] * (lo > 0 or not read) + [val[j]] + [val[hi]] * (hi > 1 or not read)
+        if len(cond) > 1:
+            emit(f"if not {' < '.join(cond)}: {fail}")
+
+    for j, (ref, delta, lo, hi) in enumerate(pinned, start=2):
+        emit(f"v{j} = prefix[m - {j - 1}]")
+        if ref >= 0:
+            emit(f"if v{j} != {val[ref]}{int(delta):+d}: {fail}")
+        bounds(j, lo, hi)
+    after = len(pinned) + sum(chain is not None for *_, chain in free)
+    for j, (ref, delta, lo, hi, chain) in enumerate(free, start=2 + len(pinned)):
+        after -= 1  # the positions of the later steps: this one's is at most m - after
+        if ref >= 0:
+            emit(f"v{j} = {val[ref]}{int(delta):+d}")
+        if chain is None:  # the gap step, last
+            emit(f"if {val[lo]} < v{j} < {val[hi]} and rest >> v{j} & 1: return True" if ref >= 0
+                 else f"if rest & ((1 << {val[hi]}) - (2 << {val[lo]})): return True")
+        elif ref >= 0:
+            bounds(j, lo, hi, False)
+            emit(f"p{j} = posv[v{j}]", f"if p{j} != {prev} + 1 or p{j} > m - {after}: {fail}" if chain
+                 else f"if not {prev} < p{j} <= m - {after}: {fail}")
+        else:
+            if chain:
+                emit(f"p{j} = {prev} + 1", f"if p{j} > m - {after}: {fail}")
+            else:
+                emit(f"for p{j} in range({prev} + 1, m - {after - 1}):")
+                depth, fail = depth + 1, "continue"
+            emit(f"v{j} = prefix[p{j} - 1]")
+            bounds(j, lo, hi)
+        prev = f"p{j}"
+    if not free or free[-1][4] is not None:
+        emit("return True")
+    namespace = {"__builtins__": {"range": range}}
+    exec("\n".join(lines + ["    return False"]), namespace)
+    return namespace.pop("ends_at")
 
 
 def _empty_pattern_occurs(pat: BivincularPattern, n: int) -> bool:
@@ -351,17 +349,12 @@ def matches(pat: BivincularPattern, pi: Sequence[int]) -> bool:
     check = _check(pat, n)
     if check is None:
         return False
-    first, last, tail, vals, _ = check
+    first, last, ends_at, _ = check
     posv = [0] * (n + 1)
     for i, v in enumerate(w, start=1):
         posv[v] = i
-    rest = _bits(w[first:]) if tail.gap else 0  # the letters after position m
-    for m in range(first, last + 1):
-        if _ends_at(tail, m, w, posv, vals, rest):
-            return True
-        if tail.gap:
-            rest ^= 1 << w[m]
-    return False
+    # A gap plan reads the letters after position m.
+    return any(ends_at(m, w, posv, n + 1, _bits(w[m:])) for m in range(first, last + 1))
 
 
 def avoids(pat: BivincularPattern, pi: Sequence[int]) -> bool:

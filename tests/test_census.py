@@ -194,6 +194,17 @@ class TestGenerationAgainstScan:
         assert avoid_all(pats, n) == scan_avoiders(pats, n)
         assert match_all(pats, n) == scan_matchers(pats, n)
 
+    def test_every_adjacency_of_2413(self):
+        # Kernel shapes that length 3 cannot give: pinned chains of two and
+        # three slots, and Y-runs over four ranks.
+        pats = [pattern((2, 4, 1, 3), x=[v for v in range(5) if xs >> v & 1],
+                        y=[v for v in range(5) if ys >> v & 1])
+                for xs in range(32) for ys in range(32)]
+        cases = [(pat, 5) for pat in pats] + [(pat, 6) for pat in random.Random(4).sample(pats, 256)]
+        for pat, n in cases:
+            assert avoid_all([pat], n) == scan_avoiders([pat], n), (str(pat), n)
+            assert match_all([pat], n) == scan_matchers([pat], n), (str(pat), n)
+
     def test_no_reference_cycles(self):
         pats = [pattern((2, 1, 3), y=[1]), pattern((1, 2), x=[0], y=[1, 2])]
         avoid_all(pats, 5), match_all(pats, 5)
@@ -289,10 +300,12 @@ class TestGenerationPruning:
             assert entered <= live, (str(pat), n, sorted(entered - live)[:3])
 
     def test_entered_prefixes_at_nine(self, entered):
-        # The live prefixes of 231 at n = 9; a walk that drops a child only
-        # once an occurrence ends at its new letter enters 51,822.
+        # The 11,934 live prefixes of 231 at n = 9, less the C(9) of length 8:
+        # at the horizon a kept child emits its completion from its parent's
+        # loop, and is not entered. A walk that drops a child only once an
+        # occurrence ends at its new letter enters 51,822 - C(9) = 46,960.
         assert len(generate.avoiders([pattern((2, 3, 1))], 9)) == _catalan(9)
-        assert len(entered) == 11934
+        assert len(entered) == 11934 - _catalan(9) == 7072
 
     @pytest.mark.parametrize("pat, want", [
         (pattern((2, 3, 1)), _catalan(9)),
@@ -432,6 +445,23 @@ class TestClassClosedCountOnly:
         fn = class_avoiders if avoid_mode else class_matchers
         closed = _closed_classes(_words_mask(scan(pats, n), n), class_masks(rel, n))
         assert _counts(fn(pats, rel, n)) == _oracle_triple(closed, n)[:2]
+
+    def test_descent_class_total_builds_no_census(self, monkeypatch):
+        # Past the cap a descent call reads its class total as 2^(n-1), the
+        # number of descent sets, instead of building census(DESCENT, n).
+        pat = pattern((3, 2, 1), x=[0, 1])
+        want = class_avoiders([pat], "descent", 7, want_members=True)
+
+        def no_census(*args, **kwargs):
+            raise AssertionError("census built")
+
+        monkeypatch.setattr(census_module, "census", no_census)
+        with _sides_walked() as sides:
+            got = class_avoiders([pat], "descent", 7)
+        assert sides == [("avoiders", "other")]
+        assert _counts(got) == (want.count, want.class_count)
+        with pytest.raises(permlab.BudgetExceeded):
+            class_avoiders([pat], "descent", 7, budget=6)
 
 
 class TestKnuthMatching:

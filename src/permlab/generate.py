@@ -22,15 +22,29 @@ compiled plan `matches` runs, in one of two ways:
 - Any other pattern is checked for occurrences ending at the letter: the
   last slot is pinned to it, then the other slots are searched to its left.
 
-This is the generating-tree method of J. West (Discrete Math. 157, 1996)
-applied to bivincular patterns.
+A pattern may have a deciding value d (`permlab.pattern._check`): a value
+that every occurrence holds at the slot its kernel pins to the new letter
+or, for a gap plan, at its last slot L, because Y ties that slot to 0 or
+n+1. Once d is placed the pattern is decided for every completion: it
+occurs if the kernel fires there or fired before, and never otherwise.
 
-Past the horizon, the last position where a check can end, every completion
-is kept: the loop keeping a child there emits them. The walks are
-module-level recursive functions with explicit arguments: a nested function
-calling itself would form a reference cycle that keeps each call's result
-alive until the cyclic garbage collector runs. Each call takes the bitmask of
-the values not yet placed, which a gap test reads.
+This is the generating-tree method of J. West (Discrete Math. 157, 1996)
+applied to bivincular patterns (Bousquet-Melou, Claesson, Dukes and Kitaev,
+JCTA 117, 2010), whose value anchors give the deciding values.
+
+One loop, `_grow_open`, walks both sides over the checks still open in a
+prefix. A check closes when its kernel fires, when its deciding value is
+placed without a firing, or at its last position. A firing drops the child
+of an avoider walk and a closure without one drops that of a container
+walk; once no check is open, the loop keeping the child emits its
+completions. Avoider walks whose patterns have no deciding value run the
+leaner `_grow_avoiders`, which reads the kernels live at each position from
+a table and keeps every completion past the last position where a check can
+end. The walks are module-level recursive functions with explicit
+arguments: a nested function calling itself would form a reference cycle
+that keeps each call's result alive until the cyclic garbage collector
+runs. Each call takes the bitmask of the values not yet placed, which a gap
+test reads.
 """
 
 from __future__ import annotations
@@ -55,9 +69,9 @@ def avoiders(pats: Iterable[BivincularPattern], n: int,
     Prefixes are extended one letter at a time, smallest letter first. A
     child is dropped as soon as a position-free pattern occurs in every
     completion of it (see the module docstring), or an occurrence of any
-    other pattern ends at its new letter. Past the horizon every completion
-    is kept. A capped walk stops as soon as the words it would emit pass the
-    cap.
+    other pattern ends at its new letter. Once no pattern can occur any
+    more, every completion is kept. A capped walk stops as soon as the words
+    it would emit pass the cap.
 
     >>> from permlab.pattern import pattern
     >>> avoiders([pattern((2, 3, 1))], 3)
@@ -68,16 +82,48 @@ def avoiders(pats: Iterable[BivincularPattern], n: int,
     pats = tuple(pats)
     if any(pat.k == 0 and _empty_pattern_occurs(pat, n) for pat in pats):
         return []
+    return _walk(True, [check for pat in pats if (check := _check(pat, n))], n, cap)
+
+
+def containers(pats: Iterable[BivincularPattern], n: int,
+               cap: int | None = None) -> list[Word] | None:
+    """The permutations of 1..n containing every pattern, in lex order, or
+    None if there are more than `cap` of them.
+
+    The walk is that of `avoiders` with the roles of the two outcomes
+    swapped: a child is dropped as soon as some pattern can no longer occur
+    in any completion of it, and once every pattern is found, every
+    completion is kept.
+
+    >>> from permlab.pattern import pattern
+    >>> containers([pattern((2, 3, 1))], 3)
+    [(2, 3, 1)]
+    >>> containers([], 3, cap=5) is None
+    True
+    """
+    pats = tuple(pats)
+    if any(pat.k == 0 and not _empty_pattern_occurs(pat, n) for pat in pats):
+        return []
     checks = [check for pat in pats if (check := _check(pat, n))]
+    if len(checks) < sum(pat.k > 0 for pat in pats):
+        return []
+    return _walk(False, checks, n, cap)
+
+
+def _walk(avoid: bool, checks: list, n: int, cap: int | None) -> list[Word] | None:
+    """The words of the avoider (or container) walk over the `_check` tuples
+    of the patterns of length k >= 1, or None once they pass `cap`."""
     if not checks:
         return None if cap is not None and factorial(n) > cap else list(permutations(range(1, n + 1)))
-    live_at = [[(ends_at, letter) for first, last, ends_at, letter in checks
-                if first <= m <= last] for m in range(n + 1)]
-    horizon = max(last for _, last, _, _ in checks)
     out: list[Word] = []
+    start = ([], [0] * (n + 2), list(range(1, n + 1)), (2 << n) - 2, out, cap)
     try:
-        _grow_avoiders(live_at, horizon, [], [0] * (n + 2), list(range(1, n + 1)), (2 << n) - 2,
-                       out, cap)
+        if avoid and not any(decider for *_, decider in checks):
+            live_at = [[(ends_at, letter) for first, last, ends_at, letter, _ in checks
+                        if first <= m <= last] for m in range(n + 1)]
+            _grow_avoiders(live_at, max(check[1] for check in checks), *start)
+        else:
+            _grow_open(avoid, tuple(checks), *start)
     except _OverCap:
         return None
     return out
@@ -85,8 +131,11 @@ def avoiders(pats: Iterable[BivincularPattern], n: int,
 
 def _grow_avoiders(live_at, horizon: int, prefix: list[int], posv: list[int],
                    free: list[int], rest: int, out: list[Word], cap: int | None) -> None:
-    """`rest` has the bits of the unplaced values, `free`. The new letter
-    never lies in a window for L, so each child's gap test reads it."""
+    """The avoider walk of checks without a deciding value: at position m
+    only the kernels in `live_at[m]` run, and past the horizon, the largest
+    `last`, every completion is kept. `rest` has the bits of the unplaced
+    values, `free`. The new letter never lies in a window for L, so each
+    child's gap test reads it."""
     m = len(prefix) + 1
     top = m + len(free)  # n + 1
     live = live_at[m]
@@ -108,66 +157,31 @@ def _grow_avoiders(live_at, horizon: int, prefix: list[int], posv: list[int],
         posv[v] = 0
 
 
-def containers(pats: Iterable[BivincularPattern], n: int,
-               cap: int | None = None) -> list[Word] | None:
-    """The permutations of 1..n containing every pattern, in lex order: S_n
-    minus the union of the patterns' avoider sets. None if there are more
-    than `cap` of them.
-
-    The walk is that of `avoiders`, keeping per prefix the patterns not yet
-    found in it. A position-free pattern counts as found as soon as every
-    completion holds it, and any other once an occurrence ends at the new
-    letter. A prefix in which all are found contributes every completion,
-    and one holding a pattern whose search can no longer end anywhere is
-    dropped.
-
-    >>> from permlab.pattern import pattern
-    >>> containers([pattern((2, 3, 1))], 3)
-    [(2, 3, 1)]
-    >>> containers([], 3, cap=5) is None
-    True
-    """
-    pats = tuple(pats)
-    if any(pat.k == 0 and not _empty_pattern_occurs(pat, n) for pat in pats):
-        return []
-    checks = [check for pat in pats if (check := _check(pat, n))]
-    if len(checks) < sum(pat.k > 0 for pat in pats):
-        return []
-    out: list[Word] = []
-    until = min((last for _, last, _, _ in checks), default=n)
-    try:
-        _grow_containers(tuple(checks), until, [], [0] * (n + 2), list(range(1, n + 1)),
-                         (2 << n) - 2, out, cap)
-    except _OverCap:
-        return None
-    return out
-
-
-def _grow_containers(needed, until: int, prefix: list[int], posv: list[int], free: list[int],
-                     rest: int, out: list[Word], cap: int | None) -> None:
-    """`needed` holds the checks of the patterns not yet found in `prefix`;
-    past position `until`, the search of one of them can no longer end.
-    `rest` is as in `_grow_avoiders`."""
-    if not needed:
-        if cap is not None and len(out) + factorial(len(free)) > cap:
-            raise _OverCap
-        out.extend(map(tuple(prefix).__add__, permutations(free)))
-        return
+def _grow_open(avoid: bool, checks: tuple, prefix: list[int], posv: list[int],
+               free: list[int], rest: int, out: list[Word], cap: int | None) -> None:
+    """The walk of either side (see the module docstring) over the checks
+    still open in `prefix`. `rest` is as in `_grow_avoiders`."""
     m = len(prefix) + 1
     top = m + len(free)  # n + 1
     for i, v in enumerate(free):
         prefix.append(v)
         posv[v] = m
-        left = needed
-        for check in needed:
-            first, last, ends_at, letter = check
-            if first <= m <= last and (not letter or letter == v) and ends_at(
-                    m, prefix, posv, top, rest):
-                left = tuple(c for c in left if c is not check)
-        reach = until if left is needed else min((c[1] for c in left), default=m + 1)
-        if reach > m:
-            _grow_containers(left, reach, prefix, posv, free[:i] + free[i + 1:], rest ^ 1 << v,
-                             out, cap)
+        pending = checks
+        for check in checks:
+            first, last, ends_at, letter, decider = check
+            fired = first <= m <= last and (not letter or letter == v) and ends_at(
+                m, prefix, posv, top, rest)
+            if fired or v == decider or m >= last:
+                if fired == avoid:
+                    break
+                pending = tuple(c for c in pending if c is not check)
+        else:
+            left = free[:i] + free[i + 1:]
+            if pending:
+                _grow_open(avoid, pending, prefix, posv, left, rest ^ 1 << v, out, cap)
+            elif cap is not None and len(out) + factorial(len(left)) > cap:
+                raise _OverCap
+            else:
+                out.extend(map(tuple(prefix).__add__, permutations(left)))
         prefix.pop()
         posv[v] = 0
-

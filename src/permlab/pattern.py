@@ -174,12 +174,19 @@ def _tail(pat: BivincularPattern) -> _Tail:
     )
 
 
-def _check(pat: BivincularPattern, n: int) -> tuple[int, int, Callable[..., bool], int] | None:
-    """(first, last, kernel, letter) for a search of pat in a word of length
-    n, or None when pat, of length k >= 1, cannot occur there. The search
-    can end at the positions first..last: where an occurrence ends or, for a
-    gap plan, where its first k-1 slots end. `letter` is the value the last
-    slot searched in the prefix must take, or 0 when it is free."""
+def _check(pat: BivincularPattern, n: int) -> tuple[int, int, Callable[..., bool], int, int] | None:
+    """(first, last, kernel, letter, decider) for a search of pat in a word
+    of length n, or None when pat, of length k >= 1, cannot occur there. The
+    search can end at the positions first..last: where an occurrence ends
+    or, for a gap plan, where its first k-1 slots end. `letter` is the value
+    the last slot searched in the prefix must take, or 0 when it is free.
+
+    `decider` is the deciding value, or 0 if there is none: `letter`, or
+    else the value of a gap plan's last slot L when Y ties it to 0 or n+1.
+    Every occurrence holds it at the slot its kernel pins or, for L, after
+    the position where the kernel found the rest of the occurrence; so once
+    it is placed at position m, pat occurs in every completion if the kernel
+    fires at m or fired before, and in none otherwise."""
     k = pat.k
     if k == 0 or k > n:
         return None
@@ -189,7 +196,10 @@ def _check(pat: BivincularPattern, n: int) -> tuple[int, int, Callable[..., bool
     if first > last or (tail.fills_values and n != k):
         return None
     ref, delta = tail.pinned[0][:2]
-    return first, last, _kernel(tail.pinned, tail.free), (0, n + 1)[ref] + delta if ref >= 0 else 0
+    letter = (0, n + 1)[ref] + delta if ref >= 0 else 0
+    gref, gdelta = tail.free[-1][:2] if tail.gap else (-1, 0)
+    decider = letter or ((0, n + 1)[gref] + gdelta if 0 <= gref <= 1 else 0)
+    return first, last, _kernel(tail.pinned, tail.free), letter, decider
 
 
 @lru_cache(maxsize=None)
@@ -349,7 +359,7 @@ def matches(pat: BivincularPattern, pi: Sequence[int]) -> bool:
     check = _check(pat, n)
     if check is None:
         return False
-    first, last, ends_at, _ = check
+    first, last, ends_at, *_ = check
     posv = [0] * (n + 1)
     for i, v in enumerate(w, start=1):
         posv[v] = i

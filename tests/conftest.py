@@ -42,24 +42,28 @@ from permlab.tableau import Rows, Shape, knuth_class, partitions, shape_of
 
 
 def oracle_occurrences(pat: BivincularPattern, w: Word) -> list[tuple[int, ...]]:
-    """Occurrences by brute filter: every position subset of size k, checked
-    against the order-isomorphism and both adjacency rules with the boundary
-    conventions i0 = j0 = 0 and i_{k+1} = j_{k+1} = n+1."""
+    """Occurrences by brute filter: every position subset of size k whose
+    letters standardize to p, checked against both adjacency rules with the
+    boundary conventions i0 = j0 = 0 and i_{k+1} = j_{k+1} = n+1."""
+    return [comb for comb, ei, js in _subsets_by_std(tuple(w), pat.k).get(pat.p, ())
+            if not any(ei[x + 1] != ei[x] + 1 for x in pat.x)
+            and not any(js[y + 1] != js[y] + 1 for y in pat.y)]
+
+
+@functools.lru_cache(maxsize=4096)
+def _subsets_by_std(w: Word, k: int) -> dict[Word, list[tuple[Word, Word, Word]]]:
+    """The k-subsets of the positions of w, 1-based and in lex order, grouped
+    by the standardization of their letters. Each comes with its extended
+    positions (0, i_1, ..., i_k, n+1) and extended sorted values
+    (0, j_1, ..., j_k, n+1), so that a word's subsets are read once for all
+    the patterns put to it."""
     n = len(w)
-    k = pat.k
-    out = []
+    out: dict[Word, list[tuple[Word, Word, Word]]] = {}
     for comb in itertools.combinations(range(1, n + 1), k):
         vals = tuple(w[i - 1] for i in comb)
         ranks = sorted(vals)
-        if tuple(ranks.index(v) + 1 for v in vals) != pat.p:
-            continue
-        ei = (0,) + comb + (n + 1,)
-        if any(ei[x + 1] != ei[x] + 1 for x in pat.x):
-            continue
-        js = (0,) + tuple(ranks) + (n + 1,)
-        if any(js[y + 1] != js[y] + 1 for y in pat.y):
-            continue
-        out.append(comb)
+        std = tuple(ranks.index(v) + 1 for v in vals)
+        out.setdefault(std, []).append((comb, (0, *comb, n + 1), (0, *ranks, n + 1)))
     return out
 
 

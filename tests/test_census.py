@@ -5,7 +5,7 @@ import inspect
 import math
 import random
 from contextlib import contextmanager
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -190,6 +190,10 @@ class TestGenerationAgainstScan:
     @example(pats=[pattern((2, 1), y=[0])], n=6)                        # one value
     @example(pats=[pattern((2, 3, 1), x=[0, 1])], n=7)                  # all but the last slot fixed
     @example(pats=[pattern((2, 4, 1, 3), y=[3])], n=6)                  # a value link among four ranks
+    @example(pats=[pattern((2, 3, 1), y=[0]), pattern((2, 4, 1, 3))], n=7)  # a deciding value, and none
+    @example(pats=[pattern((2, 1), x=[1], y=[0, 2]), pattern((1, 3, 2), x=[3], y=[0, 1, 3])],
+             n=7)                                                       # two deciding values
+    @example(pats=[pattern((1, 3, 2), x=[3], y=[1, 2, 3])], n=6)        # decided before position n
     def test_random_pattern_sets(self, pats, n):
         assert avoid_all(pats, n) == scan_avoiders(pats, n)
         assert match_all(pats, n) == scan_matchers(pats, n)
@@ -229,6 +233,11 @@ class TestCappedWalk:
         cases += [([pat], n) for pat in rng.sample(threes, 40) for n in (5, 6)]
         cases += [(rng.sample(threes, 2), n) for n in (4, 6) for _ in range(20)]
         cases += [([], n) for n in range(5)]
+        # A deciding value with a pattern that has none, two deciding values,
+        # and one mostly placed before the only position its kernel runs at.
+        cases += [([pattern((2, 3, 1), y=[0]), pattern((2, 4, 1, 3))], 7),
+                  ([pattern((2, 1), x=[1], y=[0, 2]), pattern((1, 3, 2), x=[3], y=[0, 1, 3])], 7),
+                  ([pattern((1, 3, 2), x=[3], y=[1, 2, 3])], 6)]
         return cases
 
     @pytest.mark.parametrize("walk", [generate.avoiders, generate.containers])
@@ -278,15 +287,15 @@ class TestGenerationPruning:
 
     @pytest.fixture
     def entered(self, monkeypatch):
-        """The prefixes the avoider walk enters, recorded as it goes."""
+        """The prefixes the walks enter, recorded as they go. Every walk
+        function takes the prefix as its third argument."""
         seen: set = set()
-        grow = generate._grow_avoiders
+        for name in [name for name in vars(generate) if name.startswith("_grow_")]:
+            def record(*args, grow=getattr(generate, name)):
+                seen.add(tuple(args[2]))
+                return grow(*args)
 
-        def record(live_at, horizon, prefix, *rest):
-            seen.add(tuple(prefix))
-            return grow(live_at, horizon, prefix, *rest)
-
-        monkeypatch.setattr(generate, "_grow_avoiders", record)
+            monkeypatch.setattr(generate, name, record)
         return seen
 
     def test_no_dead_prefix_entered(self, entered):
@@ -298,6 +307,9 @@ class TestGenerationPruning:
             found = generate.avoiders([pat], n)
             live = {w[:m] for w in found for m in range(n + 1)}
             assert entered <= live, (str(pat), n, sorted(entered - live)[:3])
+            # Only a pattern that occurs in no word of S_n is decided without
+            # a walk, so an empty record cannot pass the check above unseen.
+            assert entered or len(found) == math.factorial(n), (str(pat), n)
 
     def test_entered_prefixes_at_nine(self, entered):
         # The 11,934 live prefixes of 231 at n = 9, less the C(9) of length 8:
@@ -306,6 +318,49 @@ class TestGenerationPruning:
         # occurrence ends at its new letter enters 51,822 - C(9) = 46,960.
         assert len(generate.avoiders([pattern((2, 3, 1))], 9)) == _catalan(9)
         assert len(entered) == 11934 - _catalan(9) == 7072
+
+    @pytest.mark.parametrize("walk", [generate.avoiders, generate.containers])
+    def test_entered_prefixes_of_a_deciding_gap_plan(self, entered, walk):
+        # Every occurrence of 231;y=0 puts the value 1 at its last slot, so
+        # the pattern is decided once 1 is placed: it occurs iff an ascent
+        # came before. Both walks decide that child in its parent's loop, and
+        # a prefix without 1 that has an ascent also decides it, so the
+        # entered prefixes are the decreasing words over {2..8}, one per
+        # subset. The full one is not entered either: at position 7 the
+        # check passes its last position, n - 1. 2^7 - 1 = 127.
+        walk([pattern((2, 3, 1), y=[0])], 8)
+        want = {tuple(sorted(s, reverse=True))
+                for m in range(7) for s in combinations(range(2, 9), m)}
+        assert entered == want and len(want) == 2 ** 7 - 1
+
+    @pytest.mark.parametrize("walk", [generate.avoiders, generate.containers])
+    def test_entered_prefixes_of_a_deciding_pinned_plan(self, entered, walk):
+        # An occurrence of 132;x=3;y=0,1,3 is 1, then 8, then 2 at position
+        # 8, so the pattern is decided once 2 is placed: by the kernel when
+        # 2 is placed at position 8, and as absent when it is placed earlier,
+        # where the kernel does not run. Until then nothing decides it, so
+        # the entered prefixes are the words over the 7 values other than 2
+        # of length 0..7: sum of 7!/(7 - m)! over m = 0..7 = 13,700.
+        walk([pattern((1, 3, 2), x=[3], y=[0, 1, 3])], 8)
+        want = {w for m in range(8) for w in permutations((1, 3, 4, 5, 6, 7, 8), m)}
+        assert entered == want and len(want) == 13700
+
+    @pytest.mark.parametrize("pat, calls", [
+        (pattern((2, 3, 1)), 572),
+        (pattern((2, 4, 1, 3)), 2464),
+        (pattern((2, 1, 3), y=[1]), 1232),
+    ])
+    def test_container_walk_enters_the_avoider_walks_prefixes(self, entered, pat, calls):
+        # A pattern without a deciding value is found in a prefix when the
+        # avoider walk would drop it, and ruled out past its last position,
+        # where the avoider walk keeps it. Both walks keep or drop such a
+        # child in its parent's loop, so they enter the same prefixes: those
+        # in which the pattern is still open.
+        generate.containers([pat], 7)
+        found = set(entered)
+        entered.clear()
+        generate.avoiders([pat], 7)
+        assert found == entered and len(entered) == calls
 
     @pytest.mark.parametrize("pat, want", [
         (pattern((2, 3, 1)), _catalan(9)),
@@ -473,7 +528,7 @@ class TestKnuthMatching:
     def test_member_characterization(self):
         # Every member starts with n-1 and the rest, read as a word, has no
         # increasing triple.
-        from itertools import permutations
+        from itertools import combinations, permutations
 
         from conftest import lis_length
 
@@ -491,7 +546,7 @@ class TestKnuthMatching:
 
 class TestStability:
     def test_classical_length3_knuth_stable(self):
-        from itertools import permutations
+        from itertools import combinations, permutations
 
         for p in permutations((1, 2, 3)):
             rep = stability(pattern(p), "knuth", 6)

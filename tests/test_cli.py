@@ -1,6 +1,7 @@
 """Command-line surface: verbs, emit formats, exit codes, determinism."""
 
 import gc
+import hashlib
 import json
 
 import pytest
@@ -216,6 +217,38 @@ class TestSurvey:
         code, out, err = run_err(capsys, "survey", "--relation", "toric", "--length", length)
         assert (code, out) == (2, "")
         assert err == f"permlab: pattern length must be at least 0, not {length}\n"
+
+    # sha256 of the stdout of `survey --relation REL --length K --n-max 5
+    # --emit EMIT [--merge-shift]`, frozen from the survey that reduced rows
+    # by building every symmetry image as a pattern.
+    GOLDEN = [
+        ("conjugacy", 1, "csv", False, "d0f5013b7ef2e2cb2bef1ce69e9a179de4e9899fd73a3e20b3e8489a716d3c5d"),
+        ("conjugacy", 2, "csv", False, "ab8849c53d0e1eede9925701ab4e36fc7d2c0dc84a06207f82bb66386e21bc45"),
+        ("conjugacy", 3, "csv", False, "09770d363fb7c63bff3ac1fb31cbd1abf264b92cb82c64740ff723d08085a078"),
+        ("descent", 1, "csv", False, "382365d1cbf560d5b0a1f2a7c8e31ef8914bcc5dbead5acf9e1a9c351a3d1a13"),
+        ("descent", 2, "csv", False, "c62c341a290a67d781ccf859830734ccd4a664214b96e925591f4a05a099dad7"),
+        ("descent", 3, "csv", False, "39f2739b225fae821ad7eedfecbf13b48bfa4e58dda31868990aeebc0176c0f7"),
+        ("knuth", 1, "csv", False, "9b575832cc44962a4baad26eca47db15ea983b9b43c8ba3325243d0e4be7ad56"),
+        ("knuth", 2, "csv", False, "eedc383843b8f9788923713e3a7e3d2eee12f165002fa1905d05d3340439bec1"),
+        ("knuth", 3, "csv", False, "a6534935fc7ea0c71e95e8b5cf6810aeb71821ef8df8e8a07b96103298270eb2"),
+        ("order", 1, "csv", False, "6c4d3fce23f658ce99322b32cde209dd41ca9b82486243c5567fd1af92f6faa9"),
+        ("order", 2, "csv", False, "4a261a841bcfd858f4b12c33334b4d9b442d33b10c3ca1db2abed2478564800b"),
+        ("order", 3, "csv", False, "2a1ff404e2163ec8cda9883a9282b4d56db7d71440cb18dee81e019a7096281e"),
+        ("toric", 1, "csv", False, "e4152c89951d88bbde0d8c15f43edee06b99b60fd7a375c76b4d9dd17bed386e"),
+        ("toric", 2, "csv", False, "c00a07533bcb6001bf11990431e0d30d4836f0d661825263e29da5b120d18c98"),
+        ("toric", 3, "csv", False, "d5bec2e9d65681b6e041c8fa0878c59949a212ccf22a1a067b7d0fbbc9387211"),
+        ("toric", 2, "csv", True, "6d187c215ade45798e4f975a37f850fa878d2b363a47d8e17ed599f55fdf6f7e"),
+        ("toric", 3, "csv", True, "f213d2232c7f6468e7903b22ac932e960b3dcf8b98c09415170d1048a2d7e776"),
+        ("knuth", 3, "text", False, "4696f3e22c5b38e7e33846045417784f47899ade823f20a440f00fa507722126"),
+        ("knuth", 3, "json", False, "036b493cce447e8743a2bb3e21ff5bc1ff040a08cd42b15f25f72eae4ac807bd"),
+    ]
+
+    @pytest.mark.parametrize("rel, length, emit, merge, digest", GOLDEN)
+    def test_golden_output(self, capsys, rel, length, emit, merge, digest):
+        argv = ["survey", "--relation", rel, "--length", str(length), "--n-max", "5",
+                "--emit", emit] + ["--merge-shift"] * merge
+        code, out = run(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
 class TestStable:

@@ -17,11 +17,14 @@ walk passes n!/2 words it is dropped and the other side is keyed instead:
 the count is n! less the sizes of the classes it touches, and the class
 count the relation's class total less their number.
 
-A survey asks this of hundreds of patterns at once, so it makes one pass
-over S_n per degree instead: each word is keyed once and gets one bitmask
-of the patterns occurring in it, each class gathers the OR of its members'
-masks, and a pattern's count is the size of the classes whose OR lacks its
-bit. No class size is needed there, since every class is seen whole.
+A survey asks this of hundreds of patterns at once. It first reduces them
+to one row per symmetry orbit on integer codes, building a pattern only for
+each row's name, then makes one pass over S_n per degree: each word is keyed
+once and gets one bitmask of the rows whose pattern occurs in it, each class
+gathers the OR of its members' masks, and a row's count is the size of the
+classes whose OR lacks its bit, summed for all rows at once in binary
+counter planes. No class size is needed there, since every class is seen
+whole.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Hashable
 from .catalog import CATALOG, DIVISOR_PATTERN, SEQUENCE_TABLES, match_tables
 from .core import Word, format_perm, s_n
 from .generate import avoiders, containers
-from .pattern import BivincularPattern, all_patterns, apply_symmetry, occurrence_masks, pat_shift
+from .pattern import BivincularPattern, PatternCodes, mask_table, signature_masks
 from .relations import RELATIONS, Relation, census, check_budget, resolve_budget
 
 
@@ -271,16 +274,23 @@ def survey(relation: Relation | str, length: int, *, n_range=range(1, 6),
     """Class-closed avoidance counts for all patterns of one length, one row
     per symmetry orbit of the relation.
 
-    Each degree is one pass over S_n that tests every row's pattern at once
-    (`occurrence_masks`) and keys each word once by `rel.key`.
+    Rows are reduced on integer codes (`PatternCodes`): each orbit is the
+    set of a code's images under `rel.symmetries`, found by table lookups,
+    and a row is named by its least code, which is its least pattern by
+    `_pat_key`. A `BivincularPattern` is built only for each row's name.
 
     `merge_shift` additionally merges the orbits that the shift map links,
     following it from each orbit's least pattern while the rank lies in Y;
     this trims rows that repeat an earlier row's numbers. Toric classes are
     closed under the value shift, so only there does the shift preserve
-    class-closed counts, and any other relation raises ValueError. A row is
-    named by the least pattern (by `_pat_key`) it covers, and its
+    class-closed counts, and any other relation raises ValueError. A row's
     `orbit_size` counts the patterns it covers.
+
+    Each degree is one pass over S_n that tests every row's pattern at once
+    (`signature_masks`, reading a table of the rows' (X bits, Y bits, row
+    bit) built once per survey) and keys each word once by `rel.key`. Each
+    class then adds the mask of the rows it avoids, times its size, into
+    binary counter planes, from which each row's count is read out once.
     """
     rel = _as_relation(relation)
     if merge_shift and rel.name != "toric":
@@ -288,46 +298,55 @@ def survey(relation: Relation | str, length: int, *, n_range=range(1, 6),
                          f"equivalence, so rows cannot be merged along it under {rel.name}")
     if length < 0:
         raise ValueError(f"pattern length must be at least 0, not {length}")
-    pats = list(all_patterns(length))
-    # Each pattern maps to its row's name, the least pattern of its row (while
-    # orbits merge, to a pattern nearer that name).
-    row_of: dict[BivincularPattern, BivincularPattern] = {}
-    for pat in pats:
-        if pat not in row_of:
-            orbit = {apply_symmetry(pat, ops) for ops in rel.symmetries}
-            row_of.update(dict.fromkeys(orbit, min(orbit, key=_pat_key)))
-
-    if merge_shift:
-        def find(pat: BivincularPattern) -> BivincularPattern:
-            while row_of[pat] != pat:
-                pat = row_of[pat]
-            return pat
-
-        for cur in [pat for pat, rep in row_of.items() if pat == rep]:
-            for _ in range(length + 2):
-                # The shift preserves counts only when the rank lies in Y.
-                if not cur.p or length not in cur.y:
-                    break
-                nxt = pat_shift(cur)
-                least, larger = sorted((find(cur), find(nxt)), key=_pat_key)
-                row_of[larger] = least
-                cur = nxt
-        for pat in row_of:
-            row_of[pat] = find(pat)
-    sizes = Counter(row_of.values())
-    row_reps = sorted(sizes, key=_pat_key)
-
     degrees = list(n_range)
     for n in degrees:  # fail on a degree over budget before doing any work
         check_budget(n, budget)
-    counts: list[dict[int, int]] = [{} for _ in row_reps]
+    codes = PatternCodes(length)
+    # Codes are visited in increasing order, so each orbit is met first at its
+    # least code: orbit[c] is the index of c's orbit in `least`.
+    orbit = [-1] * codes.count
+    least: list[int] = []
+    sizes: list[int] = []
+    for code in range(codes.count):
+        if orbit[code] < 0:
+            images = {codes.image(code, ops) for ops in rel.symmetries}
+            for image in images:
+                orbit[image] = len(least)
+            least.append(code)
+            sizes.append(len(images))
+    # root[i] is the orbit whose least code names orbit i's row.
+    root = list(range(len(least)))
+    if merge_shift:
+        def find(i: int) -> int:
+            while root[i] != i:
+                i = root[i]
+            return i
+
+        for cur in least:
+            for _ in range(length + 2):
+                # The shift preserves counts only when the rank lies in Y.
+                if not codes.rank_in_y(cur):
+                    break
+                nxt = codes.shift(cur)
+                a, b = sorted((find(orbit[cur]), find(orbit[nxt])))
+                root[b] = a
+                cur = nxt
+        root = [find(i) for i in root]
+    row_size = Counter()
+    for r, size in zip(root, sizes):
+        row_size[r] += size
+    row_roots = sorted(row_size)
+    row_codes = [least[r] for r in row_roots]
+    table = mask_table(length, (codes.triple(code) + (1 << bit,) for bit, code in enumerate(row_codes)))
+
+    counts: list[dict[int, int]] = [{} for _ in row_codes]
     key = rel.key
+    everything = (1 << len(row_codes)) - 1
     for n in degrees:
         # One pass over S_n: each class gathers the OR of its members'
-        # occurrence masks and its member count. A row's class-closed avoiders
-        # are the members of the classes whose OR lacks the row's bit.
+        # occurrence masks and its member count.
         classes: dict[Hashable, list[int]] = {}
-        for w, mask in zip(s_n(n), occurrence_masks(row_reps, n)):
+        for w, mask in zip(s_n(n), signature_masks(table, length, n)):
             k = key(w)
             entry = classes.get(k)
             if entry is None:
@@ -335,11 +354,32 @@ def survey(relation: Relation | str, length: int, *, n_range=range(1, 6),
             else:
                 entry[0] |= mask
                 entry[1] += 1
-        for i, row_counts in enumerate(counts):
-            row_counts[n] = sum(size for seen, size in classes.values() if not seen >> i & 1)
-    rows = [SurveyRow(rep, sizes[rep], row_counts, tuple(match_tables(row_counts)))
-            for rep, row_counts in zip(row_reps, counts)]
-    return SurveyResult(rel.name, length, len(pats), rows)
+        # A row's class-closed avoiders are the members of the classes whose
+        # OR lacks the row's bit. planes[j] holds bit j of every row's count:
+        # each class adds each set bit of its size to the rows it avoids, by a
+        # ripple-carry add on the planes. No count passes n!, so no carry
+        # leaves them.
+        planes = [0] * math.factorial(n).bit_length()
+        for seen, size in classes.values():
+            avoided = everything & ~seen
+            for j in range(size.bit_length()):
+                if size >> j & 1:
+                    carry, i = avoided, j
+                    while carry:
+                        planes[i], carry = planes[i] ^ carry, planes[i] & carry
+                        i += 1
+        # Row i's count, in binary, is bit i of each plane, highest plane first.
+        digits = [format(plane, f"0{len(counts)}b")[::-1] for plane in reversed(planes)]
+        for row_counts, bits in zip(counts, zip(*digits)):
+            row_counts[n] = int("".join(bits), 2)
+    tables: dict[tuple[int, ...], tuple[str, ...]] = {}
+    rows = []
+    for r, code, row_counts in zip(row_roots, row_codes, counts):
+        seq = tuple(row_counts.values())
+        if seq not in tables:
+            tables[seq] = tuple(match_tables(row_counts))
+        rows.append(SurveyRow(codes.pattern(code), row_size[r], row_counts, tables[seq]))
+    return SurveyResult(rel.name, length, codes.count, rows)
 
 
 @dataclass

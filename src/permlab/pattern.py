@@ -22,8 +22,12 @@ loops with the plan's constants inlined. One kernel serves both callers:
 `matches` tries each end position of a whole word, and the walks of
 `permlab.generate` try the newest letter of each prefix they grow.
 `occurrences` lists the position subsets whose signature (standardized
-letters, X-set and Y-set) admits the pattern, and a survey's
-`occurrence_masks` reads those of each word of S_n for many patterns at once.
+letters, X-set and Y-set) admits the pattern, and `occurrence_masks` reads
+those of each word of S_n for many patterns at once, from a table
+(`mask_table`) that a survey builds once for all its degrees.
+`PatternCodes` numbers the patterns of one length so that a survey reduces
+them by symmetry with table lookups and builds a pattern only for each
+row's name.
 """
 
 from __future__ import annotations
@@ -108,6 +112,11 @@ def format_pattern(pat: BivincularPattern) -> str:
 
 def _bits(members: Iterable[int]) -> int:
     return sum(1 << v for v in members)
+
+
+def _members(bits: int, k: int) -> list[int]:
+    """The members of a subset of 0..k given by its bits, increasing."""
+    return [v for v in range(k + 1) if bits >> v & 1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,30 +285,37 @@ def _position_subsets(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]
                  for comb in combinations(range(n), k) for ends in [(-1, *comb, n)])
 
 
-def _by_p(pats: Sequence[BivincularPattern]) -> dict[Word, list[tuple[int, int, int]]]:
-    """p -> the (X bits, Y bits, 1 << i) of each pats[i] of that p."""
-    by_p: dict[Word, list[tuple[int, int, int]]] = {}
-    for i, pat in enumerate(pats):
-        by_p.setdefault(pat.p, []).append((_bits(pat.x), _bits(pat.y), 1 << i))
-    return by_p
-
-
-def _signature_mask(by_p, xs: int, letters: Word, n: int) -> int:
-    """The mask of the patterns occurring at a position subset with X-set xs
-    and these letters. by_p maps p to (X bits, Y bits, pattern bit) triples.
-
-    The subset's signature is its letters' standardization p, its X-set and
+def _signature(letters: Word, n: int) -> tuple[Word, int]:
+    """The standardization p of a position subset's letters and the bits of
     its Y-set: the y in 0..k with j_{y+1} = j_y + 1, where j_1 < ... < j_k
-    are the letters sorted, j_0 = 0 and j_{k+1} = n+1. A pattern occurs at
-    the subset exactly when it has that p and its X and Y lie within those
-    sets."""
+    are the letters sorted, j_0 = 0 and j_{k+1} = n+1."""
     ranks = sorted(letters)
-    same_p = by_p.get(tuple([ranks.index(v) + 1 for v in letters]))
-    if not same_p:
-        return 0
     js = (0, *ranks, n + 1)
-    ys = _bits(y for y in range(len(letters) + 1) if js[y + 1] == js[y] + 1)
-    return sum(bit for x, y, bit in same_p if not (x & ~xs or y & ~ys))
+    return (tuple([ranks.index(v) + 1 for v in letters]),
+            _bits(y for y in range(len(letters) + 1) if js[y + 1] == js[y] + 1))
+
+
+def mask_table(k: int, entries: Iterable[tuple[Word, int, int, int]]) -> dict[Word, list[int]]:
+    """The table `signature_masks` reads, for patterns of length k given as
+    (p, X bits, Y bits, pattern bit): p -> the list over xs * 2^(k+1) + ys
+    of the OR of the bits of the patterns of that p whose X lies within xs
+    and Y within ys. Each list is filled by ORing every cell into the cells
+    above it, one bit of the index at a time.
+
+    >>> mask_table(0, [((), 1, 0, 1 << 0), ((), 0, 0, 1 << 1)])
+    {(): [2, 2, 3, 3]}
+    """
+    side = 1 << (k + 1)
+    table: dict[Word, list[int]] = {}
+    for p, x, y, bit in entries:
+        table.setdefault(p, [0] * side * side)[x * side + y] |= bit
+    for cells in table.values():
+        for b in range(2 * (k + 1)):
+            step = 1 << b
+            for lo in range(0, side * side, 2 * step):
+                for i in range(lo + step, lo + 2 * step):
+                    cells[i] |= cells[i - step]
+    return table
 
 
 def occurrences(pat: BivincularPattern, pi: Sequence[int]) -> list[Occurrence]:
@@ -315,18 +331,19 @@ def occurrences(pat: BivincularPattern, pi: Sequence[int]) -> list[Occurrence]:
     w = tuple(pi)
     if not matches(pat, w):
         return []
-    by_p = _by_p([pat])
-    return [tuple([i + 1 for i in comb]) for comb, xs in _position_subsets(len(w), pat.k)
-            if _signature_mask(by_p, xs, tuple([w[i] for i in comb]), len(w))]
+    x, y = _bits(pat.x), _bits(pat.y)
+    out = []
+    for comb, xs in _position_subsets(len(w), pat.k):
+        if not x & ~xs:
+            p, ys = _signature(tuple([w[i] for i in comb]), len(w))
+            if p == pat.p and not y & ~ys:
+                out.append(tuple([i + 1 for i in comb]))
+    return out
 
 
 def occurrence_masks(pats: Sequence[BivincularPattern], n: int) -> Iterator[int]:
     """For each permutation of 1..n in lex order, the mask whose bit i is set
     iff pats[i] occurs in it; the patterns all have one length k.
-
-    Each k-subset of positions is read for its signature
-    (`_signature_mask`). The mask of every signature met is memoised by
-    (X-set, letters), so a word costs C(n, k) lookups.
 
     >>> list(occurrence_masks([pattern((1, 2)), pattern((2, 1), x=[1])], 3))
     [1, 3, 3, 3, 3, 2]
@@ -334,8 +351,23 @@ def occurrence_masks(pats: Sequence[BivincularPattern], n: int) -> Iterator[int]
     k = pats[0].k if pats else 0
     if any(pat.k != k for pat in pats):
         raise ValueError("the patterns must all have one length")
-    by_p = _by_p(pats)
+    table = mask_table(k, ((pat.p, _bits(pat.x), _bits(pat.y), 1 << i) for i, pat in enumerate(pats)))
+    return signature_masks(table, k, n)
+
+
+def signature_masks(table: dict[Word, list[int]], k: int, n: int) -> Iterator[int]:
+    """`occurrence_masks` of the patterns of length k in `table` (see
+    `mask_table`), built once by a caller that asks at several degrees.
+
+    Each k-subset of positions is read for its signature: its letters'
+    standardization p, its X-set and its Y-set. A pattern occurs at the
+    subset exactly when it has that p and its X and Y lie within those sets,
+    so the subset's mask is one cell of the table. The mask of every
+    signature met is memoised by (X-set, letters), so a word costs C(n, k)
+    lookups.
+    """
     subsets = _position_subsets(n, k)
+    side = 1 << (k + 1)
     memo: dict[tuple[int, Word], int] = {}
     for w in permutations(range(1, n + 1)):
         mask = 0
@@ -343,7 +375,9 @@ def occurrence_masks(pats: Sequence[BivincularPattern], n: int) -> Iterator[int]
             letters = tuple([w[i] for i in comb])
             hit = memo.get((xs, letters))
             if hit is None:
-                hit = memo[xs, letters] = _signature_mask(by_p, xs, letters, n)
+                p, ys = _signature(letters, n)
+                cells = table.get(p)
+                hit = memo[xs, letters] = cells[xs * side + ys] if cells else 0
             mask |= hit
         yield mask
 
@@ -428,6 +462,83 @@ def shift_orbit(pat: BivincularPattern) -> tuple[BivincularPattern, ...]:
         seen.add(cur)
         cur = pat_shift(cur)
     return tuple(out)
+
+
+class PatternCodes:
+    """The k! * 4^(k+1) patterns of length k as the integers 0..count-1, so
+    that many patterns can be reduced by symmetry without building them.
+
+    (p, X, Y) has code (a * s + b) * s + c, where s = 2^(k+1), a is the index
+    of p among the permutations of 1..k in lex order, and b and c are the
+    ranks of X and Y among the subsets of 0..k ordered by their sorted
+    tuples. Codes thus order patterns as (p, sorted X, sorted Y) do. The
+    symmetries and the shift act on codes through tables built from their
+    definitions on patterns (`pat_reverse`, `pat_complement`, `pat_inverse`,
+    `pat_shift`).
+
+    >>> codes = PatternCodes(2)
+    >>> [str(codes.pattern(code)) for code in (0, 1, 2, codes.count - 1)]
+    ['12;x=;y=', '12;x=;y=0', '12;x=;y=0,1', '21;x=2;y=2']
+    >>> str(codes.pattern(codes.image(2, "ri"))), str(codes.pattern(codes.shift(2)))
+    ('21;x=0,1;y=', '12;x=;y=1,2')
+    """
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self.perms = list(permutations(range(1, k + 1)))
+        index = {p: a for a, p in enumerate(self.perms)}
+        #: rank -> the bits of the subset of 0..k with that rank
+        self.bits = sorted(range(1 << (k + 1)), key=lambda b: _members(b, k))
+        rank = {b: r for r, b in enumerate(self.bits)}
+        self.side = len(self.bits)
+        self.count = len(self.perms) * self.side ** 2
+        # rot[t]: rank -> rank of the subset's members plus t, mod k+1.
+        rot = [[rank[_bits((v + t) % (k + 1) for v in _members(b, k))] for b in self.bits]
+               for t in range(k + 1)]
+        self._flip = [rank[_bits(k - v for v in _members(b, k))] for b in self.bits]
+        self._reverse = [index[reverse(p)] for p in self.perms]
+        self._complement = [index[complement(p)] for p in self.perms]
+        self._inverse = [index[inverse(p)] for p in self.perms]
+        # The shift: p + 1, X rotated by minus the position of k in p, and Y by 1.
+        self._shift = [(index[oplus(p, 1)], rot[k - p.index(k)]) for p in self.perms] if k else []
+        self._shift_y = rot[1 % (k + 1)]
+
+    def triple(self, code: int) -> tuple[Word, int, int]:
+        """(p, X bits, Y bits) of a code."""
+        ab, c = divmod(code, self.side)
+        a, b = divmod(ab, self.side)
+        return self.perms[a], self.bits[b], self.bits[c]
+
+    def pattern(self, code: int) -> BivincularPattern:
+        p, x, y = self.triple(code)
+        return BivincularPattern(p, frozenset(_members(x, self.k)), frozenset(_members(y, self.k)))
+
+    def image(self, code: int, ops: str) -> int:
+        """The code of `apply_symmetry` of the code's pattern."""
+        s = self.side
+        ab, c = divmod(code, s)
+        a, b = divmod(ab, s)
+        for op in ops:
+            if op == "r":
+                a, b = self._reverse[a], self._flip[b]
+            elif op == "c":
+                a, c = self._complement[a], self._flip[c]
+            else:
+                a, b, c = self._inverse[a], c, b
+        return (a * s + b) * s + c
+
+    def rank_in_y(self, code: int) -> bool:
+        """Whether k lies in Y, the hypothesis under which the shift keeps
+        toric class-closed counts."""
+        return bool(self.k and self.bits[code % self.side] >> self.k & 1)
+
+    def shift(self, code: int) -> int:
+        """The code of `pat_shift` of the code's pattern, for k >= 1."""
+        s = self.side
+        ab, c = divmod(code, s)
+        a, b = divmod(ab, s)
+        a, shift_x = self._shift[a]
+        return (a * s + shift_x[b]) * s + self._shift_y[c]
 
 
 def all_patterns(k: int) -> Iterator[BivincularPattern]:

@@ -44,26 +44,31 @@ from permlab.tableau import Rows, Shape, knuth_class, partitions, shape_of
 def oracle_occurrences(pat: BivincularPattern, w: Word) -> list[tuple[int, ...]]:
     """Occurrences by brute filter: every position subset of size k whose
     letters standardize to p, checked against both adjacency rules with the
-    boundary conventions i0 = j0 = 0 and i_{k+1} = j_{k+1} = n+1."""
-    return [comb for comb, ei, js in _subsets_by_std(tuple(w), pat.k).get(pat.p, ())
-            if not any(ei[x + 1] != ei[x] + 1 for x in pat.x)
-            and not any(js[y + 1] != js[y] + 1 for y in pat.y)]
+    boundary conventions i0 = j0 = 0 and i_{k+1} = j_{k+1} = n+1. X holds
+    exactly when it lies within the subset's set of x with i_{x+1} = i_x + 1,
+    and Y within its set of y with j_{y+1} = j_y + 1."""
+    return [comb for comb, xs, ys in _subsets_by_std(tuple(w), pat.k).get(pat.p, ())
+            if pat.x <= xs and pat.y <= ys]
 
 
 @functools.lru_cache(maxsize=4096)
-def _subsets_by_std(w: Word, k: int) -> dict[Word, list[tuple[Word, Word, Word]]]:
+def _subsets_by_std(w: Word, k: int) -> dict[Word, list[tuple[Word, frozenset, frozenset]]]:
     """The k-subsets of the positions of w, 1-based and in lex order, grouped
-    by the standardization of their letters. Each comes with its extended
-    positions (0, i_1, ..., i_k, n+1) and extended sorted values
-    (0, j_1, ..., j_k, n+1), so that a word's subsets are read once for all
-    the patterns put to it."""
+    by the standardization of their letters. Each comes with the set of x in
+    0..k with i_{x+1} = i_x + 1 and the set of y in 0..k with
+    j_{y+1} = j_y + 1, over its extended positions (0, i_1, ..., i_k, n+1)
+    and extended sorted values (0, j_1, ..., j_k, n+1). A word's subsets are
+    thus read once for all the patterns put to it."""
     n = len(w)
-    out: dict[Word, list[tuple[Word, Word, Word]]] = {}
+    out: dict[Word, list[tuple[Word, frozenset, frozenset]]] = {}
     for comb in itertools.combinations(range(1, n + 1), k):
         vals = tuple(w[i - 1] for i in comb)
         ranks = sorted(vals)
         std = tuple(ranks.index(v) + 1 for v in vals)
-        out.setdefault(std, []).append((comb, (0, *comb, n + 1), (0, *ranks, n + 1)))
+        ei, js = (0, *comb, n + 1), (0, *ranks, n + 1)
+        out.setdefault(std, []).append(
+            (comb, frozenset(x for x in range(k + 1) if ei[x + 1] == ei[x] + 1),
+             frozenset(y for y in range(k + 1) if js[y + 1] == js[y] + 1)))
     return out
 
 

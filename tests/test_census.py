@@ -597,11 +597,64 @@ class TestStability:
         assert payload["witness_n"] == 4
 
 
+def _oracle_orbit_sizes(symmetries, k: int) -> dict[tuple, int]:
+    """{least pattern: orbit size} over the patterns (p, X, Y) of length k,
+    as plain triples. The orbits are the classes of the group that the
+    symmetry words generate, each word applied left to right with r, c and i
+    taken from their definitions: (p^r, k - X, Y), (p^c, X, k - Y) and
+    (p^i, Y, X). Least is by p, then sorted X, then sorted Y."""
+    ops = {
+        "r": lambda p, x, y: (p[::-1], frozenset(k - v for v in x), y),
+        "c": lambda p, x, y: (tuple(k + 1 - v for v in p), x, frozenset(k - v for v in y)),
+        "i": lambda p, x, y: (tuple(p.index(v) + 1 for v in range(1, k + 1)), y, x),
+    }
+    subsets = [frozenset(c) for m in range(k + 2) for c in combinations(range(k + 1), m)]
+    left = {(p, x, y) for p in permutations(range(1, k + 1)) for x in subsets for y in subsets}
+    out = {}
+    while left:
+        orbit, todo = set(), [left.pop()]
+        while todo:
+            pat = todo.pop()
+            orbit.add(pat)
+            for word in symmetries:
+                image = pat
+                for op in word:
+                    image = ops[op](*image)
+                if image not in orbit:
+                    todo.append(image)
+        left -= orbit
+        out[min(orbit, key=lambda t: (t[0], sorted(t[1]), sorted(t[2])))] = len(orbit)
+    return out
+
+
 class TestSurvey:
     def test_orbit_counts_per_relation(self):
-        assert survey("toric", 3, n_range=range(1, 3)).orbit_count == 212
-        assert survey("knuth", 3, n_range=range(1, 3)).orbit_count == 392
-        assert survey("conjugacy", 3, n_range=range(1, 3)).orbit_count == 424
+        want = {"toric": 212, "knuth": 392, "conjugacy": 424, "order": 424, "descent": 392}
+        assert {rel: survey(rel, 3, n_range=range(1, 3)).orbit_count for rel in want} == want
+
+    @pytest.mark.parametrize("rel", RELATION_NAMES)
+    @pytest.mark.parametrize("length", [0, 1, 2, 3])
+    def test_orbits_against_definitions(self, rel, length):
+        rows = survey(rel, length, n_range=range(1, 2)).rows
+        assert {(row.pat.p, row.pat.x, row.pat.y): row.orbit_size for row in rows} == \
+            _oracle_orbit_sizes(RELATIONS[rel].symmetries, length)
+
+    def test_builds_one_pattern_per_row(self, monkeypatch):
+        """Rows are reduced on integer codes: a pattern is built for each
+        row's name only, and the survey's mask table once, not per degree."""
+        from permlab.pattern import BivincularPattern
+
+        built, tables = [], []
+        post_init, mask_table = BivincularPattern.__post_init__, census_module.mask_table
+        monkeypatch.setattr(BivincularPattern, "__post_init__",
+                            lambda pat: built.append(pat) or post_init(pat))
+        monkeypatch.setattr(census_module, "mask_table",
+                            lambda *args: tables.append(args) or mask_table(*args))
+        for merge_shift in (False, True):
+            built.clear()
+            tables.clear()
+            res = survey("toric", 3, n_range=range(1, 6), merge_shift=merge_shift)
+            assert (len(built), len(tables)) == (res.orbit_count, 1)
 
     def test_orbit_sizes_cover_all_patterns(self):
         res = survey("toric", 3, n_range=range(1, 3))
@@ -667,29 +720,43 @@ class TestSurveyAgainstOracles:
     here."""
 
     @staticmethod
-    def _check(res, rel, degrees, avoid_masks, class_masks):
+    def _check(res, rel, degrees, class_masks):
+        """Each row's count at each degree is the size of the oracle classes
+        avoiding its pattern, by the signature table."""
         assert res.rows
         for row in res.rows:
-            want = {n: _oracle_triple(_closed_classes(avoid_masks[row.pat][n],
-                                                      class_masks(rel, n)), n)[0]
-                    for n in degrees}
+            want = {}
+            for n in degrees:
+                avoid = ((1 << math.factorial(n)) - 1) & ~occurrence_mask(row.pat, n)
+                want[n] = sum(cls.bit_count() for cls in _closed_classes(avoid, class_masks(rel, n)))
             assert row.counts == want, (rel, str(row.pat))
             assert list(row.counts) == list(degrees)
 
     @pytest.mark.parametrize("rel", RELATION_NAMES)
-    def test_length3(self, rel, avoid_masks, class_masks):
+    def test_length3(self, rel, class_masks):
         degrees = range(1, 6)
-        self._check(survey(rel, 3, n_range=degrees), rel, degrees, avoid_masks, class_masks)
+        self._check(survey(rel, 3, n_range=degrees), rel, degrees, class_masks)
 
     @pytest.mark.parametrize("rel", RELATION_NAMES)
-    def test_length2_to_six(self, rel, avoid_masks, class_masks):
+    def test_length2_to_six(self, rel, class_masks):
         degrees = range(1, 7)
-        self._check(survey(rel, 2, n_range=degrees), rel, degrees, avoid_masks, class_masks)
+        self._check(survey(rel, 2, n_range=degrees), rel, degrees, class_masks)
 
     @pytest.mark.parametrize("rel", RELATION_NAMES)
-    def test_length1_to_six(self, rel, avoid_masks, class_masks):
+    def test_length1_to_six(self, rel, class_masks):
         degrees = range(1, 7)
-        self._check(survey(rel, 1, n_range=degrees), rel, degrees, avoid_masks, class_masks)
+        self._check(survey(rel, 1, n_range=degrees), rel, degrees, class_masks)
+
+    @pytest.mark.parametrize("rel", RELATION_NAMES)
+    def test_length0_to_six(self, rel, class_masks):
+        degrees = range(1, 7)
+        self._check(survey(rel, 0, n_range=degrees), rel, degrees, class_masks)
+
+    @pytest.mark.parametrize("rel", RELATION_NAMES)
+    def test_length4(self, rel, class_masks):
+        """Length 4 still lies within the signature table (TABLE_K = 4)."""
+        degrees = range(1, 6)
+        self._check(survey(rel, 4, n_range=degrees), rel, degrees, class_masks)
 
     @staticmethod
     def _rejects_merge(rel, length):
@@ -700,14 +767,14 @@ class TestSurveyAgainstOracles:
 
     @pytest.mark.parametrize("rel", RELATION_NAMES)
     @pytest.mark.parametrize("length", [2, 3])
-    def test_merge_shift(self, rel, length, avoid_masks, class_masks):
+    def test_merge_shift(self, rel, length, class_masks):
         if rel != "toric":
             self._rejects_merge(rel, length)
             return
         degrees = range(1, 6)
         res = survey(rel, length, n_range=degrees, merge_shift=True)
         assert len(res.rows) < len(survey(rel, length, n_range=range(1, 2)).rows)
-        self._check(res, rel, degrees, avoid_masks, class_masks)
+        self._check(res, rel, degrees, class_masks)
 
     @staticmethod
     def _merged_groups(rel, length):

@@ -9,7 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from permlab.core import s_n
 from permlab.errors import ParseError
+from permlab.census import _pat_key
 from permlab.pattern import (
+    PatternCodes,
     all_patterns,
     apply_symmetry,
     avoids,
@@ -288,3 +290,21 @@ class TestOccurrenceHelpers:
         assert sum(1 for _ in all_patterns(1)) == 16
         assert sum(1 for _ in all_patterns(2)) == 128
         assert sum(1 for _ in all_patterns(3)) == 1536
+
+
+class TestPatternCodes:
+    """The integer codes a survey reduces rows on, against the pattern
+    functions they stand for."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_codes_follow_patterns(self, k):
+        codes = PatternCodes(k)
+        pats = [codes.pattern(code) for code in range(codes.count)]
+        assert pats == sorted(all_patterns(k), key=_pat_key)
+        for code, pat in enumerate(pats):
+            assert codes.triple(code) == (pat.p, sum(1 << v for v in pat.x), sum(1 << v for v in pat.y))
+            for ops in ("r", "c", "i", "irc"):
+                assert pats[codes.image(code, ops)] == apply_symmetry(pat, ops), (str(pat), ops)
+            assert codes.rank_in_y(code) == (k >= 1 and k in pat.y)
+            if k:
+                assert pats[codes.shift(code)] == pat_shift(pat), str(pat)

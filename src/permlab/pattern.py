@@ -503,10 +503,13 @@ class PatternCodes:
         self._shift = [(index[oplus(p, 1)], rot[k - p.index(k)]) for p in self.perms] if k else []
         self._shift_y = rot[1 % (k + 1)]
 
+    def _split(self, code: int) -> tuple[int, int, int]:
+        ab, c = divmod(code, self.side)
+        return (*divmod(ab, self.side), c)
+
     def triple(self, code: int) -> tuple[Word, int, int]:
         """(p, X bits, Y bits) of a code."""
-        ab, c = divmod(code, self.side)
-        a, b = divmod(ab, self.side)
+        a, b, c = self._split(code)
         return self.perms[a], self.bits[b], self.bits[c]
 
     def pattern(self, code: int) -> BivincularPattern:
@@ -515,9 +518,7 @@ class PatternCodes:
 
     def image(self, code: int, ops: str) -> int:
         """The code of `apply_symmetry` of the code's pattern."""
-        s = self.side
-        ab, c = divmod(code, s)
-        a, b = divmod(ab, s)
+        a, b, c = self._split(code)
         for op in ops:
             if op == "r":
                 a, b = self._reverse[a], self._flip[b]
@@ -525,20 +526,18 @@ class PatternCodes:
                 a, c = self._complement[a], self._flip[c]
             else:
                 a, b, c = self._inverse[a], c, b
-        return (a * s + b) * s + c
+        return (a * self.side + b) * self.side + c
 
     def rank_in_y(self, code: int) -> bool:
-        """Whether k lies in Y, the hypothesis under which the shift keeps
-        toric class-closed counts."""
+        """Whether k >= 1 and k lies in Y, the hypothesis under which the
+        shift keeps toric class-closed counts."""
         return bool(self.k and self.bits[code % self.side] >> self.k & 1)
 
     def shift(self, code: int) -> int:
         """The code of `pat_shift` of the code's pattern, for k >= 1."""
-        s = self.side
-        ab, c = divmod(code, s)
-        a, b = divmod(ab, s)
+        a, b, c = self._split(code)
         a, shift_x = self._shift[a]
-        return (a * s + shift_x[b]) * s + self._shift_y[c]
+        return (a * self.side + shift_x[b]) * self.side + self._shift_y[c]
 
 
 def all_patterns(k: int) -> Iterator[BivincularPattern]:

@@ -180,6 +180,45 @@ class TestClasses:
             code, _ = run(capsys, "classes", "--relation", rel, "--n", "12")
             assert code == 3, rel
 
+    EMITS = {"text": [], "sizes": ["--sizes"], "json": ["--emit", "json"], "csv": ["--emit", "csv"]}
+
+    # sha256 of the transcript of `classes --relation REL --n N [EMIT flags]`
+    # for N = 0..9 and 12, each run read as "n=N exit=CODE\n" and its stdout,
+    # frozen from the census that dispatched on the relation's name.
+    GOLDEN = [
+        ("conjugacy", "text", "2dc0846afeccd3539a61fe9ac21186362e0e4b16ef70b993501e75075a415a63"),
+        ("conjugacy", "sizes", "d9d048b480ee7a3c0eafd2ca5e0569b85de0472ad6f2a1e49ecb969f5baf3910"),
+        ("conjugacy", "json", "eeca2040931ca5a3111b56f7702f5ef036b405121c81c9ed1537408e8395fb04"),
+        ("conjugacy", "csv", "687d9f209c59e8f5cc7cd5d17ed3eb7bb3936def7162ed1159298aac593928c4"),
+        ("order", "text", "0468c5b73863ee39fb4724407c803ebc4b11d27217dad7230fbc76b26eb5cbad"),
+        ("order", "sizes", "5aa7e029d9e93db4ca403b00b174ffc7bd491ef6c55fd4040ddf825f42f01b08"),
+        ("order", "json", "8d32256623c5ceb20b85ca5add47879ab5c410a1675a1ccbbc727d37948f914f"),
+        ("order", "csv", "02f6685d0528dafe10d64800d42129338ec80f6b8c01c4be1bbac858f9c0ec39"),
+        ("knuth", "text", "dfb21977574468040899e161d3f883ee2a039e367b730ce32b827a8fa53809cc"),
+        ("knuth", "sizes", "fbb2205ef52a3cfae119b214fe99398da1104016adf05aa67e8638d54474ef66"),
+        ("knuth", "json", "10dc04b50f9a6d52c86f28804da1d8f4f30b067a2ab9a1f0b197d6b237148669"),
+        ("knuth", "csv", "188c135e0f4b1fd3fa17826a89493d7608992d3ee366a95e696e7811fc24d86d"),
+        ("toric", "text", "0e035595e67fc1d225a800e5d7461b73e294e7e59dae63a016941f64c26dc37f"),
+        ("toric", "sizes", "53e1d9b62625fd6412af6ec4324e64042321a3c342348831f7485eda13326910"),
+        ("toric", "json", "42978be200cb1c11c8162ce0c51a13b12fdac0cbf366cd05ee805c3c4cd72a8c"),
+        ("toric", "csv", "2ccb55facac16d932d51b2f7813bfcdb52478b5d940c5036116d2f4da4d11679"),
+        ("descent", "text", "05e71c934ba4d0523bb23a7dfb9be2142f763d69b5c025fa59a5e29b1a4b3fb9"),
+        ("descent", "sizes", "82a7d13ed73cf575e9d86957da273e97dd3be59ab5a20dfa32cb265fafbbf643"),
+        ("descent", "json", "5b497f52db0a8a7beb77ab7f58023b700a08305cbf754255199168179a59cbcc"),
+        ("descent", "csv", "bdd1748abf7b9cb380e0a34699bddb0948f509800412954d845c4a0d9e65e484"),
+    ]
+
+    @pytest.mark.parametrize("rel, emit, digest", GOLDEN)
+    def test_golden_output(self, capsys, rel, emit, digest):
+        codes, transcript = [], []
+        for n in (*range(10), 12):
+            code, out = run(capsys, "classes", "--relation", rel, "--n", str(n), *self.EMITS[emit])
+            codes.append(code)
+            transcript.append(f"n={n} exit={code}\n{out}")
+        # Toric and descent are held to the default degree budget of 9.
+        assert codes == [0] * 10 + [3 if rel in ("toric", "descent") else 0]
+        assert hashlib.sha256("".join(transcript).encode()).hexdigest() == digest
+
 
 class TestSurvey:
     def test_text_header(self, capsys):

@@ -15,7 +15,7 @@ are. A class is counted exactly when none of its members lies on the other
 side (the words containing some pattern, for avoidance), so once a capped
 walk passes n!/2 words it is dropped and the other side is keyed instead:
 the count is n! less the sizes of the classes it touches, and the class
-count the relation's class total less their number.
+count the number of classes in the relation's census less their number.
 
 A survey asks this of hundreds of patterns at once. It first reduces them
 to one row per symmetry orbit on integer codes, building a pattern only for
@@ -127,10 +127,7 @@ def _closed_result(avoid: bool, pats, relation: Relation | str, n: int, want_mem
         for pat in pats:
             touched.update(map(rel.key, other([pat], n)))
         count = total - sum(rel.class_size(n, k) for k in touched)
-        # One descent class per subset of 1..n-1: no census need be built.
-        classes = (2 ** max(n - 1, 0) if rel.name == "descent"
-                   else census(rel, n, budget=budget).class_count)
-        class_count = classes - len(touched)
+        class_count = census(rel, n, budget=budget).class_count - len(touched)
         members = None
     return EnumerationResult("class-avoid" if avoid else "class-match", rel.name, pats, n,
                              count, class_count, members)

@@ -1,20 +1,22 @@
 """Equivalence relations on S_n: conjugacy, order, Knuth, toric, descent.
 
 Each relation has a canonical class key, a closed-form size for each key,
-and the list of r/c/i compositions that transport its classes to classes (so
+its census of class sizes on S_n (from closed forms, nothing scanned), and
+the list of r/c/i compositions that transport its classes to classes (so
 class-avoider counts are invariant under them). The sizes are n!/z_lam, its
 sums over a fixed lcm, f^lam, the least period of a toric step cycle and
-beta_n(S). Censuses aggregate class sizes.
+beta_n(S). `census` memoises each histogram per degree.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 from .arith import steggall_census
 from .core import Word, cycle_type, descent_set, order
@@ -61,16 +63,19 @@ def check_budget(n: int, budget: int | None = None) -> None:
 @dataclass(frozen=True)
 class Relation:
     """A named equivalence relation: its class key, the closed-form size
-    `class_size(n, key)` of the class with that key in S_n, and the r/c/i
-    compositions compatible with it. Class closure tallies keys against
-    these sizes. `pattern_class` is set for the relations that also act on
-    patterns (Knuth and toric).
+    `class_size(n, key)` of the class with that key in S_n, the histogram
+    `sizes(n)` {size: classes} of S_n, whether its census is `bounded` by the
+    degree budget, and the r/c/i compositions compatible with it. Class
+    closure tallies keys against these sizes. `pattern_class` is set for the
+    relations that also act on patterns (Knuth and toric).
     """
 
     name: str
     key: Callable[[Word], Hashable]
     symmetries: tuple[str, ...]
     class_size: Callable[[int, Hashable], int]
+    sizes: Callable[[int], Mapping[int, int]]
+    bounded: bool
     pattern_class: Callable[[BivincularPattern], frozenset[BivincularPattern]] | None = None
 
 
@@ -103,10 +108,14 @@ def _cycle_index_size(n: int, lam: Sequence[int]) -> int:
     return math.factorial(n) // z
 
 
-def _order_size(n: int, m: int) -> int:
-    """Number of permutations of S_n of order m: the conjugacy class sizes
-    summed over the partitions of n with lcm m."""
-    return sum(_cycle_index_size(n, lam) for lam in partitions(n) if math.lcm(*lam) == m)
+@functools.cache
+def _order_table(n: int) -> Counter[int]:
+    """{m: permutations of S_n of order m}: the conjugacy class sizes summed
+    over the partitions of n with lcm m. Order's class sizes and census read it."""
+    table: Counter[int] = Counter()
+    for lam in partitions(n):
+        table[math.lcm(*lam)] += _cycle_index_size(n, lam)
+    return table
 
 
 def _knuth_key(pi: Word) -> Hashable:
@@ -117,6 +126,11 @@ def _knuth_size(n: int, p: Hashable) -> int:
     """Knuth class of insertion tableau p: one member per standard tableau of
     its shape, f^lam of them by the hook length formula."""
     return count_syt(shape_of(p))
+
+
+def _knuth_sizes(n: int) -> dict[int, int]:
+    """f^lam classes of size f^lam per shape lam of n, one per insertion tableau."""
+    return {f: f * c for f, c in Counter(map(count_syt, partitions(n))).items()}
 
 
 def _ascent_run_size(n: int, cuts: Sequence[int]) -> int:
@@ -141,6 +155,13 @@ def _descent_size(n: int, s: frozenset[int]) -> int:
     s = sorted(s)
     return sum((-1) ** (len(s) - r) * _ascent_run_size(n, t)
                for r in range(len(s) + 1) for t in combinations(s, r))
+
+
+def _descent_sizes(n: int) -> Counter[int]:
+    """One class per subset S of 1..n-1, of size beta_n(S); the work grows like 3^n."""
+    positions = range(1, n)
+    return Counter(_descent_size(n, frozenset(s))
+                   for r in range(len(positions) + 1) for s in combinations(positions, r))
 
 
 def _toric_key(pi: Word) -> tuple[int, ...]:
@@ -184,13 +205,18 @@ CONJUGACY = Relation(
     key=cycle_type,
     symmetries=("", "i", "rc", "irc"),
     class_size=_cycle_index_size,
+    # One class per partition lam of n.
+    sizes=lambda n: Counter(_cycle_index_size(n, lam) for lam in partitions(n)),
+    bounded=False,
 )
 
 ORDER = Relation(
     name="order",
     key=order,
     symmetries=("", "i", "rc", "irc"),
-    class_size=_order_size,
+    class_size=lambda n, m: _order_table(n)[m],
+    sizes=lambda n: Counter(_order_table(n).values()),
+    bounded=False,
 )
 
 KNUTH = Relation(
@@ -198,6 +224,8 @@ KNUTH = Relation(
     key=_knuth_key,
     symmetries=("", "r", "c", "rc"),
     class_size=_knuth_size,
+    sizes=_knuth_sizes,
+    bounded=False,
     pattern_class=_knuth_pattern_class,
 )
 
@@ -206,6 +234,10 @@ TORIC = Relation(
     key=_toric_key,
     symmetries=("", "r", "c", "rc", "i", "ir", "ic", "irc"),
     class_size=_toric_size,
+    # The cycle-type counting formula: cheap, but bounded so that a census
+    # over the budget raises BudgetExceeded (exit 3 on the command line).
+    sizes=steggall_census,
+    bounded=True,
     pattern_class=_toric_pattern_class,
 )
 
@@ -214,6 +246,8 @@ DESCENT = Relation(
     key=descent_set,
     symmetries=("", "r", "c", "rc"),
     class_size=_descent_size,
+    sizes=_descent_sizes,
+    bounded=True,
 )
 
 RELATIONS: dict[str, Relation] = {
@@ -221,39 +255,17 @@ RELATIONS: dict[str, Relation] = {
 }
 
 
-def census(rel: Relation, n: int, budget: int | None = None) -> ClassCensus:
-    """Class-size histogram of the relation on S_n.
+@functools.cache
+def _histogram(rel: Relation, n: int) -> dict[int, int]:
+    return dict(sorted(rel.sizes(n).items()))
 
-    Nothing is scanned: conjugacy, order and Knuth are sums over the
-    partitions of n, toric is the cycle-type counting formula
-    `arith.steggall_census`, and descent sums beta_n(S) over the subsets S of
-    1..n-1. Descent, whose work grows like 3^n, is held to the degree budget.
-    Toric is held to it too, although its formula is cheap, so that a toric
-    census over the budget raises BudgetExceeded (exit 3 on the command line).
-    A negative degree is a ValueError for every relation.
-    """
+
+def census(rel: Relation, n: int, budget: int | None = None) -> ClassCensus:
+    """Class-size histogram of the relation on S_n, built once per degree by
+    `rel.sizes`. A negative degree is a ValueError; a bounded relation's
+    degree is checked against the budget on every call."""
     if n < 0:
         raise ValueError(f"degree {n} is negative")
-    by_size: Counter[int] = Counter()
-    if rel.name == "conjugacy":
-        for lam in partitions(n):
-            by_size[_cycle_index_size(n, lam)] += 1
-    elif rel.name == "order":
-        for m in {math.lcm(*lam) for lam in partitions(n)}:
-            by_size[_order_size(n, m)] += 1
-    elif rel.name == "knuth":
-        for lam in partitions(n):
-            f = count_syt(lam)
-            by_size[f] += f
-    elif rel.name == "toric":
+    if rel.bounded:
         check_budget(n, budget)
-        by_size.update(steggall_census(n))
-    else:
-        # Descent: one class per subset S of 1..n-1, of size beta_n(S).
-        check_budget(n, budget)
-        positions = range(1, n)
-        for r in range(len(positions) + 1):
-            for s in combinations(positions, r):
-                by_size[_descent_size(n, frozenset(s))] += 1
-    return ClassCensus(relation=rel.name, n=n, by_size=dict(sorted(by_size.items())))
-
+    return ClassCensus(relation=rel.name, n=n, by_size=dict(_histogram(rel, n)))

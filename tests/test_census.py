@@ -1,5 +1,6 @@
 """Class-closed enumeration, stability, survey, and sequence checking."""
 
+import dataclasses
 import gc
 import inspect
 import math
@@ -501,22 +502,38 @@ class TestClassClosedCountOnly:
         closed = _closed_classes(_words_mask(scan(pats, n), n), class_masks(rel, n))
         assert _counts(fn(pats, rel, n)) == _oracle_triple(closed, n)[:2]
 
-    def test_descent_class_total_builds_no_census(self, monkeypatch):
-        # Past the cap a descent call reads its class total as 2^(n-1), the
-        # number of descent sets, instead of building census(DESCENT, n).
+    def test_descent_class_total_reads_memoised_census(self, monkeypatch):
+        # Past the cap a descent call reads its class total from the census,
+        # whose histogram is built once per relation and degree.
         pat = pattern((3, 2, 1), x=[0, 1])
         want = class_avoiders([pat], "descent", 7, want_members=True)
+        descent, built = RELATIONS["descent"], []
 
-        def no_census(*args, **kwargs):
-            raise AssertionError("census built")
+        def sizes(n):
+            built.append(n)
+            return descent.sizes(n)
 
-        monkeypatch.setattr(census_module, "census", no_census)
+        rel = dataclasses.replace(descent, sizes=sizes)
         with _sides_walked() as sides:
-            got = class_avoiders([pat], "descent", 7)
+            got = class_avoiders([pat], rel, 7)
         assert sides == [("avoiders", "other")]
         assert _counts(got) == (want.count, want.class_count)
+        assert built == [7]
+        # A second census of the degree builds no histogram, and each result
+        # owns its histogram: changing one leaves the next as it was.
+        first = census(rel, 7)
+        by_size = dict(first.by_size)
+        first.by_size.clear()
+        assert census(rel, 7).by_size == by_size == census(descent, 7).by_size
+        assert built == [7]
+        # The budget is checked on every call, also for a degree in the memo.
         with pytest.raises(permlab.BudgetExceeded):
             class_avoiders([pat], "descent", 7, budget=6)
+        with pytest.raises(permlab.BudgetExceeded):
+            census(rel, 7, budget=6)
+        monkeypatch.setenv("PERMLAB_BUDGET_N", "6")
+        with pytest.raises(permlab.BudgetExceeded):
+            census(rel, 7)
 
 
 class TestKnuthMatching:

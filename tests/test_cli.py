@@ -115,6 +115,104 @@ class TestEnumerate:
         assert err == f"permlab: --threads must be at least 1, not {threads}\n"
 
 
+class TestPlainEnumerateGolden:
+    """Plain `enumerate` (`--relation none`) on one pattern of each kind of
+    kernel plan: those the CI step compiles under -W error."""
+
+    EMITS = {"text": [], "json": ["--emit", "json"], "csv": ["--emit", "csv"]}
+
+    # sha256 of the transcript of `enumerate --mode MODE --relation none
+    # --pattern PAT --n N [--members] [EMIT flags]` for N = 0..8, each run
+    # read as "n=N exit=CODE\n" and its stdout, frozen from the walk that
+    # built every kept word also when only counts were printed.
+    GOLDEN = [
+        ("2413", "avoid", False, "text", "eb225b746cd3bfb19e2bf1ad393485b43e1e47f5cb63ce5d0251850853d7c85b"),
+        ("2413", "avoid", False, "json", "1a49ec23ee89c3c129b13ff46992a54bb09bf2e31fde9f1df14fa0564a5f5fcd"),
+        ("2413", "avoid", False, "csv", "437e77014302f3b57aa9864685e2fd5a6422208db206a36d9c7494df0fbb5c1e"),
+        ("2413", "avoid", True, "text", "2c198905b3056a28d88b90ec3d18f617cf27e117d2d53dff5ef84929bbc9fbc2"),
+        ("2413", "avoid", True, "json", "d8e8633a597639bbf00403e9e82d7f547400e85ef8103464d468b1a57c962bee"),
+        ("2413", "avoid", True, "csv", "437e77014302f3b57aa9864685e2fd5a6422208db206a36d9c7494df0fbb5c1e"),
+        ("2413", "class-match", False, "text", "1787571042022b1dbad0bf641289a3a058661fc20c2dcad84af199e636299eb8"),
+        ("2413", "class-match", False, "json", "e93230e0ce6102010bd11c8eae9fd476de57a0deb8489d4d67f7d3e00c85eca4"),
+        ("2413", "class-match", False, "csv", "735d6347027f35432745929714c9023f6832ec28ab4fce982b037dadeeea2999"),
+        ("2413", "class-match", True, "text", "66baa958dc20e5696408454f635ebef6f531e579cfa4c308e3e3c361604c7700"),
+        ("2413", "class-match", True, "json", "72671844c3d5a36d91f5a7c14ca08b4d3a3db03422480e9f2cbccbeade900ba9"),
+        ("2413", "class-match", True, "csv", "735d6347027f35432745929714c9023f6832ec28ab4fce982b037dadeeea2999"),
+        ("213;y=1", "avoid", False, "text", "51ac27f3daffcfbf80b76c08d082cb61a3d727c83196f00059d02bb94c3ac86f"),
+        ("213;y=1", "avoid", False, "json", "3262a5cbcfdc844d86d3438b61cf469cabdeecfe20a7c144eb571ec5f823a29a"),
+        ("213;y=1", "avoid", False, "csv", "cd8ff083977c1e9c58ffd974b8c3cd7594e75d8872d1d8afcc99ddf2a15c2dea"),
+        ("213;y=1", "avoid", True, "text", "a33db3ddf9b11bb6400f8b3c4917a04c233ddd8312f3d89cc95afc7cb9b47ef6"),
+        ("213;y=1", "avoid", True, "json", "ae3ae321484724dcf9fb5f3fd5dd40bba9624a1f476d6812e0bffbf821ce71e9"),
+        ("213;y=1", "avoid", True, "csv", "cd8ff083977c1e9c58ffd974b8c3cd7594e75d8872d1d8afcc99ddf2a15c2dea"),
+        ("213;y=1", "class-match", False, "text", "fff79ffcec8b90e99e5dd38518ca867bdaa9f2f81037c217273184208c06ce26"),
+        ("213;y=1", "class-match", False, "json", "9c0dc15ab2d5f134aaa132913c16667a8852e9f37c65dfbde9a953d2be87af56"),
+        ("213;y=1", "class-match", False, "csv", "ecc36c69876e17bc214ad79b9d95faa42e4063d01b96eb4bb713e0d62993ff0f"),
+        ("213;y=1", "class-match", True, "text", "966ab76b093db10c0788ff04afa1f3d1af9b1cad5d4eb2cf844e17d2c7fb1a65"),
+        ("213;y=1", "class-match", True, "json", "ab15cf11a7d538371e2bd201503194d3b5be3b416eb4d6437dd123647424af4f"),
+        ("213;y=1", "class-match", True, "csv", "ecc36c69876e17bc214ad79b9d95faa42e4063d01b96eb4bb713e0d62993ff0f"),
+        ("231;y=0", "avoid", False, "text", "b935dcc96ad29d304ba7b6e62576ca20ab683945ea4e16a766aefe62e5cfeb09"),
+        ("231;y=0", "avoid", False, "json", "b2b771eefee83106e9b72f21ab9a56be8b68e8669d9957caba98c594e7dccaf5"),
+        ("231;y=0", "avoid", False, "csv", "a409b8953cf19d098d4f3ab3ca6ea47ab3d45810c750cc9b33100c61bb998318"),
+        ("231;y=0", "avoid", True, "text", "583d6ba11b74eb32d70b79a43a43487fbe4e3df25f3df211d8efdf259f6c4383"),
+        ("231;y=0", "avoid", True, "json", "8e6a77d6933ab6f510ae41db74251a74daef915d6a1899bfdafaa314c8685304"),
+        ("231;y=0", "avoid", True, "csv", "a409b8953cf19d098d4f3ab3ca6ea47ab3d45810c750cc9b33100c61bb998318"),
+        ("231;y=0", "class-match", False, "text", "df67c3331428efcb2bdd4545a3892fdf1f1e6a6528f1ac1cbb3f90ae9bad9ea9"),
+        ("231;y=0", "class-match", False, "json", "2bdd30a62e314e11853ab30eb8d1b555da7b1ebcc17eb990ae2ae28face9841b"),
+        ("231;y=0", "class-match", False, "csv", "f4fc09f6e0250109dece688bea49722e2f7526557e337a512dfb81221d7325b6"),
+        ("231;y=0", "class-match", True, "text", "204b39093cb8f0fa3c3961a053ba07650d40cd23dd060cc7fdf405d59c063938"),
+        ("231;y=0", "class-match", True, "json", "f09b7b447c5cf4c4eb2fa8d88654b99536d7a0fa320de0d7434bcdb628da3cf7"),
+        ("231;y=0", "class-match", True, "csv", "f4fc09f6e0250109dece688bea49722e2f7526557e337a512dfb81221d7325b6"),
+        ("132;x=3;y=1,2,3", "avoid", False, "text", "3639ab8a562ca1c05a6172c2c2eea409247da064e0d7974f363032e0192c0979"),
+        ("132;x=3;y=1,2,3", "avoid", False, "json", "fd9fb791e5ccdffd2556c5d89d2cdd399cf9f47f511bfd4a7f3b15e665ba99df"),
+        ("132;x=3;y=1,2,3", "avoid", False, "csv", "e36094ca8b0dcbff94768991e242dab0833e420a3a396eb4fb2e9fcd2ab7140f"),
+        ("132;x=3;y=1,2,3", "avoid", True, "text", "164398ee0539aaa6d70674e69dabfac66fd28cb83459a9cda254378b471d530e"),
+        ("132;x=3;y=1,2,3", "avoid", True, "json", "db88730a069f48eb4006d292617ec2532fa989d5bd314d2231899cb79ae72968"),
+        ("132;x=3;y=1,2,3", "avoid", True, "csv", "e36094ca8b0dcbff94768991e242dab0833e420a3a396eb4fb2e9fcd2ab7140f"),
+        ("132;x=3;y=1,2,3", "class-match", False, "text", "ca2be77a03f413db47c736eb418bbc7147fb00c9e91ddfed6d0c616d8a84cd53"),
+        ("132;x=3;y=1,2,3", "class-match", False, "json", "42138c7f25818751295506fb1392f4e77820b6b38e0f022467e4093492a83c96"),
+        ("132;x=3;y=1,2,3", "class-match", False, "csv", "2f2f563842f26423a551e87fdfc08409728dffef524374e92e7bd9aac2570cfe"),
+        ("132;x=3;y=1,2,3", "class-match", True, "text", "f50815a24024fd775b9772bc0e711452fdf9292e7484262e4a493c51180ab90f"),
+        ("132;x=3;y=1,2,3", "class-match", True, "json", "2088915bf0b0b19069f25352bc4d73472432e960ec634b41489051de01f7f2e7"),
+        ("132;x=3;y=1,2,3", "class-match", True, "csv", "2f2f563842f26423a551e87fdfc08409728dffef524374e92e7bd9aac2570cfe"),
+        ("21;x=1;y=0,2", "avoid", False, "text", "301d4e26005f9e2f9e77b1b1ee48df7cb0942245d306f59d8c7044908c271a65"),
+        ("21;x=1;y=0,2", "avoid", False, "json", "555522f56c08de46183640f43e3ac727caf226f2b71de65107a2384d396a0674"),
+        ("21;x=1;y=0,2", "avoid", False, "csv", "d005070febefbd7edd06506bf0c96e4c530ba3114be820153d463aa59013be13"),
+        ("21;x=1;y=0,2", "avoid", True, "text", "5896205a6ec5c932143bbf8f3ad86928ca7d497dd810fafac1fe284a3aafafd5"),
+        ("21;x=1;y=0,2", "avoid", True, "json", "1cca645b65b9842fb85133adeb82447a34d5c30f73d2b2d00d2b7ddc42d6dbd4"),
+        ("21;x=1;y=0,2", "avoid", True, "csv", "d005070febefbd7edd06506bf0c96e4c530ba3114be820153d463aa59013be13"),
+        ("21;x=1;y=0,2", "class-match", False, "text", "ba5f25d1b1bf8fd7d9c89cde36e35252138e30bcdcd51679b6c419469fc28073"),
+        ("21;x=1;y=0,2", "class-match", False, "json", "4f6aa657fb5d0ea815d01b970507c616173c3def07f6540d3836c08b340f2a41"),
+        ("21;x=1;y=0,2", "class-match", False, "csv", "9010478a5a25279102c8d1fe23fb6f1ff407f380cde0778043ab2130d557c7bf"),
+        ("21;x=1;y=0,2", "class-match", True, "text", "00013299f41387637bbb051649a9b32d565ff962bfc42a6f83e9e422540a4431"),
+        ("21;x=1;y=0,2", "class-match", True, "json", "d283b965502c75911f1b387e12a5a0ee403a9e31ab751942213cb05fc1485791"),
+        ("21;x=1;y=0,2", "class-match", True, "csv", "9010478a5a25279102c8d1fe23fb6f1ff407f380cde0778043ab2130d557c7bf"),
+        ("231;x=0,1;y=0,1,2", "avoid", False, "text", "46305a5f6a4b50f463d636f6c089e9e2a29d9c3ff074bf3e2bae4e1725fb3b05"),
+        ("231;x=0,1;y=0,1,2", "avoid", False, "json", "525ae5ec4e1bed004bf8fa16a3775f16381d5bf7fa3914682540b156ee6498c9"),
+        ("231;x=0,1;y=0,1,2", "avoid", False, "csv", "e0d4229827a6a556ba5ba605057066961ad72033a05f1385c17c95a400e1039a"),
+        ("231;x=0,1;y=0,1,2", "avoid", True, "text", "3aa9915ce7cdb4d00ad99fb35c0f402d3909005e9c5e494835539ea1632a298d"),
+        ("231;x=0,1;y=0,1,2", "avoid", True, "json", "ca84db0241c223ed251585640da9fe2fbac0223f0b9a4731240cb56c5216add0"),
+        ("231;x=0,1;y=0,1,2", "avoid", True, "csv", "e0d4229827a6a556ba5ba605057066961ad72033a05f1385c17c95a400e1039a"),
+        ("231;x=0,1;y=0,1,2", "class-match", False, "text", "6268dd9043578b2ddac6ba41cdd4ee1a6a14835a8367480af60e6d5514072da8"),
+        ("231;x=0,1;y=0,1,2", "class-match", False, "json", "b8d1af623dcb41b1dbb105659caf5f80d82b76a618b6b26c0ed5ef0d3a235f3a"),
+        ("231;x=0,1;y=0,1,2", "class-match", False, "csv", "b021e8233a9ec7b86152f328f551cc863f9e705a0f7fb1b7feb4f8dfb4803312"),
+        ("231;x=0,1;y=0,1,2", "class-match", True, "text", "d65094c29101e51d753fc77cdd2d3cab088be36077270d7641d872b2bd1001e1"),
+        ("231;x=0,1;y=0,1,2", "class-match", True, "json", "03812231c6f45f5954b02645c116538dae8515577bc5184cf0bacc4f49a03528"),
+        ("231;x=0,1;y=0,1,2", "class-match", True, "csv", "b021e8233a9ec7b86152f328f551cc863f9e705a0f7fb1b7feb4f8dfb4803312"),
+    ]
+
+    @pytest.mark.parametrize("pat, mode, members, emit, digest", GOLDEN)
+    def test_golden_output(self, capsys, pat, mode, members, emit, digest):
+        codes, transcript = [], []
+        for n in range(9):
+            code, out = run(capsys, "enumerate", "--mode", mode, "--relation", "none",
+                            "--pattern", pat, "--n", str(n), *self.EMITS[emit],
+                            *["--members"] * members)
+            codes.append(code)
+            transcript.append(f"n={n} exit={code}\n{out}")
+        assert codes == [0] * 9
+        assert hashlib.sha256("".join(transcript).encode()).hexdigest() == digest
+
+
 class TestBudgetArgument:
     def test_negative_rejected_before_any_work(self, capsys):
         code, out, err = run_err(capsys, "enumerate", "--mode", "avoid", "--pattern", "1",

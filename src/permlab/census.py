@@ -25,6 +25,11 @@ gathers the OR of its members' masks, and a row's count is the size of the
 classes whose OR lacks its bit, summed for all rows at once in binary
 counter planes. No class size is needed there, since every class is seen
 whole.
+
+Plain avoidance and containment (no relation) need no keys. Without
+members they are counted by the same walk in its count mode, which adds the
+number of completions of each kept prefix and builds no word; with members
+the words come from `avoid_all` or `match_all`.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from typing import Hashable
 
 from .catalog import CATALOG, DIVISOR_PATTERN, SEQUENCE_TABLES, match_tables
 from .core import Word, format_perm, s_n
-from .generate import avoiders, containers
+from .generate import avoiders, containers, count
 from .pattern import BivincularPattern, PatternCodes, mask_table, signature_masks
 from .relations import RELATIONS, Relation, census, check_budget, resolve_budget
 
@@ -145,22 +150,31 @@ def class_matchers(pats, relation: Relation | str, n: int, *,
     return _closed_result(False, pats, relation, n, want_members, budget)
 
 
+def _plain_result(avoid: bool, pats, n: int, want_members: bool,
+                  budget: int | None) -> EnumerationResult:
+    """Each permutation is its own class. Without members the walk only
+    counts, as the module docstring describes."""
+    pats = tuple(pats)
+    if want_members:
+        members = tuple((avoid_all if avoid else match_all)(pats, n, budget=budget))
+        kept = len(members)
+    else:
+        check_budget(n, budget)
+        kept, members = count(avoid, pats, n), None
+    return EnumerationResult("avoid" if avoid else "class-match", "none", pats, n, kept, kept,
+                             members)
+
+
 def plain_avoiders(pats, n: int, *, want_members: bool = False,
                    budget: int | None = None) -> EnumerationResult:
     """Ordinary avoidance, no relation: each permutation is its own class."""
-    pats = tuple(pats)
-    kept = avoid_all(pats, n, budget=budget)
-    return EnumerationResult("avoid", "none", pats, n, len(kept), len(kept),
-                             tuple(kept) if want_members else None)
+    return _plain_result(True, pats, n, want_members, budget)
 
 
 def plain_matchers(pats, n: int, *, want_members: bool = False,
                    budget: int | None = None) -> EnumerationResult:
     """Ordinary containment, no relation: each permutation is its own class."""
-    pats = tuple(pats)
-    kept = match_all(pats, n, budget=budget)
-    return EnumerationResult("class-match", "none", pats, n, len(kept), len(kept),
-                             tuple(kept) if want_members else None)
+    return _plain_result(False, pats, n, want_members, budget)
 
 
 def sigma_via_avoiders(n: int, *, budget: int | None = None) -> int:

@@ -45,6 +45,12 @@ arguments: a nested function calling itself would form a reference cycle
 that keeps each call's result alive until the cyclic garbage collector
 runs. Each call takes the bitmask of the values not yet placed, which a gap
 test reads.
+
+Both loops run in one of two modes. The word mode, behind `avoiders` and
+`containers`, emits each kept prefix's completions as words. The count
+mode, behind `count`, adds their number, (n - m)! for a prefix of length
+m, to a running total, and builds no word: it enters the same prefixes and
+runs the same kernels, and is what a plain count without members needs.
 """
 
 from __future__ import annotations
@@ -79,10 +85,8 @@ def avoiders(pats: Iterable[BivincularPattern], n: int,
     >>> avoiders([pattern((2, 3, 1))], 3, cap=4) is None
     True
     """
-    pats = tuple(pats)
-    if any(pat.k == 0 and _empty_pattern_occurs(pat, n) for pat in pats):
-        return []
-    return _walk(True, [check for pat in pats if (check := _check(pat, n))], n, cap)
+    checks = _checks(True, pats, n)
+    return [] if checks is None else _walk(True, checks, n, cap, True)
 
 
 def containers(pats: Iterable[BivincularPattern], n: int,
@@ -101,22 +105,47 @@ def containers(pats: Iterable[BivincularPattern], n: int,
     >>> containers([], 3, cap=5) is None
     True
     """
+    checks = _checks(False, pats, n)
+    return [] if checks is None else _walk(False, checks, n, cap, True)
+
+
+def count(avoid: bool, pats: Iterable[BivincularPattern], n: int) -> int:
+    """The number of permutations of 1..n avoiding (or, for `avoid` false,
+    containing) every pattern: the length of `avoiders(pats, n)` (or of
+    `containers(pats, n)`), found by the same walk without building a word.
+
+    >>> from permlab.pattern import pattern
+    >>> count(True, [pattern((2, 3, 1))], 9), count(False, [pattern((2, 3, 1))], 9)
+    (4862, 358018)
+    """
+    checks = _checks(avoid, pats, n)
+    return 0 if checks is None else _walk(avoid, checks, n, None, False)
+
+
+def _checks(avoid: bool, pats: Iterable[BivincularPattern], n: int) -> list | None:
+    """The `_check` tuples of the patterns of length k >= 1 for the avoider
+    (or container) walk, or None when no word of S_n is kept: a pattern of
+    length 0 occurs (or does not), or, for containers, a pattern cannot
+    occur at all."""
     pats = tuple(pats)
-    if any(pat.k == 0 and not _empty_pattern_occurs(pat, n) for pat in pats):
-        return []
+    if any(pat.k == 0 and _empty_pattern_occurs(pat, n) == avoid for pat in pats):
+        return None
     checks = [check for pat in pats if (check := _check(pat, n))]
-    if len(checks) < sum(pat.k > 0 for pat in pats):
-        return []
-    return _walk(False, checks, n, cap)
+    if not avoid and len(checks) < sum(pat.k > 0 for pat in pats):
+        return None
+    return checks
 
 
-def _walk(avoid: bool, checks: list, n: int, cap: int | None) -> list[Word] | None:
-    """The words of the avoider (or container) walk over the `_check` tuples
-    of the patterns of length k >= 1, or None once they pass `cap`."""
+def _walk(avoid: bool, checks: list, n: int, cap: int | None,
+          words: bool) -> list[Word] | int | None:
+    """The words of the avoider (or container) walk over `checks`, or None
+    once they pass `cap`; or, for `words` false, only their number."""
     if not checks:
+        if not words:
+            return factorial(n)
         return None if cap is not None and factorial(n) > cap else list(permutations(range(1, n + 1)))
-    out: list[Word] = []
-    start = ([], [0] * (n + 2), list(range(1, n + 1)), (2 << n) - 2, out, cap)
+    out: list = [] if words else [0]
+    start = ([], [0] * (n + 2), list(range(1, n + 1)), (2 << n) - 2, out, cap, words)
     try:
         if avoid and not any(decider for *_, decider in checks):
             live_at = [[(ends_at, letter) for first, last, ends_at, letter, _ in checks
@@ -126,16 +155,18 @@ def _walk(avoid: bool, checks: list, n: int, cap: int | None) -> list[Word] | No
             _grow_open(avoid, tuple(checks), *start)
     except _OverCap:
         return None
-    return out
+    return out if words else out[0]
 
 
 def _grow_avoiders(live_at, horizon: int, prefix: list[int], posv: list[int],
-                   free: list[int], rest: int, out: list[Word], cap: int | None) -> None:
+                   free: list[int], rest: int, out: list, cap: int | None,
+                   words: bool) -> None:
     """The avoider walk of checks without a deciding value: at position m
     only the kernels in `live_at[m]` run, and past the horizon, the largest
     `last`, every completion is kept. `rest` has the bits of the unplaced
     values, `free`. The new letter never lies in a window for L, so each
-    child's gap test reads it."""
+    child's gap test reads it. The completions kept go into `out`, as words
+    or, for `words` false, as a number added to `out[0]`."""
     m = len(prefix) + 1
     top = m + len(free)  # n + 1
     live = live_at[m]
@@ -146,21 +177,25 @@ def _grow_avoiders(live_at, horizon: int, prefix: list[int], posv: list[int],
             if (not letter or letter == v) and ends_at(m, prefix, posv, top, rest):
                 break
         else:
-            left = free[:i] + free[i + 1:]
             if m < horizon:
-                _grow_avoiders(live_at, horizon, prefix, posv, left, rest ^ 1 << v, out, cap)
-            elif cap is not None and len(out) + factorial(len(left)) > cap:
-                raise _OverCap
+                _grow_avoiders(live_at, horizon, prefix, posv, free[:i] + free[i + 1:],
+                               rest ^ 1 << v, out, cap, words)
+            elif not words:
+                out[0] += factorial(top - m - 1)
             else:
+                left = free[:i] + free[i + 1:]
+                if cap is not None and len(out) + factorial(len(left)) > cap:
+                    raise _OverCap
                 out.extend(map(tuple(prefix).__add__, permutations(left)))
         prefix.pop()
         posv[v] = 0
 
 
 def _grow_open(avoid: bool, checks: tuple, prefix: list[int], posv: list[int],
-               free: list[int], rest: int, out: list[Word], cap: int | None) -> None:
+               free: list[int], rest: int, out: list, cap: int | None, words: bool) -> None:
     """The walk of either side (see the module docstring) over the checks
-    still open in `prefix`. `rest` is as in `_grow_avoiders`."""
+    still open in `prefix`. `rest`, `out` and `words` are as in
+    `_grow_avoiders`."""
     m = len(prefix) + 1
     top = m + len(free)  # n + 1
     for i, v in enumerate(free):
@@ -176,12 +211,15 @@ def _grow_open(avoid: bool, checks: tuple, prefix: list[int], posv: list[int],
                     break
                 pending = tuple(c for c in pending if c is not check)
         else:
-            left = free[:i] + free[i + 1:]
             if pending:
-                _grow_open(avoid, pending, prefix, posv, left, rest ^ 1 << v, out, cap)
-            elif cap is not None and len(out) + factorial(len(left)) > cap:
-                raise _OverCap
+                _grow_open(avoid, pending, prefix, posv, free[:i] + free[i + 1:],
+                           rest ^ 1 << v, out, cap, words)
+            elif not words:
+                out[0] += factorial(top - m - 1)
             else:
+                left = free[:i] + free[i + 1:]
+                if cap is not None and len(out) + factorial(len(left)) > cap:
+                    raise _OverCap
                 out.extend(map(tuple(prefix).__add__, permutations(left)))
         prefix.pop()
         posv[v] = 0

@@ -13,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import permlab
 import permlab.census as census_module
-from conftest import PERMS_BY_N, occurrence_mask, scan_avoiders, scan_matchers, words_of
+from conftest import (PERMS_BY_N, construction_mask, occurrence_mask, scan_avoiders,
+                      scan_matchers, words_of)
 from permlab.catalog import KNUTH_MATCHING_PATTERN, SEQUENCE_TABLES
 from permlab.census import (
     SequenceCheckReport,
@@ -170,11 +171,35 @@ class TestGenerationAgainstScan:
                 assert match_all([pat], n) == [w for i, w in enumerate(perms)
                                                if not mask >> i & 1], (str(pat), n)
 
+    def test_count_mode_on_the_short_grid(self, avoid_masks):
+        # The walk that only counts, against the oracle's popcount.
+        for pat, per_n in avoid_masks.items():
+            for n, mask in per_n.items():
+                avoided = mask.bit_count()
+                assert generate.count(True, [pat], n) == avoided, (str(pat), n)
+                assert generate.count(False, [pat], n) == math.factorial(n) - avoided, (str(pat), n)
+
+    def test_count_mode_at_eight(self):
+        # Past the signature table: one pattern of each kind of kernel plan,
+        # a classical pattern of length 4 from each of the other two Wilf
+        # classes, and a sample of length 3.
+        pats = [pattern((2, 4, 1, 3)), pattern((2, 1, 3), y=[1]), pattern((2, 3, 1), y=[0]),
+                pattern((1, 3, 2), x=[3], y=[1, 2, 3]), pattern((2, 1), x=[1], y=[0, 2]),
+                pattern((2, 3, 1), x=[0, 1], y=[0, 1, 2]), pattern((1, 2, 3, 4)),
+                pattern((1, 3, 2, 4))]
+        pats += random.Random(8).sample(list(all_patterns(3)), 12)
+        for pat in pats:
+            occurs = construction_mask(pat, 8).bit_count()
+            assert generate.count(False, [pat], 8) == occurs, str(pat)
+            assert generate.count(True, [pat], 8) == math.factorial(8) - occurs, str(pat)
+
     def test_empty_patterns_and_degree_zero(self):
         for pat in list(all_patterns(0)) + list(all_patterns(1)):
             for n in range(0, 4):
                 assert avoid_all([pat], n) == scan_avoiders([pat], n), (str(pat), n)
                 assert match_all([pat], n) == scan_matchers([pat], n), (str(pat), n)
+                assert generate.count(True, [pat], n) == len(scan_avoiders([pat], n)), (str(pat), n)
+                assert generate.count(False, [pat], n) == len(scan_matchers([pat], n)), (str(pat), n)
 
     @settings(max_examples=60, deadline=None)
     @given(pats=st.lists(_patterns(), min_size=1, max_size=3), n=st.integers(0, 8))
@@ -196,8 +221,11 @@ class TestGenerationAgainstScan:
              n=7)                                                       # two deciding values
     @example(pats=[pattern((1, 3, 2), x=[3], y=[1, 2, 3])], n=6)        # decided before position n
     def test_random_pattern_sets(self, pats, n):
-        assert avoid_all(pats, n) == scan_avoiders(pats, n)
-        assert match_all(pats, n) == scan_matchers(pats, n)
+        avoided, contained = avoid_all(pats, n), match_all(pats, n)
+        assert avoided == scan_avoiders(pats, n)
+        assert contained == scan_matchers(pats, n)
+        assert generate.count(True, pats, n) == len(avoided)
+        assert generate.count(False, pats, n) == len(contained)
 
     def test_every_adjacency_of_2413(self):
         # Kernel shapes that length 3 cannot give: pinned chains of two and
@@ -217,6 +245,18 @@ class TestGenerationAgainstScan:
         gc.disable()
         try:
             avoid_all(pats, 6), match_all(pats, 6)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_no_reference_cycles_when_counting(self):
+        pats = [pattern((2, 1, 3), y=[1]), pattern((1, 2), x=[0], y=[1, 2])]
+        generate.count(True, pats, 5), generate.count(False, pats, 5)
+        gc.collect()
+        gc.disable()
+        try:
+            generate.count(True, pats, 6), generate.count(False, pats, 6)
+            generate.count(True, [pattern((2, 4, 1, 3))], 6)  # the avoider-only loop
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -246,6 +286,8 @@ class TestCappedWalk:
         over = 0
         for pats, n in self._cases():
             full = walk(pats, n)
+            assert generate.count(walk is generate.avoiders, pats, n) == len(full), (
+                [str(p) for p in pats], n)
             assert walk(pats, n, len(full)) == full, ([str(p) for p in pats], n)
             assert walk(pats, n, math.factorial(n)) == full, ([str(p) for p in pats], n)
             if full:
@@ -320,6 +362,26 @@ class TestGenerationPruning:
         assert len(generate.avoiders([pattern((2, 3, 1))], 9)) == _catalan(9)
         assert len(entered) == 11934 - _catalan(9) == 7072
 
+    @pytest.mark.parametrize("avoid, pat, n", [
+        (True, pattern((2, 3, 1)), 9),
+        (True, pattern((2, 4, 1, 3)), 8),
+        (False, pattern((2, 4, 1, 3)), 7),
+        (True, pattern((2, 3, 1), y=[0]), 8),
+        (False, pattern((1, 3, 2), x=[3], y=[0, 1, 3]), 8),
+        (False, pattern((2, 1), x=[1], y=[0, 2]), 7),
+    ])
+    def test_count_walk_enters_the_word_walks_prefixes(self, entered, avoid, pat, n):
+        # Counting changes only what is done with a kept child's completions,
+        # not which prefixes are grown: for 231 at n = 9, the 7,072 above.
+        assert generate.count(avoid, [pat], n) == len(
+            (generate.avoiders if avoid else generate.containers)([pat], n))
+        words = set(entered)
+        entered.clear()
+        generate.count(avoid, [pat], n)
+        assert entered == words and entered
+        if str(pat) == "231;x=;y=":
+            assert len(entered) == 7072
+
     @pytest.mark.parametrize("walk", [generate.avoiders, generate.containers])
     def test_entered_prefixes_of_a_deciding_gap_plan(self, entered, walk):
         # Every occurrence of 231;y=0 puts the value 1 at its last slot, so
@@ -375,6 +437,8 @@ class TestGenerationPruning:
         # sequences instead.
         assert len(generate.avoiders([pat], 9)) == want
         assert len(generate.containers([pat], 9)) == math.factorial(9) - want
+        assert generate.count(True, [pat], 9) == want
+        assert generate.count(False, [pat], 9) == math.factorial(9) - want
 
 
 RELATION_NAMES = ("conjugacy", "order", "knuth", "toric", "descent")

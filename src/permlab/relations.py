@@ -22,7 +22,7 @@ from .arith import steggall_census
 from .core import Word, cycle_type, descent_set, order
 from .errors import BudgetExceeded, InternalCheckError
 from .pattern import BivincularPattern, shift_orbit
-from .tableau import count_syt, knuth_class, partitions, rsk, shape_of
+from .tableau import Shape, count_syt, knuth_class, partitions, rsk, shape_of
 
 DEFAULT_BUDGET_N = 9
 BUDGET_ENV_VAR = "PERMLAB_BUDGET_N"
@@ -122,15 +122,22 @@ def _knuth_key(pi: Word) -> Hashable:
     return rsk(pi)[0]
 
 
+@functools.cache
+def _syt_count(shape: Shape) -> int:
+    """`count_syt` memoised per shape tuple: a closure asks for the size of
+    every kept word's class, and the keys of degree n have only p(n) shapes."""
+    return count_syt(shape)
+
+
 def _knuth_size(n: int, p: Hashable) -> int:
     """Knuth class of insertion tableau p: one member per standard tableau of
     its shape, f^lam of them by the hook length formula."""
-    return count_syt(shape_of(p))
+    return _syt_count(shape_of(p))
 
 
 def _knuth_sizes(n: int) -> dict[int, int]:
     """f^lam classes of size f^lam per shape lam of n, one per insertion tableau."""
-    return {f: f * c for f, c in Counter(map(count_syt, partitions(n))).items()}
+    return {f: f * c for f, c in Counter(map(_syt_count, partitions(n))).items()}
 
 
 def _ascent_run_size(n: int, cuts: Sequence[int]) -> int:

@@ -126,7 +126,9 @@ def _checks(avoid: bool, pats: Iterable[BivincularPattern], n: int) -> list | No
     """The `_check` tuples of the patterns of length k >= 1 for the avoider
     (or container) walk, or None when no word of S_n is kept: a pattern of
     length 0 occurs (or does not), or, for containers, a pattern cannot
-    occur at all."""
+    occur at all. A negative degree is a ValueError."""
+    if n < 0:
+        raise ValueError(f"degree {n} is negative")
     pats = tuple(pats)
     if any(pat.k == 0 and _empty_pattern_occurs(pat, n) == avoid for pat in pats):
         return None
@@ -181,7 +183,7 @@ def _grow_avoiders(live_at, horizon: int, prefix: list[int], posv: list[int],
                 _grow_avoiders(live_at, horizon, prefix, posv, free[:i] + free[i + 1:],
                                rest ^ 1 << v, out, cap, words)
             elif not words:
-                out[0] += factorial(top - m - 1)
+                out[0] += factorial(len(free) - 1)
             else:
                 left = free[:i] + free[i + 1:]
                 if cap is not None and len(out) + factorial(len(left)) > cap:
@@ -215,7 +217,7 @@ def _grow_open(avoid: bool, checks: tuple, prefix: list[int], posv: list[int],
                 _grow_open(avoid, pending, prefix, posv, free[:i] + free[i + 1:],
                            rest ^ 1 << v, out, cap, words)
             elif not words:
-                out[0] += factorial(top - m - 1)
+                out[0] += factorial(len(free) - 1)
             else:
                 left = free[:i] + free[i + 1:]
                 if cap is not None and len(out) + factorial(len(left)) > cap:

@@ -112,13 +112,35 @@ def cycles(pi: Sequence[int]) -> tuple[Word, ...]:
     return tuple(out)
 
 
+def _cycle_lengths(pi: Sequence[int]) -> list[int]:
+    """Lengths of the disjoint cycles, each cycle met at the first of its
+    letters in the word; the cycles are walked but not kept.
+
+    >>> _cycle_lengths((9, 4, 8, 1, 6, 7, 5, 2, 3))
+    [6, 3]
+    """
+    seen = [False] * (len(pi) + 1)
+    out = []
+    for start in pi:
+        if seen[start]:
+            continue
+        length = 0
+        v = start
+        while not seen[v]:
+            seen[v] = True
+            length += 1
+            v = pi[v - 1]
+        out.append(length)
+    return out
+
+
 def cycle_type(pi: Sequence[int]) -> Word:
     """Cycle lengths, weakly decreasing.
 
     >>> cycle_type((9, 4, 8, 1, 6, 7, 5, 2, 3))
     (6, 3)
     """
-    return tuple(sorted((len(c) for c in cycles(pi)), reverse=True))
+    return tuple(sorted(_cycle_lengths(pi), reverse=True))
 
 
 def order(pi: Sequence[int]) -> int:
@@ -127,7 +149,7 @@ def order(pi: Sequence[int]) -> int:
     >>> order((4, 1, 5, 2, 6, 3))
     3
     """
-    return math.lcm(*cycle_type(pi)) if pi else 1
+    return math.lcm(*_cycle_lengths(pi))
 
 
 def oplus(pi: Sequence[int], m: int) -> Word:

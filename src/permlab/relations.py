@@ -1,11 +1,15 @@
 """Equivalence relations on S_n: conjugacy, order, Knuth, toric, descent.
 
-Each relation has a canonical class key, a closed-form size for each key,
-its census of class sizes on S_n (from closed forms, nothing scanned), and
-the list of r/c/i compositions that transport its classes to classes (so
-class-avoider counts are invariant under them). The sizes are n!/z_lam, its
-sums over a fixed lcm, f^lam, the least period of a toric step cycle and
-beta_n(S). `census` memoises each histogram per degree.
+Each relation has a canonical class key: the cycle type (`cycle_type`), the
+lcm of the cycle lengths (`order`), the insertion tableau
+(`insertion_tableau`), the least rotation of the circular word's steps
+(`_toric_key`) and the descent set (`descent_set`). It also has a
+closed-form size for each key, its census of class sizes on S_n (from
+closed forms, nothing scanned), and the list of r/c/i compositions that
+transport its classes to classes (so class-avoider counts are invariant
+under them). The sizes are n!/z_lam, its sums over a fixed lcm, f^lam, the
+least period of a toric step cycle and beta_n(S). `census` memoises each
+histogram per degree.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .arith import steggall_census
 from .core import Word, cycle_type, descent_set, order
 from .errors import BudgetExceeded, InternalCheckError
 from .pattern import BivincularPattern, shift_orbit
-from .tableau import Shape, count_syt, knuth_class, partitions, rsk, shape_of
+from .tableau import Shape, count_syt, insertion_tableau, knuth_class, partitions, shape_of
 
 DEFAULT_BUDGET_N = 9
 BUDGET_ENV_VAR = "PERMLAB_BUDGET_N"
@@ -116,10 +120,6 @@ def _order_table(n: int) -> Counter[int]:
     for lam in partitions(n):
         table[math.lcm(*lam)] += _cycle_index_size(n, lam)
     return table
-
-
-def _knuth_key(pi: Word) -> Hashable:
-    return rsk(pi)[0]
 
 
 @functools.cache
@@ -228,7 +228,7 @@ ORDER = Relation(
 
 KNUTH = Relation(
     name="knuth",
-    key=_knuth_key,
+    key=insertion_tableau,
     symmetries=("", "r", "c", "rc"),
     class_size=_knuth_size,
     sizes=_knuth_sizes,

@@ -1,4 +1,4 @@
-"""Row-insertion RSK, elementary Knuth moves, and hook-length counting.
+"""Row insertion and RSK, elementary Knuth moves, and hook-length counting.
 
 Tableaux are ragged tuples of row tuples; equality is structural. Knuth moves
 act on words of distinct letters through windows of three consecutive letters:
@@ -12,37 +12,40 @@ from bisect import bisect_right
 from math import factorial
 from typing import Iterator, Sequence
 
-from .core import Word
+from .core import Word, inverse
 
 Rows = tuple[tuple[int, ...], ...]
 Shape = tuple[int, ...]
 
 
+def insertion_tableau(pi: Sequence[int]) -> Rows:
+    """Row insertion tableau P of pi, the Knuth class key; no recording
+    tableau is kept.
+
+    >>> insertion_tableau((2, 4, 1, 3))
+    ((1, 3), (2, 4))
+    """
+    rows: list[list[int]] = []
+    for cur in pi:
+        for row in rows:
+            idx = bisect_right(row, cur)
+            if idx == len(row):
+                row.append(cur)
+                break
+            row[idx], cur = cur, row[idx]
+        else:
+            rows.append([cur])
+    return tuple(map(tuple, rows))
+
+
 def rsk(pi: Sequence[int]) -> tuple[Rows, Rows]:
-    """Row-insertion RSK: (insertion tableau P, recording tableau Q).
+    """Row-insertion RSK: (insertion tableau P, recording tableau Q). Q is
+    the insertion tableau of the inverse (Schuetzenberger's symmetry theorem).
 
     >>> rsk((2, 4, 1, 3))
     (((1, 3), (2, 4)), ((1, 2), (3, 4)))
     """
-    p_rows: list[list[int]] = []
-    q_rows: list[list[int]] = []
-    for step, value in enumerate(pi, start=1):
-        cur = value
-        r = 0
-        while True:
-            if r == len(p_rows):
-                p_rows.append([cur])
-                q_rows.append([step])
-                break
-            row = p_rows[r]
-            idx = bisect_right(row, cur)
-            if idx == len(row):
-                row.append(cur)
-                q_rows[r].append(step)
-                break
-            row[idx], cur = cur, row[idx]
-            r += 1
-    return tuple(map(tuple, p_rows)), tuple(map(tuple, q_rows))
+    return insertion_tableau(pi), insertion_tableau(inverse(pi))
 
 
 def shape_of(rows: Rows) -> Shape:

@@ -13,12 +13,14 @@ prefix walks, the signature reading behind `occurrences` and
 `occurrence_masks`) is used there, so none of it is ever checked against
 code it shares. Divisor sums come from a sieve. Classes are built without
 the relations' keys, class sizes or the package's toric shift, none of
-which (`cycle_type`, `order`, `rsk`, `descent_set`, `oplus`) is imported:
-conjugacy by cycle-type generation, order as unions of those, Knuth by
-closure under elementary moves, descent by grouping S_n on which adjacent
-letters fall, and toric by rotating the circle 0|pi. The brute-force
-helpers the package itself does not need (group product, toric orbits,
-inverse insertion, tableau listing, the toric class total) live here too.
+which (`cycle_type`, `order`, `insertion_tableau`, `rsk`, `descent_set`,
+`oplus`) is imported: conjugacy by cycle-type generation, order as unions of
+those, Knuth by closure under elementary moves, descent by grouping S_n on
+which adjacent letters fall, and toric by rotating the circle 0|pi. The
+cycle keys themselves are checked against the powers of a word: its orbit
+sizes and the least power that is the identity. The brute-force helpers the
+package itself does not need (group product, toric orbits, inverse
+insertion, tableau listing, the toric class total) live here too.
 Expected values frozen into the tests were produced by these oracles or
 quoted from the embedded reference rows.
 """
@@ -115,6 +117,31 @@ def compose(sigma: Sequence[int], tau: Sequence[int]) -> Word:
     if len(sigma) != len(tau):
         raise ValueError("length mismatch")
     return tuple(sigma[t - 1] for t in tau)
+
+
+def cyclic_group(w: Sequence[int]) -> list[Word]:
+    """The powers w, w^2, ..., w^m = id of w, by repeated `compose`.
+
+    >>> cyclic_group((2, 3, 1))
+    [(2, 3, 1), (3, 1, 2), (1, 2, 3)]
+    """
+    identity = tuple(range(1, len(w) + 1))
+    out = [tuple(w)]
+    while out[-1] != identity:
+        out.append(compose(w, out[-1]))
+    return out
+
+
+def orbit_sizes(w: Sequence[int]) -> tuple[int, ...]:
+    """Sizes of the orbits of the letters under the group generated by w,
+    weakly decreasing.
+
+    >>> orbit_sizes((9, 4, 8, 1, 6, 7, 5, 2, 3))
+    (6, 3)
+    """
+    group = cyclic_group(w)
+    orbits = {frozenset(g[i] for g in group) for i in range(len(w))}
+    return tuple(sorted(map(len, orbits), reverse=True))
 
 
 def toric_class(pi: Sequence[int]) -> frozenset[Word]:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import compose, toric_class
+from conftest import PERMS_BY_N, compose, cyclic_group, orbit_sizes, toric_class
 from permlab.core import (
     complement,
     cycle_type,
@@ -88,6 +88,16 @@ class TestAlgebra:
         for sigma in list(s_n(n))[:6]:
             conj = compose(compose(sigma, w), inverse(sigma))
             assert cycle_type(conj) == cycle_type(w)
+
+    def test_cycle_type_is_orbit_sizes(self):
+        for words in PERMS_BY_N.values():
+            for w in words:
+                assert cycle_type(w) == orbit_sizes(w), w
+
+    def test_order_is_least_identity_power(self):
+        for words in PERMS_BY_N.values():
+            for w in words:
+                assert order(w) == len(cyclic_group(w)), w
 
     def test_descents(self):
         assert descent_set((2, 4, 1, 6, 3, 5)) == frozenset({2, 4})

@@ -5,8 +5,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import inverse_rsk, is_standard, standard_tableaux
+from conftest import PERMS_BY_N, inverse_rsk, is_standard, standard_tableaux
 from permlab.core import s_n
+from permlab.relations import KNUTH
 from permlab.tableau import (
     count_syt,
     format_tableau,
@@ -40,6 +41,10 @@ class TestRsk:
         assert shape_of(p) == shape_of(q)
         assert inverse_rsk(p, q) == w
 
+    def test_roundtrip_on_s7(self):
+        for w in PERMS_BY_N[7]:
+            assert inverse_rsk(*rsk(w)) == w
+
     def test_inverse_rejects_mismatched_shapes(self):
         p, _ = rsk((1, 2, 3))
         _, q = rsk((3, 2, 1))
@@ -67,12 +72,13 @@ class TestKnuthMoves:
                 assert rsk(u)[0] == p
 
     def test_closure_equals_equal_p_partition(self):
-        for n in range(0, 6):
-            by_p = {}
-            for w in s_n(n):
-                by_p.setdefault(rsk(w)[0], set()).add(w)
-            for w in s_n(n):
-                assert knuth_class(w) == by_p[rsk(w)[0]]
+        for key in (lambda w: rsk(w)[0], KNUTH.key):
+            for n in range(0, 6):
+                by_p = {}
+                for w in s_n(n):
+                    by_p.setdefault(key(w), set()).add(w)
+                for w in s_n(n):
+                    assert knuth_class(w) == by_p[key(w)]
 
     def test_s3_classes(self):
         classes = {frozenset(knuth_class(w)) for w in s_n(3)}

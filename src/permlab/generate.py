@@ -43,8 +43,10 @@ a table and keeps every completion past the last position where a check can
 end. The walks are module-level recursive functions with explicit
 arguments: a nested function calling itself would form a reference cycle
 that keeps each call's result alive until the cyclic garbage collector
-runs. Each call takes the bitmask of the values not yet placed, which a gap
-test reads.
+runs. Each call takes the bitmask of the values not yet placed, new letter
+included, and passes it to every kernel as `rest`: a gap test reads the
+values still unplaced from it, and a kernel whose one loop became a bitmask
+test reads the values placed before the new letter as its complement.
 
 Both loops run in one of two modes. The word mode, behind `avoiders` and
 `containers`, emits each kept prefix's completions as words. The count

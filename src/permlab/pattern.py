@@ -18,13 +18,15 @@ are pinned to the positions before m; the others are searched left to right.
 Y partitions the ranks into runs of consecutive values, and once one rank of
 a run is placed every other rank's value is known. Each distinct plan is
 compiled once more, into a kernel (`_kernel`): a Python function of nested
-loops with the plan's constants inlined. One kernel serves both callers:
-`matches` tries each end position of a whole word, and the walks of
-`permlab.generate` try the newest letter of each prefix they grow.
-`occurrences` lists the position subsets whose signature (standardized
-letters, X-set and Y-set) admits the pattern, and `occurrence_masks` reads
-those of each word of S_n for many patterns at once, from a table
-(`mask_table`) that a survey builds once for all its degrees.
+loops with the plan's constants inlined, where a plan's one loop becomes a
+bitmask test and an innermost loop that seeks an extreme becomes a running
+one. One kernel serves both callers: `matches` tries each end position of a
+whole word, and the walks of `permlab.generate` try the newest letter of
+each prefix they grow. `occurrences` lists the position subsets whose
+signature (standardized letters, X-set and Y-set) admits the pattern, and
+`occurrence_masks` reads those of each word of S_n for many patterns at
+once, from a table (`mask_table`) that a survey builds once for all its
+degrees.
 `PatternCodes` numbers the patterns of one length so that a survey reduces
 them by symmetry with table lookups and builds a pattern only for each
 row's name.
@@ -218,12 +220,33 @@ def _kernel(pinned: tuple, free: tuple) -> Callable[..., bool]:
     slots but the last that leaves the last a value of the bitmask `rest`,
     so that every completion holds one). `posv` maps the placed letters to
     their positions and the others to 0; top is n+1. Letters past position m
-    are never read.
+    are never read, and `rest` is the bitmask of the values at positions
+    m..n. The letters pinned to positions m, m-1, ... are values of the
+    occurrence sought, so they bound every window the kernel tests and
+    never lie inside one.
 
     Value j is the local v<j> (values 0 and 1 are 0 and top), p<j> its
     position. A free step loops over the positions after the last step's
     unless X chains it or Y links it; a failed test goes on to the innermost
-    loop's next position. The source holds only the plan's integers.
+    loop's next position. The source holds only the plan's integers. Two
+    shapes of plan compile to fewer loops:
+
+    - When the only free step but the gap step is a loop, L, it ranges over
+      every position before the pinned slots, whose letters are the values
+      missing from `rest` less the pinned ones, which lie outside L's
+      window. The loop becomes one test of those bits inside L's window,
+      narrowed by the gap test: a gap window whose upper end is L needs L
+      above the least value of `rest` over its lower end, one whose lower
+      end is L needs L below the greatest value of `rest` under its upper
+      end, a gap value tied by Y to another value bounds L or, when tied to
+      L, is L's value plus or minus one, and a gap test that does not read
+      L is made first.
+    - When the last two free steps but the gap step, E and L, are loops and
+      the gap test reads L only as the upper end of its window while L is
+      bounded only from below (or only as the lower end while L is bounded
+      only from above), L's best letter is the greatest (least) of its
+      positions. E then loops right to left, and each of its positions adds
+      the next letter to a running extreme that stands for L.
     """
     val = ["0", "top"] + [f"v{j}" for j in range(2, 2 + len(pinned) + len(free))]
     lines = ["def ends_at(m, prefix, posv, top, rest):"]
@@ -243,7 +266,19 @@ def _kernel(pinned: tuple, free: tuple) -> Callable[..., bool]:
         if ref >= 0:
             emit(f"if v{j} != {val[ref]}{int(delta):+d}: {fail}")
         bounds(j, lo, hi)
-    after = len(pinned) + sum(chain is not None for *_, chain in free)
+    steps = [step for step in free if step[4] is not None]
+    gap = free[-1] if len(steps) < len(free) else None
+    last = 1 + len(pinned) + len(steps)  # the value of the last step but the gap step, L
+    loops = [ref < 0 and chain is False for ref, *_, chain in steps[-2:]]
+    if loops == [True]:
+        return _compile(lines + _one_loop(steps[0], gap, last, val))
+    extreme = None
+    if gap and gap[0] < 0 and loops == [True, True]:
+        if gap[3] == last and steps[-1][3] == 1:
+            extreme = ("0", ">")
+        elif gap[2] == last and steps[-1][2] == 0:
+            extreme = ("top", "<")
+    after = len(pinned) + len(steps)
     for j, (ref, delta, lo, hi, chain) in enumerate(free, start=2 + len(pinned)):
         after -= 1  # the positions of the later steps: this one's is at most m - after
         if ref >= 0:
@@ -255,8 +290,15 @@ def _kernel(pinned: tuple, free: tuple) -> Callable[..., bool]:
             bounds(j, lo, hi, False)
             emit(f"p{j} = posv[v{j}]", f"if p{j} != {prev} + 1 or p{j} > m - {after}: {fail}" if chain
                  else f"if not {prev} < p{j} <= m - {after}: {fail}")
+        elif extreme and j == last:  # L, read from the running extreme
+            bounds(j, lo, hi)
         else:
-            if chain:
+            if extreme and j == last - 1:  # E, whose positions give L one more letter each
+                start, better = extreme
+                emit(f"v{last} = {start}", f"for p{j} in range(m - {after}, {prev}, -1):")
+                depth, fail = depth + 1, "continue"
+                emit(f"if prefix[p{j}] {better} v{last}: v{last} = prefix[p{j}]")
+            elif chain:
                 emit(f"p{j} = {prev} + 1", f"if p{j} > m - {after}: {fail}")
             else:
                 emit(f"for p{j} in range({prev} + 1, m - {after - 1}):")
@@ -264,8 +306,41 @@ def _kernel(pinned: tuple, free: tuple) -> Callable[..., bool]:
             emit(f"v{j} = prefix[p{j} - 1]")
             bounds(j, lo, hi)
         prev = f"p{j}"
-    if not free or free[-1][4] is not None:
+    if not gap:
         emit("return True")
+    return _compile(lines)
+
+
+def _one_loop(step: tuple, gap: tuple | None, j: int, val: list[str]) -> list[str]:
+    """The lines that replace the loop of a plan whose only free step but
+    the gap step is the loop `step`, with value j (see `_kernel`)."""
+    lo, hi = val[step[2]], val[step[3]]
+    seen, lines = "~rest", []
+    if gap:
+        gref, gdelta, glo, ghi, _ = gap
+        if gref == j:  # every other rank is pinned, so the gap's is L's plus or minus one
+            seen, lo, hi = ("~rest & rest >> 1", lo, f"{hi} - 1") if gdelta > 0 else (
+                "~rest & rest << 1", f"{lo} + 1", hi)
+        elif gref >= 0:
+            cond = [val[glo]] * (glo != j) + [f"v{j + 1}"] + [val[ghi]] * (ghi != j)
+            lines += [f"v{j + 1} = {val[gref]}{int(gdelta):+d}",
+                      f"if not ({' < '.join(cond)} and rest >> v{j + 1} & 1): return False"]
+            lo, hi = (f"v{j + 1}", hi) if ghi == j else (lo, f"v{j + 1}") if glo == j else (lo, hi)
+        elif ghi == j:
+            lines += [f"low = rest & -(2 << {val[glo]})", "if not low: return False",
+                      "lo = (low & -low).bit_length() - 1"]
+            lo = "lo"
+        elif glo == j:
+            lines.append(f"hi = (rest & ((1 << {val[ghi]}) - 1)).bit_length() - 1")
+            hi = "hi"
+        else:
+            lines.append(f"if not rest & ((1 << {val[ghi]}) - (2 << {val[glo]})): return False")
+    guard = f"{lo} < {hi} and " if (lo, hi) != (val[step[2]], val[step[3]]) else ""
+    lines.append(f"if {guard}{seen} & ((1 << {hi}) - (2 << {lo})): return True")
+    return ["    " + line for line in lines]
+
+
+def _compile(lines: list[str]) -> Callable[..., bool]:
     namespace = {"__builtins__": {"range": range}}
     exec("\n".join(lines + ["    return False"]), namespace)
     return namespace.pop("ends_at")
@@ -397,8 +472,12 @@ def matches(pat: BivincularPattern, pi: Sequence[int]) -> bool:
     posv = [0] * (n + 1)
     for i, v in enumerate(w, start=1):
         posv[v] = i
-    # A gap plan reads the letters after position m.
-    return any(ends_at(m, w, posv, n + 1, _bits(w[m:])) for m in range(first, last + 1))
+    rest = _bits(w[first - 1:])  # the letters from position m on, as the walks pass them
+    for m in range(first, last + 1):
+        if ends_at(m, w, posv, n + 1, rest):
+            return True
+        rest ^= 1 << w[m - 1]
+    return False
 
 
 def avoids(pat: BivincularPattern, pi: Sequence[int]) -> bool:

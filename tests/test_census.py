@@ -181,11 +181,13 @@ class TestGenerationAgainstScan:
     def test_count_mode_at_eight(self):
         # Past the signature table: one pattern of each kind of kernel plan,
         # a classical pattern of length 4 from each of the other two Wilf
-        # classes, and a sample of length 3.
+        # classes, the other classical patterns whose innermost loop runs as
+        # an extreme, and a sample of length 3.
         pats = [pattern((2, 4, 1, 3)), pattern((2, 1, 3), y=[1]), pattern((2, 3, 1), y=[0]),
                 pattern((1, 3, 2), x=[3], y=[1, 2, 3]), pattern((2, 1), x=[1], y=[0, 2]),
                 pattern((2, 3, 1), x=[0, 1], y=[0, 1, 2]), pattern((1, 2, 3, 4)),
-                pattern((1, 3, 2, 4))]
+                pattern((1, 3, 2, 4)), pattern((3, 1, 4, 2)), pattern((1, 4, 2, 3)),
+                pattern((4, 1, 3, 2))]
         pats += random.Random(8).sample(list(all_patterns(3)), 12)
         for pat in pats:
             occurs = construction_mask(pat, 8).bit_count()

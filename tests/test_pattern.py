@@ -1,5 +1,6 @@
 """Occurrence test and pattern algebra."""
 
+import functools
 import itertools
 import math
 import random
@@ -9,9 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from permlab.core import s_n
 from permlab.errors import ParseError
-from permlab.census import _pat_key
+from permlab import generate
+from permlab.census import _pat_key, avoid_all, match_all
 from permlab.pattern import (
     PatternCodes,
+    _check,
+    _tail,
     all_patterns,
     apply_symmetry,
     avoids,
@@ -34,6 +38,8 @@ from conftest import (
     construction_mask,
     occurrence_mask,
     oracle_occurrences,
+    scan_avoiders,
+    scan_matchers,
 )
 
 W = (2, 4, 1, 6, 3, 5)
@@ -150,6 +156,53 @@ class TestConstructionOracle:
     def test_length4_sample_s7(self):
         for pat in itertools.islice(all_patterns(4), 0, None, 97):
             assert construction_mask(pat, 7) == occurrence_mask(pat, 7), str(pat)
+
+
+def _position_variables(pat) -> int:
+    """The positions p<j> that the compiled kernel of pat holds at n = 8."""
+    names = _check(pat, 8)[2].__code__.co_varnames
+    return sum(name[0] == "p" and name[1:].isdigit() for name in names)
+
+
+@functools.cache
+def _rewritten(k: int) -> tuple:
+    """The patterns of length k whose kernel holds fewer positions than the
+    plan has steps searched in the prefix. A plain compilation gives each
+    such step a position; both rewrites of `_kernel` drop the position of
+    the last one, a loop, so only plans ending in a loop are compiled."""
+    out = []
+    for pat in all_patterns(k):
+        steps = [step for step in _tail(pat).free if step[4] is not None]
+        if steps and steps[-1][0] < 0 and steps[-1][4] is False and _check(pat, 8) and (
+                _position_variables(pat) < len(steps)):
+            out.append(pat)
+    return tuple(out)
+
+
+class TestRewrittenKernels:
+    """The kernels whose one loop became a bitmask test, or whose innermost
+    loop became a running extreme, against the oracles; and the rewrites
+    fire."""
+
+    def test_rewrites_fire(self):
+        for text in ("321", "231", "231;y=0", "123;x=2"):
+            assert _position_variables(parse_pattern(text)) == 0, text
+        for text in ("2413", "3142"):
+            assert _position_variables(parse_pattern(text)) == 1, text
+        assert len(_rewritten(3)) == 80
+        assert len(_rewritten(4)) == 630
+
+    def test_length4_on_s6(self):
+        words = PERMS_BY_N[6]
+        for pat in _rewritten(4):
+            occurs = construction_mask(pat, 6)
+            assert [matches(pat, w) for w in words] == [bool(occurs >> i & 1) for i in
+                                                        range(len(words))], str(pat)
+            avoided, contained = avoid_all([pat], 6), match_all([pat], 6)
+            assert avoided == scan_avoiders([pat], 6), str(pat)
+            assert contained == scan_matchers([pat], 6), str(pat)
+            assert generate.count(True, [pat], 6) == len(avoided), str(pat)
+            assert generate.count(False, [pat], 6) == len(contained), str(pat)
 
 
 @st.composite

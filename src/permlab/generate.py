@@ -43,10 +43,13 @@ a table and keeps every completion past the last position where a check can
 end. The walks are module-level recursive functions with explicit
 arguments: a nested function calling itself would form a reference cycle
 that keeps each call's result alive until the cyclic garbage collector
-runs. Each call takes the bitmask of the values not yet placed, new letter
-included, and passes it to every kernel as `rest`: a gap test reads the
-values still unplaced from it, and a kernel whose one loop became a bitmask
-test reads the values placed before the new letter as its complement.
+runs. Each call holds the values not yet placed only as the bitmask
+`rest`: its children are the set bits, smallest first, and it passes
+`rest`, new letter included, to every kernel. A gap test reads the values
+still unplaced from it, and a kernel whose one loop became a bitmask test
+reads the values placed before the new letter as its complement. A kernel
+that pins the new letter to a value tests that value itself, so the loops
+call every live kernel on every child.
 
 Both loops run in one of two modes. The word mode, behind `avoiders` and
 `containers`, emits each kept prefix's completions as words. The count
@@ -57,12 +60,13 @@ runs the same kernels, and is what a plain count without members needs.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 from typing import Iterable
 
 from .core import Word
-from .pattern import BivincularPattern, _check, _empty_pattern_occurs
+from .pattern import BivincularPattern, _check, _empty_pattern_occurs, _members
 
 
 class _OverCap(Exception):
@@ -149,11 +153,11 @@ def _walk(avoid: bool, checks: list, n: int, cap: int | None,
             return factorial(n)
         return None if cap is not None and factorial(n) > cap else list(permutations(range(1, n + 1)))
     out: list = [] if words else [0]
-    start = ([], [0] * (n + 2), list(range(1, n + 1)), (2 << n) - 2, out, cap, words)
+    start = ([], [0] * (n + 2), (2 << n) - 2, out, cap, words)
     try:
         if avoid and not any(decider for *_, decider in checks):
-            live_at = [[(ends_at, letter) for first, last, ends_at, letter, _ in checks
-                        if first <= m <= last] for m in range(n + 1)]
+            live_at = [[ends_at for first, last, ends_at, _ in checks if first <= m <= last]
+                       for m in range(n + 1)]
             _grow_avoiders(live_at, max(check[1] for check in checks), *start)
         else:
             _grow_open(avoid, tuple(checks), *start)
@@ -162,68 +166,79 @@ def _walk(avoid: bool, checks: list, n: int, cap: int | None,
     return out if words else out[0]
 
 
-def _grow_avoiders(live_at, horizon: int, prefix: list[int], posv: list[int],
-                   free: list[int], rest: int, out: list, cap: int | None,
-                   words: bool) -> None:
+@lru_cache(maxsize=None)
+def _unplaced(rest: int) -> tuple[int, ...]:
+    """The values whose bits are set in `rest`, increasing: the children of
+    a walk call, or the tails of the completions it emits. The cache holds
+    one entry per set of unplaced values that a walk enters or completes a
+    prefix from, so at most 2^n for walks of degree up to n."""
+    return tuple(_members(rest, rest.bit_length() - 1))
+
+
+def _grow_avoiders(live_at, horizon: int, prefix: list[int], posv: list[int], rest: int,
+                   out: list, cap: int | None, words: bool) -> None:
     """The avoider walk of checks without a deciding value: at position m
     only the kernels in `live_at[m]` run, and past the horizon, the largest
     `last`, every completion is kept. `rest` has the bits of the unplaced
-    values, `free`. The new letter never lies in a window for L, so each
-    child's gap test reads it. The completions kept go into `out`, as words
-    or, for `words` false, as a number added to `out[0]`."""
+    values, and the set ones are the children tried, in increasing order.
+    The new letter never lies in a window for L, so each child's gap test
+    reads it. The completions kept go into `out`, as words or, for `words`
+    false, as a number added to `out[0]`."""
     m = len(prefix) + 1
-    top = m + len(free)  # n + 1
+    top = len(posv) - 1  # n + 1
     live = live_at[m]
-    for i, v in enumerate(free):
+    for v in _unplaced(rest):
         prefix.append(v)
         posv[v] = m
-        for ends_at, letter in live:
-            if (not letter or letter == v) and ends_at(m, prefix, posv, top, rest):
+        for ends_at in live:
+            if ends_at(m, prefix, posv, top, rest):
                 break
         else:
             if m < horizon:
-                _grow_avoiders(live_at, horizon, prefix, posv, free[:i] + free[i + 1:],
-                               rest ^ 1 << v, out, cap, words)
+                _grow_avoiders(live_at, horizon, prefix, posv, rest ^ 1 << v, out, cap, words)
             elif not words:
-                out[0] += factorial(len(free) - 1)
+                out[0] += factorial(top - 1 - m)
             else:
-                left = free[:i] + free[i + 1:]
-                if cap is not None and len(out) + factorial(len(left)) > cap:
-                    raise _OverCap
-                out.extend(map(tuple(prefix).__add__, permutations(left)))
+                _emit(prefix, rest ^ 1 << v, out, cap)
         prefix.pop()
         posv[v] = 0
 
 
-def _grow_open(avoid: bool, checks: tuple, prefix: list[int], posv: list[int],
-               free: list[int], rest: int, out: list, cap: int | None, words: bool) -> None:
+def _grow_open(avoid: bool, checks: tuple, prefix: list[int], posv: list[int], rest: int,
+               out: list, cap: int | None, words: bool) -> None:
     """The walk of either side (see the module docstring) over the checks
     still open in `prefix`. `rest`, `out` and `words` are as in
-    `_grow_avoiders`."""
+    `_grow_avoiders`: the children are the set bits of `rest`, and each open
+    check's kernel runs on every child in its window, testing a pinned
+    letter itself."""
     m = len(prefix) + 1
-    top = m + len(free)  # n + 1
-    for i, v in enumerate(free):
+    top = len(posv) - 1  # n + 1
+    for v in _unplaced(rest):
         prefix.append(v)
         posv[v] = m
         pending = checks
         for check in checks:
-            first, last, ends_at, letter, decider = check
-            fired = first <= m <= last and (not letter or letter == v) and ends_at(
-                m, prefix, posv, top, rest)
+            first, last, ends_at, decider = check
+            fired = first <= m <= last and ends_at(m, prefix, posv, top, rest)
             if fired or v == decider or m >= last:
                 if fired == avoid:
                     break
                 pending = tuple(c for c in pending if c is not check)
         else:
             if pending:
-                _grow_open(avoid, pending, prefix, posv, free[:i] + free[i + 1:],
-                           rest ^ 1 << v, out, cap, words)
+                _grow_open(avoid, pending, prefix, posv, rest ^ 1 << v, out, cap, words)
             elif not words:
-                out[0] += factorial(len(free) - 1)
+                out[0] += factorial(top - 1 - m)
             else:
-                left = free[:i] + free[i + 1:]
-                if cap is not None and len(out) + factorial(len(left)) > cap:
-                    raise _OverCap
-                out.extend(map(tuple(prefix).__add__, permutations(left)))
+                _emit(prefix, rest ^ 1 << v, out, cap)
         prefix.pop()
         posv[v] = 0
+
+
+def _emit(prefix: list[int], left: int, out: list, cap: int | None) -> None:
+    """Add to `out` every completion of `prefix` by the values of the
+    bitmask `left`, in lex order, or raise _OverCap past `cap` words."""
+    tails = _unplaced(left)
+    if cap is not None and len(out) + factorial(len(tails)) > cap:
+        raise _OverCap
+    out.extend(map(tuple(prefix).__add__, permutations(tails)))

@@ -185,14 +185,15 @@ def _tail(pat: BivincularPattern) -> _Tail:
     )
 
 
-def _check(pat: BivincularPattern, n: int) -> tuple[int, int, Callable[..., bool], int, int] | None:
-    """(first, last, kernel, letter, decider) for a search of pat in a word
-    of length n, or None when pat, of length k >= 1, cannot occur there. The
+def _check(pat: BivincularPattern, n: int) -> tuple[int, int, Callable[..., bool], int] | None:
+    """(first, last, kernel, decider) for a search of pat in a word of
+    length n, or None when pat, of length k >= 1, cannot occur there. The
     search can end at the positions first..last: where an occurrence ends
-    or, for a gap plan, where its first k-1 slots end. `letter` is the value
-    the last slot searched in the prefix must take, or 0 when it is free.
+    or, for a gap plan, where its first k-1 slots end. When the last slot
+    searched in the prefix must take a given value, its letter, the kernel
+    tests that on its first line, so a caller need not.
 
-    `decider` is the deciding value, or 0 if there is none: `letter`, or
+    `decider` is the deciding value, or 0 if there is none: the letter, or
     else the value of a gap plan's last slot L when Y ties it to 0 or n+1.
     Every occurrence holds it at the slot its kernel pins or, for L, after
     the position where the kernel found the rest of the occurrence; so once
@@ -210,7 +211,7 @@ def _check(pat: BivincularPattern, n: int) -> tuple[int, int, Callable[..., bool
     letter = (0, n + 1)[ref] + delta if ref >= 0 else 0
     gref, gdelta = tail.free[-1][:2] if tail.gap else (-1, 0)
     decider = letter or ((0, n + 1)[gref] + gdelta if 0 <= gref <= 1 else 0)
-    return first, last, _kernel(tail.pinned, tail.free), letter, decider
+    return first, last, _kernel(tail.pinned, tail.free), decider
 
 
 @lru_cache(maxsize=None)

@@ -182,12 +182,15 @@ class TestGenerationAgainstScan:
         # Past the signature table: one pattern of each kind of kernel plan,
         # a classical pattern of length 4 from each of the other two Wilf
         # classes, the other classical patterns whose innermost loop runs as
-        # an extreme, and a sample of length 3.
+        # an extreme, and a sample of length 3. Two more pin a letter, 2 at
+        # length 3 and 1 at length 1 with no free step, which only their
+        # kernels test.
         pats = [pattern((2, 4, 1, 3)), pattern((2, 1, 3), y=[1]), pattern((2, 3, 1), y=[0]),
                 pattern((1, 3, 2), x=[3], y=[1, 2, 3]), pattern((2, 1), x=[1], y=[0, 2]),
                 pattern((2, 3, 1), x=[0, 1], y=[0, 1, 2]), pattern((1, 2, 3, 4)),
                 pattern((1, 3, 2, 4)), pattern((3, 1, 4, 2)), pattern((1, 4, 2, 3)),
-                pattern((4, 1, 3, 2))]
+                pattern((4, 1, 3, 2)), pattern((1, 3, 2), x=[3], y=[0, 1, 3]),
+                pattern((1,), x=[0], y=[0])]
         pats += random.Random(8).sample(list(all_patterns(3)), 12)
         for pat in pats:
             occurs = construction_mask(pat, 8).bit_count()
@@ -431,6 +434,14 @@ class TestGenerationPruning:
         assert len(generate.containers([pat], 9)) == math.factorial(9) - want
         assert generate.count(True, [pat], 9) == want
         assert generate.count(False, [pat], 9) == math.factorial(9) - want
+
+    def test_children_cache_is_bounded_by_the_subsets(self):
+        # A call reads its children off the bitmask of unplaced values
+        # through a cache with one entry per set of unplaced values entered.
+        generate._unplaced.cache_clear()
+        assert generate.count(True, [pattern((2, 3, 1))], 9) == _catalan(9)
+        assert len(generate.avoiders([pattern((2, 3, 1))], 9)) == _catalan(9)
+        assert 1 <= generate._unplaced.cache_info().currsize <= 2 ** 9
 
 
 RELATION_NAMES = ("conjugacy", "order", "knuth", "toric", "descent")

@@ -11,7 +11,6 @@ and is validated against brute force in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .core import Word
@@ -88,7 +87,6 @@ def sigma_arith(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
 class NaturalPermutation:
     """The permutation of 1..n whose letter at position i is i*j mod (n+1),
     where j is the inverse of k modulo n+1.
@@ -98,14 +96,13 @@ class NaturalPermutation:
     are available without building them.
     """
 
-    k: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.k <= self.n:
+    def __init__(self, k: int, n: int) -> None:
+        if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n")
-        if math.gcd(self.k, self.n + 1) != 1:
-            raise ValueError(f"k = {self.k} is not invertible modulo {self.n + 1}")
+        if math.gcd(k, n + 1) != 1:
+            raise ValueError(f"k = {k} is not invertible modulo {n + 1}")
+        self.k = k
+        self.n = n
 
     @cached_property
     def increment(self) -> int:
@@ -188,7 +185,6 @@ def steggall_census(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
 class RobinResult:
     """One degree of the divisor-sum bound sigma(n) < e^gamma * n * log log n.
 
@@ -196,11 +192,15 @@ class RobinResult:
     bound, in which case `inconclusive` is set instead of a verdict.
     """
 
-    n: int
-    sigma: int
-    bound: float
-    holds: bool | None
-    inconclusive: bool
+    __slots__ = ("n", "sigma", "bound", "holds", "inconclusive")
+
+    def __init__(self, n: int, sigma: int, bound: float, holds: bool | None,
+                 inconclusive: bool) -> None:
+        self.n = n
+        self.sigma = sigma
+        self.bound = bound
+        self.holds = holds
+        self.inconclusive = inconclusive
 
     def to_payload(self) -> dict:
         return {

@@ -15,8 +15,6 @@ value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .pattern import BivincularPattern, pattern
 
 
@@ -96,14 +94,16 @@ TOTIENT_PATTERN = pattern((2, 1, 3), y=[1, 3])
 #: toric class-avoiders are exactly the divisor permutations, d(n) of them.
 DIVISOR_PATTERN = pattern((2, 1, 3), y=[1])
 
-@dataclass(frozen=True)
 class SequenceTable:
     """A reference row: values[i] corresponds to degree start + i."""
 
-    id: str
-    start: int
-    values: tuple[int, ...]
-    source: str
+    __slots__ = ("id", "start", "values", "source")
+
+    def __init__(self, id: str, start: int, values: tuple[int, ...], source: str) -> None:
+        self.id = id
+        self.start = start
+        self.values = values
+        self.source = source
 
     def value_at(self, n: int) -> int | None:
         idx = n - self.start
@@ -134,16 +134,19 @@ SEQUENCE_TABLES: dict[str, SequenceTable] = {
 }
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
     """A pattern/relation pair pinned to a reference row (or a label)."""
 
-    name: str
-    pat: BivincularPattern
-    relation: str
-    mode: str  # class-avoid | class-match
-    table: str | None
-    note: str
+    __slots__ = ("name", "pat", "relation", "mode", "table", "note")
+
+    def __init__(self, name: str, pat: BivincularPattern, relation: str, mode: str,
+                 table: str | None, note: str) -> None:
+        self.name = name
+        self.pat = pat
+        self.relation = relation
+        self.mode = mode  # class-avoid | class-match
+        self.table = table
+        self.note = note
 
 
 CATALOG: tuple[CatalogEntry, ...] = (

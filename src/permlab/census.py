@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Hashable
 
 from .catalog import CATALOG, DIVISOR_PATTERN, SEQUENCE_TABLES, match_tables
@@ -55,17 +54,26 @@ def _as_relation(relation: Relation | str) -> Relation:
         raise ValueError(f"unknown relation {relation!r}") from None
 
 
-@dataclass(frozen=True)
 class EnumerationResult:
     """Outcome of one enumeration: counts always, members on request."""
 
-    mode: str
-    relation: str
-    patterns: tuple[BivincularPattern, ...]
-    n: int
-    count: int
-    class_count: int
-    members: tuple[Word, ...] | None
+    __slots__ = ("mode", "relation", "patterns", "n", "count", "class_count", "members")
+
+    def __init__(self, mode: str, relation: str, patterns: tuple[BivincularPattern, ...], n: int,
+                 count: int, class_count: int, members: tuple[Word, ...] | None) -> None:
+        self.mode = mode
+        self.relation = relation
+        self.patterns = patterns
+        self.n = n
+        self.count = count
+        self.class_count = class_count
+        self.members = members
+
+    def __eq__(self, other: object):
+        """Two results are equal when all their fields are."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def to_payload(self) -> dict:
         payload: dict = {
@@ -187,18 +195,22 @@ def sigma_via_avoiders(n: int, *, budget: int | None = None) -> int:
     return sum(w.index(1) + 1 for w in result.members)
 
 
-@dataclass(frozen=True)
 class StabilityReport:
     """Whether class-closed avoidance agrees with plain avoidance of the
     pattern's own class, degree by degree up to n_max."""
 
-    pat: BivincularPattern
-    relation: str
-    n_max: int
-    pattern_class: tuple[BivincularPattern, ...]
-    stable: bool
-    witness_n: int | None
-    witness: Word | None
+    __slots__ = ("pat", "relation", "n_max", "pattern_class", "stable", "witness_n", "witness")
+
+    def __init__(self, pat: BivincularPattern, relation: str, n_max: int,
+                 pattern_class: tuple[BivincularPattern, ...], stable: bool, witness_n: int | None,
+                 witness: Word | None) -> None:
+        self.pat = pat
+        self.relation = relation
+        self.n_max = n_max
+        self.pattern_class = pattern_class
+        self.stable = stable
+        self.witness_n = witness_n
+        self.witness = witness
 
     def to_payload(self) -> dict:
         payload: dict = {
@@ -243,12 +255,18 @@ def stability(pat: BivincularPattern, relation: Relation | str, n_max: int, *,
     return StabilityReport(pat, rel.name, n_max, ptilde, True, None, None)
 
 
-@dataclass
 class SurveyRow:
-    pat: BivincularPattern
-    orbit_size: int
-    counts: dict[int, int]
-    tables: tuple[str, ...]
+    """One orbit of a survey: the pattern naming it, the number of patterns
+    it covers, its count per degree and the reference rows those match."""
+
+    __slots__ = ("pat", "orbit_size", "counts", "tables")
+
+    def __init__(self, pat: BivincularPattern, orbit_size: int, counts: dict[int, int],
+                 tables: tuple[str, ...]) -> None:
+        self.pat = pat
+        self.orbit_size = orbit_size
+        self.counts = counts
+        self.tables = tables
 
     def to_payload(self) -> dict:
         return {
@@ -259,12 +277,17 @@ class SurveyRow:
         }
 
 
-@dataclass
 class SurveyResult:
-    relation: str
-    length: int
-    pattern_count: int
-    rows: list[SurveyRow]
+    """A survey of every pattern of one length: one row per orbit."""
+
+    __slots__ = ("relation", "length", "pattern_count", "rows")
+
+    def __init__(self, relation: str, length: int, pattern_count: int,
+                 rows: list[SurveyRow]) -> None:
+        self.relation = relation
+        self.length = length
+        self.pattern_count = pattern_count
+        self.rows = rows
 
     @property
     def orbit_count(self) -> int:
@@ -393,13 +416,19 @@ def survey(relation: Relation | str, length: int, *, n_range=range(1, 6),
     return SurveyResult(rel.name, length, codes.count, rows)
 
 
-@dataclass
 class SequenceCheckReport:
-    id: str
-    start: int
-    expected: tuple[int, ...]
-    computed: dict[int, int]
-    skipped: tuple[int, ...]
+    """A reference row recomputed: the expected values from degree `start`
+    on, the computed count per degree, and the degrees skipped."""
+
+    __slots__ = ("id", "start", "expected", "computed", "skipped")
+
+    def __init__(self, id: str, start: int, expected: tuple[int, ...], computed: dict[int, int],
+                 skipped: tuple[int, ...]) -> None:
+        self.id = id
+        self.start = start
+        self.expected = expected
+        self.computed = computed
+        self.skipped = skipped
 
     @property
     def ok(self) -> bool:

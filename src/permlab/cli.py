@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 a requested check found a mismatch, 2 bad arguments
 or unparsable input, 3 enumeration budget exceeded, 4 internal consistency
-check failed. Output is deterministic: identical invocations produce
-byte-identical output. Degrees run one after another; --threads is accepted
-and validated but does not change the work done.
+check failed, 141 (128 + SIGPIPE) the reader closed stdout early. Output is
+deterministic: identical invocations produce byte-identical output. Degrees
+run one after another; --threads is accepted and validated but does not
+change the work done.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 
 from .arith import natural_perms, robin_range, sigma_arith, sigma_via_divisor_perms
@@ -324,7 +326,14 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ParseError(f"--threads must be at least 1, not {args.threads}")
         resolve_budget(args.budget_n)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader has gone: the rest of the output goes to os.devnull, so
+        # the flush at interpreter exit stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except BudgetExceeded as exc:
         print(f"permlab: {exc}", file=sys.stderr)
         return 3

@@ -34,7 +34,6 @@ row's name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator, Sequence
@@ -45,21 +44,41 @@ from .errors import ParseError
 Occurrence = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class BivincularPattern:
-    """The triple (p, X, Y). Immutable and hashable."""
+    """The triple (p, X, Y). Immutable and hashable: patterns with equal
+    fields are equal, and assigning to a field raises AttributeError."""
 
-    p: Word
-    x: frozenset[int] = frozenset()
-    y: frozenset[int] = frozenset()
+    __slots__ = ("p", "x", "y")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", check_perm(self.p))
-        object.__setattr__(self, "x", frozenset(self.x))
-        object.__setattr__(self, "y", frozenset(self.y))
-        k = len(self.p)
-        if not all(0 <= v <= k for v in self.x | self.y):
+    def __init__(self, p: Sequence[int], x: Iterable[int] = frozenset(),
+                 y: Iterable[int] = frozenset()) -> None:
+        p, x, y = check_perm(p), frozenset(x), frozenset(y)
+        k = len(p)
+        if not all(0 <= v <= k for v in x | y):
             raise ParseError(f"adjacency sets must lie in 0..{k}")
+        setattr_ = object.__setattr__
+        setattr_(self, "p", p)
+        setattr_(self, "x", x)
+        setattr_(self, "y", y)
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.x, self.y) == (other.p, other.x, other.y)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.x, self.y))
+
+    def __reduce__(self):
+        return BivincularPattern, (self.p, self.x, self.y)
+
+    def __repr__(self) -> str:
+        return f"BivincularPattern(p={self.p!r}, x={self.x!r}, y={self.y!r})"
 
     @property
     def k(self) -> int:
@@ -121,7 +140,6 @@ def _members(bits: int, k: int) -> list[int]:
     return [v for v in range(k + 1) if bits >> v & 1]
 
 
-@dataclass(frozen=True, slots=True)
 class _Tail:
     """Plan for finding an occurrence whose last slot sits at a given position.
 
@@ -142,12 +160,17 @@ class _Tail:
     hold it.
     """
 
-    pinned: tuple[tuple[int, int, int, int], ...]             # (ref, delta, lo, hi)
-    free: tuple[tuple[int, int, int, int, bool | None], ...]  # (ref, delta, lo, hi, chain)
-    fixed_start: bool   # the slots searched in the prefix are chained from position 1
-    at_end: bool        # k in X: the last slot sits at position n
-    fills_values: bool  # Y holds 0..k: the occurrence's values are 1..n
-    gap: bool           # a gap plan
+    __slots__ = ("pinned", "free", "fixed_start", "at_end", "fills_values", "gap")
+
+    def __init__(self, pinned: tuple[tuple[int, int, int, int], ...],
+                 free: tuple[tuple[int, int, int, int, bool | None], ...],
+                 fixed_start: bool, at_end: bool, fills_values: bool, gap: bool) -> None:
+        self.pinned = pinned              # (ref, delta, lo, hi) per step
+        self.free = free                  # (ref, delta, lo, hi, chain) per step
+        self.fixed_start = fixed_start    # the slots searched in the prefix are chained from position 1
+        self.at_end = at_end              # k in X: the last slot sits at position n
+        self.fills_values = fills_values  # Y holds 0..k: the occurrence's values are 1..n
+        self.gap = gap                    # a gap plan
 
 
 @lru_cache(maxsize=None)
@@ -227,10 +250,11 @@ def _kernel(pinned: tuple, free: tuple) -> Callable[..., bool]:
     never lie inside one.
 
     Value j is the local v<j> (values 0 and 1 are 0 and top), p<j> its
-    position. A free step loops over the positions after the last step's
-    unless X chains it or Y links it; a failed test goes on to the innermost
-    loop's next position. The source holds only the plan's integers. Two
-    shapes of plan compile to fewer loops:
+    position; a value that Y ties to 0 is its constant instead. A free step
+    loops over the positions after the last step's unless X chains it or Y
+    links it; a failed test goes on to the innermost loop's next position.
+    The source holds only the plan's integers, and no comparison that always
+    holds (see `_window`). Two shapes of plan compile to fewer loops:
 
     - When the only free step but the gap step is a loop, L, it ranges over
       every position before the pinned slots, whose letters are the values
@@ -249,24 +273,25 @@ def _kernel(pinned: tuple, free: tuple) -> Callable[..., bool]:
       positions. E then loops right to left, and each of its positions adds
       the next letter to a running extreme that stands for L.
     """
-    val = ["0", "top"] + [f"v{j}" for j in range(2, 2 + len(pinned) + len(free))]
+    # A free step's value that Y ties to 0 is a constant, named by itself.
+    val = ["0", "top"] + [f"v{j}" for j in range(2, 2 + len(pinned))] + [
+        str(delta) if ref == 0 else f"v{j}" for j, (ref, delta, *_) in enumerate(free, 2 + len(pinned))]
     lines = ["def ends_at(m, prefix, posv, top, rest):"]
     depth, fail, prev = 1, "return False", "0"
 
     def emit(*new: str) -> None:
         lines.extend("    " * depth + line for line in new)
 
-    def bounds(j: int, lo: int, hi: int, read: bool = True) -> None:
-        # A letter read from the word lies in 1..n, so 0 and top bound it.
-        cond = [val[lo]] * (lo > 0 or not read) + [val[j]] + [val[hi]] * (hi > 1 or not read)
-        if len(cond) > 1:
-            emit(f"if not {' < '.join(cond)}: {fail}")
+    def bounds(j: int, lo: int, hi: int, inside: bool, delta: int) -> None:
+        cond = _window(val, j, lo, hi, inside, delta)
+        if cond:
+            emit(f"if not {cond}: {fail}")
 
     for j, (ref, delta, lo, hi) in enumerate(pinned, start=2):
         emit(f"v{j} = prefix[m - {j - 1}]")
         if ref >= 0:
-            emit(f"if v{j} != {val[ref]}{int(delta):+d}: {fail}")
-        bounds(j, lo, hi)
+            emit(f"if v{j} != {val[ref]}{delta:+d}: {fail}")
+        bounds(j, lo, hi, True, delta)
     steps = [step for step in free if step[4] is not None]
     gap = free[-1] if len(steps) < len(free) else None
     last = 1 + len(pinned) + len(steps)  # the value of the last step but the gap step, L
@@ -282,17 +307,18 @@ def _kernel(pinned: tuple, free: tuple) -> Callable[..., bool]:
     after = len(pinned) + len(steps)
     for j, (ref, delta, lo, hi, chain) in enumerate(free, start=2 + len(pinned)):
         after -= 1  # the positions of the later steps: this one's is at most m - after
-        if ref >= 0:
-            emit(f"v{j} = {val[ref]}{int(delta):+d}")
+        if ref > 0:
+            emit(f"v{j} = {val[ref]}{delta:+d}")
         if chain is None:  # the gap step, last
-            emit(f"if {val[lo]} < v{j} < {val[hi]} and rest >> v{j} & 1: return True" if ref >= 0
+            cond = _window(val, j, lo, hi, ref <= 1, delta)
+            emit(f"if {cond + ' and ' * bool(cond)}rest >> {val[j]} & 1: return True" if ref >= 0
                  else f"if rest & ((1 << {val[hi]}) - (2 << {val[lo]})): return True")
         elif ref >= 0:
-            bounds(j, lo, hi, False)
-            emit(f"p{j} = posv[v{j}]", f"if p{j} != {prev} + 1 or p{j} > m - {after}: {fail}" if chain
+            bounds(j, lo, hi, ref <= 1, delta)
+            emit(f"p{j} = posv[{val[j]}]", f"if p{j} != {prev} + 1 or p{j} > m - {after}: {fail}" if chain
                  else f"if not {prev} < p{j} <= m - {after}: {fail}")
         elif extreme and j == last:  # L, read from the running extreme
-            bounds(j, lo, hi)
+            bounds(j, lo, hi, True, 0)
         else:
             if extreme and j == last - 1:  # E, whose positions give L one more letter each
                 start, better = extreme
@@ -305,7 +331,7 @@ def _kernel(pinned: tuple, free: tuple) -> Callable[..., bool]:
                 emit(f"for p{j} in range({prev} + 1, m - {after - 1}):")
                 depth, fail = depth + 1, "continue"
             emit(f"v{j} = prefix[p{j} - 1]")
-            bounds(j, lo, hi)
+            bounds(j, lo, hi, True, 0)
         prev = f"p{j}"
     if not gap:
         emit("return True")
@@ -323,10 +349,11 @@ def _one_loop(step: tuple, gap: tuple | None, j: int, val: list[str]) -> list[st
             seen, lo, hi = ("~rest & rest >> 1", lo, f"{hi} - 1") if gdelta > 0 else (
                 "~rest & rest << 1", f"{lo} + 1", hi)
         elif gref >= 0:
-            cond = [val[glo]] * (glo != j) + [f"v{j + 1}"] + [val[ghi]] * (ghi != j)
-            lines += [f"v{j + 1} = {val[gref]}{int(gdelta):+d}",
-                      f"if not ({' < '.join(cond)} and rest >> v{j + 1} & 1): return False"]
-            lo, hi = (f"v{j + 1}", hi) if ghi == j else (lo, f"v{j + 1}") if glo == j else (lo, hi)
+            if gref > 0:
+                lines.append(f"v{j + 1} = {val[gref]}{gdelta:+d}")
+            cond = _window(val, j + 1, glo, ghi, gref <= 1, gdelta, skip=j)
+            lines.append(f"if not ({cond + ' and ' * bool(cond)}rest >> {val[j + 1]} & 1): return False")
+            lo, hi = (val[j + 1], hi) if ghi == j else (lo, val[j + 1]) if glo == j else (lo, hi)
         elif ghi == j:
             lines += [f"low = rest & -(2 << {val[glo]})", "if not low: return False",
                       "lo = (low & -low).bit_length() - 1"]
@@ -339,6 +366,19 @@ def _one_loop(step: tuple, gap: tuple | None, j: int, val: list[str]) -> list[st
     guard = f"{lo} < {hi} and " if (lo, hi) != (val[step[2]], val[step[3]]) else ""
     lines.append(f"if {guard}{seen} & ((1 << {hi}) - (2 << {lo})): return True")
     return ["    " + line for line in lines]
+
+
+def _window(val: list[str], j: int, lo: int, hi: int, inside: bool, delta: int,
+            skip: int = -1) -> str:
+    """`lo < j < hi` over the values' names, as source, less the bounds
+    that always hold and any by value `skip`, or '' if none is left. A value
+    inside 1..n (a letter read from the word, or a value that Y ties to 0 or
+    n+1) needs no bound by 0 or top. A value that Y ties to a placed one
+    (delta, its offset, is nonzero) needs none on that one's side: its
+    neighbour there is in its own run, so lies below (or above) it."""
+    below = (lo > 0 or not inside) and delta <= 0 and lo != skip
+    above = (hi > 1 or not inside) and delta >= 0 and hi != skip
+    return " < ".join([val[lo]] * below + [val[j]] + [val[hi]] * above) if below or above else ""
 
 
 def _compile(lines: list[str]) -> Callable[..., bool]:

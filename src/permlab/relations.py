@@ -18,7 +18,6 @@ import functools
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Hashable, Mapping, Sequence
 
@@ -64,7 +63,6 @@ def check_budget(n: int, budget: int | None = None) -> None:
         raise BudgetExceeded(f"degree {n} exceeds the degree budget {cap}")
 
 
-@dataclass(frozen=True)
 class Relation:
     """A named equivalence relation: its class key, the closed-form size
     `class_size(n, key)` of the class with that key in S_n, the histogram
@@ -72,31 +70,60 @@ class Relation:
     degree budget, and the r/c/i compositions compatible with it. Class
     closure tallies keys against these sizes. `pattern_class` is set for the
     relations that also act on patterns (Knuth and toric).
+
+    Immutable and hashable: relations with equal fields are equal, and
+    assigning to a field raises AttributeError.
     """
 
-    name: str
-    key: Callable[[Word], Hashable]
-    symmetries: tuple[str, ...]
-    class_size: Callable[[int, Hashable], int]
-    sizes: Callable[[int], Mapping[int, int]]
-    bounded: bool
-    pattern_class: Callable[[BivincularPattern], frozenset[BivincularPattern]] | None = None
+    __slots__ = ("name", "key", "symmetries", "class_size", "sizes", "bounded", "pattern_class")
+
+    def __init__(self, name: str, key: Callable[[Word], Hashable], symmetries: tuple[str, ...],
+                 class_size: Callable[[int, Hashable], int], sizes: Callable[[int], Mapping[int, int]],
+                 bounded: bool,
+                 pattern_class: Callable[[BivincularPattern], frozenset[BivincularPattern]] | None = None,
+                 ) -> None:
+        for field, value in zip(self.__slots__, (name, key, symmetries, class_size, sizes, bounded,
+                                                 pattern_class)):
+            object.__setattr__(self, field, value)
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return (self.name, self.key, self.symmetries, self.class_size, self.sizes, self.bounded,
+                self.pattern_class)
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return Relation, self._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={value!r}" for field, value in zip(self.__slots__, self._fields()))
+        return f"Relation({fields})"
 
 
-@dataclass
 class ClassCensus:
-    """Class-size histogram of a relation on S_n."""
+    """Class-size histogram of a relation on S_n. Building one checks that
+    its classes cover n! permutations."""
 
-    relation: str
-    n: int
-    by_size: dict[int, int]
+    __slots__ = ("relation", "n", "by_size")
 
-    def __post_init__(self) -> None:
-        total = sum(size * count for size, count in self.by_size.items())
-        if total != math.factorial(self.n):
-            raise InternalCheckError(
-                f"{self.relation} census of S_{self.n} covers {total} != {self.n}!"
-            )
+    def __init__(self, relation: str, n: int, by_size: dict[int, int]) -> None:
+        total = sum(size * count for size, count in by_size.items())
+        if total != math.factorial(n):
+            raise InternalCheckError(f"{relation} census of S_{n} covers {total} != {n}!")
+        self.relation = relation
+        self.n = n
+        self.by_size = by_size
 
     @property
     def class_count(self) -> int:

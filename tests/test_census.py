@@ -1,6 +1,5 @@
 """Class-closed enumeration, stability, survey, and sequence checking."""
 
-import dataclasses
 import gc
 import inspect
 import math
@@ -33,7 +32,7 @@ from permlab.arith import natural_perms, sigma_arith
 from permlab.core import s_n
 from permlab import generate
 from permlab.pattern import all_patterns, pattern
-from permlab.relations import RELATIONS, census, check_budget
+from permlab.relations import RELATIONS, Relation, census, check_budget
 
 
 #: Three increasing letters at consecutive positions.
@@ -580,7 +579,8 @@ class TestClassClosedCountOnly:
             built.append(n)
             return descent.sizes(n)
 
-        rel = dataclasses.replace(descent, sizes=sizes)
+        rel = Relation(descent.name, descent.key, descent.symmetries, descent.class_size, sizes,
+                       descent.bounded, descent.pattern_class)
         with _sides_walked() as sides:
             got = class_avoiders([pat], rel, 7)
         assert sides == [("avoiders", "other")]
@@ -729,9 +729,9 @@ class TestSurvey:
         from permlab.pattern import BivincularPattern
 
         built, tables = [], []
-        post_init, mask_table = BivincularPattern.__post_init__, census_module.mask_table
-        monkeypatch.setattr(BivincularPattern, "__post_init__",
-                            lambda pat: built.append(pat) or post_init(pat))
+        init, mask_table = BivincularPattern.__init__, census_module.mask_table
+        monkeypatch.setattr(BivincularPattern, "__init__",
+                            lambda pat, *args: built.append(pat) or init(pat, *args))
         monkeypatch.setattr(census_module, "mask_table",
                             lambda *args: tables.append(args) or mask_table(*args))
         for merge_shift in (False, True):

@@ -3,9 +3,13 @@
 import gc
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import permlab
 from permlab import cli
 
 
@@ -581,3 +585,20 @@ class TestRepeatedCalls:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def test_reader_closing_early_exits_141():
+    # The output (about 430 KB) outgrows a pipe's buffer, so the writer is
+    # still writing when the reader closes, however the two are scheduled.
+    argv = ["enumerate", "--mode", "class-match", "--relation", "none", "--n", "8",
+            "--pattern", "231", "--members"]
+    src = Path(permlab.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from permlab.cli import main; "
+            "sys.exit(main(sys.argv[2:]))")
+    proc = subprocess.Popen([sys.executable, "-c", code, str(src), *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"n=8 count=38890 class_count=38890\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

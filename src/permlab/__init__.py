@@ -63,7 +63,6 @@ from .core import (
     Word,
     complement,
     cycle_type,
-    cycles,
     descent_set,
     format_perm,
     inverse,
@@ -76,16 +75,11 @@ from .core import (
 from .errors import BudgetExceeded, InternalCheckError, ParseError
 from .pattern import (
     BivincularPattern,
-    all_patterns,
-    apply_symmetry,
     avoids,
     format_pattern,
     matches,
     occurrences,
     parse_pattern,
-    pat_complement,
-    pat_inverse,
-    pat_reverse,
     pat_shift,
     shift_orbit,
 )

@@ -18,13 +18,13 @@ the count is n! less the sizes of the classes it touches, and the class
 count the number of classes in the relation's census less their number.
 
 A survey asks this of hundreds of patterns at once. It first reduces them
-to one row per symmetry orbit on integer codes, building a pattern only for
-each row's name, then makes one pass over S_n per degree: each word is keyed
-once and gets one bitmask of the rows whose pattern occurs in it, each class
-gathers the OR of its members' masks, and a row's count is the size of the
-classes whose OR lacks its bit, summed for all rows at once in binary
-counter planes. No class size is needed there, since every class is seen
-whole.
+to one row per symmetry orbit on integer codes (`PatternCodes`), building a
+pattern only for each row's name, then makes one pass over S_n per degree:
+each word is keyed once and gets one bitmask of the rows whose pattern
+occurs in it (`signature_masks`), each class gathers the OR of its members'
+masks, and a row's count is the size of the classes whose OR lacks its bit,
+summed for all rows at once in binary counter planes. No class size is
+needed there, since every class is seen whole.
 
 Plain avoidance and containment (no relation) need no keys. Without
 members they are counted by the same walk in its count mode, which adds the

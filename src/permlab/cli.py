@@ -31,7 +31,7 @@ from .census import (
 from .core import format_perm, parse_perm
 from .errors import BudgetExceeded, InternalCheckError, ParseError
 from .pattern import parse_pattern
-from .relations import RELATIONS, census, resolve_budget
+from .relations import RELATIONS, census, check_budget, resolve_budget
 from .tableau import format_tableau, rsk
 
 
@@ -78,7 +78,10 @@ def cmd_enumerate(args) -> int:
         fn = class_avoiders if args.mode == "class-avoid" else class_matchers
         run = lambda n: fn(pats, args.relation, n, want_members=args.members, budget=args.budget_n)
 
-    results = [run(n) for n in _parse_n_spec(args.n)]
+    degrees = _parse_n_spec(args.n)
+    for n in degrees:  # fail on a degree over budget before doing any work
+        check_budget(n, args.budget_n)
+    results = [run(n) for n in degrees]
     if args.emit == "json":
         payloads = [r.to_payload() for r in results]
         _print_json(payloads[0] if len(payloads) == 1 else {"results": payloads})

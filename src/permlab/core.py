@@ -90,28 +90,6 @@ def complement(pi: Sequence[int]) -> Word:
     return tuple(n + 1 - v for v in pi)
 
 
-def cycles(pi: Sequence[int]) -> tuple[Word, ...]:
-    """Disjoint cycles, each rotated to start at its smallest letter,
-    listed in order of those leaders.
-
-    >>> cycles((9, 4, 8, 1, 6, 7, 5, 2, 3))
-    ((1, 9, 3, 8, 2, 4), (5, 6, 7))
-    """
-    seen = [False] * len(pi)
-    out = []
-    for start in range(1, len(pi) + 1):
-        if seen[start - 1]:
-            continue
-        cyc = []
-        v = start
-        while not seen[v - 1]:
-            seen[v - 1] = True
-            cyc.append(v)
-            v = pi[v - 1]
-        out.append(tuple(cyc))
-    return tuple(out)
-
-
 def _cycle_lengths(pi: Sequence[int]) -> list[int]:
     """Lengths of the disjoint cycles, each cycle met at the first of its
     letters in the word; the cycles are walked but not kept.

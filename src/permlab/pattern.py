@@ -1,4 +1,4 @@
-"""Bivincular patterns, the occurrence test, and the pattern symmetry algebra.
+"""Bivincular patterns, the occurrence test, and the patterns' symmetries.
 
 A bivincular pattern is a triple (p, X, Y): a classical pattern p of length k
 plus adjacency constraints X, Y subsets of {0..k}. An occurrence in a word w of
@@ -24,12 +24,17 @@ one. One kernel serves both callers: `matches` tries each end position of a
 whole word, and the walks of `permlab.generate` try the newest letter of
 each prefix they grow. `occurrences` lists the position subsets whose
 signature (standardized letters, X-set and Y-set) admits the pattern, and
-`occurrence_masks` reads those of each word of S_n for many patterns at
-once, from a table (`mask_table`) that a survey builds once for all its
-degrees.
-`PatternCodes` numbers the patterns of one length so that a survey reduces
-them by symmetry with table lookups and builds a pattern only for each
-row's name.
+`signature_masks` reads the signatures of each word of S_n to test many
+patterns of one length at once, against a table (`mask_table`) that a
+survey builds once for all its degrees.
+
+The symmetries of Bousquet-Melou, Claesson, Dukes and Kitaev (JCTA 117,
+2010) act on patterns of length k as (p, X, Y)^r = (p^r, k - X, Y),
+(p, X, Y)^c = (p^c, X, k - Y) and (p, X, Y)^i = (p^-1, Y, X). A survey
+applies them only to integer codes: `PatternCodes` numbers the patterns of
+one length so that a survey reduces them by symmetry with table lookups
+and builds a pattern only for each row's name. `pat_shift`, the toric shift
+on patterns, gives the toric pattern classes.
 """
 
 from __future__ import annotations
@@ -40,11 +45,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Word, check_perm, complement, format_perm, inverse, oplus, parse_perm, reverse
 from .errors import ParseError
+from .records import FrozenRecord
 
 Occurrence = tuple[int, ...]
 
 
-class BivincularPattern:
+class BivincularPattern(FrozenRecord):
     """The triple (p, X, Y). Immutable and hashable: patterns with equal
     fields are equal, and assigning to a field raises AttributeError."""
 
@@ -56,29 +62,7 @@ class BivincularPattern:
         k = len(p)
         if not all(0 <= v <= k for v in x | y):
             raise ParseError(f"adjacency sets must lie in 0..{k}")
-        setattr_ = object.__setattr__
-        setattr_(self, "p", p)
-        setattr_(self, "x", x)
-        setattr_(self, "y", y)
-
-    def __setattr__(self, name: str, *_: object) -> None:
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.x, self.y) == (other.p, other.x, other.y)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.x, self.y))
-
-    def __reduce__(self):
-        return BivincularPattern, (self.p, self.x, self.y)
-
-    def __repr__(self) -> str:
-        return f"BivincularPattern(p={self.p!r}, x={self.x!r}, y={self.y!r})"
+        self._freeze(p, x, y)
 
     @property
     def k(self) -> int:
@@ -457,23 +441,10 @@ def occurrences(pat: BivincularPattern, pi: Sequence[int]) -> list[Occurrence]:
     return out
 
 
-def occurrence_masks(pats: Sequence[BivincularPattern], n: int) -> Iterator[int]:
-    """For each permutation of 1..n in lex order, the mask whose bit i is set
-    iff pats[i] occurs in it; the patterns all have one length k.
-
-    >>> list(occurrence_masks([pattern((1, 2)), pattern((2, 1), x=[1])], 3))
-    [1, 3, 3, 3, 3, 2]
-    """
-    k = pats[0].k if pats else 0
-    if any(pat.k != k for pat in pats):
-        raise ValueError("the patterns must all have one length")
-    table = mask_table(k, ((pat.p, _bits(pat.x), _bits(pat.y), 1 << i) for i, pat in enumerate(pats)))
-    return signature_masks(table, k, n)
-
-
 def signature_masks(table: dict[Word, list[int]], k: int, n: int) -> Iterator[int]:
-    """`occurrence_masks` of the patterns of length k in `table` (see
-    `mask_table`), built once by a caller that asks at several degrees.
+    """For each permutation of 1..n in lex order, the OR of the pattern bits
+    of the patterns of length k in `table` (see `mask_table`) that occur in
+    it. The table is built once by a caller that asks at several degrees.
 
     Each k-subset of positions is read for its signature: its letters'
     standardization p, its X-set and its Y-set. A pattern occurs at the
@@ -481,6 +452,10 @@ def signature_masks(table: dict[Word, list[int]], k: int, n: int) -> Iterator[in
     so the subset's mask is one cell of the table. The mask of every
     signature met is memoised by (X-set, letters), so a word costs C(n, k)
     lookups.
+
+    >>> table = mask_table(2, [((1, 2), 0, 0, 1 << 0), ((2, 1), 1 << 1, 0, 1 << 1)])
+    >>> list(signature_masks(table, 2, 3))  # 12, and 21;x=1
+    [1, 3, 3, 3, 3, 2]
     """
     subsets = _position_subsets(n, k)
     side = 1 << (k + 1)
@@ -526,33 +501,6 @@ def avoids(pat: BivincularPattern, pi: Sequence[int]) -> bool:
     return not matches(pat, pi)
 
 
-def pat_reverse(pat: BivincularPattern) -> BivincularPattern:
-    """(p, X, Y)^r = (p^r, k - X, Y)."""
-    k = pat.k
-    return BivincularPattern(reverse(pat.p), frozenset(k - v for v in pat.x), pat.y)
-
-
-def pat_complement(pat: BivincularPattern) -> BivincularPattern:
-    """(p, X, Y)^c = (p^c, X, k - Y)."""
-    k = pat.k
-    return BivincularPattern(complement(pat.p), pat.x, frozenset(k - v for v in pat.y))
-
-
-def pat_inverse(pat: BivincularPattern) -> BivincularPattern:
-    """(p, X, Y)^i = (p^i, Y, X)."""
-    return BivincularPattern(inverse(pat.p), pat.y, pat.x)
-
-
-SYMMETRY_OPS = {"r": pat_reverse, "c": pat_complement, "i": pat_inverse}
-
-
-def apply_symmetry(pat: BivincularPattern, ops: str) -> BivincularPattern:
-    """Apply a composition such as "rc" left to right: first r, then c."""
-    for op in ops:
-        pat = SYMMETRY_OPS[op](pat)
-    return pat
-
-
 def pat_shift(pat: BivincularPattern) -> BivincularPattern:
     """The toric shift on patterns: (p + 1, (X - l) mod r+1, (Y + 1) mod r+1),
     where r = k is the rank and l is the position of the rank in p.
@@ -592,9 +540,10 @@ class PatternCodes:
     of p among the permutations of 1..k in lex order, and b and c are the
     ranks of X and Y among the subsets of 0..k ordered by their sorted
     tuples. Codes thus order patterns as (p, sorted X, sorted Y) do. The
-    symmetries and the shift act on codes through tables built from their
-    definitions on patterns (`pat_reverse`, `pat_complement`, `pat_inverse`,
-    `pat_shift`).
+    symmetries r, c and i (see the module docstring) and the shift act on
+    codes through tables built from their definitions on the parts: p^r,
+    p^c and p^-1 on the permutations, k - X on the subsets, and for the
+    shift those of `pat_shift`.
 
     >>> codes = PatternCodes(2)
     >>> [str(codes.pattern(code)) for code in (0, 1, 2, codes.count - 1)]
@@ -637,7 +586,8 @@ class PatternCodes:
         return BivincularPattern(p, frozenset(_members(x, self.k)), frozenset(_members(y, self.k)))
 
     def image(self, code: int, ops: str) -> int:
-        """The code of `apply_symmetry` of the code's pattern."""
+        """The code of the image of the code's pattern under `ops`, a
+        composition of r, c and i such as "rc", applied left to right."""
         a, b, c = self._split(code)
         for op in ops:
             if op == "r":
@@ -659,12 +609,3 @@ class PatternCodes:
         a, shift_x = self._shift[a]
         return (a * self.side + shift_x[b]) * self.side + self._shift_y[c]
 
-
-def all_patterns(k: int) -> Iterator[BivincularPattern]:
-    """Every bivincular pattern of length k: k! * 4^(k+1) of them, in a fixed order."""
-    ground = list(range(k + 1))
-    subsets = [frozenset(v for v in ground if mask >> v & 1) for mask in range(1 << (k + 1))]
-    for p in permutations(range(1, k + 1)):
-        for x in subsets:
-            for y in subsets:
-                yield BivincularPattern(p, x, y)

@@ -25,6 +25,7 @@ from .arith import steggall_census
 from .core import Word, cycle_type, descent_set, order
 from .errors import BudgetExceeded, InternalCheckError
 from .pattern import BivincularPattern, shift_orbit
+from .records import FrozenRecord
 from .tableau import Shape, count_syt, insertion_tableau, knuth_class, partitions, shape_of
 
 DEFAULT_BUDGET_N = 9
@@ -63,7 +64,7 @@ def check_budget(n: int, budget: int | None = None) -> None:
         raise BudgetExceeded(f"degree {n} exceeds the degree budget {cap}")
 
 
-class Relation:
+class Relation(FrozenRecord):
     """A named equivalence relation: its class key, the closed-form size
     `class_size(n, key)` of the class with that key in S_n, the histogram
     `sizes(n)` {size: classes} of S_n, whether its census is `bounded` by the
@@ -82,33 +83,7 @@ class Relation:
                  bounded: bool,
                  pattern_class: Callable[[BivincularPattern], frozenset[BivincularPattern]] | None = None,
                  ) -> None:
-        for field, value in zip(self.__slots__, (name, key, symmetries, class_size, sizes, bounded,
-                                                 pattern_class)):
-            object.__setattr__(self, field, value)
-
-    def __setattr__(self, name: str, *_: object) -> None:
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _fields(self) -> tuple:
-        return (self.name, self.key, self.symmetries, self.class_size, self.sizes, self.bounded,
-                self.pattern_class)
-
-    def __eq__(self, other: object):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return Relation, self._fields()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{field}={value!r}" for field, value in zip(self.__slots__, self._fields()))
-        return f"Relation({fields})"
+        self._freeze(name, key, symmetries, class_size, sizes, bounded, pattern_class)
 
 
 class ClassCensus:

@@ -10,8 +10,13 @@ k > 4), `construction_mask` builds the words holding an occurrence by
 placing the pattern at every admissible choice of positions and values.
 Nothing of the package's occurrence code (the plan behind `matches` and the
 prefix walks, the signature reading behind `occurrences` and
-`occurrence_masks`) is used there, so none of it is ever checked against
-code it shares. Divisor sums come from a sieve. Classes are built without
+`signature_masks`) is used there, so none of it is ever checked against
+code it shares. The patterns of one length (`all_patterns`) and their
+symmetries r, c and i (`pat_reverse`, `pat_complement`, `pat_inverse`,
+`apply_symmetry`) are written from their definitions on (p, X, Y), without
+the package's word maps `reverse`, `complement` and `inverse` or its
+integer codes `PatternCodes`, which the survey's fast path uses. Divisor
+sums come from a sieve. Classes are built without
 the relations' keys, class sizes or the package's toric shift, none of
 which (`cycle_type`, `order`, `insertion_tableau`, `rsk`, `descent_set`,
 `oplus`) is imported: conjugacy by cycle-type generation, order as unions of
@@ -38,7 +43,7 @@ import pytest
 
 from permlab.arith import divisors, totient
 from permlab.core import Word, s_n
-from permlab.pattern import BivincularPattern, all_patterns
+from permlab.pattern import BivincularPattern
 from permlab.relations import ClassCensus, Relation
 from permlab.tableau import Rows, Shape, knuth_class, partitions, shape_of
 
@@ -72,6 +77,45 @@ def _subsets_by_std(w: Word, k: int) -> dict[Word, list[tuple[Word, frozenset, f
             (comb, frozenset(x for x in range(k + 1) if ei[x + 1] == ei[x] + 1),
              frozenset(y for y in range(k + 1) if js[y + 1] == js[y] + 1)))
     return out
+
+
+def all_patterns(k: int) -> Iterator[BivincularPattern]:
+    """Every bivincular pattern of length k, k! * 4^(k+1) of them: p in lex
+    order, then X, then Y, each subset of 0..k in the order of its bits."""
+    subsets = [frozenset(v for v in range(k + 1) if bits >> v & 1) for bits in range(1 << (k + 1))]
+    for p in itertools.permutations(range(1, k + 1)):
+        for x in subsets:
+            for y in subsets:
+                yield BivincularPattern(p, x, y)
+
+
+def pat_reverse(pat: BivincularPattern) -> BivincularPattern:
+    """(p, X, Y)^r = (p^r, k - X, Y): p read backwards, so that position
+    gap x becomes gap k - x."""
+    k = pat.k
+    return BivincularPattern(pat.p[::-1], {k - v for v in pat.x}, pat.y)
+
+
+def pat_complement(pat: BivincularPattern) -> BivincularPattern:
+    """(p, X, Y)^c = (p^c, X, k - Y): each rank v of p becomes k + 1 - v, so
+    that value gap y becomes gap k - y."""
+    k = pat.k
+    return BivincularPattern([k + 1 - v for v in pat.p], pat.x, {k - v for v in pat.y})
+
+
+def pat_inverse(pat: BivincularPattern) -> BivincularPattern:
+    """(p, X, Y)^i = (p^-1, Y, X): the rank at each position becomes the
+    position of each rank, so positions and values trade places."""
+    return BivincularPattern([pat.p.index(v) + 1 for v in range(1, pat.k + 1)], pat.y, pat.x)
+
+
+def apply_symmetry(pat: BivincularPattern, ops: str) -> BivincularPattern:
+    """Apply a composition of r, c and i such as "rc" left to right: first
+    r, then c."""
+    maps = {"r": pat_reverse, "c": pat_complement, "i": pat_inverse}
+    for op in ops:
+        pat = maps[op](pat)
+    return pat
 
 
 def sieve_sigma(limit: int) -> list[int]:

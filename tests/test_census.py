@@ -12,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import permlab
 import permlab.census as census_module
-from conftest import (PERMS_BY_N, construction_mask, occurrence_mask, scan_avoiders,
-                      scan_matchers, words_of)
+from conftest import (PERMS_BY_N, all_patterns, apply_symmetry, construction_mask,
+                      occurrence_mask, scan_avoiders, scan_matchers, words_of)
 from permlab.catalog import KNUTH_MATCHING_PATTERN, SEQUENCE_TABLES
 from permlab.census import (
     SequenceCheckReport,
@@ -31,7 +31,7 @@ from permlab.census import (
 from permlab.arith import natural_perms, sigma_arith
 from permlab.core import s_n
 from permlab import generate
-from permlab.pattern import all_patterns, pattern
+from permlab.pattern import pat_shift, pattern
 from permlab.relations import RELATIONS, Relation, census, check_budget
 
 
@@ -753,8 +753,6 @@ class TestSurvey:
     def test_merge_shift_is_sound(self, avoid_masks, class_masks):
         # Merging is licensed by rank-in-Y shifts, which preserve the
         # class-closed avoider count degree by degree.
-        from permlab.pattern import pat_shift
-
         for pat in all_patterns(3):
             if 3 not in pat.y:
                 continue
@@ -766,9 +764,6 @@ class TestSurvey:
                 assert a == b, (str(pat), n)
 
     def test_counts_constant_on_orbit(self):
-        from permlab.pattern import apply_symmetry
-        from permlab.relations import RELATIONS
-
         rng = random.Random(3)
         rel = RELATIONS["toric"]
         for pat in rng.sample(list(all_patterns(3)), 12):
@@ -866,9 +861,6 @@ class TestSurveyAgainstOracles:
         row patterns a merged survey should join). A group is the unmerged
         rows reached by following the shift from each row's pattern while
         its rank lies in Y, joined transitively."""
-        from permlab.pattern import apply_symmetry, pat_shift
-        from permlab.relations import RELATIONS
-
         degrees = range(1, 5)
         rows = {row.pat: row for row in survey(rel, length, n_range=degrees).rows}
         row_of = {q: pat for pat in rows

@@ -109,6 +109,24 @@ class TestEnumerate:
         assert out == ""
         assert err == "permlab: degree -1 is negative\n"
 
+    @pytest.mark.parametrize("mode, relation, degrees, code, err", [
+        ("class-avoid", "conjugacy", "9..10", 3, "degree 10 exceeds the degree budget 9"),
+        ("class-match", "toric", "3..12", 3, "degree 10 exceeds the degree budget 9"),
+        ("avoid", "none", "-1..12", 2, "degree -1 is negative"),
+        ("class-match", "none", "8..10", 3, "degree 10 exceeds the degree budget 9"),
+    ])
+    def test_every_degree_checked_before_any_work(self, capsys, monkeypatch, mode, relation,
+                                                 degrees, code, err):
+        # The first degree that fails the budget decides the error, and no
+        # degree of the range is enumerated.
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated before the budget check")
+
+        for name in ("class_avoiders", "class_matchers", "plain_avoiders", "plain_matchers"):
+            monkeypatch.setattr(cli, name, refuse)
+        assert run_err(capsys, "enumerate", "--mode", mode, "--relation", relation,
+                       "--pattern", "132;x=3;y=1,2,3", f"--n={degrees}") == (code, "", f"permlab: {err}\n")
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one(self, capsys, threads):
         code, out, err = run_err(capsys, "enumerate", "--mode", "avoid",

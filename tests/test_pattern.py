@@ -16,30 +16,33 @@ from permlab.pattern import (
     PatternCodes,
     _check,
     _tail,
-    all_patterns,
-    apply_symmetry,
     avoids,
     format_pattern,
+    mask_table,
     matches,
-    occurrence_masks,
     occurrences,
     parse_pattern,
-    pat_complement,
-    pat_inverse,
-    pat_reverse,
     pat_shift,
     pattern,
     shift_orbit,
+    signature_masks,
 )
 from conftest import (
     PERMS_BY_N,
     TABLE_K,
     TABLE_N,
+    all_patterns,
+    apply_symmetry,
     construction_mask,
+    lex_words,
     occurrence_mask,
     oracle_occurrences,
+    pat_complement,
+    pat_inverse,
+    pat_reverse,
     scan_avoiders,
     scan_matchers,
+    words_of,
 )
 
 W = (2, 4, 1, 6, 3, 5)
@@ -120,7 +123,7 @@ def _table_patterns(draw, min_k: int = 0, max_k: int = TABLE_K):
 
 class TestSignatureTable:
     """The conftest signature table, the oracle of the prefix walks, of
-    `occurrence_masks` and of class closure, against the definition itself:
+    `signature_masks` and of class closure, against the definition itself:
     `oracle_occurrences` on every word of S_n up to S_5, and on 120 sampled
     words of S_6 and S_7."""
 
@@ -164,19 +167,55 @@ def _position_variables(pat) -> int:
     return sum(name[0] == "p" and name[1:].isdigit() for name in names)
 
 
+def _rewrite(pat) -> str:
+    """Which rewrite of `_kernel` compiled the kernel of pat at n = 8: a
+    kernel that holds fewer positions than the plan has steps searched in
+    the prefix had the position of the last one, a loop, dropped. That is
+    'bitmask' when the plan's one loop became a bitmask test, which leaves
+    no loop, and 'extreme' when the innermost loop became a running extreme,
+    which keeps the loop before it; '' is neither. A plain compilation gives
+    each such step a position, so only plans ending in a loop are compiled."""
+    steps = [step for step in _tail(pat).free if step[4] is not None]
+    if not (steps and steps[-1][0] < 0 and steps[-1][4] is False and _check(pat, 8)
+            and _position_variables(pat) < len(steps)):
+        return ""
+    return "extreme" if "range" in _check(pat, 8)[2].__code__.co_names else "bitmask"
+
+
 @functools.cache
 def _rewritten(k: int) -> tuple:
-    """The patterns of length k whose kernel holds fewer positions than the
-    plan has steps searched in the prefix. A plain compilation gives each
-    such step a position; both rewrites of `_kernel` drop the position of
-    the last one, a loop, so only plans ending in a loop are compiled."""
-    out = []
-    for pat in all_patterns(k):
-        steps = [step for step in _tail(pat).free if step[4] is not None]
-        if steps and steps[-1][0] < 0 and steps[-1][4] is False and _check(pat, 8) and (
-                _position_variables(pat) < len(steps)):
-            out.append(pat)
-    return tuple(out)
+    """The patterns of length k whose kernel either rewrite compiled."""
+    return tuple(pat for pat in all_patterns(k) if _rewrite(pat))
+
+
+def _draw_pattern(rng: random.Random, k: int, density: float):
+    """A pattern of length k with p uniform and each of 0..k in X, and
+    independently in Y, with probability `density`."""
+    return pattern(rng.sample(range(1, k + 1), k), x=[v for v in range(k + 1) if rng.random() < density],
+                   y=[v for v in range(k + 1) if rng.random() < density])
+
+
+def _check_walks(pats, n: int, deep: bool) -> None:
+    """`avoiders`, `containers` and `count` on both sides against
+    `conftest.construction_mask`; when `deep`, also the walks capped at
+    their size and one word below it, and `matches` on every word."""
+    every = (1 << math.factorial(n)) - 1
+    hit, held = 0, every
+    for pat in pats:
+        occurs = construction_mask(pat, n)
+        hit, held = hit | occurs, held & occurs
+        if deep:
+            assert [matches(pat, w) for w in lex_words(n)] == [
+                bool(occurs >> i & 1) for i in range(every.bit_length())], (str(pat), n)
+    case = ([str(pat) for pat in pats], n)
+    for walk, avoid, want in ((generate.avoiders, True, words_of(every & ~hit, n)),
+                              (generate.containers, False, words_of(held, n))):
+        assert walk(pats, n) == want, case
+        assert generate.count(avoid, pats, n) == len(want), case
+        if deep:
+            assert walk(pats, n, len(want)) == want, case
+            if want:
+                assert walk(pats, n, len(want) - 1) is None, case
 
 
 class TestRewrittenKernels:
@@ -205,6 +244,38 @@ class TestRewrittenKernels:
             assert generate.count(False, [pat], 6) == len(contained), str(pat)
 
 
+
+class TestLongPatterns:
+    """The walks and `matches` past length 4, where kernels hold longer
+    pinned chains, Y-runs and loop nests than any shorter pattern's, against
+    `conftest.construction_mask` at n = 6 and 7, with the capped walks and
+    `matches` on every word checked at n = 6."""
+
+    @pytest.mark.parametrize("k", [5, 6, 7])
+    def test_single_patterns(self, k):
+        # Seeded draws, X and Y of density 0, 1/4 and 1/2 in turn, of which
+        # the first three of each kind of kernel are kept: rewritten to a
+        # bitmask test, to a running extreme, or neither.
+        rng, kept, draws = random.Random(k), {"bitmask": [], "extreme": [], "": []}, 0
+        while min(map(len, kept.values())) < 3:
+            pat = _draw_pattern(rng, k, (0.0, 0.25, 0.5)[draws % 3])
+            draws += 1
+            group = kept[_rewrite(pat)]
+            if len(group) < 3:
+                group.append(pat)
+        for pat in itertools.chain(*kept.values()):
+            for n in range(max(k, 6), 8):
+                _check_walks([pat], n, n == 6)
+
+    @pytest.mark.parametrize("density", [0.5, 0.7])
+    def test_mixed_sets(self, density):
+        # Two or three patterns of lengths 3 to 6 with dense X and Y.
+        rng = random.Random(int(10 * density))
+        for _ in range(8):
+            pats = [_draw_pattern(rng, rng.randint(3, 6), density) for _ in range(rng.randint(2, 3))]
+            for n in (6, 7):
+                _check_walks(pats, n, n == 6)
+
 @st.composite
 def _one_length_patterns(draw):
     k = draw(st.integers(0, TABLE_K))
@@ -212,9 +283,9 @@ def _one_length_patterns(draw):
 
 
 class TestOccurrenceMasks:
-    """`occurrence_masks` reads position subsets against a signature memo;
-    the oracle is the conftest signature table, which shares none of its
-    code."""
+    """`signature_masks` reads position subsets against a signature memo
+    and the table `mask_table` builds, as a survey calls them; the oracle is
+    the conftest signature table, which shares none of their code."""
 
     @settings(max_examples=40, deadline=None)
     @given(pats=_one_length_patterns(), n=st.integers(0, 7))
@@ -225,17 +296,16 @@ class TestOccurrenceMasks:
     @example(pats=[pattern(()), pattern((), x=[0]), pattern((), y=[0])], n=3)
     @example(pats=[pattern((2, 4, 1, 3)), pattern((1, 2, 3, 4), x=[4])], n=3)  # k > n
     def test_against_engine(self, pats, n):
-        masks = list(occurrence_masks(pats, n))
+        k = pats[0].k
+        table = mask_table(k, [(pat.p, sum(1 << v for v in pat.x), sum(1 << v for v in pat.y), 1 << i)
+                               for i, pat in enumerate(pats)])
+        masks = list(signature_masks(table, k, n))
         assert len(masks) == math.factorial(n)
         want = [occurrence_mask(pat, n) for pat in pats]
         for idx, (w, mask) in enumerate(zip(s_n(n), masks)):
             assert [mask >> i & 1 for i in range(len(pats))] == [
                 occurs >> idx & 1 for occurs in want], w
             assert mask >> len(pats) == 0
-
-    def test_rejects_mixed_lengths(self):
-        with pytest.raises(ValueError):
-            list(occurrence_masks([pattern((1, 2)), pattern((1,))], 3))
 
 
 class TestEmptyPattern:
@@ -347,7 +417,8 @@ class TestOccurrenceHelpers:
 
 class TestPatternCodes:
     """The integer codes a survey reduces rows on, against the pattern
-    functions they stand for."""
+    functions they stand for: the conftest symmetries, written from their
+    definitions, and `pat_shift`."""
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_codes_follow_patterns(self, k):

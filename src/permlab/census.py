@@ -9,13 +9,17 @@ counted for avoidance when every member avoids, and for containment when
 every member matches; counts report permutations in the union of counted
 classes, with the class tally carried alongside.
 
-Each class-closed request makes one walk call on the side it asks for:
-uncapped when members are wanted, and capped at n!/2 words when only counts
-are. A class is counted exactly when none of its members lies on the other
-side (the words containing some pattern, for avoidance), so once a capped
-walk passes n!/2 words it is dropped and the other side is keyed instead:
-the count is n! less the sizes of the classes it touches, and the class
-count the number of classes in the relation's census less their number.
+A class-closed request with members makes one uncapped walk of the side it
+asks for. A count-only request may read either side: a class is counted
+exactly when none of its members lies on the other side (the words
+containing some pattern, for avoidance), so keying the other side gives the
+count as n! less the sizes of the classes it touches, and the class count
+as the number of classes in the relation's census less their number. For
+avoidance the words containing a pattern number at most its occurrences
+over all of S_n (`occurrence_total`; the first-moment bound), so when those
+totals sum to at most n!/2 the containers are keyed at once. Otherwise the
+requested side is walked capped at n!/2 words, and once it passes the cap
+it is dropped and the other side is keyed instead.
 
 A survey asks this of hundreds of patterns at once. It first reduces them
 to one row per symmetry orbit on integer codes (`PatternCodes`), building a
@@ -41,7 +45,8 @@ from typing import Hashable
 from .catalog import CATALOG, DIVISOR_PATTERN, SEQUENCE_TABLES, match_tables
 from .core import Word, format_perm, s_n
 from .generate import avoiders, containers, count
-from .pattern import BivincularPattern, PatternCodes, mask_table, signature_masks
+from .pattern import (BivincularPattern, PatternCodes, mask_table, occurrence_total,
+                      signature_masks)
 from .relations import RELATIONS, Relation, census, check_budget, resolve_budget
 
 
@@ -123,16 +128,21 @@ def _class_closed(kept: list[Word], rel: Relation,
 
 def _closed_result(avoid: bool, pats, relation: Relation | str, n: int, want_members: bool,
                    budget: int | None) -> EnumerationResult:
-    """Close one walk of the requested side, or past the n!/2 cap of a
-    count-only walk read the other side, as the module docstring describes.
-    The other side is the union of one walk per pattern: its containers for
-    avoidance, its avoiders for containment."""
+    """Close one walk of the requested side, or key the other side, as the
+    module docstring describes: at once for a count-only avoidance whose
+    patterns' occurrence totals sum to at most n!/2, else past the n!/2 cap
+    of a count-only walk. The other side is the union of one walk per
+    pattern: its containers for avoidance, its avoiders for containment.
+    Where the bound holds the avoiders number at least n!/2, so their capped
+    walk would be dropped unless they number exactly n!/2."""
     rel = _as_relation(relation)
     pats = tuple(pats)
     check_budget(n, budget)
     total = math.factorial(n)
     walk, other = (avoiders, containers) if avoid else (containers, avoiders)
-    kept = walk(pats, n, None if want_members else total // 2)
+    few_containers = (avoid and not want_members
+                      and 2 * sum(occurrence_total(pat, n) for pat in pats) <= total)
+    kept = None if few_containers else walk(pats, n, None if want_members else total // 2)
     if kept is not None:
         count, class_count, members = _class_closed(kept, rel, want_members)
     else:

@@ -26,7 +26,9 @@ each prefix they grow. `occurrences` lists the position subsets whose
 signature (standardized letters, X-set and Y-set) admits the pattern, and
 `signature_masks` reads the signatures of each word of S_n to test many
 patterns of one length at once, against a table (`mask_table`) that a
-survey builds once for all its degrees.
+survey builds once for all its degrees. `occurrence_total` counts a
+pattern's occurrences over all of S_n without a walk, which bounds the
+number of words containing it.
 
 The symmetries of Bousquet-Melou, Claesson, Dukes and Kitaev (JCTA 117,
 2010) act on patterns of length k as (p, X, Y)^r = (p^r, k - X, Y),
@@ -39,6 +41,7 @@ on patterns, gives the toric pattern classes.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator, Sequence
@@ -439,6 +442,35 @@ def occurrences(pat: BivincularPattern, pi: Sequence[int]) -> list[Occurrence]:
             if p == pat.p and not y & ~ys:
                 out.append(tuple([i + 1 for i in comb]))
     return out
+
+
+def occurrence_total(pat: BivincularPattern, n: int) -> int:
+    """The number of pairs (w in S_n, occurrence of pat in w).
+
+    An occurrence places p on positions that X admits and values that Y
+    admits, and the other n - k letters fill the rest in (n - k)! ways, so
+    the total is N(X) * N(Y) * (n - k)!, and 0 when k > n. N(A) counts the
+    k-subsets e_1 < ... < e_k of 1..n with e_{a+1} = e_a + 1 for each a in
+    A, where e_0 = 0 and e_{k+1} = n+1: the n - k unused places fall into
+    the f = k + 1 - |A| gaps that A leaves free, in C(n - k + f - 1, f - 1)
+    ways, or, when f = 0, in one way if n = k and none otherwise.
+
+    >>> occurrence_total(pattern((1, 2, 3)), 5)  # C(5, 3)^2 * 2!
+    200
+    >>> occurrence_total(pattern((2, 1), x=[1], y=[0, 2]), 5)  # (n - 1)!
+    24
+    >>> occurrence_total(pattern((1,), x=[0, 1]), 2), occurrence_total(pattern((1, 2)), 1)
+    (0, 0)
+    """
+    k = pat.k
+    if k > n:
+        return 0
+
+    def admitted(adj: frozenset[int]) -> int:
+        free = k + 1 - len(adj)
+        return math.comb(n - k + free - 1, free - 1) if free else int(n == k)
+
+    return admitted(pat.x) * admitted(pat.y) * math.factorial(n - k)
 
 
 def signature_masks(table: dict[Word, list[int]], k: int, n: int) -> Iterator[int]:

@@ -448,11 +448,13 @@ RELATION_NAMES = ("conjugacy", "order", "knuth", "toric", "descent")
 
 @contextmanager
 def _sides_walked():
-    """Record, for each count-only class-closed call, the walk it capped and
-    the side it counted from: "kept" when that walk stayed within its cap,
-    "other" when it went over and the other side was walked instead."""
-    sides: list[tuple[str, str]] = []
-    saved = census_module.avoiders, census_module.containers
+    """Record, for each count-only class-closed call, the path it took: the
+    walk it capped and the side it counted from ("kept" when that walk
+    stayed within its cap, "other" when it went over and the other side was
+    walked instead), or "bound" when it made no capped walk, because the
+    occurrence bound sent it to the other side at once."""
+    sides: list = []
+    saved = census_module.avoiders, census_module.containers, census_module._closed_result
 
     def recording(walk):
         def capped(pats, n, cap=None):
@@ -462,11 +464,19 @@ def _sides_walked():
             return out
         return capped
 
-    census_module.avoiders, census_module.containers = map(recording, saved)
+    def closing(avoid, pats, relation, n, want_members, budget):
+        before = len(sides)
+        result = saved[2](avoid, pats, relation, n, want_members, budget)
+        if not want_members and len(sides) == before:
+            sides.append("bound")
+        return result
+
+    census_module.avoiders, census_module.containers = map(recording, saved[:2])
+    census_module._closed_result = closing
     try:
         yield sides
     finally:
-        census_module.avoiders, census_module.containers = saved
+        census_module.avoiders, census_module.containers, census_module._closed_result = saved
 
 
 def _words_mask(words, n: int) -> int:
@@ -521,21 +531,37 @@ class TestClassClosedDifferential:
 
 class TestClassClosedCountOnly:
     """Count-only class-closed calls read their counts from whichever side is
-    smaller: past n!/2 kept words they key the other side and subtract from
-    n! and the class total. They are compared with the oracle classes, and
-    both sides must be taken."""
+    smaller: when the occurrence bound proves the containers few, or past
+    n!/2 kept words, they key the other side and subtract from n! and the
+    class total. They are compared with the oracle classes, and every path
+    must be taken."""
 
     @pytest.mark.parametrize("rel", RELATION_NAMES)
     def test_all_length3_patterns(self, rel, avoid_masks, class_masks):
         # The same grid as the members path, patterns of length 1-3.
-        calls = 0
         with _sides_walked() as sides:
             for fn, n, pat, want in _short_pattern_cells(rel, avoid_masks, class_masks):
-                assert _counts(fn([pat], rel, n)) == want[:2], (fn.__name__, n, str(pat))
-                calls += 1
-        assert len(sides) == calls
+                case, before = (fn.__name__, n, str(pat)), len(sides)
+                assert _counts(fn([pat], rel, n)) == want[:2], case
+                assert len(sides) == before + 1, case
+                if sides[-1] == "bound":
+                    # The bound holds only where the oracle's containers are few.
+                    containers = math.factorial(n) - avoid_masks[pat][n].bit_count()
+                    assert 2 * containers <= math.factorial(n), case
         assert set(sides) == {(walk, side) for walk in ("avoiders", "containers")
-                              for side in ("kept", "other")}
+                              for side in ("kept", "other")} | {"bound"}
+
+    @pytest.mark.parametrize("rel", RELATION_NAMES)
+    def test_bound_tie(self, rel, avoid_masks, class_masks):
+        # 1;x=0;y=0 occurs once in S_2, in 12, so the bound holds with
+        # equality and both sides hold n!/2 = 1 word: the containers are
+        # walked, where a capped avoider walk would have kept its word.
+        pat = pattern((1,), x=[0], y=[0])
+        with _sides_walked() as sides:
+            got = class_avoiders([pat], rel, 2)
+        assert sides == ["bound"]
+        assert _counts(got) == _oracle_triple(
+            _closed_classes(avoid_masks[pat][2], class_masks(rel, 2)), 2)[:2]
 
     # Degree zero, no patterns, and sets of several patterns, whose other
     # side is a union of one walk per pattern, are left out of the grid.
@@ -969,6 +995,23 @@ class TestSequenceCheck:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             sequence_check("A999999")
+
+    def test_pinned_conjugacy_rows_walk_no_capped_avoiders(self, monkeypatch):
+        # Each row's pattern is pinned to position n or chained to an
+        # anchor, so its occurrences over S_n number (n - 1)! or (n - 1)!/2:
+        # at every degree the bound sends the call to the containers, and
+        # no avoider walk is capped.
+        walk = census_module.avoiders
+
+        def uncapped(pats, n, cap=None):
+            assert cap is None, ([str(p) for p in pats], n)
+            return walk(pats, n, cap)
+
+        monkeypatch.delenv("PERMLAB_BUDGET_N", raising=False)
+        monkeypatch.setattr(census_module, "avoiders", uncapped)
+        for table_id in ("transpositions", "fpf-involutions", "id-3cycles", "id-2cycles-3cycles"):
+            rep = sequence_check(table_id)
+            assert rep.ok and max(rep.computed) == 9 and not rep.skipped, table_id
 
     def test_every_table_has_recompute_path(self):
         for table_id in SEQUENCE_TABLES:

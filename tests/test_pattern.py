@@ -20,6 +20,7 @@ from permlab.pattern import (
     format_pattern,
     mask_table,
     matches,
+    occurrence_total,
     occurrences,
     parse_pattern,
     pat_shift,
@@ -159,6 +160,36 @@ class TestConstructionOracle:
     def test_length4_sample_s7(self):
         for pat in itertools.islice(all_patterns(4), 0, None, 97):
             assert construction_mask(pat, 7) == occurrence_mask(pat, 7), str(pat)
+
+
+class TestOccurrenceTotal:
+    """`occurrence_total`, the bound by which a count-only class-avoid call
+    walks the containers at once, against the occurrences that
+    `oracle_occurrences` lists in each word of S_n."""
+
+    @staticmethod
+    def _oracle_total(pat, n: int) -> int:
+        return sum(len(oracle_occurrences(pat, w)) for w in PERMS_BY_N[n])
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_every_short_pattern(self, k):
+        for pat in all_patterns(k):
+            for n in range(7):
+                assert occurrence_total(pat, n) == self._oracle_total(pat, n), (str(pat), n)
+
+    def test_sampled_long_patterns(self):
+        # Seeded draws of lengths 4 and 5, X and Y of density 0 to 3/4, and
+        # two patterns whose X is all of 0..k; below n = k the total is 0.
+        rng = random.Random(27)
+        pats = [_draw_pattern(rng, k, density) for k in (4, 5) for density in (0.0, 0.25, 0.5, 0.75)
+                for _ in range(3)]
+        pats += [pattern((2, 4, 1, 3), x=range(5)), pattern((3, 1, 5, 2, 4), x=range(6), y=[0, 5])]
+        for side in ("x", "y"):
+            assert any(0 in getattr(pat, side) for pat in pats), side
+            assert any(pat.k in getattr(pat, side) for pat in pats), side
+        for pat in pats:
+            for n in range(7):
+                assert occurrence_total(pat, n) == self._oracle_total(pat, n), (str(pat), n)
 
 
 def _position_variables(pat) -> int:

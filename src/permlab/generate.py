@@ -5,22 +5,24 @@ the permutations are grown one absolute value at a time, smallest letter
 first, so they come out in lex order. Every constraint can be decided on a
 prefix (values are absolute, and k in X only means the last slot sits at
 position n), so an occurrence in a prefix persists in each of its
-completions. Each new letter is checked by the pattern's kernel, the
-compiled plan `matches` runs, in one of two ways:
+completions. A prefix's next letter is checked by the pattern's kernel, the
+compiled plan `matches` runs, which gives at once the bitmask of the
+unplaced values whose placing there ends what it seeks, in one of two ways:
 
 - A position-free pattern, of length k >= 2 whose last slot L is neither
   chained to the slot before it nor pinned to position n, is checked for
-  occurrences of its first k-1 slots ending at the letter. Each leaves L a
-  window of values, and if an unplaced value lies in one, that value comes
-  later and completes an occurrence in every completion: the prefix is
-  dead, and is dropped before anything is grown from it. A partial
-  occurrence that forces nothing when it ends never does later, as the
-  unplaced values only shrink, so only those ending at the new letter are
-  tested, and a whole occurrence never ends at a kept prefix's new letter.
-  This is the "gap" test of Zeilberger's enumeration schemes (Ann. Comb. 2,
-  1998).
-- Any other pattern is checked for occurrences ending at the letter: the
-  last slot is pinned to it, then the other slots are searched to its left.
+  occurrences of its first k-1 slots ending at the new letter. Each leaves
+  L a window of values, and if an unplaced value other than the new letter
+  lies in one, that value comes later and completes an occurrence in every
+  completion: the child is dead, and is dropped before anything is grown
+  from it. A partial occurrence that forces nothing when it ends never does
+  later, as the unplaced values only shrink, so only those ending at the
+  new letter are tested, and a whole occurrence never ends at a kept
+  prefix's new letter. This is the "gap" test of Zeilberger's enumeration
+  schemes (Ann. Comb. 2, 1998).
+- Any other pattern is checked for occurrences ending at the new letter:
+  the last slot is pinned to it, then the other slots are searched to its
+  left.
 
 A pattern may have a deciding value d (`permlab.pattern._check`): a value
 that every occurrence holds at the slot its kernel pins to the new letter
@@ -30,7 +32,10 @@ occurs if the kernel fires there or fired before, and never otherwise.
 
 This is the generating-tree method of J. West (Discrete Math. 157, 1996)
 applied to bivincular patterns (Bousquet-Melou, Claesson, Dukes and Kitaev,
-JCTA 117, 2010), whose value anchors give the deciding values.
+JCTA 117, 2010), whose value anchors give the deciding values. As there, a
+node's admissible children are found as one set: each call holds the
+values not yet placed only as the bitmask `rest`, runs each live kernel
+once on it, and gets back the bitmask of the children that kernel fires on.
 
 One loop, `_grow_open`, walks both sides over the checks still open in a
 prefix. A check closes when its kernel fires, when its deciding value is
@@ -39,23 +44,20 @@ of an avoider walk and a closure without one drops that of a container
 walk; once no check is open, the loop keeping the child emits its
 completions. Avoider walks whose patterns have no deciding value run the
 leaner `_grow_avoiders`, which reads the kernels live at each position from
-a table and keeps every completion past the last position where a check can
-end. The walks are module-level recursive functions with explicit
-arguments: a nested function calling itself would form a reference cycle
-that keeps each call's result alive until the cyclic garbage collector
-runs. Each call holds the values not yet placed only as the bitmask
-`rest`: its children are the set bits, smallest first, and it passes
-`rest`, new letter included, to every kernel. A gap test reads the values
-still unplaced from it, and a kernel whose one loop became a bitmask test
-reads the values placed before the new letter as its complement. A kernel
-that pins the new letter to a value tests that value itself, so the loops
-call every live kernel on every child.
+a table, grows only the set bits of `rest` that no kernel fires on,
+smallest first, and keeps every completion past the last position where a
+check can end. The walks are module-level recursive functions with
+explicit arguments: a nested function calling itself would form a
+reference cycle that keeps each call's result alive until the cyclic
+garbage collector runs.
 
 Both loops run in one of two modes. The word mode, behind `avoiders` and
 `containers`, emits each kept prefix's completions as words. The count
 mode, behind `count`, adds their number, (n - m)! for a prefix of length
 m, to a running total, and builds no word: it enters the same prefixes and
-runs the same kernels, and is what a plain count without members needs.
+runs the same kernels, and is what a plain count without members needs. At
+the last position it grows, `_grow_avoiders` adds (n - m)! times the number
+of children its kernels keep.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def _walk(avoid: bool, checks: list, n: int, cap: int | None,
     start = ([], [0] * (n + 2), (2 << n) - 2, out, cap, words)
     try:
         if avoid and not any(decider for *_, decider in checks):
-            live_at = [[ends_at for first, last, ends_at, _ in checks if first <= m <= last]
+            live_at = [[kill for first, last, kill, _ in checks if first <= m <= last]
                        for m in range(n + 1)]
             _grow_avoiders(live_at, max(check[1] for check in checks), *start)
         else:
@@ -170,8 +172,9 @@ def _walk(avoid: bool, checks: list, n: int, cap: int | None,
 def _unplaced(rest: int) -> tuple[int, ...]:
     """The values whose bits are set in `rest`, increasing: the children of
     a walk call, or the tails of the completions it emits. The cache holds
-    one entry per set of unplaced values that a walk enters or completes a
-    prefix from, so at most 2^n for walks of degree up to n."""
+    one entry per set of values read so, each a set of unplaced values or
+    the part of one that kernels keep, so at most 2^n for walks of degree up
+    to n."""
     return tuple(_members(rest, rest.bit_length() - 1))
 
 
@@ -180,57 +183,69 @@ def _grow_avoiders(live_at, horizon: int, prefix: list[int], posv: list[int], re
     """The avoider walk of checks without a deciding value: at position m
     only the kernels in `live_at[m]` run, and past the horizon, the largest
     `last`, every completion is kept. `rest` has the bits of the unplaced
-    values, and the set ones are the children tried, in increasing order.
-    The new letter never lies in a window for L, so each child's gap test
-    reads it. The completions kept go into `out`, as words or, for `words`
-    false, as a number added to `out[0]`."""
+    values; each kernel runs once and drops the values whose placing at m
+    ends an occurrence, and the bits left are the children kept, in
+    increasing order. The completions kept go into `out`, as words or, for
+    `words` false, as a number added to `out[0]`."""
     m = len(prefix) + 1
     top = len(posv) - 1  # n + 1
-    live = live_at[m]
-    for v in _unplaced(rest):
-        prefix.append(v)
-        posv[v] = m
-        for ends_at in live:
-            if ends_at(m, prefix, posv, top, rest):
-                break
-        else:
-            if m < horizon:
-                _grow_avoiders(live_at, horizon, prefix, posv, rest ^ 1 << v, out, cap, words)
-            elif not words:
-                out[0] += factorial(top - 1 - m)
-            else:
-                _emit(prefix, rest ^ 1 << v, out, cap)
-        prefix.pop()
-        posv[v] = 0
+    alive = rest
+    for kill in live_at[m]:
+        alive &= ~kill(m, prefix, posv, top, rest)
+    if m < horizon:
+        for v in _unplaced(alive):
+            prefix.append(v)
+            posv[v] = m
+            _grow_avoiders(live_at, horizon, prefix, posv, rest ^ 1 << v, out, cap, words)
+            prefix.pop()
+            posv[v] = 0
+    elif not words:
+        out[0] += alive.bit_count() * factorial(top - 1 - m)
+    else:
+        for v in _unplaced(alive):
+            prefix.append(v)
+            _emit(prefix, rest ^ 1 << v, out, cap)
+            prefix.pop()
 
 
 def _grow_open(avoid: bool, checks: tuple, prefix: list[int], posv: list[int], rest: int,
                out: list, cap: int | None, words: bool) -> None:
     """The walk of either side (see the module docstring) over the checks
     still open in `prefix`. `rest`, `out` and `words` are as in
-    `_grow_avoiders`: the children are the set bits of `rest`, and each open
-    check's kernel runs on every child in its window, testing a pinned
-    letter itself."""
+    `_grow_avoiders`. Each open check's kernel runs once, if m lies in its
+    window, and gives the children it fires on; a check closes on those,
+    on its deciding value, and on every child at its last position. In
+    count mode the children that close every check are counted at once."""
     m = len(prefix) + 1
     top = len(posv) - 1  # n + 1
-    for v in _unplaced(rest):
+    drop = some = 0
+    every = rest
+    closes = []
+    for first, last, kill, decider in checks:
+        if m < first:
+            fired, done = 0, 1 << decider  # bit 0 is no value
+        else:
+            fired = kill(m, prefix, posv, top, rest)
+            done = rest if m >= last else fired | 1 << decider
+        drop |= fired if avoid else done & ~fired
+        some |= done
+        every &= done
+        closes.append(done)
+    alive = rest & ~drop
+    if every & alive and not words:
+        out[0] += (alive & every).bit_count() * factorial(top - 1 - m)
+        alive &= ~every
+    for v in _unplaced(alive):
         prefix.append(v)
         posv[v] = m
-        pending = checks
-        for check in checks:
-            first, last, ends_at, decider = check
-            fired = first <= m <= last and ends_at(m, prefix, posv, top, rest)
-            if fired or v == decider or m >= last:
-                if fired == avoid:
-                    break
-                pending = tuple(c for c in pending if c is not check)
-        else:
+        if some >> v & 1:
+            pending = tuple([check for check, done in zip(checks, closes) if not done >> v & 1])
             if pending:
                 _grow_open(avoid, pending, prefix, posv, rest ^ 1 << v, out, cap, words)
-            elif not words:
-                out[0] += factorial(top - 1 - m)
             else:
                 _emit(prefix, rest ^ 1 << v, out, cap)
+        else:
+            _grow_open(avoid, checks, prefix, posv, rest ^ 1 << v, out, cap, words)
         prefix.pop()
         posv[v] = 0
 

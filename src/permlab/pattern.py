@@ -12,21 +12,24 @@ to p, subject to
 so 0 and k in X (resp. Y) pin the occurrence to the ends of the position
 (resp. value) range. With X = Y = {} this is the classical notion.
 
-A pattern is compiled once, into a plan (`_tail`) that finds an occurrence
-ending at a given position m. The last slot and the slots chained to it by X
-are pinned to the positions before m; the others are searched left to right.
-Y partitions the ranks into runs of consecutive values, and once one rank of
-a run is placed every other rank's value is known. Each distinct plan is
+A pattern is compiled once, into a plan (`_tail`) that finds, for a given
+position m, the values whose placing at m ends an occurrence. The last slot
+searched, the new letter at m, is the unknown: the slots chained to it by X
+are pinned to the positions before m, the others are searched left to
+right, and the new letter's value is then bounded by its rank neighbours.
+Y partitions the ranks into runs of consecutive values, and once one rank
+of a run is placed every other rank's value is known. Each distinct plan is
 compiled once more, into a kernel (`_kernel`): a Python function of nested
-loops with the plan's constants inlined, where a plan's one loop becomes a
-bitmask test and an innermost loop that seeks an extreme becomes a running
-one. One kernel serves both callers: `matches` tries each end position of a
-whole word, and the walks of `permlab.generate` try the newest letter of
-each prefix they grow. `occurrences` lists the position subsets whose
-signature (standardized letters, X-set and Y-set) admits the pattern, and
-`signature_masks` reads the signatures of each word of S_n to test many
-patterns of one length at once, against a table (`mask_table`) that a
-survey builds once for all its degrees. `occurrence_total` counts a
+loops with the plan's constants inlined, which returns the bitmask of those
+values, where a plan's one loop becomes a bitmask of the values it ranges
+over and an innermost loop that seeks an extreme becomes a running one.
+One kernel serves both callers: `matches` tries the letter at each end
+position of a whole word, and the walks of `permlab.generate` try every
+child of each prefix they grow at once. `occurrences` lists the position
+subsets whose signature (standardized letters, X-set and Y-set) admits the
+pattern, and `signature_masks` reads the signatures of each word of S_n to
+test many patterns of one length at once, against a table (`mask_table`)
+that a survey builds once for all its degrees. `occurrence_total` counts a
 pattern's occurrences over all of S_n without a walk, which bounds the
 number of words containing it.
 
@@ -128,47 +131,52 @@ def _members(bits: int, k: int) -> list[int]:
 
 
 class _Tail:
-    """Plan for finding an occurrence whose last slot sits at a given position.
+    """Plan for finding, at a given position m, the values of the new letter
+    there that end an occurrence.
 
-    Values are numbered: 0 is the virtual rank 0 (value 0), 1 the virtual
-    rank k+1 (value n+1), and 2+j the value of the j-th slot placed. The
-    slots are placed in this order: first the last slot and the slots
-    chained to it by X, each pinned to a known position counted back from
-    the end, then the remaining slots left to right. Each step names the
-    values bounding it from below and above (the nearest ranks already
-    placed) and, when its Y-run already holds a placed rank, the value it is
-    offset from (ref, or -1) and by how much (delta).
+    The new letter N is the last slot searched in the prefix (for a gap
+    plan, the slot before the last). Values are numbered: 0 is the virtual
+    rank 0 (value 0), 1 the virtual rank k+1 (value n+1), and 2+j the value
+    of the j-th slot placed. The slots are placed in this order: first the
+    slots chained to N by X, each pinned to a known position counted back
+    from m - 1, then the remaining slots left to right, then N, whose value
+    is the unknown. Each step names the values bounding it from below and
+    above (the nearest ranks already placed) and, when its Y-run already
+    holds a placed rank, the value it is offset from (ref, or -1) and by how
+    much (delta). N's bounds are thus its rank neighbours among the other
+    slots.
 
     A gap plan is for a position-free pattern: k >= 2 and its last slot L is
     neither chained to the slot before it nor pinned to position n. Its
-    pinned and free steps then find an occurrence of the first k-1 slots
-    ending at the given position, and a last free step, marked by chain None,
-    takes L's value from the values still unplaced: any later position can
-    hold it.
+    steps then find an occurrence of the first k-1 slots ending at m, and a
+    last step, `gap`, takes L's value from the values still unplaced: any
+    later position can hold it.
     """
 
-    __slots__ = ("pinned", "free", "fixed_start", "at_end", "fills_values", "gap")
+    __slots__ = ("pinned", "free", "new", "gap", "fixed_start", "at_end", "fills_values")
 
     def __init__(self, pinned: tuple[tuple[int, int, int, int], ...],
-                 free: tuple[tuple[int, int, int, int, bool | None], ...],
-                 fixed_start: bool, at_end: bool, fills_values: bool, gap: bool) -> None:
-        self.pinned = pinned              # (ref, delta, lo, hi) per step
-        self.free = free                  # (ref, delta, lo, hi, chain) per step
+                 free: tuple[tuple[int, int, int, int, bool], ...], new: tuple[int, int, int, int],
+                 gap: tuple[int, int, int, int] | None, fixed_start: bool, at_end: bool,
+                 fills_values: bool) -> None:
+        self.pinned = pinned              # (ref, delta, lo, hi) per step, at m-1, m-2, ...
+        self.free = free                  # (ref, delta, lo, hi, chain) per step, left to right
+        self.new = new                    # (ref, delta, lo, hi) of N, at m
+        self.gap = gap                    # (ref, delta, lo, hi) of L, or None if not a gap plan
         self.fixed_start = fixed_start    # the slots searched in the prefix are chained from position 1
         self.at_end = at_end              # k in X: the last slot sits at position n
         self.fills_values = fills_values  # Y holds 0..k: the occurrence's values are 1..n
-        self.gap = gap                    # a gap plan
 
 
 @lru_cache(maxsize=None)
 def _tail(pat: BivincularPattern) -> _Tail:
     k, p, x = pat.k, pat.p, pat.x
     gap = k >= 2 and k - 1 not in x and k not in x
-    end = k - gap  # the slots searched in the prefix
+    end = k - gap  # the slots searched in the prefix; N is the last of them
     npinned = 1
     while npinned < end and end - npinned in x:
         npinned += 1
-    order = list(range(end - 1, end - 1 - npinned, -1)) + list(range(end - npinned)) + [k - 1] * gap
+    order = [*range(end - 2, end - 1 - npinned, -1), *range(end - npinned), end - 1, *[k - 1] * gap]
     # Y splits the ranks 0..k+1 into runs of consecutive values: y in Y joins
     # ranks y and y+1. The virtual ranks 0 and k+1 hold the values 0 and n+1.
     run = [0]
@@ -184,90 +192,95 @@ def _tail(pat: BivincularPattern) -> _Tail:
         hi = placed[min(r for r in placed if r > rank)]
         placed[rank] = 2 + j
         run_ref.setdefault(run[rank], (2 + j, rank))
-        steps.append((ref, rank - rank0, lo, hi, s in x if s < end else None))
+        steps.append((ref, rank - rank0, lo, hi, s in x))
     return _Tail(
-        pinned=tuple(step[:4] for step in steps[:npinned]),
-        free=tuple(steps[npinned:]),
+        pinned=tuple(step[:4] for step in steps[:npinned - 1]),
+        free=tuple(steps[npinned - 1:end - 1]),
+        new=steps[end - 1][:4],
+        gap=steps[end][:4] if gap else None,
         fixed_start=npinned == end and 0 in x,
         at_end=k in x,
         fills_values=run[0] == run[k + 1],
-        gap=gap,
     )
 
 
-def _check(pat: BivincularPattern, n: int) -> tuple[int, int, Callable[..., bool], int] | None:
+def _check(pat: BivincularPattern, n: int) -> tuple[int, int, Callable[..., int], int] | None:
     """(first, last, kernel, decider) for a search of pat in a word of
     length n, or None when pat, of length k >= 1, cannot occur there. The
     search can end at the positions first..last: where an occurrence ends
-    or, for a gap plan, where its first k-1 slots end. When the last slot
-    searched in the prefix must take a given value, its letter, the kernel
-    tests that on its first line, so a caller need not.
+    or, for a gap plan, where its first k-1 slots end. The kernel, called
+    for a position m, gives the values whose placing there ends one (see
+    `_kernel`). When Y ties the new letter to 0 or n+1, its letter, the
+    kernel's mask holds at most that value.
 
     `decider` is the deciding value, or 0 if there is none: the letter, or
     else the value of a gap plan's last slot L when Y ties it to 0 or n+1.
-    Every occurrence holds it at the slot its kernel pins or, for L, after
-    the position where the kernel found the rest of the occurrence; so once
-    it is placed at position m, pat occurs in every completion if the kernel
-    fires at m or fired before, and in none otherwise."""
+    Every occurrence holds it at the new letter or, for L, after the
+    position of the new letter; so once it is placed at position m, pat
+    occurs in every completion if the kernel's mask held a letter placed at
+    m or before, and in none otherwise."""
     k = pat.k
     if k == 0 or k > n:
         return None
     tail = _tail(pat)
-    first = n if tail.at_end else k - tail.gap
-    last = k - tail.gap if tail.fixed_start else n - tail.gap
+    gap = tail.gap is not None
+    first = n if tail.at_end else k - gap
+    last = k - gap if tail.fixed_start else n - gap
     if first > last or (tail.fills_values and n != k):
         return None
-    ref, delta = tail.pinned[0][:2]
-    letter = (0, n + 1)[ref] + delta if ref >= 0 else 0
-    gref, gdelta = tail.free[-1][:2] if tail.gap else (-1, 0)
+    ref, delta = tail.new[:2]
+    letter = (0, n + 1)[ref] + delta if 0 <= ref <= 1 else 0
+    gref, gdelta = tail.gap[:2] if gap else (-1, 0)
     decider = letter or ((0, n + 1)[gref] + gdelta if 0 <= gref <= 1 else 0)
-    return first, last, _kernel(tail.pinned, tail.free), decider
+    return first, last, _kernel(tail.pinned, tail.free, tail.new, tail.gap), decider
 
 
 @lru_cache(maxsize=None)
-def _kernel(pinned: tuple, free: tuple) -> Callable[..., bool]:
-    """The plan compiled into `ends_at(m, prefix, posv, top, rest)`: whether
-    an occurrence ends at position m of `prefix` (for a gap plan, one of all
-    slots but the last that leaves the last a value of the bitmask `rest`,
-    so that every completion holds one). `posv` maps the placed letters to
-    their positions and the others to 0; top is n+1. Letters past position m
-    are never read, and `rest` is the bitmask of the values at positions
-    m..n. The letters pinned to positions m, m-1, ... are values of the
-    occurrence sought, so they bound every window the kernel tests and
-    never lie inside one.
+def _kernel(pinned: tuple, free: tuple, new: tuple, gap: tuple | None) -> Callable[..., int]:
+    """The plan compiled into `kill(m, prefix, posv, top, rest)`: the bitmask
+    of the values v such that v at position m of `prefix` ends an
+    occurrence (for a gap plan, one of all slots but the last, L, that
+    leaves L an unplaced value other than v, so that every completion holds
+    one). Only the bits of `rest`, the values at positions m..n, the
+    unplaced ones, are defined. `posv` maps the letters at positions before
+    m to their positions and the values of `rest` to 0 or to positions from
+    m on; top is n+1. Letters at m and after are never read. The letters
+    pinned to positions m-1, m-2, ... are values of the occurrence sought,
+    so they bound every window the kernel tests and never lie inside one.
 
     Value j is the local v<j> (values 0 and 1 are 0 and top), p<j> its
     position; a value that Y ties to 0 is its constant instead. A free step
     loops over the positions after the last step's unless X chains it or Y
     links it; a failed test goes on to the innermost loop's next position.
-    The source holds only the plan's integers, and no comparison that always
-    holds (see `_window`). Two shapes of plan compile to fewer loops:
+    The new letter N, last, adds to the mask the values its placing admits
+    (see `_new_letter`), the union over every placing of the other slots.
+    The source holds only the plan's integers, and no comparison that
+    always holds (see `_window`). Two shapes of plan compile to fewer loops:
 
-    - When the only free step but the gap step is a loop, L, it ranges over
-      every position before the pinned slots, whose letters are the values
-      missing from `rest` less the pinned ones, which lie outside L's
-      window. The loop becomes one test of those bits inside L's window,
-      narrowed by the gap test: a gap window whose upper end is L needs L
-      above the least value of `rest` over its lower end, one whose lower
-      end is L needs L below the greatest value of `rest` under its upper
-      end, a gap value tied by Y to another value bounds L or, when tied to
-      L, is L's value plus or minus one, and a gap test that does not read
-      L is made first.
-    - When the last two free steps but the gap step, E and L, are loops and
-      the gap test reads L only as the upper end of its window while L is
-      bounded only from below (or only as the lower end while L is bounded
-      only from above), L's best letter is the greatest (least) of its
-      positions. E then loops right to left, and each of its positions adds
-      the next letter to a running extreme that stands for L.
+    - When the only free step is a loop, J, it ranges over every position
+      before the pinned slots, whose letters are the placed values less the
+      pinned ones, which lie outside J's window. The loop becomes the
+      bitmask of J's values, the complement of `rest` inside J's window
+      (see `_one_loop`).
+    - When the last two free steps, E and J, are loops, and the gap test
+      reads J only as the upper end of its window while J is bounded only
+      from below and is not N's lower neighbour (or only as the lower end
+      while J is bounded only from above and is not N's upper neighbour),
+      J's best letter is the greatest (least) of its positions: a greater
+      (lesser) one widens every window it bounds. E then loops right to
+      left, and each of its positions adds the next letter to a running
+      extreme that stands for J.
     """
-    # A free step's value that Y ties to 0 is a constant, named by itself.
+    j_new = 2 + len(pinned) + len(free)
+    # A step's value that Y ties to 0 is a constant, named by itself.
     val = ["0", "top"] + [f"v{j}" for j in range(2, 2 + len(pinned))] + [
-        str(delta) if ref == 0 else f"v{j}" for j, (ref, delta, *_) in enumerate(free, 2 + len(pinned))]
-    lines = ["def ends_at(m, prefix, posv, top, rest):"]
-    depth, fail, prev = 1, "return False", "0"
+        str(step[1]) if step[0] == 0 else f"v{j}"
+        for j, step in enumerate((*free, new, gap or (-1,)), 2 + len(pinned))]
+    lines = ["def kill(m, prefix, posv, top, rest):"]
+    depth, fail, prev = 1, "return 0", "0"
 
-    def emit(*new: str) -> None:
-        lines.extend("    " * depth + line for line in new)
+    def emit(*new_lines: str) -> None:
+        lines.extend("    " * depth + line for line in new_lines)
 
     def bounds(j: int, lo: int, hi: int, inside: bool, delta: int) -> None:
         cond = _window(val, j, lo, hi, inside, delta)
@@ -275,43 +288,39 @@ def _kernel(pinned: tuple, free: tuple) -> Callable[..., bool]:
             emit(f"if not {cond}: {fail}")
 
     for j, (ref, delta, lo, hi) in enumerate(pinned, start=2):
-        emit(f"v{j} = prefix[m - {j - 1}]")
+        emit(f"v{j} = prefix[m - {j}]")
         if ref >= 0:
             emit(f"if v{j} != {val[ref]}{delta:+d}: {fail}")
         bounds(j, lo, hi, True, delta)
-    steps = [step for step in free if step[4] is not None]
-    gap = free[-1] if len(steps) < len(free) else None
-    last = 1 + len(pinned) + len(steps)  # the value of the last step but the gap step, L
-    loops = [ref < 0 and chain is False for ref, *_, chain in steps[-2:]]
+    loops = [ref < 0 and chain is False for ref, *_, chain in free[-2:]]
     if loops == [True]:
-        return _compile(lines + _one_loop(steps[0], gap, last, val))
+        return _compile(lines + _one_loop(free[0], new, gap, val, j_new - 1))
+    looped = any(ref < 0 and chain is False for ref, *_, chain in free)
+    if looped:
+        emit("kill = 0")
     extreme = None
-    if gap and gap[0] < 0 and loops == [True, True]:
-        if gap[3] == last and steps[-1][3] == 1:
+    if gap and gap[0] < 0 and loops == [True, True] and new[0] != j_new - 1:
+        if gap[3] == j_new - 1 and free[-1][3] == 1 and new[2] != j_new - 1:
             extreme = ("0", ">")
-        elif gap[2] == last and steps[-1][2] == 0:
+        elif gap[2] == j_new - 1 and free[-1][2] == 0 and new[3] != j_new - 1:
             extreme = ("top", "<")
-    after = len(pinned) + len(steps)
+    after = len(pinned) + 1 + len(free)
     for j, (ref, delta, lo, hi, chain) in enumerate(free, start=2 + len(pinned)):
         after -= 1  # the positions of the later steps: this one's is at most m - after
         if ref > 0:
             emit(f"v{j} = {val[ref]}{delta:+d}")
-        if chain is None:  # the gap step, last
-            cond = _window(val, j, lo, hi, ref <= 1, delta)
-            emit(f"if {cond + ' and ' * bool(cond)}rest >> {val[j]} & 1: return True" if ref >= 0
-                 else f"if rest & ((1 << {val[hi]}) - (2 << {val[lo]})): return True")
-        elif ref >= 0:
+        if ref >= 0:
             bounds(j, lo, hi, ref <= 1, delta)
             emit(f"p{j} = posv[{val[j]}]", f"if p{j} != {prev} + 1 or p{j} > m - {after}: {fail}" if chain
                  else f"if not {prev} < p{j} <= m - {after}: {fail}")
-        elif extreme and j == last:  # L, read from the running extreme
+        elif extreme and j == j_new - 1:  # J, read from the running extreme
             bounds(j, lo, hi, True, 0)
         else:
-            if extreme and j == last - 1:  # E, whose positions give L one more letter each
+            if extreme and j == j_new - 2:  # E, whose positions give J one more letter each
                 start, better = extreme
-                emit(f"v{last} = {start}", f"for p{j} in range(m - {after}, {prev}, -1):")
+                emit(f"v{j_new - 1} = {start}", f"for p{j} in range(m - {after}, {prev}, -1):")
                 depth, fail = depth + 1, "continue"
-                emit(f"if prefix[p{j}] {better} v{last}: v{last} = prefix[p{j}]")
+                emit(f"if prefix[p{j}] {better} v{j_new - 1}: v{j_new - 1} = prefix[p{j}]")
             elif chain:
                 emit(f"p{j} = {prev} + 1", f"if p{j} > m - {after}: {fail}")
             else:
@@ -320,39 +329,118 @@ def _kernel(pinned: tuple, free: tuple) -> Callable[..., bool]:
             emit(f"v{j} = prefix[p{j} - 1]")
             bounds(j, lo, hi, True, 0)
         prev = f"p{j}"
-    if not gap:
-        emit("return True")
-    return _compile(lines)
+    tests, mask = _new_letter(new, gap, val, j_new, fail)
+    emit(*tests, f"kill |= {mask}" if looped else f"return {mask}")
+    return _compile(lines + ["    return kill"] * looped)
 
 
-def _one_loop(step: tuple, gap: tuple | None, j: int, val: list[str]) -> list[str]:
-    """The lines that replace the loop of a plan whose only free step but
-    the gap step is the loop `step`, with value j (see `_kernel`)."""
+def _new_letter(new: tuple, gap: tuple | None, val: list[str], j: int, fail: str,
+                tied: str = "") -> tuple[list[str], str]:
+    """The tests of the new letter N (value j) and of the gap step L, once
+    every other value is known, and the mask of N's values they leave: N's
+    one value when Y ties it to a known one, else the open interval between
+    its rank neighbours, as a gap test that reads N narrows it (see
+    `_narrow`). A gap test that does not read N is made first. `tied`, if
+    given, is the mask of the values Y ties N to (see `_one_loop`); N's
+    window then bounds it on the side away from them."""
+    ref, delta, lo, hi = new
+    lines: list[str] = []
+    if gap and j not in (gap[0], *gap[2:]):
+        lines += _gap_test(gap, val, fail)
+        gap = None
+    if ref >= 0 and not tied:  # N's one value
+        if ref > 0:
+            lines.append(f"v{j} = {val[ref]}{delta:+d}")
+        cond = _window(val, j, lo, hi, ref <= 1, delta)
+        if cond:
+            lines.append(f"if not {cond}: {fail}")
+        return lines + (_gap_test(gap, val, fail) if gap else []), f"1 << {val[j]}"
+    base = (val[lo] if delta <= 0 else "0", val[hi] if delta >= 0 else "top")
+    low, high = base
+    if gap:
+        tests, low, high, shifted = _narrow(gap, val, j, low, high, fail)
+        lines += tests
+        tied = tied or shifted
+    if (low, high) != base:
+        lines.append(f"if {low} >= {high}: {fail}")
+    window = f"((1 << {high}) - (2 << {low}))"
+    if not tied:
+        return lines, window
+    return lines, tied if (low, high) == ("0", "top") else f"{window} & {tied}"
+
+
+def _narrow(gap: tuple, val: list[str], j: int, low: str, high: str, fail: str,
+            skip: int = -1) -> tuple[list[str], str, str, str]:
+    """The tests the gap step L makes first, value j's window (low, high)
+    as L narrows it, and the mask that L's value adds, for an L that reads
+    j. When Y ties L's value to j's, that value is j's plus an offset and
+    must be unplaced, so j's values are those of `rest` shifted back, and
+    L's far bound, unless it is value `skip`, bounds j too. When L's value
+    is known, it bounds j. Otherwise j is an end of L's window: j needs
+    the least value of `rest` above L's lower end below it, or the greatest
+    value of `rest` under L's upper end above it. `rest` never holds 0 or
+    top."""
+    gref, gdelta, glo, ghi = gap
+    if gref == j:
+        if gdelta > 0:
+            return [], low, high if ghi == skip else f"{val[ghi]} - {gdelta}", f"rest >> {gdelta}"
+        return [], low if glo == skip else f"{val[glo]} + {-gdelta}", high, f"rest << {-gdelta}"
+    if gref >= 0:
+        ends = (val[-1], high) if ghi == j else (low, val[-1])
+        return _gap_test(gap, val, fail, skip=j), *ends, ""
+    if ghi == j:
+        least = f"rest & -(2 << {val[glo]})" if glo else "rest"
+        return [f"low = {least}", f"if not low: {fail}", "lo = (low & -low).bit_length() - 1"], "lo", high, ""
+    below = f"(rest & ((1 << {val[ghi]}) - 1))" if ghi != 1 else "rest"
+    return [f"hi = {below}.bit_length() - 1"], low, "hi", ""
+
+
+def _gap_test(gap: tuple, val: list[str], fail: str, skip: int = -1) -> list[str]:
+    """The test that the gap step L, the last value, leaves L an unplaced
+    value: its value, when Y ties it to a known one, lies in `rest` and in
+    its window (less the bounds by value `skip`), or else `rest` meets its
+    window."""
+    ref, delta, lo, hi = gap
+    if ref < 0:
+        return [f"if not rest & ((1 << {val[hi]}) - (2 << {val[lo]})): {fail}"]
+    j = len(val) - 1
+    cond = _window(val, j, lo, hi, ref <= 1, delta, skip)
+    return [f"v{j} = {val[ref]}{delta:+d}"] * (ref > 0) + [
+        f"if not ({cond + ' and ' * bool(cond)}rest >> {val[j]} & 1): {fail}"]
+
+
+def _one_loop(step: tuple, new: tuple, gap: tuple | None, val: list[str], j: int) -> list[str]:
+    """The lines that replace the loop of a plan whose only free step is the
+    loop `step`, with value j (see `_kernel`): `seen`, the bitmask of its
+    values, the placed values inside its window, as a gap test that reads J
+    but not N narrows it (see `_narrow`). Then the union over J's values of
+    the mask `_new_letter` leaves is that mask at the least of them when J
+    is N's lower neighbour, at the greatest when it is the upper one, `seen`
+    shifted when Y ties N to J, and the mask itself when N does not read
+    J."""
     lo, hi = val[step[2]], val[step[3]]
     seen, lines = "~rest", []
-    if gap:
-        gref, gdelta, glo, ghi, _ = gap
-        if gref == j:  # every other rank is pinned, so the gap's is L's plus or minus one
-            seen, lo, hi = ("~rest & rest >> 1", lo, f"{hi} - 1") if gdelta > 0 else (
-                "~rest & rest << 1", f"{lo} + 1", hi)
-        elif gref >= 0:
-            if gref > 0:
-                lines.append(f"v{j + 1} = {val[gref]}{gdelta:+d}")
-            cond = _window(val, j + 1, glo, ghi, gref <= 1, gdelta, skip=j)
-            lines.append(f"if not ({cond + ' and ' * bool(cond)}rest >> {val[j + 1]} & 1): return False")
-            lo, hi = (val[j + 1], hi) if ghi == j else (lo, val[j + 1]) if glo == j else (lo, hi)
-        elif ghi == j:
-            lines += [f"low = rest & -(2 << {val[glo]})", "if not low: return False",
-                      "lo = (low & -low).bit_length() - 1"]
-            lo = "lo"
-        elif glo == j:
-            lines.append(f"hi = (rest & ((1 << {val[ghi]}) - 1)).bit_length() - 1")
-            hi = "hi"
-        else:
-            lines.append(f"if not rest & ((1 << {val[ghi]}) - (2 << {val[glo]})): return False")
-    guard = f"{lo} < {hi} and " if (lo, hi) != (val[step[2]], val[step[3]]) else ""
-    lines.append(f"if {guard}{seen} & ((1 << {hi}) - (2 << {lo})): return True")
-    return ["    " + line for line in lines]
+    reads = (gap[0], *gap[2:]) if gap else ()
+    if j in reads and (j + 1 not in reads or gap[0] == j):
+        lines, lo, hi, shifted = _narrow(gap, val, j, lo, hi, "return 0", skip=j + 1)
+        seen += f" & {shifted}" * bool(shifted)
+        if gap[0] != j or new[0] == j or j + 1 not in gap[2:]:  # L's bound by N, if any, always holds
+            gap = None
+    if (lo, hi) != (val[step[2]], val[step[3]]):
+        lines.append(f"if {lo} >= {hi}: return 0")
+    lines.append(f"seen = {seen} & ((1 << {hi}) - (2 << {lo}))")
+    ref, delta = new[:2]
+    if ref == j:
+        tied = f"seen << {delta}" if delta > 0 else f"seen >> {-delta}"
+        tests, mask = _new_letter(new, gap, val, j + 1, "return 0", tied)
+    else:
+        lines.append("if not seen: return 0")
+        if new[2] == j:
+            lines.append(f"{val[j]} = (seen & -seen).bit_length() - 1")
+        elif new[3] == j:
+            lines.append(f"{val[j]} = seen.bit_length() - 1")
+        tests, mask = _new_letter(new, gap, val, j + 1, "return 0")
+    return ["    " + line for line in lines + tests + [f"return {mask}"]]
 
 
 def _window(val: list[str], j: int, lo: int, hi: int, inside: bool, delta: int,
@@ -368,10 +456,10 @@ def _window(val: list[str], j: int, lo: int, hi: int, inside: bool, delta: int,
     return " < ".join([val[lo]] * below + [val[j]] + [val[hi]] * above) if below or above else ""
 
 
-def _compile(lines: list[str]) -> Callable[..., bool]:
+def _compile(lines: list[str]) -> Callable[..., int]:
     namespace = {"__builtins__": {"range": range}}
-    exec("\n".join(lines + ["    return False"]), namespace)
-    return namespace.pop("ends_at")
+    exec("\n".join(lines), namespace)
+    return namespace.pop("kill")
 
 
 def _empty_pattern_occurs(pat: BivincularPattern, n: int) -> bool:
@@ -506,9 +594,10 @@ def signature_masks(table: dict[Word, list[int]], k: int, n: int) -> Iterator[in
 
 
 def matches(pat: BivincularPattern, pi: Sequence[int]) -> bool:
-    """True iff pat occurs in pi: an occurrence ends at some position m of
-    the plan's window or, for a gap plan, an occurrence of its first k-1
-    slots ends there and a later letter fits its last slot."""
+    """True iff pat occurs in pi: at some position m of the plan's window,
+    the kernel's mask holds the letter at m, so an occurrence ends there
+    or, for a gap plan, an occurrence of its first k-1 slots ends there and
+    a later letter fits its last slot."""
     w = tuple(pi)
     n = len(w)
     if pat.k == 0:
@@ -516,13 +605,13 @@ def matches(pat: BivincularPattern, pi: Sequence[int]) -> bool:
     check = _check(pat, n)
     if check is None:
         return False
-    first, last, ends_at, *_ = check
+    first, last, kill, _ = check
     posv = [0] * (n + 1)
     for i, v in enumerate(w, start=1):
         posv[v] = i
     rest = _bits(w[first - 1:])  # the letters from position m on, as the walks pass them
     for m in range(first, last + 1):
-        if ends_at(m, w, posv, n + 1, rest):
+        if kill(m, w, posv, n + 1, rest) >> w[m - 1] & 1:
             return True
         rest ^= 1 << w[m - 1]
     return False

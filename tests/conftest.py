@@ -79,6 +79,27 @@ def _subsets_by_std(w: Word, k: int) -> dict[Word, list[tuple[Word, frozenset, f
     return out
 
 
+def occurrences_by_pattern(k: int, n: int) -> dict[tuple, list[tuple[Word, tuple[int, ...]]]]:
+    """`oracle_occurrences` for every pattern of length k at once: (p, X, Y)
+    -> the pairs (w, occurrence) over S_n in lex order, each position subset
+    of each word filed under every pattern it admits, those with its
+    standardization p and with X and Y within its X- and Y-sets."""
+    out: dict[tuple, list[tuple[Word, tuple[int, ...]]]] = {}
+    for w in s_n(n):
+        for p, subsets in _subsets_by_std(w, k).items():
+            for comb, xs, ys in subsets:
+                for x in _subsets(xs):
+                    for y in _subsets(ys):
+                        out.setdefault((p, x, y), []).append((w, comb))
+    return out
+
+
+@functools.cache
+def _subsets(members: frozenset) -> tuple[frozenset, ...]:
+    return tuple(frozenset(c) for size in range(len(members) + 1)
+                 for c in itertools.combinations(sorted(members), size))
+
+
 def all_patterns(k: int) -> Iterator[BivincularPattern]:
     """Every bivincular pattern of length k, k! * 4^(k+1) of them: p in lex
     order, then X, then Y, each subset of 0..k in the order of its bits."""

@@ -356,6 +356,28 @@ class TestGenerationPruning:
         assert len(generate.avoiders([pattern((2, 3, 1))], 9)) == _catalan(9)
         assert len(entered) == 11934 - _catalan(9) == 7072
 
+    def test_one_kernel_call_per_entered_prefix(self, entered, monkeypatch):
+        # The kernel of 2413 gives at once every child whose new letter ends
+        # an occurrence, so the walk calls it once in each prefix it enters
+        # where an occurrence can end, at m >= first = 3: every entered
+        # prefix but the empty one and the 8 of length 1. A call per child
+        # made 36,701.
+        calls = []
+
+        def counted(pat, n, check=generate._check):
+            first, last, kill, decider = check(pat, n)
+
+            def kernel(m, *args):
+                calls.append(m)
+                return kill(m, *args)
+
+            return first, last, kernel, decider
+
+        monkeypatch.setattr(generate, "_check", counted)
+        assert generate.count(True, [pattern((2, 4, 1, 3))], 8) == 15485
+        assert len(calls) == 14616 and len(entered) == 14625
+        assert sorted(calls) == sorted(len(u) + 1 for u in entered if len(u) >= 2)
+
     @pytest.mark.parametrize("avoid, pat, n", [
         (True, pattern((2, 3, 1)), 9),
         (True, pattern((2, 4, 1, 3)), 8),
@@ -435,8 +457,8 @@ class TestGenerationPruning:
         assert generate.count(False, [pat], 9) == math.factorial(9) - want
 
     def test_children_cache_is_bounded_by_the_subsets(self):
-        # A call reads its children off the bitmask of unplaced values
-        # through a cache with one entry per set of unplaced values entered.
+        # A call reads its children off the bitmask of the unplaced values
+        # its kernels keep, through a cache with one entry per such set.
         generate._unplaced.cache_clear()
         assert generate.count(True, [pattern((2, 3, 1))], 9) == _catalan(9)
         assert len(generate.avoiders([pattern((2, 3, 1))], 9)) == _catalan(9)

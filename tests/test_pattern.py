@@ -37,6 +37,7 @@ from conftest import (
     construction_mask,
     lex_words,
     occurrence_mask,
+    occurrences_by_pattern,
     oracle_occurrences,
     pat_complement,
     pat_inverse,
@@ -192,30 +193,104 @@ class TestOccurrenceTotal:
                 assert occurrence_total(pat, n) == self._oracle_total(pat, n), (str(pat), n)
 
 
-def _position_variables(pat) -> int:
-    """The positions p<j> that the compiled kernel of pat holds at n = 8."""
-    names = _check(pat, 8)[2].__code__.co_varnames
-    return sum(name[0] == "p" and name[1:].isdigit() for name in names)
-
-
 def _rewrite(pat) -> str:
-    """Which rewrite of `_kernel` compiled the kernel of pat at n = 8: a
-    kernel that holds fewer positions than the plan has steps searched in
-    the prefix had the position of the last one, a loop, dropped. That is
-    'bitmask' when the plan's one loop became a bitmask test, which leaves
-    no loop, and 'extreme' when the innermost loop became a running extreme,
-    which keeps the loop before it; '' is neither. A plain compilation gives
-    each such step a position, so only plans ending in a loop are compiled."""
-    steps = [step for step in _tail(pat).free if step[4] is not None]
-    if not (steps and steps[-1][0] < 0 and steps[-1][4] is False and _check(pat, 8)
-            and _position_variables(pat) < len(steps)):
+    """Which rewrite of `_kernel` its plan selects, read off the plan's
+    steps: 'bitmask' when the only free step is a loop, which becomes the
+    bitmask of its values; 'extreme' when the last two free steps are loops
+    and the last, J, is the upper end of the gap window while J has no upper
+    bound but n+1 and is not the new letter's lower neighbour (or the lower
+    end while J has no lower bound but 0 and is not its upper neighbour),
+    and Y does not tie the new letter to J, so that J becomes a running
+    extreme; '' when neither. A loop is a free step that neither X chains
+    nor Y links."""
+    tail = _tail(pat)
+    loops = [ref < 0 and not chain for ref, _, _, _, chain in tail.free[-2:]]
+    if loops == [True]:
+        return "bitmask"
+    j = 1 + len(tail.pinned) + len(tail.free)  # J's value
+    gap, (ref, _, lo, hi) = tail.gap, tail.new
+    if loops != [True, True] or not gap or gap[0] >= 0 or ref == j:
         return ""
-    return "extreme" if "range" in _check(pat, 8)[2].__code__.co_names else "bitmask"
+    bounds = tail.free[-1][2:4]
+    return "extreme" if (gap[3] == j and bounds[1] == 1 and lo != j) or (
+        gap[2] == j and bounds[0] == 0 and hi != j) else ""
+
+
+def _kill_oracle(pat, found) -> dict:
+    """Prefix u -> the bitmask of the values v such that u + (v,) ends, at
+    its last letter, what a kernel finds: an occurrence of pat or, for a
+    gap plan (k >= 2, neither k-1 nor k in X), one of its first k-1 slots
+    that leaves its last slot an unplaced value other than v. Read off
+    `found`, the pairs (word, occurrence) of pat over S_n that
+    `conftest.occurrences_by_pattern` lists: such a prefix, completed by
+    that value next, holds an occurrence with its (k-1)-th slot at the end
+    of u + (v,), and every occurrence yields one prefix so."""
+    gap = pat.k >= 2 and pat.k - 1 not in pat.x and pat.k not in pat.x
+    kills: dict = {}
+    for w, occurrence in found:
+        end = occurrence[-1 - gap]
+        kills[w[:end - 1]] = kills.get(w[:end - 1], 0) | 1 << w[end - 1]
+    return kills
+
+
+@functools.cache
+def _prefixes(n: int, length: int) -> tuple:
+    """(u, posv, rest) for every word u over 1..n of the given length, with
+    posv mapping u's letters to their positions and rest the bits of the
+    other values."""
+    out = []
+    for u in itertools.permutations(range(1, n + 1), length):
+        posv = [0] * (n + 2)
+        for i, v in enumerate(u, start=1):
+            posv[v] = i
+        out.append((u, posv, (2 << n) - 2 - sum(1 << v for v in u)))
+    return tuple(out)
+
+
+def _assert_kill_mask(pat, n: int, found) -> None:
+    """The kernel's mask against `_kill_oracle` at every prefix in its
+    window, and no occurrence ending outside it. The empty pattern has no
+    kernel."""
+    check = _check(pat, n)
+    if not pat.k:
+        assert check is None
+        return
+    kills = _kill_oracle(pat, found)
+    if check is None:
+        assert not kills, (str(pat), n)
+        return
+    first, last, kill, _ = check
+    assert all(first <= len(u) + 1 <= last for u in kills), (str(pat), n)
+    for m in range(first, last + 1):
+        for u, posv, rest in _prefixes(n, m - 1):
+            assert kill(m, u, posv, n + 1, rest) & rest == kills.get(u, 0), (str(pat), u)
+
+
+class TestKillMasks:
+    """Each kernel's mask, bit for bit at every prefix, against an oracle
+    read off the occurrences that `conftest.occurrences_by_pattern` lists
+    for every pattern of a length at once, or `conftest.oracle_occurrences`
+    for one pattern: a filter of position subsets that shares no code with
+    the plans."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_every_short_pattern(self, k):
+        for n in range(7):
+            found = occurrences_by_pattern(k, n)
+            for pat in all_patterns(k):
+                _assert_kill_mask(pat, n, found.get((pat.p, pat.x, pat.y), ()))
+
+    @pytest.mark.parametrize("k", [5, 6, 7])
+    def test_long_patterns(self, k):
+        # The stratified draws of TestLongPatterns.test_single_patterns.
+        for pat in _long_draws(k):
+            found = [(w, occurrence) for w in lex_words(6) for occurrence in oracle_occurrences(pat, w)]
+            _assert_kill_mask(pat, 6, found)
 
 
 @functools.cache
 def _rewritten(k: int) -> tuple:
-    """The patterns of length k whose kernel either rewrite compiled."""
+    """The patterns of length k whose plan selects either rewrite."""
     return tuple(pat for pat in all_patterns(k) if _rewrite(pat))
 
 
@@ -224,6 +299,21 @@ def _draw_pattern(rng: random.Random, k: int, density: float):
     independently in Y, with probability `density`."""
     return pattern(rng.sample(range(1, k + 1), k), x=[v for v in range(k + 1) if rng.random() < density],
                    y=[v for v in range(k + 1) if rng.random() < density])
+
+
+@functools.cache
+def _long_draws(k: int) -> tuple:
+    """Seeded draws of length k, X and Y of density 0, 1/4 and 1/2 in turn,
+    of which the first three of each kind of kernel are kept: rewritten to
+    a bitmask, to a running extreme, or neither."""
+    rng, kept, draws = random.Random(k), {"bitmask": [], "extreme": [], "": []}, 0
+    while min(map(len, kept.values())) < 3:
+        pat = _draw_pattern(rng, k, (0.0, 0.25, 0.5)[draws % 3])
+        draws += 1
+        group = kept[_rewrite(pat)]
+        if len(group) < 3:
+            group.append(pat)
+    return tuple(itertools.chain(*kept.values()))
 
 
 def _check_walks(pats, n: int, deep: bool) -> None:
@@ -250,17 +340,17 @@ def _check_walks(pats, n: int, deep: bool) -> None:
 
 
 class TestRewrittenKernels:
-    """The kernels whose one loop became a bitmask test, or whose innermost
-    loop became a running extreme, against the oracles; and the rewrites
-    fire."""
+    """The kernels whose one loop became a bitmask of its values, or whose
+    innermost loop became a running extreme, against the oracles; and the
+    rewrites fire."""
 
     def test_rewrites_fire(self):
-        for text in ("321", "231", "231;y=0", "123;x=2"):
-            assert _position_variables(parse_pattern(text)) == 0, text
+        for text in ("321", "231", "231;y=0", "123;x=2", "213;y=1"):
+            assert _rewrite(parse_pattern(text)) == "bitmask", text
         for text in ("2413", "3142"):
-            assert _position_variables(parse_pattern(text)) == 1, text
-        assert len(_rewritten(3)) == 80
-        assert len(_rewritten(4)) == 630
+            assert _rewrite(parse_pattern(text)) == "extreme", text
+        assert len(_rewritten(3)) == 110
+        assert len(_rewritten(4)) == 802
 
     def test_length4_on_s6(self):
         words = PERMS_BY_N[6]
@@ -284,17 +374,7 @@ class TestLongPatterns:
 
     @pytest.mark.parametrize("k", [5, 6, 7])
     def test_single_patterns(self, k):
-        # Seeded draws, X and Y of density 0, 1/4 and 1/2 in turn, of which
-        # the first three of each kind of kernel are kept: rewritten to a
-        # bitmask test, to a running extreme, or neither.
-        rng, kept, draws = random.Random(k), {"bitmask": [], "extreme": [], "": []}, 0
-        while min(map(len, kept.values())) < 3:
-            pat = _draw_pattern(rng, k, (0.0, 0.25, 0.5)[draws % 3])
-            draws += 1
-            group = kept[_rewrite(pat)]
-            if len(group) < 3:
-                group.append(pat)
-        for pat in itertools.chain(*kept.values()):
+        for pat in _long_draws(k):
             for n in range(max(k, 6), 8):
                 _check_walks([pat], n, n == 6)
 

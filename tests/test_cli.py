@@ -409,6 +409,25 @@ class TestSurvey:
         code, out = run(capsys, *argv)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
+    # sha256 of the stdout of `survey --relation REL --length 4 --n-max 4
+    # --emit csv [--merge-shift]`: 24,576 patterns, 3,220 to 6,432 rows,
+    # frozen from the survey that reduced rows one code at a time.
+    GOLDEN_LENGTH4 = [
+        ("conjugacy", False, "718e00ef789051335005b2d1348cadabcbb35cf3b2019c837310975d74c1b681"),
+        ("descent", False, "1e972d51fb4e467fac8730bda89517f0605be96553e6f2f497d3213b06f105a3"),
+        ("knuth", False, "d80842e69a24106edaee4db7b2b5bdd25213444090bf4c1aaa09766d50c14c89"),
+        ("order", False, "f2c1f766eab098545a73e08117a54aceeda0b5b9a650fa2e3f9ac6ca1f08d223"),
+        ("toric", False, "907449caa288b2586640ed638a0ff4e9d37170eed272ff0a5db64c4c92d1c998"),
+        ("toric", True, "74338c772a404fe74f8bf794241f24d95c2efb6e4bd5d711372e86dc64b688f7"),
+    ]
+
+    @pytest.mark.parametrize("rel, merge, digest", GOLDEN_LENGTH4)
+    def test_golden_output_length4(self, capsys, rel, merge, digest):
+        argv = ["survey", "--relation", rel, "--length", "4", "--n-max", "4",
+                "--emit", "csv"] + ["--merge-shift"] * merge
+        code, out = run(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
 
 class TestStable:
     def test_stable_text(self, capsys):

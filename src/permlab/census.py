@@ -22,13 +22,16 @@ requested side is walked capped at n!/2 words, and once it passes the cap
 it is dropped and the other side is keyed instead.
 
 A survey asks this of hundreds of patterns at once. It first reduces them
-to one row per symmetry orbit on integer codes (`PatternCodes`), building a
-pattern only for each row's name, then makes one pass over S_n per degree:
-each word is keyed once and gets one bitmask of the rows whose pattern
-occurs in it (`signature_masks`), each class gathers the OR of its members'
-masks, and a row's count is the size of the classes whose OR lacks its bit,
-summed for all rows at once in binary counter planes. No class size is
-needed there, since every class is seen whole.
+to one row per symmetry orbit on integer codes (`PatternCodes`): each
+symmetry maps every code at once through one table, and folding those
+tables with `min` gives each code the least code of its orbit, which names
+its row. A pattern is built only for each row's name. The survey then
+makes one pass over S_n per degree: each word is keyed once and gets one
+bitmask of the rows whose pattern occurs in it (`signature_masks`, which
+computes one signature per letter tuple), each class gathers the OR of its
+members' masks, and a row's count is the size of the classes whose OR lacks
+its bit, summed for all rows at once in binary counter planes. No class
+size is needed there, since every class is seen whole.
 
 Plain avoidance and containment (no relation) need no keys. Without
 members they are counted by the same walk in its count mode, which adds the
@@ -318,10 +321,13 @@ def survey(relation: Relation | str, length: int, *, n_range=range(1, 6),
     """Class-closed avoidance counts for all patterns of one length, one row
     per symmetry orbit of the relation.
 
-    Rows are reduced on integer codes (`PatternCodes`): each orbit is the
-    set of a code's images under `rel.symmetries`, found by table lookups,
-    and a row is named by its least code, which is its least pattern by
-    `_pat_key`. A `BivincularPattern` is built only for each row's name.
+    Rows are reduced on integer codes (`PatternCodes`). `rel.symmetries`
+    form a group, so a code's orbit is the set of its images under them:
+    folding each symmetry's table of the images of all codes
+    (`PatternCodes.images`) into a running `min` gives every code the least
+    code of its orbit, and counting those gives the orbit sizes. A row is
+    named by its least code, which is its least pattern by `_pat_key`. A
+    `BivincularPattern` is built only for each row's name.
 
     `merge_shift` additionally merges the orbits that the shift map links,
     following it from each orbit's least pattern while the rank lies in Y;
@@ -346,41 +352,30 @@ def survey(relation: Relation | str, length: int, *, n_range=range(1, 6),
     for n in degrees:  # fail on a degree over budget before doing any work
         check_budget(n, budget)
     codes = PatternCodes(length)
-    # Codes are visited in increasing order, so each orbit is met first at its
-    # least code: orbit[c] is the index of c's orbit in `least`.
-    orbit = [-1] * codes.count
-    least: list[int] = []
-    sizes: list[int] = []
-    for code in range(codes.count):
-        if orbit[code] < 0:
-            images = {codes.image(code, ops) for ops in rel.symmetries}
-            for image in images:
-                orbit[image] = len(least)
-            least.append(code)
-            sizes.append(len(images))
-    # root[i] is the orbit whose least code names orbit i's row.
-    root = list(range(len(least)))
+    # least[c] is the least code of c's orbit, found one symmetry at a time.
+    least = list(range(codes.count))
+    for ops in rel.symmetries:
+        least = list(map(min, least, codes.images(ops)))
     if merge_shift:
-        def find(i: int) -> int:
-            while root[i] != i:
-                i = root[i]
-            return i
+        # Each row becomes a tree of `least` links whose root, its least
+        # code, names it; then least[c] is the root of c's row.
+        def find(code: int) -> int:
+            while least[code] != code:
+                code = least[code]
+            return code
 
-        for cur in least:
+        for cur in sorted(set(least)):
             for _ in range(length + 2):
                 # The shift preserves counts only when the rank lies in Y.
                 if not codes.rank_in_y(cur):
                     break
                 nxt = codes.shift(cur)
-                a, b = sorted((find(orbit[cur]), find(orbit[nxt])))
-                root[b] = a
+                a, b = sorted((find(cur), find(nxt)))
+                least[b] = a
                 cur = nxt
-        root = [find(i) for i in root]
-    row_size = Counter()
-    for r, size in zip(root, sizes):
-        row_size[r] += size
-    row_roots = sorted(row_size)
-    row_codes = [least[r] for r in row_roots]
+        least = [find(code) for code in range(codes.count)]
+    row_size = Counter(least)  # a row's least code -> the number of patterns it covers
+    row_codes = sorted(row_size)
     table = mask_table(length, (codes.triple(code) + (1 << bit,) for bit, code in enumerate(row_codes)))
 
     counts: list[dict[int, int]] = [{} for _ in row_codes]
@@ -418,11 +413,11 @@ def survey(relation: Relation | str, length: int, *, n_range=range(1, 6),
             row_counts[n] = int("".join(bits), 2)
     tables: dict[tuple[int, ...], tuple[str, ...]] = {}
     rows = []
-    for r, code, row_counts in zip(row_roots, row_codes, counts):
+    for code, row_counts in zip(row_codes, counts):
         seq = tuple(row_counts.values())
         if seq not in tables:
             tables[seq] = tuple(match_tables(row_counts))
-        rows.append(SurveyRow(codes.pattern(code), row_size[r], row_counts, tables[seq]))
+        rows.append(SurveyRow(codes.pattern(code), row_size[code], row_counts, tables[seq]))
     return SurveyResult(rel.name, length, codes.count, rows)
 
 

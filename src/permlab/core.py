@@ -62,9 +62,7 @@ def format_perm(word: Sequence[int]) -> str:
     >>> format_perm((5, 10, 4, 9, 3, 8, 2, 7, 1, 6))
     '5,10,4,9,3,8,2,7,1,6'
     """
-    if len(word) > 9:
-        return ",".join(str(v) for v in word)
-    return "".join(str(v) for v in word)
+    return ("," if len(word) > 9 else "").join(map(str, word))
 
 
 def inverse(pi: Sequence[int]) -> Word:

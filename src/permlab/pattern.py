@@ -27,19 +27,20 @@ One kernel serves both callers: `matches` tries the letter at each end
 position of a whole word, and the walks of `permlab.generate` try every
 child of each prefix they grow at once. `occurrences` lists the position
 subsets whose signature (standardized letters, X-set and Y-set) admits the
-pattern, and `signature_masks` reads the signatures of each word of S_n to
-test many patterns of one length at once, against a table (`mask_table`)
-that a survey builds once for all its degrees. `occurrence_total` counts a
-pattern's occurrences over all of S_n without a walk, which bounds the
-number of words containing it.
+pattern, and `signature_masks` reads the signatures of each word of S_n,
+one per letter tuple met, to test many patterns of one length at once,
+against a table (`mask_table`) that a survey builds once for all its
+degrees. `occurrence_total` counts a pattern's occurrences over all of S_n
+without a walk, which bounds the number of words containing it.
 
 The symmetries of Bousquet-Melou, Claesson, Dukes and Kitaev (JCTA 117,
 2010) act on patterns of length k as (p, X, Y)^r = (p^r, k - X, Y),
 (p, X, Y)^c = (p^c, X, k - Y) and (p, X, Y)^i = (p^-1, Y, X). A survey
 applies them only to integer codes: `PatternCodes` numbers the patterns of
-one length so that a survey reduces them by symmetry with table lookups
-and builds a pattern only for each row's name. `pat_shift`, the toric shift
-on patterns, gives the toric pattern classes.
+one length so that a survey maps all of them by a symmetry at once, with
+one table composed from the tables of the patterns' parts, and builds a
+pattern only for each row's name. `pat_shift`, the toric shift on
+patterns, gives the toric pattern classes.
 """
 
 from __future__ import annotations
@@ -114,11 +115,9 @@ def format_pattern(pat: BivincularPattern) -> str:
     >>> format_pattern(pattern((2, 3, 1)))
     '231;x=;y='
     """
-
-    def ints(s: frozenset[int]) -> str:
-        return ",".join(str(v) for v in sorted(s))
-
-    return f"{format_perm(pat.p)};x={ints(pat.x)};y={ints(pat.y)}"
+    x = ",".join(map(str, sorted(pat.x)))
+    y = ",".join(map(str, sorted(pat.y)))
+    return f"{format_perm(pat.p)};x={x};y={y}"
 
 
 def _bits(members: Iterable[int]) -> int:
@@ -255,7 +254,9 @@ def _kernel(pinned: tuple, free: tuple, new: tuple, gap: tuple | None) -> Callab
     The new letter N, last, adds to the mask the values its placing admits
     (see `_new_letter`), the union over every placing of the other slots.
     The source holds only the plan's integers, and no comparison that
-    always holds (see `_window`). Two shapes of plan compile to fewer loops:
+    always holds (see `_window`). A threshold of N's window that reads only
+    `rest` and values known above the first loop is computed there, once
+    per call (see `_narrow`). Two shapes of plan compile to fewer loops:
 
     - When the only free step is a loop, J, it ranges over every position
       before the pinned slots, whose letters are the placed values less the
@@ -298,6 +299,9 @@ def _kernel(pinned: tuple, free: tuple, new: tuple, gap: tuple | None) -> Callab
     looped = any(ref < 0 and chain is False for ref, *_, chain in free)
     if looped:
         emit("kill = 0")
+    # Lines hoisted out of the loops go in at lines[loop_at], just above the
+    # first loop, where the values below index `fixed` are known.
+    loop_at = fixed = 0
     extreme = None
     if gap and gap[0] < 0 and loops == [True, True] and new[0] != j_new - 1:
         if gap[3] == j_new - 1 and free[-1][3] == 1 and new[2] != j_new - 1:
@@ -316,6 +320,8 @@ def _kernel(pinned: tuple, free: tuple, new: tuple, gap: tuple | None) -> Callab
         elif extreme and j == j_new - 1:  # J, read from the running extreme
             bounds(j, lo, hi, True, 0)
         else:
+            if not chain and not fixed:
+                loop_at, fixed = len(lines), j
             if extreme and j == j_new - 2:  # E, whose positions give J one more letter each
                 start, better = extreme
                 emit(f"v{j_new - 1} = {start}", f"for p{j} in range(m - {after}, {prev}, -1):")
@@ -329,20 +335,23 @@ def _kernel(pinned: tuple, free: tuple, new: tuple, gap: tuple | None) -> Callab
             emit(f"v{j} = prefix[p{j} - 1]")
             bounds(j, lo, hi, True, 0)
         prev = f"p{j}"
-    tests, mask = _new_letter(new, gap, val, j_new, fail)
+    hoisted: list[str] = []
+    tests, mask = _new_letter(new, gap, val, j_new, fail, hoist=(hoisted, fixed) if looped else None)
     emit(*tests, f"kill |= {mask}" if looped else f"return {mask}")
+    lines[loop_at:loop_at] = ["    " + line for line in hoisted]
     return _compile(lines + ["    return kill"] * looped)
 
 
 def _new_letter(new: tuple, gap: tuple | None, val: list[str], j: int, fail: str,
-                tied: str = "") -> tuple[list[str], str]:
+                tied: str = "", hoist: tuple[list[str], int] | None = None) -> tuple[list[str], str]:
     """The tests of the new letter N (value j) and of the gap step L, once
     every other value is known, and the mask of N's values they leave: N's
     one value when Y ties it to a known one, else the open interval between
     its rank neighbours, as a gap test that reads N narrows it (see
-    `_narrow`). A gap test that does not read N is made first. `tied`, if
-    given, is the mask of the values Y ties N to (see `_one_loop`); N's
-    window then bounds it on the side away from them."""
+    `_narrow`, which `hoist` is passed on to). A gap test that does not read
+    N is made first. `tied`, if given, is the mask of the values Y ties N to
+    (see `_one_loop`); N's window then bounds it on the side away from
+    them."""
     ref, delta, lo, hi = new
     lines: list[str] = []
     if gap and j not in (gap[0], *gap[2:]):
@@ -358,7 +367,7 @@ def _new_letter(new: tuple, gap: tuple | None, val: list[str], j: int, fail: str
     base = (val[lo] if delta <= 0 else "0", val[hi] if delta >= 0 else "top")
     low, high = base
     if gap:
-        tests, low, high, shifted = _narrow(gap, val, j, low, high, fail)
+        tests, low, high, shifted = _narrow(gap, val, j, low, high, fail, hoist=hoist)
         lines += tests
         tied = tied or shifted
     if (low, high) != base:
@@ -370,7 +379,7 @@ def _new_letter(new: tuple, gap: tuple | None, val: list[str], j: int, fail: str
 
 
 def _narrow(gap: tuple, val: list[str], j: int, low: str, high: str, fail: str,
-            skip: int = -1) -> tuple[list[str], str, str, str]:
+            skip: int = -1, hoist: tuple[list[str], int] | None = None) -> tuple[list[str], str, str, str]:
     """The tests the gap step L makes first, value j's window (low, high)
     as L narrows it, and the mask that L's value adds, for an L that reads
     j. When Y ties L's value to j's, that value is j's plus an offset and
@@ -379,7 +388,10 @@ def _narrow(gap: tuple, val: list[str], j: int, low: str, high: str, fail: str,
     is known, it bounds j. Otherwise j is an end of L's window: j needs
     the least value of `rest` above L's lower end below it, or the greatest
     value of `rest` under L's upper end above it. `rest` never holds 0 or
-    top."""
+    top. That threshold reads only `rest` and L's other end; `hoist`, if
+    given, is (lines, fixed) for a kernel with loops, and a threshold whose
+    other end is a constant or a value below index `fixed`, known above the
+    first loop, goes to those lines instead, returning 0 where it fails."""
     gref, gdelta, glo, ghi = gap
     if gref == j:
         if gdelta > 0:
@@ -388,11 +400,21 @@ def _narrow(gap: tuple, val: list[str], j: int, low: str, high: str, fail: str,
     if gref >= 0:
         ends = (val[-1], high) if ghi == j else (low, val[-1])
         return _gap_test(gap, val, fail, skip=j), *ends, ""
+    end = glo if ghi == j else ghi  # L's other end
+    lift = hoist is not None and (end < hoist[1] or val[end].isdigit())
+    if lift:
+        fail = "return 0"
     if ghi == j:
         least = f"rest & -(2 << {val[glo]})" if glo else "rest"
-        return [f"low = {least}", f"if not low: {fail}", "lo = (low & -low).bit_length() - 1"], "lo", high, ""
-    below = f"(rest & ((1 << {val[ghi]}) - 1))" if ghi != 1 else "rest"
-    return [f"hi = {below}.bit_length() - 1"], low, "hi", ""
+        tests = [f"low = {least}", f"if not low: {fail}", "lo = (low & -low).bit_length() - 1"]
+        ends = ("lo", high)
+    else:
+        below = f"(rest & ((1 << {val[ghi]}) - 1))" if ghi != 1 else "rest"
+        tests, ends = [f"hi = {below}.bit_length() - 1"], (low, "hi")
+    if lift:
+        hoist[0].extend(tests)
+        tests = []
+    return tests, *ends, ""
 
 
 def _gap_test(gap: tuple, val: list[str], fail: str, skip: int = -1) -> list[str]:
@@ -569,9 +591,10 @@ def signature_masks(table: dict[Word, list[int]], k: int, n: int) -> Iterator[in
     Each k-subset of positions is read for its signature: its letters'
     standardization p, its X-set and its Y-set. A pattern occurs at the
     subset exactly when it has that p and its X and Y lie within those sets,
-    so the subset's mask is one cell of the table. The mask of every
-    signature met is memoised by (X-set, letters), so a word costs C(n, k)
-    lookups.
+    so the subset's mask is one cell of the table. p and the Y-set depend on
+    the letters alone, so the signature is computed once per letter tuple
+    met, which is memoised with its cells for every X-set: a word costs
+    C(n, k) lookups.
 
     >>> table = mask_table(2, [((1, 2), 0, 0, 1 << 0), ((2, 1), 1 << 1, 0, 1 << 1)])
     >>> list(signature_masks(table, 2, 3))  # 12, and 21;x=1
@@ -579,17 +602,18 @@ def signature_masks(table: dict[Word, list[int]], k: int, n: int) -> Iterator[in
     """
     subsets = _position_subsets(n, k)
     side = 1 << (k + 1)
-    memo: dict[tuple[int, Word], int] = {}
+    missing = [0] * side
+    memo: dict[Word, list[int]] = {}  # letters -> X bits -> mask
     for w in permutations(range(1, n + 1)):
         mask = 0
         for comb, xs in subsets:
             letters = tuple([w[i] for i in comb])
-            hit = memo.get((xs, letters))
-            if hit is None:
+            row = memo.get(letters)
+            if row is None:
                 p, ys = _signature(letters, n)
                 cells = table.get(p)
-                hit = memo[xs, letters] = cells[xs * side + ys] if cells else 0
-            mask |= hit
+                row = memo[letters] = cells[ys::side] if cells else missing
+            mask |= row[xs]
         yield mask
 
 
@@ -661,15 +685,16 @@ class PatternCodes:
     of p among the permutations of 1..k in lex order, and b and c are the
     ranks of X and Y among the subsets of 0..k ordered by their sorted
     tuples. Codes thus order patterns as (p, sorted X, sorted Y) do. The
-    symmetries r, c and i (see the module docstring) and the shift act on
-    codes through tables built from their definitions on the parts: p^r,
-    p^c and p^-1 on the permutations, k - X on the subsets, and for the
-    shift those of `pat_shift`.
+    symmetries r, c and i (see the module docstring) act on p's index and,
+    apart from it, on the pair (b, c): k - X on one rank, or the swap of the
+    two. Composed part by part, their tables give the image of every code at
+    once (`images`). The shift acts through tables of `pat_shift`'s parts.
+    A pattern is built from the parts' tuples and frozensets, made once.
 
     >>> codes = PatternCodes(2)
     >>> [str(codes.pattern(code)) for code in (0, 1, 2, codes.count - 1)]
     ['12;x=;y=', '12;x=;y=0', '12;x=;y=0,1', '21;x=2;y=2']
-    >>> str(codes.pattern(codes.image(2, "ri"))), str(codes.pattern(codes.shift(2)))
+    >>> str(codes.pattern(codes.images("ri")[2])), str(codes.pattern(codes.shift(2)))
     ('21;x=0,1;y=', '12;x=;y=1,2')
     """
 
@@ -680,15 +705,23 @@ class PatternCodes:
         #: rank -> the bits of the subset of 0..k with that rank
         self.bits = sorted(range(1 << (k + 1)), key=lambda b: _members(b, k))
         rank = {b: r for r, b in enumerate(self.bits)}
-        self.side = len(self.bits)
-        self.count = len(self.perms) * self.side ** 2
+        self._sets = [frozenset(_members(b, k)) for b in self.bits]
+        side = self.side = len(self.bits)
+        self.count = len(self.perms) * side ** 2
         # rot[t]: rank -> rank of the subset's members plus t, mod k+1.
         rot = [[rank[_bits((v + t) % (k + 1) for v in _members(b, k))] for b in self.bits]
                for t in range(k + 1)]
-        self._flip = [rank[_bits(k - v for v in _members(b, k))] for b in self.bits]
-        self._reverse = [index[reverse(p)] for p in self.perms]
-        self._complement = [index[complement(p)] for p in self.perms]
-        self._inverse = [index[inverse(p)] for p in self.perms]
+        flip = [rank[_bits(k - v for v in _members(b, k))] for b in self.bits]
+        ranks = range(side)
+        # op -> (its table on p's index, its table on the pair b * side + c)
+        self._ops = {
+            "r": ([index[reverse(p)] for p in self.perms],
+                  [flip[b] * side + c for b in ranks for c in ranks]),
+            "c": ([index[complement(p)] for p in self.perms],
+                  [b * side + flip[c] for b in ranks for c in ranks]),
+            "i": ([index[inverse(p)] for p in self.perms],
+                  [c * side + b for b in ranks for c in ranks]),
+        }
         # The shift: p + 1, X rotated by minus the position of k in p, and Y by 1.
         self._shift = [(index[oplus(p, 1)], rot[k - p.index(k)]) for p in self.perms] if k else []
         self._shift_y = rot[1 % (k + 1)]
@@ -703,21 +736,19 @@ class PatternCodes:
         return self.perms[a], self.bits[b], self.bits[c]
 
     def pattern(self, code: int) -> BivincularPattern:
-        p, x, y = self.triple(code)
-        return BivincularPattern(p, frozenset(_members(x, self.k)), frozenset(_members(y, self.k)))
-
-    def image(self, code: int, ops: str) -> int:
-        """The code of the image of the code's pattern under `ops`, a
-        composition of r, c and i such as "rc", applied left to right."""
         a, b, c = self._split(code)
+        return BivincularPattern(self.perms[a], self._sets[b], self._sets[c])
+
+    def images(self, ops: str) -> list[int]:
+        """code -> the code of the image of its pattern under `ops`, a
+        composition of r, c and i such as "rc", applied left to right."""
+        perm_of, pair_of = range(len(self.perms)), range(self.side ** 2)
         for op in ops:
-            if op == "r":
-                a, b = self._reverse[a], self._flip[b]
-            elif op == "c":
-                a, c = self._complement[a], self._flip[c]
-            else:
-                a, b, c = self._inverse[a], c, b
-        return (a * self.side + b) * self.side + c
+            perm_table, pair_table = self._ops[op]
+            perm_of = list(map(perm_table.__getitem__, perm_of))
+            pair_of = list(map(pair_table.__getitem__, pair_of))
+        block = self.side ** 2
+        return [a * block + bc for a in perm_of for bc in pair_of]
 
     def rank_in_y(self, code: int) -> bool:
         """Whether k >= 1 and k lies in Y, the hypothesis under which the
@@ -729,4 +760,3 @@ class PatternCodes:
         a, b, c = self._split(code)
         a, shift_x = self._shift[a]
         return (a * self.side + shift_x[b]) * self.side + self._shift_y[c]
-

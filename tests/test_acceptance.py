@@ -394,9 +394,10 @@ def test_criterion_12_structural_invariants(capfd):
     codes = PatternCodes(3)
     if codes.count != 1536:
         problems.append(f"{codes.count} length-3 pattern codes")
-    for code in range(codes.count):
-        for op in "rci":
-            if codes.image(codes.image(code, op), op) != code:
+    for op in "rci":
+        images = codes.images(op)
+        for code in range(codes.count):
+            if images[images[code]] != code:
                 problems.append(f"{op} not involutive on {codes.pattern(code)}")
     for rel in RELATIONS.values():
         for n in range(1, 7):

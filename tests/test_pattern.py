@@ -4,13 +4,14 @@ import functools
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from permlab.core import s_n
 from permlab.errors import ParseError
-from permlab import generate
+from permlab import generate, pattern as pattern_module
 from permlab.census import _pat_key, avoid_all, match_all
 from permlab.pattern import (
     PatternCodes,
@@ -28,6 +29,7 @@ from permlab.pattern import (
     shift_orbit,
     signature_masks,
 )
+from permlab.relations import RELATIONS
 from conftest import (
     PERMS_BY_N,
     TABLE_K,
@@ -280,12 +282,46 @@ class TestKillMasks:
             for pat in all_patterns(k):
                 _assert_kill_mask(pat, n, found.get((pat.p, pat.x, pat.y), ()))
 
+    def test_thresholds_above_the_loops(self):
+        # Every length-4 plan whose kernel computes its new letter's window
+        # threshold above its loops, where only the values known there may
+        # be read. No rewrite applies to them, so no other kernel test
+        # covers them all.
+        pats = _hoisted(4)
+        assert len(pats) == 38
+        for pat in pats:
+            found = [(w, occurrence) for w in lex_words(6) for occurrence in oracle_occurrences(pat, w)]
+            _assert_kill_mask(pat, 6, found)
+
     @pytest.mark.parametrize("k", [5, 6, 7])
     def test_long_patterns(self, k):
         # The stratified draws of TestLongPatterns.test_single_patterns.
         for pat in _long_draws(k):
             found = [(w, occurrence) for w in lex_words(6) for occurrence in oracle_occurrences(pat, w)]
             _assert_kill_mask(pat, 6, found)
+
+
+def _kernel_source(pat) -> list[str]:
+    """The source lines that `_kernel` compiles for pat's plan."""
+    tail = _tail(pat)
+    with mock.patch.object(pattern_module, "_compile", lambda lines: lines):
+        return pattern_module._kernel.__wrapped__(tail.pinned, tail.free, tail.new, tail.gap)
+
+
+def _hoisted(k: int) -> list:
+    """One pattern of length k per plan whose kernel computes a threshold of
+    the new letter's window (`hi` or `lo`) once, above its loops."""
+    plans = {}
+    for pat in all_patterns(k):
+        tail = _tail(pat)
+        plans.setdefault((tail.pinned, tail.free, tail.new, tail.gap), pat)
+    out = []
+    for pat in plans.values():
+        lines = _kernel_source(pat)
+        loop = next((i for i, line in enumerate(lines) if line.lstrip().startswith("for ")), 0)
+        if any(line.lstrip().startswith(("hi = ", "lo = ")) for line in lines[:loop]):
+            out.append(pat)
+    return out
 
 
 @functools.cache
@@ -352,6 +388,18 @@ class TestRewrittenKernels:
         assert len(_rewritten(3)) == 110
         assert len(_rewritten(4)) == 802
 
+    def test_invariant_threshold_above_the_loops(self):
+        # 1234 is rewritten neither way: two nested loops seek its first two
+        # slots. The greatest unplaced value, which bounds its new letter's
+        # window from above, does not change within a call, so it is
+        # computed once, above every loop.
+        lines = _kernel_source(parse_pattern("1234"))
+        loops = [i for i, line in enumerate(lines) if line.lstrip().startswith("for ")]
+        assert len(loops) == 2
+        assert [line for line in lines[:loops[0]] if line.lstrip().startswith("hi = ")] == [
+            "    hi = rest.bit_length() - 1"]
+        assert not any(line.lstrip().startswith("hi = ") for line in lines[loops[0]:])
+
     def test_length4_on_s6(self):
         words = PERMS_BY_N[6]
         for pat in _rewritten(4):
@@ -417,6 +465,23 @@ class TestOccurrenceMasks:
             assert [mask >> i & 1 for i in range(len(pats))] == [
                 occurs >> idx & 1 for occurs in want], w
             assert mask >> len(pats) == 0
+
+    def test_one_signature_per_letter_tuple(self, monkeypatch):
+        # A signature's p and Y-set depend on the letters alone, so at k = 3
+        # one is computed per ordered triple of distinct letters met,
+        # n (n-1) (n-2), and not per (X-set, letters): 600 at n = 5.
+        calls = []
+        signature = pattern_module._signature
+        monkeypatch.setattr(pattern_module, "_signature",
+                            lambda letters, n: calls.append(letters) or signature(letters, n))
+        pat = pattern((1, 3, 2), x=[1], y=[2])
+        table = mask_table(3, [(pat.p, 1 << 1, 1 << 2, 1)])
+        for n, want in ((5, 60), (6, 120)):
+            calls.clear()
+            masks = list(signature_masks(table, 3, n))
+            assert (len(calls), len(set(calls))) == (want, want)
+            occurs = occurrence_mask(pat, n)
+            assert masks == [occurs >> i & 1 for i in range(math.factorial(n))]
 
 
 class TestEmptyPattern:
@@ -538,8 +603,20 @@ class TestPatternCodes:
         assert pats == sorted(all_patterns(k), key=_pat_key)
         for code, pat in enumerate(pats):
             assert codes.triple(code) == (pat.p, sum(1 << v for v in pat.x), sum(1 << v for v in pat.y))
-            for ops in ("r", "c", "i", "irc"):
-                assert pats[codes.image(code, ops)] == apply_symmetry(pat, ops), (str(pat), ops)
             assert codes.rank_in_y(code) == (k >= 1 and k in pat.y)
             if k:
                 assert pats[codes.shift(code)] == pat_shift(pat), str(pat)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_images_follow_symmetries(self, k):
+        # Every composition that some relation lists, against the conftest
+        # symmetries; each table is a permutation of the codes.
+        codes = PatternCodes(k)
+        pats = [codes.pattern(code) for code in range(codes.count)]
+        every_ops = {ops for rel in RELATIONS.values() for ops in rel.symmetries}
+        assert every_ops == {"", "r", "c", "rc", "i", "ir", "ic", "irc"}
+        for ops in sorted(every_ops):
+            images = codes.images(ops)
+            assert sorted(images) == list(range(codes.count)), ops
+            for code, pat in enumerate(pats):
+                assert pats[images[code]] == apply_symmetry(pat, ops), (str(pat), ops)

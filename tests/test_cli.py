@@ -379,7 +379,9 @@ class TestSurvey:
 
     # sha256 of the stdout of `survey --relation REL --length K --n-max 5
     # --emit EMIT [--merge-shift]`, frozen from the survey that reduced rows
-    # by building every symmetry image as a pattern.
+    # by building every symmetry image as a pattern; the text and json digests
+    # of conjugacy, descent, order and toric from the survey that read its
+    # reference rows by scanning every table.
     GOLDEN = [
         ("conjugacy", 1, "csv", False, "d0f5013b7ef2e2cb2bef1ce69e9a179de4e9899fd73a3e20b3e8489a716d3c5d"),
         ("conjugacy", 2, "csv", False, "ab8849c53d0e1eede9925701ab4e36fc7d2c0dc84a06207f82bb66386e21bc45"),
@@ -400,6 +402,14 @@ class TestSurvey:
         ("toric", 3, "csv", True, "f213d2232c7f6468e7903b22ac932e960b3dcf8b98c09415170d1048a2d7e776"),
         ("knuth", 3, "text", False, "4696f3e22c5b38e7e33846045417784f47899ade823f20a440f00fa507722126"),
         ("knuth", 3, "json", False, "036b493cce447e8743a2bb3e21ff5bc1ff040a08cd42b15f25f72eae4ac807bd"),
+        ("conjugacy", 3, "text", False, "f8c1b4c7a1a7c54bb244144a9e5273edaa0e27e2f4d8b33f4b8e06819bb9c672"),
+        ("conjugacy", 3, "json", False, "e3c0dcb3f1fcaef9548c12177877ec0de43852169dedab14e8bd07be54c61aa4"),
+        ("descent", 3, "text", False, "7e54df0b66adfed747480327f1129d123ec63b755358e3a2ca3cd0cf9dc2898f"),
+        ("descent", 3, "json", False, "0e78ba5193389497abd924461f6844cf9033d93e9fd84dff2210fcde2e8cb1b2"),
+        ("order", 3, "text", False, "ffbfe8213a49ba954f619947d5e5d621d612ad048f620544440c95bc9c46dce7"),
+        ("order", 3, "json", False, "c38a9d39034d8bb5a9d2e624e2b3709a8ab0c2c37d51b0dd4a42fdc53b6ad7a4"),
+        ("toric", 3, "text", False, "bae38da478c59b42f405099deae1e14e2c42bff4bcd358a1f7754118d518d250"),
+        ("toric", 3, "json", False, "0de33514d6d1cd22481933538bdfc643d6820d9f7d778e061299d27531da613c"),
     ]
 
     @pytest.mark.parametrize("rel, length, emit, merge, digest", GOLDEN)

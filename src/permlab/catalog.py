@@ -185,24 +185,34 @@ CATALOG: tuple[CatalogEntry, ...] = (
 )
 
 
+def _rows_by_value() -> dict[tuple[int, int], tuple[str, ...]]:
+    index: dict[tuple[int, int], tuple[str, ...]] = {}
+    for table in SEQUENCE_TABLES.values():
+        for n, value in enumerate(table.values, table.start):
+            index[n, value] = index.get((n, value), ()) + (table.id,)
+    return index
+
+
+#: (degree, value) -> the ids of the rows holding that value at that degree
+_ROWS_BY_VALUE = _rows_by_value()
+
+
 def match_tables(counts: dict[int, int]) -> list[str]:
     """Ids of embedded rows consistent with the given degree -> count map.
 
     A table matches when at least three degrees overlap and every overlapping
-    value agrees.
+    value agrees. Each (degree, count) pair is looked up in `_ROWS_BY_VALUE`,
+    so a table is read only when it agrees at three or more degrees, and then
+    only for the range of degrees it covers: it matches when it agrees at
+    every degree of `counts` in that range.
     """
+    hits: dict[str, int] = {}
+    for item in counts.items():
+        for id in _ROWS_BY_VALUE.get(item, ()):
+            hits[id] = hits.get(id, 0) + 1
     out = []
-    for table in SEQUENCE_TABLES.values():
-        overlap = 0
-        ok = True
-        for n, count in counts.items():
-            expected = table.value_at(n)
-            if expected is None:
-                continue
-            overlap += 1
-            if expected != count:
-                ok = False
-                break
-        if ok and overlap >= 3:
-            out.append(table.id)
+    for id, hit in hits.items():
+        table = SEQUENCE_TABLES[id]
+        if hit >= 3 and hit == len(counts.keys() & range(table.start, table.start + len(table.values))):
+            out.append(id)
     return sorted(out)

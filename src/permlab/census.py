@@ -22,16 +22,18 @@ requested side is walked capped at n!/2 words, and once it passes the cap
 it is dropped and the other side is keyed instead.
 
 A survey asks this of hundreds of patterns at once. It first reduces them
-to one row per symmetry orbit on integer codes (`PatternCodes`): each
-symmetry maps every code at once through one table, and folding those
-tables with `min` gives each code the least code of its orbit, which names
-its row. A pattern is built only for each row's name. The survey then
-makes one pass over S_n per degree: each word is keyed once and gets one
-bitmask of the rows whose pattern occurs in it (`signature_masks`, which
-computes one signature per letter tuple), each class gathers the OR of its
-members' masks, and a row's count is the size of the classes whose OR lacks
-its bit, summed for all rows at once in binary counter planes. No class
-size is needed there, since every class is seen whole.
+to one row per symmetry orbit on integer codes (`PatternCodes`, one per
+pattern length and process): each symmetry maps p and the pair (X, Y)
+through one table each, and the least image over the relation's symmetries
+gives each code the least code of its orbit, which names its row. A pattern
+is built only for each row's name. The survey then makes one pass over S_n
+per degree: each word is keyed once and gets one bitmask of the rows whose
+pattern occurs in it (`signature_masks`, which computes one signature per
+letter tuple), each class gathers the OR of its members' masks, and a row's
+count is the size of the classes whose OR lacks its bit, summed for all
+rows at once in binary counter planes. No class size is needed there, since
+every class is seen whole. A row's reference rows are read from an index of
+their values (`match_tables`), once per distinct count sequence.
 
 Plain avoidance and containment (no relation) need no keys. Without
 members they are counted by the same walk in its count mode, which adds the
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 from typing import Hashable
 
 from .catalog import CATALOG, DIVISOR_PATTERN, SEQUENCE_TABLES, match_tables
@@ -316,18 +319,34 @@ class SurveyResult:
         }
 
 
+#: The longest pattern a survey takes. Length 5 has 491,520 pattern codes,
+#: and length k + 1 has 4(k + 1) times as many as length k: 11,796,480 at 6.
+SURVEY_MAX_LENGTH = 5
+
+
+@lru_cache(maxsize=None)
+def _codes(length: int) -> PatternCodes:
+    """The codes of one pattern length, built once per process and shared by
+    every survey of that length."""
+    return PatternCodes(length)
+
+
 def survey(relation: Relation | str, length: int, *, n_range=range(1, 6),
            merge_shift: bool = False, budget: int | None = None) -> SurveyResult:
     """Class-closed avoidance counts for all patterns of one length, one row
     per symmetry orbit of the relation.
 
-    Rows are reduced on integer codes (`PatternCodes`). `rel.symmetries`
-    form a group, so a code's orbit is the set of its images under them:
-    folding each symmetry's table of the images of all codes
-    (`PatternCodes.images`) into a running `min` gives every code the least
-    code of its orbit, and counting those gives the orbit sizes. A row is
-    named by its least code, which is its least pattern by `_pat_key`. A
-    `BivincularPattern` is built only for each row's name.
+    `length` must lie in 0..SURVEY_MAX_LENGTH; a longer one raises
+    ValueError before any table is built.
+
+    Rows are reduced on integer codes (`PatternCodes`, built once per length
+    and process and shared by every survey). `rel.symmetries` form a group,
+    so a code's orbit is the set of its images under them, and
+    `PatternCodes.least` gives every code the least code of its orbit from
+    the symmetries' tables on p and on the pair (X, Y); counting those gives
+    the orbit sizes. A row is named by its least code, which is its least
+    pattern by `_pat_key`. A `BivincularPattern` is built only for each
+    row's name.
 
     `merge_shift` additionally merges the orbits that the shift map links,
     following it from each orbit's least pattern while the rank lies in Y;
@@ -341,6 +360,8 @@ def survey(relation: Relation | str, length: int, *, n_range=range(1, 6),
     bit) built once per survey) and keys each word once by `rel.key`. Each
     class then adds the mask of the rows it avoids, times its size, into
     binary counter planes, from which each row's count is read out once.
+    A row's reference rows are looked up once per distinct count sequence
+    (`match_tables`).
     """
     rel = _as_relation(relation)
     if merge_shift and rel.name != "toric":
@@ -348,14 +369,13 @@ def survey(relation: Relation | str, length: int, *, n_range=range(1, 6),
                          f"equivalence, so rows cannot be merged along it under {rel.name}")
     if length < 0:
         raise ValueError(f"pattern length must be at least 0, not {length}")
+    if length > SURVEY_MAX_LENGTH:
+        raise ValueError(f"pattern length must be at most {SURVEY_MAX_LENGTH}, not {length}")
     degrees = list(n_range)
     for n in degrees:  # fail on a degree over budget before doing any work
         check_budget(n, budget)
-    codes = PatternCodes(length)
-    # least[c] is the least code of c's orbit, found one symmetry at a time.
-    least = list(range(codes.count))
-    for ops in rel.symmetries:
-        least = list(map(min, least, codes.images(ops)))
+    codes = _codes(length)
+    least = codes.least(rel.symmetries)  # code -> the least code of its orbit
     if merge_shift:
         # Each row becomes a tree of `least` links whose root, its least
         # code, names it; then least[c] is the root of c's row.

@@ -282,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("survey", parents=[common],
                        help="class-closed avoidance counts for all patterns of one length")
     p.add_argument("--relation", choices=tuple(sorted(RELATIONS)), required=True)
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=int, required=True,
+                   help="pattern length, 0 to 5 (a longer one exits 2)")
     p.add_argument("--n-max", type=int, default=5, dest="n_max")
     p.add_argument("--merge-shift", action="store_true", dest="merge_shift",
                    help="merge orbits linked by the shift map, which preserves class-closed "

@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Word, check_perm, complement, format_perm, inverse, oplus, parse_perm, reverse
@@ -115,9 +116,13 @@ def format_pattern(pat: BivincularPattern) -> str:
     >>> format_pattern(pattern((2, 3, 1)))
     '231;x=;y='
     """
-    x = ",".join(map(str, sorted(pat.x)))
-    y = ",".join(map(str, sorted(pat.y)))
-    return f"{format_perm(pat.p)};x={x};y={y}"
+    return f"{format_perm(pat.p)};x={_set_text(pat.x)};y={_set_text(pat.y)}"
+
+
+@lru_cache(maxsize=None)
+def _set_text(members: frozenset[int]) -> str:
+    """An adjacency set as `format_pattern` writes it, made once per set."""
+    return ",".join(map(str, sorted(members)))
 
 
 def _bits(members: Iterable[int]) -> int:
@@ -525,9 +530,12 @@ def mask_table(k: int, entries: Iterable[tuple[Word, int, int, int]]) -> dict[Wo
     for cells in table.values():
         for b in range(2 * (k + 1)):
             step = 1 << b
-            for lo in range(0, side * side, 2 * step):
-                for i in range(lo + step, lo + 2 * step):
-                    cells[i] |= cells[i - step]
+            if step < side:  # a Y bit: one slice per offset, striding over the blocks
+                for j in range(step):
+                    cells[step + j::2 * step] = map(or_, cells[step + j::2 * step], cells[j::2 * step])
+            else:  # an X bit: one run of cells per block
+                for lo in range(0, side * side, 2 * step):
+                    cells[lo + step:lo + 2 * step] = map(or_, cells[lo + step:lo + 2 * step], cells[lo:lo + step])
     return table
 
 
@@ -687,43 +695,50 @@ class PatternCodes:
     tuples. Codes thus order patterns as (p, sorted X, sorted Y) do. The
     symmetries r, c and i (see the module docstring) act on p's index and,
     apart from it, on the pair (b, c): k - X on one rank, or the swap of the
-    two. Composed part by part, their tables give the image of every code at
-    once (`images`). The shift acts through tables of `pat_shift`'s parts.
-    A pattern is built from the parts' tuples and frozensets, made once.
+    two. A composition's tables on the two parts (`parts`, k! and 4^(k+1)
+    entries) are made once and kept, and give each code's least orbit member
+    a block of codes at a time (`least`); no list as long as the code count
+    is kept. Every table is a tuple, so an instance can be shared by any
+    number of callers.
+    The shift acts through tables of `pat_shift`'s parts. A pattern is built
+    from the parts' tuples and frozensets, made once.
 
     >>> codes = PatternCodes(2)
     >>> [str(codes.pattern(code)) for code in (0, 1, 2, codes.count - 1)]
     ['12;x=;y=', '12;x=;y=0', '12;x=;y=0,1', '21;x=2;y=2']
-    >>> str(codes.pattern(codes.images("ri")[2])), str(codes.pattern(codes.shift(2)))
+    >>> perm_of, pair_of = codes.parts("ri")  # code 2 is (0 * 8 + 0) * 8 + 2
+    >>> str(codes.pattern(perm_of[0] * 64 + pair_of[2])), str(codes.pattern(codes.shift(2)))
     ('21;x=0,1;y=', '12;x=;y=1,2')
     """
 
     def __init__(self, k: int) -> None:
         self.k = k
-        self.perms = list(permutations(range(1, k + 1)))
+        self.perms = tuple(permutations(range(1, k + 1)))
         index = {p: a for a, p in enumerate(self.perms)}
         #: rank -> the bits of the subset of 0..k with that rank
-        self.bits = sorted(range(1 << (k + 1)), key=lambda b: _members(b, k))
+        self.bits = tuple(sorted(range(1 << (k + 1)), key=lambda b: _members(b, k)))
         rank = {b: r for r, b in enumerate(self.bits)}
-        self._sets = [frozenset(_members(b, k)) for b in self.bits]
+        self._sets = tuple(frozenset(_members(b, k)) for b in self.bits)
         side = self.side = len(self.bits)
         self.count = len(self.perms) * side ** 2
         # rot[t]: rank -> rank of the subset's members plus t, mod k+1.
-        rot = [[rank[_bits((v + t) % (k + 1) for v in _members(b, k))] for b in self.bits]
+        rot = [tuple(rank[_bits((v + t) % (k + 1) for v in _members(b, k))] for b in self.bits)
                for t in range(k + 1)]
         flip = [rank[_bits(k - v for v in _members(b, k))] for b in self.bits]
         ranks = range(side)
-        # op -> (its table on p's index, its table on the pair b * side + c)
+        # ops -> (its table on p's index, its table on the pair b * side + c),
+        # for r, c and i, and for each composition once `parts` has made it
         self._ops = {
-            "r": ([index[reverse(p)] for p in self.perms],
-                  [flip[b] * side + c for b in ranks for c in ranks]),
-            "c": ([index[complement(p)] for p in self.perms],
-                  [b * side + flip[c] for b in ranks for c in ranks]),
-            "i": ([index[inverse(p)] for p in self.perms],
-                  [c * side + b for b in ranks for c in ranks]),
+            "": (tuple(range(len(self.perms))), tuple(range(side * side))),
+            "r": (tuple(index[reverse(p)] for p in self.perms),
+                  tuple(flip[b] * side + c for b in ranks for c in ranks)),
+            "c": (tuple(index[complement(p)] for p in self.perms),
+                  tuple(b * side + flip[c] for b in ranks for c in ranks)),
+            "i": (tuple(index[inverse(p)] for p in self.perms),
+                  tuple(c * side + b for b in ranks for c in ranks)),
         }
         # The shift: p + 1, X rotated by minus the position of k in p, and Y by 1.
-        self._shift = [(index[oplus(p, 1)], rot[k - p.index(k)]) for p in self.perms] if k else []
+        self._shift = tuple((index[oplus(p, 1)], rot[k - p.index(k)]) for p in self.perms) if k else ()
         self._shift_y = rot[1 % (k + 1)]
 
     def _split(self, code: int) -> tuple[int, int, int]:
@@ -739,16 +754,33 @@ class PatternCodes:
         a, b, c = self._split(code)
         return BivincularPattern(self.perms[a], self._sets[b], self._sets[c])
 
-    def images(self, ops: str) -> list[int]:
-        """code -> the code of the image of its pattern under `ops`, a
-        composition of r, c and i such as "rc", applied left to right."""
-        perm_of, pair_of = range(len(self.perms)), range(self.side ** 2)
-        for op in ops:
-            perm_table, pair_table = self._ops[op]
-            perm_of = list(map(perm_table.__getitem__, perm_of))
-            pair_of = list(map(pair_table.__getitem__, pair_of))
+    def parts(self, ops: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The tables of `ops`, a composition of r, c and i such as "rc",
+        applied left to right: p's index -> its image's, and b * side + c ->
+        its image's. The code (a * side + b) * side + c maps to
+        perm_of[a] * side^2 + pair_of[b * side + c]."""
+        parts = self._ops.get(ops)
+        if parts is None:
+            perm_of, pair_of = self.parts(ops[:-1])
+            perm_table, pair_table = self._ops[ops[-1]]
+            parts = self._ops[ops] = (tuple(map(perm_table.__getitem__, perm_of)),
+                                      tuple(map(pair_table.__getitem__, pair_of)))
+        return parts
+
+    def least(self, symmetries: Iterable[str]) -> list[int]:
+        """code -> the least code of its orbit under `symmetries`, a group
+        of compositions given as for `parts`. A code's images order as
+        their p indices do, then as their pairs, so for the codes of one p
+        the least image has its least p index, and among the symmetries
+        reaching that, the least image of its pair."""
+        tables = [self.parts(ops) for ops in symmetries]
         block = self.side ** 2
-        return [a * block + bc for a in perm_of for bc in pair_of]
+        least: list[int] = []
+        for a in range(len(self.perms)):
+            low = min([perm_of[a] for perm_of, _ in tables])
+            pairs = [pair_of for perm_of, pair_of in tables if perm_of[a] == low]
+            least += map((low * block).__add__, map(min, *pairs) if len(pairs) > 1 else pairs[0])
+        return least
 
     def rank_in_y(self, code: int) -> bool:
         """Whether k >= 1 and k lies in Y, the hypothesis under which the

@@ -25,7 +25,8 @@ which adjacent letters fall, and toric by rotating the circle 0|pi. The
 cycle keys themselves are checked against the powers of a word: its orbit
 sizes and the least power that is the identity. The brute-force helpers the
 package itself does not need (group product, toric orbits, inverse
-insertion, tableau listing, the toric class total) live here too.
+insertion, tableau listing, the toric class total) live here too, and so
+does reference-row matching from its definition, one table at a time.
 Expected values frozen into the tests were produced by these oracles or
 quoted from the embedded reference rows.
 """
@@ -42,6 +43,7 @@ from typing import Hashable, Iterator, Sequence
 import pytest
 
 from permlab.arith import divisors, totient
+from permlab.catalog import SEQUENCE_TABLES
 from permlab.core import Word, s_n
 from permlab.pattern import BivincularPattern
 from permlab.relations import ClassCensus, Relation
@@ -549,3 +551,16 @@ def class_representatives(rel: Relation, n: int) -> Iterator[Word]:
         if k not in seen:
             seen.add(k)
             yield pi
+
+
+def oracle_match_tables(counts: dict[int, int]) -> list[str]:
+    """The ids of the reference rows that `counts` (degree -> count) fits,
+    sorted: every table that holds a value at three or more of the degrees
+    and agrees with `counts` at each of them, read by `value_at` one table
+    and degree at a time."""
+    out = []
+    for table in SEQUENCE_TABLES.values():
+        overlap = [(n, c) for n, c in counts.items() if table.value_at(n) is not None]
+        if len(overlap) >= 3 and all(table.value_at(n) == c for n, c in overlap):
+            out.append(table.id)
+    return sorted(out)

@@ -395,7 +395,8 @@ def test_criterion_12_structural_invariants(capfd):
     if codes.count != 1536:
         problems.append(f"{codes.count} length-3 pattern codes")
     for op in "rci":
-        images = codes.images(op)
+        perm_of, pair_of = codes.parts(op)
+        images = [a * codes.side ** 2 + bc for a in perm_of for bc in pair_of]
         for code in range(codes.count):
             if images[images[code]] != code:
                 problems.append(f"{op} not involutive on {codes.pattern(code)}")

@@ -1,6 +1,9 @@
 """Catalog rows checked against direct enumeration, families against oracles."""
 
 import math
+import random
+
+import pytest
 
 from permlab.catalog import (
     CATALOG,
@@ -11,10 +14,10 @@ from permlab.catalog import (
     k_cycle_pattern,
     match_tables,
 )
-from permlab.census import avoid_all, class_avoiders, class_matchers
+from permlab.census import avoid_all, class_avoiders, class_matchers, survey
 from permlab.core import cycle_type, s_n
 from permlab.pattern import pattern
-from conftest import lis_length
+from conftest import lis_length, oracle_match_tables
 
 
 def _entry(name):
@@ -191,3 +194,79 @@ class TestTables:
             assert isinstance(t, SequenceTable)
             assert t.values
             assert t.start >= 0
+
+
+def _row(table_id, degrees=None):
+    """degree -> value of a reference row, at `degrees` or at all of its own."""
+    table = SEQUENCE_TABLES[table_id]
+    if degrees is None:
+        degrees = range(table.start, table.start + len(table.values))
+    return {n: table.value_at(n) for n in degrees}
+
+
+class TestMatchTables:
+    """`match_tables`, which reads an index of the rows' values, against
+    `conftest.oracle_match_tables`, which reads every row at every degree."""
+
+    def test_survey_sequences(self):
+        matched = 0
+        for rel in ("conjugacy", "order", "knuth", "toric", "descent"):
+            seqs = {tuple(row.counts.items()) for row in survey(rel, 3, n_range=range(1, 7)).rows}
+            for seq in seqs:
+                counts = dict(seq)
+                assert match_tables(counts) == oracle_match_tables(counts), (rel, seq)
+                matched += bool(oracle_match_tables(counts))
+        assert matched >= 10
+
+    def test_seeded_dicts(self):
+        # Degrees 0..12 reach below A002619's start at 0 and past every
+        # row's end. Most values follow one row drawn per dict, some another
+        # row's value at that degree, the rest are drawn below 60.
+        rng = random.Random(30)
+        tables = list(SEQUENCE_TABLES.values())
+        matched = 0
+        for _ in range(3000):
+            follow, other = rng.choice(tables), rng.choice(tables)
+            counts = {}
+            for n in rng.sample(range(13), rng.randint(0, 9)):
+                value = follow.value_at(n) if rng.random() < 0.9 else other.value_at(n)
+                counts[n] = rng.randrange(60) if value is None or rng.random() < 0.05 else value
+            assert match_tables(counts) == oracle_match_tables(counts), counts
+            matched += bool(match_tables(counts))
+        assert matched >= 500
+
+    def test_whole_rows(self):
+        # Each row whole, and the three rows of 8 values whole and with
+        # their first or last value dropped, and with degrees past the end.
+        for table_id in SEQUENCE_TABLES:
+            counts = _row(table_id)
+            assert table_id in match_tables(counts)
+            assert match_tables(counts) == oracle_match_tables(counts)
+        for table_id in ("A000108", "A000757", "A165962"):
+            counts = _row(table_id)
+            assert len(counts) == 8
+            for part in (dict(list(counts.items())[1:]), dict(list(counts.items())[:-1]),
+                         {**counts, 20: 1, 21: 2, 22: 5}):
+                assert table_id in match_tables(part)
+                assert match_tables(part) == oracle_match_tables(part)
+
+    def test_degree_zero(self):
+        assert match_tables({0: 1, 1: 1, 2: 2}) == oracle_match_tables({0: 1, 1: 1, 2: 2}) == ["A002619"]
+        assert match_tables({0: 2, 1: 1, 2: 2}) == []
+
+    def test_overlap_of_two_and_three(self):
+        # A000108 covers degrees 2..9: two overlapping degrees are too few,
+        # three suffice; the degrees past its end are ignored.
+        two = {8: 429, 9: 1430, 10: 4862, 11: 16796}
+        three = {7: 132, 8: 429, 9: 1430, 10: 4862}
+        assert match_tables(two) == oracle_match_tables(two) == []
+        assert match_tables(three) == oracle_match_tables(three) == ["A000108"]
+        # A002619 from degree 0: two of its values and one past its start.
+        assert match_tables({-1: 1, 0: 1, 1: 1}) == oracle_match_tables({-1: 1, 0: 1, 1: 1}) == []
+
+    def test_mismatch_at_one_degree(self):
+        for table_id in SEQUENCE_TABLES:
+            for n, value in _row(table_id).items():
+                counts = {**_row(table_id), n: value + 1}
+                assert table_id not in match_tables(counts), (table_id, n)
+                assert match_tables(counts) == oracle_match_tables(counts)

@@ -831,6 +831,58 @@ class TestSurvey:
         with pytest.raises(ValueError):
             survey("toric", length)
 
+    @pytest.mark.parametrize("length", [6, 7, 9])
+    def test_length_above_five_rejected_before_any_table(self, monkeypatch, capsys, length):
+        """A survey longer than SURVEY_MAX_LENGTH = 5 raises ValueError (exit
+        2 at the command line) before it builds its pattern codes: here
+        building any fails the test, so the rejection allocates nothing."""
+        from permlab.cli import main
+        from permlab.pattern import PatternCodes
+
+        def refuse(*args):
+            raise AssertionError(f"pattern codes built for {args}")
+
+        monkeypatch.setattr(PatternCodes, "__init__", refuse)
+        monkeypatch.setattr(census_module, "_codes", refuse)
+        with pytest.raises(AssertionError, match="pattern codes built"):
+            survey("toric", 5, n_range=range(1, 2))  # the patch stands in the survey's way
+        message = f"pattern length must be at most 5, not {length}"
+        with pytest.raises(ValueError, match=message):
+            survey("toric", length, n_range=range(1, 2))
+        assert census_module.SURVEY_MAX_LENGTH == 5
+        capsys.readouterr()
+        assert main(["survey", "--relation", "knuth", "--length", str(length)]) == 2
+        assert capsys.readouterr() == ("", f"permlab: {message}\n")
+
+    def test_shared_tables_do_not_leak(self, monkeypatch):
+        """Every survey of one length reads one `PatternCodes`, whose tables
+        are tuples. Surveys run in either order, with a merged toric survey
+        and a survey of another length between them, give the payloads of
+        surveys that each build their own codes, and leave the shared
+        tables as they were."""
+        degrees = range(1, 6)
+        forward = {rel: survey(rel, 3, n_range=degrees).to_payload() for rel in RELATION_NAMES}
+        codes = census_module._codes(3)
+        tables = {name: dict(value) if isinstance(value, dict) else value
+                  for name, value in vars(codes).items()}
+        for name, value in tables.items():
+            assert isinstance(value, (int, tuple, dict)), name
+        assert all(isinstance(value, tuple) and all(isinstance(t, tuple) for t in value)
+                   for value in tables["_ops"].values())
+        merged = survey("toric", 3, n_range=degrees, merge_shift=True).to_payload()
+        short = survey("order", 2, n_range=degrees).to_payload()
+        backward = {rel: survey(rel, 3, n_range=degrees).to_payload()
+                    for rel in reversed(RELATION_NAMES)}
+        assert backward == forward
+        assert census_module._codes(3) is codes
+        assert {name: dict(value) if isinstance(value, dict) else value
+                for name, value in vars(codes).items()} == tables
+        # The same surveys, each from codes of its own.
+        monkeypatch.setattr(census_module, "_codes", census_module.PatternCodes)
+        assert {rel: survey(rel, 3, n_range=degrees).to_payload() for rel in RELATION_NAMES} == forward
+        assert survey("toric", 3, n_range=degrees, merge_shift=True).to_payload() == merged
+        assert survey("order", 2, n_range=degrees).to_payload() == short
+
     def test_payload(self):
         res = survey("descent", 1, n_range=range(1, 4))
         payload = res.to_payload()

@@ -466,6 +466,33 @@ class TestOccurrenceMasks:
                 occurs >> idx & 1 for occurs in want], w
             assert mask >> len(pats) == 0
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mask_table_against_definition(self, k, seed):
+        # Cell xs * side + ys of p's list is the OR of the bits of the
+        # entries of p whose X lies within xs and Y within ys. Entries are
+        # drawn from at most two p's and three (X, Y) cells, four or more of
+        # them, so some share a p and some a cell; bits repeat across entries.
+        rng = random.Random(seed * 10 + k)
+        side = 1 << (k + 1)
+        perms = list(itertools.permutations(range(1, k + 1)))
+        used_perms = rng.sample(perms, min(len(perms), 2))
+        cells = [(rng.randrange(side), rng.randrange(side)) for _ in range(3)]
+        entries = [(rng.choice(used_perms), *rng.choice(cells), 1 << rng.randrange(5))
+                   for _ in range(rng.randint(4, 8))]
+        entries.append((used_perms[0], 0, side - 1, 1 << 5))
+        table = mask_table(k, entries)
+        assert set(table) == {p for p, *_ in entries}
+        for p, got in table.items():
+            assert len(got) == side * side
+            want = [0] * (side * side)
+            for xs in range(side):
+                for ys in range(side):
+                    for q, x, y, bit in entries:
+                        if q == p and x & ~xs == 0 and y & ~ys == 0:
+                            want[xs * side + ys] |= bit
+            assert got == want, p
+
     def test_one_signature_per_letter_tuple(self, monkeypatch):
         # A signature's p and Y-set depend on the letters alone, so at k = 3
         # one is computed per ordered triple of distinct letters met,
@@ -610,13 +637,28 @@ class TestPatternCodes:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_images_follow_symmetries(self, k):
         # Every composition that some relation lists, against the conftest
-        # symmetries; each table is a permutation of the codes.
+        # symmetries; the image of every code, read from the part tables,
+        # is a permutation of the codes.
         codes = PatternCodes(k)
         pats = [codes.pattern(code) for code in range(codes.count)]
         every_ops = {ops for rel in RELATIONS.values() for ops in rel.symmetries}
         assert every_ops == {"", "r", "c", "rc", "i", "ir", "ic", "irc"}
         for ops in sorted(every_ops):
-            images = codes.images(ops)
+            perm_of, pair_of = codes.parts(ops)
+            images = [a * codes.side ** 2 + bc for a in perm_of for bc in pair_of]
             assert sorted(images) == list(range(codes.count)), ops
             for code, pat in enumerate(pats):
                 assert pats[images[code]] == apply_symmetry(pat, ops), (str(pat), ops)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_least_is_least_orbit_member(self, k):
+        # Each relation's group, and groups of one and two symmetries,
+        # against the least of each code's images by brute force.
+        codes = PatternCodes(k)
+        block = codes.side ** 2
+        for symmetries in {*(rel.symmetries for rel in RELATIONS.values()), ("",), ("", "i")}:
+            images = []
+            for ops in symmetries:
+                perm_of, pair_of = codes.parts(ops)
+                images.append([a * block + bc for a in perm_of for bc in pair_of])
+            assert codes.least(symmetries) == [min(orbit) for orbit in zip(*images)], symmetries

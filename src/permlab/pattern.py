@@ -526,7 +526,10 @@ def mask_table(k: int, entries: Iterable[tuple[Word, int, int, int]]) -> dict[Wo
     side = 1 << (k + 1)
     table: dict[Word, list[int]] = {}
     for p, x, y, bit in entries:
-        table.setdefault(p, [0] * side * side)[x * side + y] |= bit
+        cells = table.get(p)
+        if cells is None:
+            cells = table[p] = [0] * side * side
+        cells[x * side + y] |= bit
     for cells in table.values():
         for b in range(2 * (k + 1)):
             step = 1 << b
@@ -698,8 +701,7 @@ class PatternCodes:
     two. A composition's tables on the two parts (`parts`, k! and 4^(k+1)
     entries) are made once and kept, and give each code's least orbit member
     a block of codes at a time (`least`); no list as long as the code count
-    is kept. Every table is a tuple, so an instance can be shared by any
-    number of callers.
+    is kept. Every table is a tuple, so one instance can serve every caller.
     The shift acts through tables of `pat_shift`'s parts. A pattern is built
     from the parts' tuples and frozensets, made once.
 

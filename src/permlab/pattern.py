@@ -119,9 +119,10 @@ def format_pattern(pat: BivincularPattern) -> str:
     return f"{format_perm(pat.p)};x={_set_text(pat.x)};y={_set_text(pat.y)}"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _set_text(members: frozenset[int]) -> str:
-    """An adjacency set as `format_pattern` writes it, made once per set."""
+    """An adjacency set as `format_pattern` writes it. A survey of length k
+    formats at most 2^(k+1) distinct sets, so its rows reuse the text."""
     return ",".join(map(str, sorted(members)))
 
 

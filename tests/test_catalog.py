@@ -3,8 +3,6 @@
 import math
 import random
 
-import pytest
-
 from permlab.catalog import (
     CATALOG,
     FPF_INVOLUTION_PATTERN,
@@ -196,12 +194,10 @@ class TestTables:
             assert t.start >= 0
 
 
-def _row(table_id, degrees=None):
-    """degree -> value of a reference row, at `degrees` or at all of its own."""
+def _row(table_id):
+    """degree -> value of a reference row, at each of its degrees."""
     table = SEQUENCE_TABLES[table_id]
-    if degrees is None:
-        degrees = range(table.start, table.start + len(table.values))
-    return {n: table.value_at(n) for n in degrees}
+    return dict(enumerate(table.values, table.start))
 
 
 class TestMatchTables:
@@ -261,7 +257,7 @@ class TestMatchTables:
         three = {7: 132, 8: 429, 9: 1430, 10: 4862}
         assert match_tables(two) == oracle_match_tables(two) == []
         assert match_tables(three) == oracle_match_tables(three) == ["A000108"]
-        # A002619 from degree 0: two of its values and one past its start.
+        # A002619 from degree 0: two of its values and a degree before it.
         assert match_tables({-1: 1, 0: 1, 1: 1}) == oracle_match_tables({-1: 1, 0: 1, 1: 1}) == []
 
     def test_mismatch_at_one_degree(self):

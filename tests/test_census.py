@@ -845,7 +845,7 @@ class TestSurvey:
         monkeypatch.setattr(PatternCodes, "__init__", refuse)
         monkeypatch.setattr(census_module, "_codes", refuse)
         with pytest.raises(AssertionError, match="pattern codes built"):
-            survey("toric", 5, n_range=range(1, 2))  # the patch stands in the survey's way
+            survey("toric", 5, n_range=range(1, 2))  # length 5 reaches the patched builder
         message = f"pattern length must be at most 5, not {length}"
         with pytest.raises(ValueError, match=message):
             survey("toric", length, n_range=range(1, 2))

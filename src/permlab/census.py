@@ -9,17 +9,18 @@ counted for avoidance when every member avoids, and for containment when
 every member matches; counts report permutations in the union of counted
 classes, with the class tally carried alongside.
 
-A class-closed request with members makes one uncapped walk of the side it
-asks for. A count-only request may read either side: a class is counted
-exactly when none of its members lies on the other side (the words
-containing some pattern, for avoidance), so keying the other side gives the
-count as n! less the sizes of the classes it touches, and the class count
-as the number of classes in the relation's census less their number. For
+A class-closed request with members walks the side it asks for and closes
+it. A count-only request may read either side: a class is counted exactly
+when none of its members lies on the other side (the words containing some
+pattern, for avoidance), so keying the other side gives the count as n!
+less the sizes of the classes it touches, and the class count as the
+number of classes in the relation's census less their number. For
 avoidance the words containing a pattern number at most its occurrences
 over all of S_n (`occurrence_total`; the first-moment bound), so when those
 totals sum to at most n!/2 the containers are keyed at once. Otherwise the
-requested side is walked capped at n!/2 words, and once it passes the cap
-it is dropped and the other side is keyed instead.
+requested side is walked whole; if it holds more than n!/2 words they are
+dropped and the other side is walked and keyed instead, so a count-only
+request never keys more than n!/2 words of its own side.
 
 A survey asks this of hundreds of patterns at once. It first reduces them
 to one row per symmetry orbit on integer codes (`PatternCodes`, one per
@@ -136,11 +137,12 @@ def _closed_result(avoid: bool, pats, relation: Relation | str, n: int, want_mem
                    budget: int | None) -> EnumerationResult:
     """Close one walk of the requested side, or key the other side, as the
     module docstring describes: at once for a count-only avoidance whose
-    patterns' occurrence totals sum to at most n!/2, else past the n!/2 cap
-    of a count-only walk. The other side is the union of one walk per
-    pattern: its containers for avoidance, its avoiders for containment.
-    Where the bound holds the avoiders number at least n!/2, so their capped
-    walk would be dropped unless they number exactly n!/2."""
+    patterns' occurrence totals sum to at most n!/2, or for a count-only
+    call whose requested side holds more than n!/2 words. The other side is
+    the union of one walk per pattern: its containers for avoidance, its
+    avoiders for containment. Where the bound holds the avoiders number at
+    least n!/2, so their walk would be dropped unless they number exactly
+    n!/2."""
     rel = _as_relation(relation)
     pats = tuple(pats)
     check_budget(n, budget)
@@ -148,7 +150,9 @@ def _closed_result(avoid: bool, pats, relation: Relation | str, n: int, want_mem
     walk, other = (avoiders, containers) if avoid else (containers, avoiders)
     few_containers = (avoid and not want_members
                       and 2 * sum(occurrence_total(pat, n) for pat in pats) <= total)
-    kept = None if few_containers else walk(pats, n, None if want_members else total // 2)
+    kept = None if few_containers else walk(pats, n)
+    if kept is not None and not want_members and 2 * len(kept) > total:
+        kept = None  # the other side is the smaller: drop these words, key it
     if kept is not None:
         count, class_count, members = _class_closed(kept, rel, want_members)
     else:

@@ -12,7 +12,7 @@ class ParseError(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """An enumeration was requested beyond the configured degree cap."""
+    """An enumeration was requested beyond the configured degree budget."""
 
 
 class InternalCheckError(RuntimeError):

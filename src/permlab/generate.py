@@ -71,36 +71,25 @@ from .core import Word
 from .pattern import BivincularPattern, _check, _empty_pattern_occurs, _members
 
 
-class _OverCap(Exception):
-    """Raised inside a capped walk that would emit more words than its cap."""
-
-
-def avoiders(pats: Iterable[BivincularPattern], n: int,
-             cap: int | None = None) -> list[Word] | None:
-    """The permutations of 1..n avoiding every pattern, in lex order, or None
-    if there are more than `cap` of them.
+def avoiders(pats: Iterable[BivincularPattern], n: int) -> list[Word]:
+    """The permutations of 1..n avoiding every pattern, in lex order.
 
     Prefixes are extended one letter at a time, smallest letter first. A
     child is dropped as soon as a position-free pattern occurs in every
     completion of it (see the module docstring), or an occurrence of any
     other pattern ends at its new letter. Once no pattern can occur any
-    more, every completion is kept. A capped walk stops as soon as the words
-    it would emit pass the cap.
+    more, every completion is kept.
 
     >>> from permlab.pattern import pattern
     >>> avoiders([pattern((2, 3, 1))], 3)
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2), (3, 2, 1)]
-    >>> avoiders([pattern((2, 3, 1))], 3, cap=4) is None
-    True
     """
     checks = _checks(True, pats, n)
-    return [] if checks is None else _walk(True, checks, n, cap, True)
+    return [] if checks is None else _walk(True, checks, n, True)
 
 
-def containers(pats: Iterable[BivincularPattern], n: int,
-               cap: int | None = None) -> list[Word] | None:
-    """The permutations of 1..n containing every pattern, in lex order, or
-    None if there are more than `cap` of them.
+def containers(pats: Iterable[BivincularPattern], n: int) -> list[Word]:
+    """The permutations of 1..n containing every pattern, in lex order.
 
     The walk is that of `avoiders` with the roles of the two outcomes
     swapped: a child is dropped as soon as some pattern can no longer occur
@@ -110,11 +99,9 @@ def containers(pats: Iterable[BivincularPattern], n: int,
     >>> from permlab.pattern import pattern
     >>> containers([pattern((2, 3, 1))], 3)
     [(2, 3, 1)]
-    >>> containers([], 3, cap=5) is None
-    True
     """
     checks = _checks(False, pats, n)
-    return [] if checks is None else _walk(False, checks, n, cap, True)
+    return [] if checks is None else _walk(False, checks, n, True)
 
 
 def count(avoid: bool, pats: Iterable[BivincularPattern], n: int) -> int:
@@ -127,7 +114,7 @@ def count(avoid: bool, pats: Iterable[BivincularPattern], n: int) -> int:
     (4862, 358018)
     """
     checks = _checks(avoid, pats, n)
-    return 0 if checks is None else _walk(avoid, checks, n, None, False)
+    return 0 if checks is None else _walk(avoid, checks, n, False)
 
 
 def _checks(avoid: bool, pats: Iterable[BivincularPattern], n: int) -> list | None:
@@ -146,25 +133,19 @@ def _checks(avoid: bool, pats: Iterable[BivincularPattern], n: int) -> list | No
     return checks
 
 
-def _walk(avoid: bool, checks: list, n: int, cap: int | None,
-          words: bool) -> list[Word] | int | None:
-    """The words of the avoider (or container) walk over `checks`, or None
-    once they pass `cap`; or, for `words` false, only their number."""
+def _walk(avoid: bool, checks: list, n: int, words: bool) -> list[Word] | int:
+    """The words of the avoider (or container) walk over `checks`; or, for
+    `words` false, only their number."""
     if not checks:
-        if not words:
-            return factorial(n)
-        return None if cap is not None and factorial(n) > cap else list(permutations(range(1, n + 1)))
+        return list(permutations(range(1, n + 1))) if words else factorial(n)
     out: list = [] if words else [0]
-    start = ([], [0] * (n + 2), (2 << n) - 2, out, cap, words)
-    try:
-        if avoid and not any(decider for *_, decider in checks):
-            live_at = [[kill for first, last, kill, _ in checks if first <= m <= last]
-                       for m in range(n + 1)]
-            _grow_avoiders(live_at, max(check[1] for check in checks), *start)
-        else:
-            _grow_open(avoid, tuple(checks), *start)
-    except _OverCap:
-        return None
+    start = ([], [0] * (n + 2), (2 << n) - 2, out, words)
+    if avoid and not any(decider for *_, decider in checks):
+        live_at = [[kill for first, last, kill, _ in checks if first <= m <= last]
+                   for m in range(n + 1)]
+        _grow_avoiders(live_at, max(check[1] for check in checks), *start)
+    else:
+        _grow_open(avoid, tuple(checks), *start)
     return out if words else out[0]
 
 
@@ -179,7 +160,7 @@ def _unplaced(rest: int) -> tuple[int, ...]:
 
 
 def _grow_avoiders(live_at, horizon: int, prefix: list[int], posv: list[int], rest: int,
-                   out: list, cap: int | None, words: bool) -> None:
+                   out: list, words: bool) -> None:
     """The avoider walk of checks without a deciding value: at position m
     only the kernels in `live_at[m]` run, and past the horizon, the largest
     `last`, every completion is kept. `rest` has the bits of the unplaced
@@ -196,7 +177,7 @@ def _grow_avoiders(live_at, horizon: int, prefix: list[int], posv: list[int], re
         for v in _unplaced(alive):
             prefix.append(v)
             posv[v] = m
-            _grow_avoiders(live_at, horizon, prefix, posv, rest ^ 1 << v, out, cap, words)
+            _grow_avoiders(live_at, horizon, prefix, posv, rest ^ 1 << v, out, words)
             prefix.pop()
             posv[v] = 0
     elif not words:
@@ -204,12 +185,12 @@ def _grow_avoiders(live_at, horizon: int, prefix: list[int], posv: list[int], re
     else:
         for v in _unplaced(alive):
             prefix.append(v)
-            _emit(prefix, rest ^ 1 << v, out, cap)
+            _emit(prefix, rest ^ 1 << v, out)
             prefix.pop()
 
 
 def _grow_open(avoid: bool, checks: tuple, prefix: list[int], posv: list[int], rest: int,
-               out: list, cap: int | None, words: bool) -> None:
+               out: list, words: bool) -> None:
     """The walk of either side (see the module docstring) over the checks
     still open in `prefix`. `rest`, `out` and `words` are as in
     `_grow_avoiders`. Each open check's kernel runs once, if m lies in its
@@ -241,19 +222,16 @@ def _grow_open(avoid: bool, checks: tuple, prefix: list[int], posv: list[int], r
         if some >> v & 1:
             pending = tuple([check for check, done in zip(checks, closes) if not done >> v & 1])
             if pending:
-                _grow_open(avoid, pending, prefix, posv, rest ^ 1 << v, out, cap, words)
+                _grow_open(avoid, pending, prefix, posv, rest ^ 1 << v, out, words)
             else:
-                _emit(prefix, rest ^ 1 << v, out, cap)
+                _emit(prefix, rest ^ 1 << v, out)
         else:
-            _grow_open(avoid, checks, prefix, posv, rest ^ 1 << v, out, cap, words)
+            _grow_open(avoid, checks, prefix, posv, rest ^ 1 << v, out, words)
         prefix.pop()
         posv[v] = 0
 
 
-def _emit(prefix: list[int], left: int, out: list, cap: int | None) -> None:
+def _emit(prefix: list[int], left: int, out: list) -> None:
     """Add to `out` every completion of `prefix` by the values of the
-    bitmask `left`, in lex order, or raise _OverCap past `cap` words."""
-    tails = _unplaced(left)
-    if cap is not None and len(out) + factorial(len(tails)) > cap:
-        raise _OverCap
-    out.extend(map(tuple(prefix).__add__, permutations(tails)))
+    bitmask `left`, in lex order."""
+    out.extend(map(tuple(prefix).__add__, permutations(_unplaced(left))))

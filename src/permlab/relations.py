@@ -59,9 +59,9 @@ def check_budget(n: int, budget: int | None = None) -> None:
     """Raise ValueError for a negative degree n, else BudgetExceeded past the budget."""
     if n < 0:
         raise ValueError(f"degree {n} is negative")
-    cap = resolve_budget(budget)
-    if n > cap:
-        raise BudgetExceeded(f"degree {n} exceeds the degree budget {cap}")
+    limit = resolve_budget(budget)
+    if n > limit:
+        raise BudgetExceeded(f"degree {n} exceeds the degree budget {limit}")
 
 
 class Relation(FrozenRecord):

@@ -80,7 +80,7 @@ _231 = pattern((2, 3, 1))
     pytest.param(lambda: avoid_all([_231], -2), id="avoid_all"),
     pytest.param(lambda: match_all([], -2), id="match_all"),
     pytest.param(lambda: generate.avoiders([], -1), id="avoiders"),
-    pytest.param(lambda: generate.containers([_231], -2, cap=0), id="containers"),
+    pytest.param(lambda: generate.containers([_231], -2), id="containers"),
     pytest.param(lambda: generate.count(True, [], -1), id="count"),
     pytest.param(lambda: survey("conjugacy", 1, n_range=[-2, 1]), id="survey"),
     pytest.param(lambda: check_budget(-1, 0), id="check_budget"),
@@ -256,9 +256,10 @@ class TestGenerationAgainstScan:
             gc.enable()
 
 
-class TestCappedWalk:
-    """Given a cap, `avoiders` and `containers` return the uncapped list when
-    it has at most `cap` words and None, not a partial list, otherwise."""
+class TestWholeWalk:
+    """`count` gives the length of the word list of `avoiders` and
+    `containers` on the same side, and neither walk leaves a reference
+    cycle behind."""
 
     @staticmethod
     def _cases():
@@ -276,28 +277,21 @@ class TestCappedWalk:
         return cases
 
     @pytest.mark.parametrize("walk", [generate.avoiders, generate.containers])
-    def test_cap_at_the_size(self, walk):
-        over = 0
+    def test_count_is_the_length(self, walk):
+        nonempty = 0
         for pats, n in self._cases():
             full = walk(pats, n)
             assert generate.count(walk is generate.avoiders, pats, n) == len(full), (
                 [str(p) for p in pats], n)
-            assert walk(pats, n, len(full)) == full, ([str(p) for p in pats], n)
-            assert walk(pats, n, math.factorial(n)) == full, ([str(p) for p in pats], n)
-            if full:
-                assert walk(pats, n, len(full) - 1) is None, ([str(p) for p in pats], n)
-                assert walk(pats, n, 0) is None
-                over += 1
-        assert over > 100
+            nonempty += bool(full)
+        assert nonempty > 100
 
-    def test_no_reference_cycles_when_over(self):
+    def test_no_reference_cycles(self):
         pats = [pattern((2, 1, 3), y=[1]), pattern((1, 2), x=[0], y=[1, 2])]
-        avoided, contained = len(generate.avoiders(pats, 6)), len(generate.containers(pats, 6))
         gc.collect()
         gc.disable()
         try:
-            assert generate.avoiders(pats, 6, avoided // 2) is None
-            assert generate.containers(pats, 6, contained // 2) is None
+            assert generate.avoiders(pats, 6) and generate.containers(pats, 6)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -471,34 +465,46 @@ RELATION_NAMES = ("conjugacy", "order", "knuth", "toric", "descent")
 @contextmanager
 def _sides_walked():
     """Record, for each count-only class-closed call, the path it took: the
-    walk it capped and the side it counted from ("kept" when that walk
-    stayed within its cap, "other" when it went over and the other side was
-    walked instead), or "bound" when it made no capped walk, because the
-    occurrence bound sent it to the other side at once."""
+    walk of its requested side and the side it closed ("kept" when it keyed
+    that walk's words, "other" when it dropped them and keyed the other
+    side), or "bound" when it made no walk of its requested side, because
+    the occurrence bound sent it to the other side at once."""
     sides: list = []
-    saved = census_module.avoiders, census_module.containers, census_module._closed_result
+    walked: list = []
+    closed: list = []
+    saved = (census_module.avoiders, census_module.containers, census_module._class_closed,
+             census_module._closed_result)
 
     def recording(walk):
-        def capped(pats, n, cap=None):
-            out = walk(pats, n, cap)
-            if cap is not None:
-                sides.append((walk.__name__, "kept" if out is not None else "other"))
-            return out
-        return capped
+        def recorded(pats, n):
+            walked.append(walk.__name__)
+            return walk(pats, n)
+        return recorded
+
+    def keying(kept, rel, want_members):
+        closed.append(True)
+        return saved[2](kept, rel, want_members)
 
     def closing(avoid, pats, relation, n, want_members, budget):
-        before = len(sides)
-        result = saved[2](avoid, pats, relation, n, want_members, budget)
-        if not want_members and len(sides) == before:
-            sides.append("bound")
+        walked.clear()
+        closed.clear()
+        result = saved[3](avoid, pats, relation, n, want_members, budget)
+        if not want_members:
+            side = "avoiders" if avoid else "containers"
+            if walked[:1] != [side]:
+                assert not closed
+                sides.append("bound")
+            else:
+                sides.append((side, "kept" if closed else "other"))
         return result
 
     census_module.avoiders, census_module.containers = map(recording, saved[:2])
-    census_module._closed_result = closing
+    census_module._class_closed, census_module._closed_result = keying, closing
     try:
         yield sides
     finally:
-        census_module.avoiders, census_module.containers, census_module._closed_result = saved
+        (census_module.avoiders, census_module.containers, census_module._class_closed,
+         census_module._closed_result) = saved
 
 
 def _words_mask(words, n: int) -> int:
@@ -523,7 +529,7 @@ class TestClassClosedDifferential:
     """Class-closed avoiders and matchers against classes built by the
     oracles in conftest, which use neither the keys nor the class sizes.
 
-    A call with members walks its side uncapped and closes it; it is checked
+    A call with members walks its side whole and closes it; it is checked
     here. A count-only call is checked in TestClassClosedCountOnly. Each
     path is compared with the oracle, never with the other."""
 
@@ -553,14 +559,24 @@ class TestClassClosedDifferential:
 
 class TestClassClosedCountOnly:
     """Count-only class-closed calls read their counts from whichever side is
-    smaller: when the occurrence bound proves the containers few, or past
-    n!/2 kept words, they key the other side and subtract from n! and the
-    class total. They are compared with the oracle classes, and every path
-    must be taken."""
+    smaller: when the occurrence bound proves the containers few, or when
+    the requested side holds more than n!/2 words, they key the other side
+    and subtract from n! and the class total. They are compared with the
+    oracle classes, and every path must be taken."""
 
     @pytest.mark.parametrize("rel", RELATION_NAMES)
-    def test_all_length3_patterns(self, rel, avoid_masks, class_masks):
-        # The same grid as the members path, patterns of length 1-3.
+    def test_all_length3_patterns(self, rel, avoid_masks, class_masks, monkeypatch):
+        # The same grid as the members path, patterns of length 1-3. No
+        # count-only call keys more than n!/2 words of its requested side.
+        keyed, real = [], census_module._class_closed
+
+        def bounded(kept, relation, want_members):
+            if not want_members and kept:
+                assert 2 * len(kept) <= math.factorial(len(kept[0])), len(kept)
+                keyed.append(len(kept))
+            return real(kept, relation, want_members)
+
+        monkeypatch.setattr(census_module, "_class_closed", bounded)
         with _sides_walked() as sides:
             for fn, n, pat, want in _short_pattern_cells(rel, avoid_masks, class_masks):
                 case, before = (fn.__name__, n, str(pat)), len(sides)
@@ -572,18 +588,21 @@ class TestClassClosedCountOnly:
                     assert 2 * containers <= math.factorial(n), case
         assert set(sides) == {(walk, side) for walk in ("avoiders", "containers")
                               for side in ("kept", "other")} | {"bound"}
+        assert len(keyed) > 100
 
     @pytest.mark.parametrize("rel", RELATION_NAMES)
     def test_bound_tie(self, rel, avoid_masks, class_masks):
         # 1;x=0;y=0 occurs once in S_2, in 12, so the bound holds with
         # equality and both sides hold n!/2 = 1 word: the containers are
-        # walked, where a capped avoider walk would have kept its word.
+        # walked for avoidance, and for containment the walk of exactly
+        # n!/2 containers is kept.
         pat = pattern((1,), x=[0], y=[0])
         with _sides_walked() as sides:
-            got = class_avoiders([pat], rel, 2)
-        assert sides == ["bound"]
-        assert _counts(got) == _oracle_triple(
-            _closed_classes(avoid_masks[pat][2], class_masks(rel, 2)), 2)[:2]
+            got = class_avoiders([pat], rel, 2), class_matchers([pat], rel, 2)
+        assert sides == ["bound", ("containers", "kept")]
+        avoid = avoid_masks[pat][2]
+        for res, kept in zip(got, (avoid, 3 & ~avoid)):
+            assert _counts(res) == _oracle_triple(_closed_classes(kept, class_masks(rel, 2)), 2)[:2]
 
     # Degree zero, no patterns, and sets of several patterns, whose other
     # side is a union of one walk per pattern, are left out of the grid.
@@ -617,8 +636,9 @@ class TestClassClosedCountOnly:
         assert _counts(fn(pats, rel, n)) == _oracle_triple(closed, n)[:2]
 
     def test_descent_class_total_reads_memoised_census(self, monkeypatch):
-        # Past the cap a descent call reads its class total from the census,
-        # whose histogram is built once per relation and degree.
+        # With more than n!/2 avoiders a descent call reads its class total
+        # from the census, whose histogram is built once per relation and
+        # degree.
         pat = pattern((3, 2, 1), x=[0, 1])
         want = class_avoiders([pat], "descent", 7, want_members=True)
         descent, built = RELATIONS["descent"], []
@@ -1070,19 +1090,16 @@ class TestSequenceCheck:
         with pytest.raises(ValueError):
             sequence_check("A999999")
 
-    def test_pinned_conjugacy_rows_walk_no_capped_avoiders(self, monkeypatch):
+    def test_pinned_conjugacy_rows_walk_no_avoiders(self, monkeypatch):
         # Each row's pattern is pinned to position n or chained to an
         # anchor, so its occurrences over S_n number (n - 1)! or (n - 1)!/2:
         # at every degree the bound sends the call to the containers, and
-        # no avoider walk is capped.
-        walk = census_module.avoiders
-
-        def uncapped(pats, n, cap=None):
-            assert cap is None, ([str(p) for p in pats], n)
-            return walk(pats, n, cap)
+        # the avoiders are never walked.
+        def no_avoiders(pats, n):
+            raise AssertionError(([str(p) for p in pats], n))
 
         monkeypatch.delenv("PERMLAB_BUDGET_N", raising=False)
-        monkeypatch.setattr(census_module, "avoiders", uncapped)
+        monkeypatch.setattr(census_module, "avoiders", no_avoiders)
         for table_id in ("transpositions", "fpf-involutions", "id-3cycles", "id-2cycles-3cycles"):
             rep = sequence_check(table_id)
             assert rep.ok and max(rep.computed) == 9 and not rep.skipped, table_id

@@ -58,6 +58,12 @@ from .records import FrozenRecord
 Occurrence = tuple[int, ...]
 
 
+@lru_cache(maxsize=None)
+def _slots(k: int) -> frozenset[int]:
+    """The slots 0..k that X and Y of a pattern of length k may name."""
+    return frozenset(range(k + 1))
+
+
 class BivincularPattern(FrozenRecord):
     """The triple (p, X, Y). Immutable and hashable: patterns with equal
     fields are equal, and assigning to a field raises AttributeError."""
@@ -68,7 +74,7 @@ class BivincularPattern(FrozenRecord):
                  y: Iterable[int] = frozenset()) -> None:
         p, x, y = check_perm(p), frozenset(x), frozenset(y)
         k = len(p)
-        if not all(0 <= v <= k for v in x | y):
+        if not x | y <= _slots(k):
             raise ParseError(f"adjacency sets must lie in 0..{k}")
         self._freeze(p, x, y)
 

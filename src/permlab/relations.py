@@ -2,14 +2,14 @@
 
 Each relation has a canonical class key: the cycle type (`cycle_type`), the
 lcm of the cycle lengths (`order`), the insertion tableau
-(`insertion_tableau`), the least rotation of the circular word's steps
-(`_toric_key`) and the descent set (`descent_set`). It also has a
-closed-form size for each key, its census of class sizes on S_n (from
-closed forms, nothing scanned), and the list of r/c/i compositions that
-transport its classes to classes (so class-avoider counts are invariant
-under them). The sizes are n!/z_lam, its sums over a fixed lcm, f^lam, the
-least period of a toric step cycle and beta_n(S). `census` memoises each
-histogram per degree.
+(`insertion_tableau`), the least rotation of the circular word's steps,
+packed into one int of n+1 fixed-width fields (`_toric_key`), and the
+descent set (`descent_set`). It also has a closed-form size for each key,
+its census of class sizes on S_n (from closed forms, nothing scanned), and
+the list of r/c/i compositions that transport its classes to classes (so
+class-avoider counts are invariant under them). The sizes are n!/z_lam, its
+sums over a fixed lcm, f^lam, the least period, in fields, of a packed toric
+step cycle and beta_n(S). `census` memoises each histogram per degree.
 """
 
 from __future__ import annotations
@@ -173,32 +173,54 @@ def _descent_sizes(n: int) -> Counter[int]:
                    for r in range(len(positions) + 1) for s in combinations(positions, r))
 
 
-def _toric_key(pi: Word) -> tuple[int, ...]:
+def _toric_key(pi: Word) -> int:
     """The steps of the circular word 0|pi, d_i = lam_{i+1} - lam_i mod n+1,
     read from their least rotation. A toric shift adds a constant to every
     letter and re-reads the circle from 0, so it only rotates the steps; the
     word read from 0 along each rotation is one member of the class.
 
-    >>> _toric_key((1, 2, 4, 3)) == _toric_key((2, 1, 3, 4)) == (1, 1, 2, 4, 2)
+    The n+1 steps are packed into one int, first step highest, in fields of
+    n.bit_length() bits. Steps lie in 1..n, so the packing is injective and
+    integer order is the order of the step tuples; each of the n rotations
+    is one shift and mask. At n = 4 the fields are 3 bits, so the steps
+    (1, 1, 2, 4, 2) read as 0o11242, and S_0's one key is 0.
+
+    >>> _toric_key((1, 2, 4, 3)) == _toric_key((2, 1, 3, 4)) == 0o11242
     True
     """
-    size = len(pi) + 1
-    steps = tuple((b - a) % size for a, b in zip((0, *pi), (*pi, 0)))
-    low = min(steps)
-    cycle = steps + steps
-    return min(cycle[i:i + size] for i in range(size) if steps[i] == low)
+    n = len(pi)
+    size = n + 1
+    width = n.bit_length()
+    steps = prev = 0
+    for v in pi:
+        steps = steps << width | (v - prev) % size
+        prev = v
+    steps = steps << width | -prev % size
+    top = width * n
+    rest = (1 << top) - 1
+    least = steps
+    for _ in range(n):
+        steps = (steps & rest) << width | steps >> top
+        if steps < least:
+            least = steps
+    return least
 
 
-def _toric_size(n: int, steps: tuple[int, ...]) -> int:
-    """Toric class of a step cycle: one member per distinct rotation, that is
-    the cycle's least period, a divisor of n+1.
+def _toric_size(n: int, key: int) -> int:
+    """Toric class of a packed step cycle: one member per distinct rotation,
+    that is the least p dividing n+1 whose rotation by p fields leaves the
+    key unchanged. For such a p that holds just when the key's first n+1-p
+    fields equal its last n+1-p.
 
-    >>> [_toric_size(4, s) for s in ((1, 1, 1, 1, 1), (1, 1, 2, 4, 2))]
+    >>> [_toric_size(4, k) for k in (0o11111, 0o11242)]
     [1, 5]
     """
     size = n + 1
-    return next(p for p in range(1, size + 1)
-                if size % p == 0 and steps[p:] + steps[:p] == steps)
+    width = n.bit_length()
+    for p in range(1, size):
+        if size % p == 0 and key >> width * p == key & (1 << width * (size - p)) - 1:
+            return p
+    return size
 
 
 def _knuth_pattern_class(pat: BivincularPattern) -> frozenset[BivincularPattern]:

@@ -618,6 +618,23 @@ class TestSeqCheck:
         assert json.loads(out)["ok"] is False
 
 
+class TestCsvOnlyWhereWritten:
+    """Only enumerate, classes, survey and robin write CSV; the other
+    subcommands print their text form under --emit csv."""
+
+    @pytest.mark.parametrize("argv", [
+        ("sigma", "--n", "8", "--via", "avoiders"),
+        ("stable", "--relation", "toric", "--pattern", "213;y=1,3", "--n-max", "5"),
+        ("seq-check", "--id", "A000124", "--budget-n", "5"),
+        ("rsk", "--perm", "241635"),
+        ("natural", "--n", "4"),
+    ], ids=lambda argv: argv[0])
+    def test_csv_is_text(self, capsys, argv):
+        code, text = run(capsys, *argv)
+        assert (code, bool(text)) == (0, True)
+        assert run(capsys, *argv, "--emit", "csv") == (code, text)
+
+
 class TestRepeatedCalls:
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()

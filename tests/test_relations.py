@@ -12,6 +12,7 @@ from conftest import (
     oracle_classes,
     perms_with_cycle_type,
     toric_class,
+    toric_class_total,
 )
 from permlab.arith import steggall_census
 from permlab.core import cycle_type, order, s_n
@@ -97,11 +98,19 @@ class TestClassOf:
             (1, 2, 4, 3), (4, 1, 2, 3), (2, 3, 4, 1), (2, 1, 3, 4), (1, 3, 2, 4)}
         assert class_size(rel, (1, 2, 4, 3)) == 5
 
-    @given(st.integers(min_value=0, max_value=12).flatmap(
+    @pytest.mark.parametrize("n", range(9))
+    def test_toric_keys_number_the_classes(self, n):
+        """The packed step keys of S_n, in fields of 0 to 4 bits, are as
+        many as the classes counted by a closed form that reads no key."""
+        key = RELATIONS["toric"].key
+        assert len(set(map(key, s_n(n)))) == toric_class_total(n)
+
+    @given(st.integers(min_value=0, max_value=17).flatmap(
         lambda n: st.permutations(list(range(1, n + 1))).map(tuple)))
     def test_toric_key_against_orbit(self, w):
         """The step key is constant on the shift orbit, and the closed-form
-        size is the orbit's length."""
+        size is the orbit's length. Degrees up to 17 take the fields from 4
+        bits to 5 at n = 16."""
         rel = RELATIONS["toric"]
         orbit = toric_class(w)
         assert {rel.key(u) for u in orbit} == {rel.key(w)}

@@ -39,7 +39,11 @@ their values (`match_tables`), once per distinct count sequence.
 Plain avoidance and containment (no relation) need no keys. Without
 members they are counted by the same walk in its count mode, which adds the
 number of completions of each kept prefix and builds no word; with members
-the words come from `avoid_all` or `match_all`.
+the words come from `avoid_all` or `match_all`. Avoiders of patterns such
+as 231, 321, 132 and 213;y=1, whose kernels read only the set of unplaced
+values and have no deciding value, are counted once per such set: the set
+alone fixes how many completions of a prefix are kept (see
+`permlab.generate`).
 """
 
 from __future__ import annotations
@@ -255,9 +259,14 @@ def stability(pat: BivincularPattern, relation: Relation | str, n_max: int, *,
     """Compare class-closed avoiders of `pat` with plain avoiders of its
     induced pattern class for every degree up to n_max.
 
-    Containment of the class-closed side in the plain side always holds; the
-    check fails exactly when some permutation avoids the whole pattern class
-    while a relation classmate of it contains `pat`.
+    The check fails at the first degree where the two sets differ, and the
+    witness is the least word of their symmetric difference, on either
+    side. The class-closed side need not lie inside the plain one: under
+    Knuth equivalence with X or Y non-empty, the whole class of a word may
+    avoid `pat` while the word contains another member of the pattern
+    class (the class of 4213 avoids 132;y=0, yet 4213 contains 312;y=0).
+    Under toric equivalence it lay inside for every pattern of length at
+    most 3 at n <= 6.
     """
     rel = _as_relation(relation)
     if rel.pattern_class is None:

@@ -58,6 +58,17 @@ m, to a running total, and builds no word: it enters the same prefixes and
 runs the same kernels, and is what a plain count without members needs. At
 the last position it grows, `_grow_avoiders` adds (n - m)! times the number
 of children its kernels keep.
+
+One count walks sets instead of prefixes: that of avoiders of patterns
+without a deciding value whose kernels read only m, n+1 and `rest` (no step
+is pinned to a position before m, and the plan has no free step or one
+loop, which becomes a bitmask of the placed values; `_reads_rest_only`),
+such as 231, 321, 132 and 213;y=1. As m = n + 1 - |rest|, the children a
+prefix keeps, and so its number of kept completions, depend only on its
+set of unplaced values, the label of West's generating tree. `_count_unplaced`
+expands each such set once per call, storing its number in a dict that
+lives for that call, and reads it back for every later prefix with the
+same set; the sets it expands are those of the prefixes the walk enters.
 """
 
 from __future__ import annotations
@@ -68,7 +79,8 @@ from math import factorial
 from typing import Iterable
 
 from .core import Word
-from .pattern import BivincularPattern, _check, _empty_pattern_occurs, _members
+from .pattern import (BivincularPattern, _check, _empty_pattern_occurs, _members, _reads_rest_only,
+                      _tail)
 
 
 def avoiders(pats: Iterable[BivincularPattern], n: int) -> list[Word]:
@@ -108,13 +120,19 @@ def count(avoid: bool, pats: Iterable[BivincularPattern], n: int) -> int:
     """The number of permutations of 1..n avoiding (or, for `avoid` false,
     containing) every pattern: the length of `avoiders(pats, n)` (or of
     `containers(pats, n)`), found by the same walk without building a word.
+    Avoiders of patterns without a deciding value whose kernels all read
+    only `rest` are counted over the sets of unplaced values instead (see
+    the module docstring).
 
     >>> from permlab.pattern import pattern
     >>> count(True, [pattern((2, 3, 1))], 9), count(False, [pattern((2, 3, 1))], 9)
     (4862, 358018)
     """
+    pats = tuple(pats)
     checks = _checks(avoid, pats, n)
-    return 0 if checks is None else _walk(avoid, checks, n, False)
+    if checks is None:
+        return 0
+    return _walk(avoid, checks, n, False, all(_reads_rest_only(_tail(pat)) for pat in pats if pat.k))
 
 
 def _checks(avoid: bool, pats: Iterable[BivincularPattern], n: int) -> list | None:
@@ -133,9 +151,11 @@ def _checks(avoid: bool, pats: Iterable[BivincularPattern], n: int) -> list | No
     return checks
 
 
-def _walk(avoid: bool, checks: list, n: int, words: bool) -> list[Word] | int:
+def _walk(avoid: bool, checks: list, n: int, words: bool, by_rest: bool = False) -> list[Word] | int:
     """The words of the avoider (or container) walk over `checks`; or, for
-    `words` false, only their number."""
+    `words` false, only their number. `by_rest`, set by `count` when every
+    kernel reads only `rest`, counts an avoider walk without a deciding
+    value over the sets of unplaced values (`_count_unplaced`)."""
     if not checks:
         return list(permutations(range(1, n + 1))) if words else factorial(n)
     out: list = [] if words else [0]
@@ -143,7 +163,10 @@ def _walk(avoid: bool, checks: list, n: int, words: bool) -> list[Word] | int:
     if avoid and not any(decider for *_, decider in checks):
         live_at = [[kill for first, last, kill, _ in checks if first <= m <= last]
                    for m in range(n + 1)]
-        _grow_avoiders(live_at, max(check[1] for check in checks), *start)
+        horizon = max(check[1] for check in checks)
+        if by_rest:
+            return _count_unplaced(live_at, horizon, n + 1, (2 << n) - 2, {})
+        _grow_avoiders(live_at, horizon, *start)
     else:
         _grow_open(avoid, tuple(checks), *start)
     return out if words else out[0]
@@ -187,6 +210,28 @@ def _grow_avoiders(live_at, horizon: int, prefix: list[int], posv: list[int], re
             prefix.append(v)
             _emit(prefix, rest ^ 1 << v, out)
             prefix.pop()
+
+
+def _count_unplaced(live_at, horizon: int, top: int, rest: int, memo: dict) -> int:
+    """The number of completions that `_grow_avoiders` keeps below a
+    prefix whose unplaced values are the bits of `rest`, for kernels that
+    read only m = top - |rest|, top and rest, so that the number depends on
+    `rest` alone. Each `rest` met is expanded once and its number stored in
+    `memo`, whose keys are thus the sets of unplaced values of the prefixes
+    that `_grow_avoiders` enters."""
+    m = top - rest.bit_count()
+    alive = rest
+    for kill in live_at[m]:
+        alive &= ~kill(m, None, None, top, rest)
+    if m < horizon:
+        total = 0
+        for v in _unplaced(alive):
+            child = rest ^ 1 << v
+            total += memo[child] if child in memo else _count_unplaced(live_at, horizon, top, child, memo)
+    else:
+        total = alive.bit_count() * factorial(top - 1 - m)
+    memo[rest] = total
+    return total
 
 
 def _grow_open(avoid: bool, checks: tuple, prefix: list[int], posv: list[int], rest: int,

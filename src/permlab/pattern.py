@@ -215,6 +215,14 @@ def _tail(pat: BivincularPattern) -> _Tail:
     )
 
 
+def _reads_rest_only(tail: _Tail) -> bool:
+    """Whether the plan's kernel reads only m, top and rest, never `prefix`
+    or `posv`: it pins no step, and has no free step or one loop, which
+    becomes the bitmask of the placed values (see `_one_loop`)."""
+    free = tail.free
+    return not tail.pinned and (not free or len(free) == 1 and free[0][0] < 0 and free[0][4] is False)
+
+
 def _check(pat: BivincularPattern, n: int) -> tuple[int, int, Callable[..., int], int] | None:
     """(first, last, kernel, decider) for a search of pat in a word of
     length n, or None when pat, of length k >= 1, cannot occur there. The

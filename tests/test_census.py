@@ -380,17 +380,33 @@ class TestGenerationPruning:
         (False, pattern((1, 3, 2), x=[3], y=[0, 1, 3]), 8),
         (False, pattern((2, 1), x=[1], y=[0, 2]), 7),
     ])
-    def test_count_walk_enters_the_word_walks_prefixes(self, entered, avoid, pat, n):
+    def test_count_walk_enters_the_word_walks_prefixes(self, entered, monkeypatch, avoid, pat, n):
         # Counting changes only what is done with a kept child's completions,
-        # not which prefixes are grown: for 231 at n = 9, the 7,072 above.
+        # not which prefixes are grown. The one exception is an avoider walk
+        # whose kernel reads only `rest` (231 here), counted once per set of
+        # unplaced values: the memo holds the set of each prefix the word
+        # walk enters, for 231 at n = 9 the 502 sets of the 7,072 above.
         assert generate.count(avoid, [pat], n) == len(
             (generate.avoiders if avoid else generate.containers)([pat], n))
         words = set(entered)
         entered.clear()
+        memos = []
+
+        def record(live_at, horizon, top, rest, memo, expand=generate._count_unplaced):
+            memos.append(memo)
+            return expand(live_at, horizon, top, rest, memo)
+
+        monkeypatch.setattr(generate, "_count_unplaced", record)
         generate.count(avoid, [pat], n)
-        assert entered == words and entered
         if str(pat) == "231;x=;y=":
-            assert len(entered) == 7072
+            assert len(words) == 7072 and not entered
+            memo = memos[0]
+            assert all(m is memo for m in memos)
+            full = (2 << n) - 2
+            assert set(memo) == {full ^ sum(1 << v for v in u) for u in words}
+            assert len(memo) == 502
+        else:
+            assert entered == words and entered and not memos
 
     @pytest.mark.parametrize("walk", [generate.avoiders, generate.containers])
     def test_entered_prefixes_of_a_deciding_gap_plan(self, entered, walk):
@@ -457,6 +473,47 @@ class TestGenerationPruning:
         assert generate.count(True, [pattern((2, 3, 1))], 9) == _catalan(9)
         assert len(generate.avoiders([pattern((2, 3, 1))], 9)) == _catalan(9)
         assert 1 <= generate._unplaced.cache_info().currsize <= 2 ** 9
+
+
+def _rest_only(k: int) -> list:
+    """The patterns of length k without a deciding value whose plan's
+    kernel reads only m, top and `rest`."""
+    return [pat for pat in all_patterns(k) if generate._reads_rest_only(generate._tail(pat))
+            and (check := generate._check(pat, 7)) and not check[3]]
+
+
+class TestCountOverUnplacedSets:
+    """A count of avoiders whose kernels read only `rest` expands each set
+    of unplaced values once, since a prefix's number of kept completions
+    depends only on that set."""
+
+    @pytest.mark.parametrize("k, plans", [(1, 3), (2, 12), (3, 24)])
+    def test_against_construction(self, k, plans, monkeypatch):
+        pats = _rest_only(k)
+        assert len(pats) == plans
+        cases = [(pat, n) for pat in pats for n in range(8)]
+        cases += [(pat, 8) for pat in random.Random(k).sample(pats, 3)]
+        expanded = []
+
+        def record(*args, expand=generate._count_unplaced):
+            expanded.append(args[3])
+            return expand(*args)
+
+        monkeypatch.setattr(generate, "_count_unplaced", record)
+        for pat, n in cases:
+            expanded.clear()
+            want = math.factorial(n) - construction_mask(pat, n).bit_count()
+            assert generate.count(True, [pat], n) == want, (str(pat), n)
+            # Only a pattern that cannot occur in S_n is counted without a walk.
+            assert expanded or want == math.factorial(n), (str(pat), n)
+
+    def test_counts_at_twelve(self):
+        # Past the reach of the word walks in a test; each count expands
+        # 4,083 sets of unplaced values.
+        bell = sum(_stirling2(12, j) for j in range(13))
+        assert bell == 4213597 and _catalan(12) == 208012
+        assert generate.count(True, [pattern((2, 1, 3), y=[1])], 12) == bell
+        assert generate.count(True, [pattern((2, 3, 1))], 12) == _catalan(12)
 
 
 RELATION_NAMES = ("conjugacy", "order", "knuth", "toric", "descent")
@@ -710,6 +767,18 @@ class TestStability:
         assert not rep.stable
         assert rep.witness_n == 4
         assert rep.witness == (1, 3, 2, 4)
+
+    def test_witness_on_the_closed_side(self):
+        # The whole Knuth class of 4213 avoids 132;y=0, yet 4213 contains
+        # 312;y=0, the other member of the pattern class, so the witness
+        # lies on the class-closed side, outside the plain one.
+        pat = pattern((1, 3, 2), y=[0])
+        rep = stability(pat, "knuth", 6)
+        assert [str(q) for q in rep.pattern_class] == ["132;x=;y=0", "312;x=;y=0"]
+        assert not rep.stable and rep.witness_n == 4 and rep.witness == (4, 2, 1, 3)
+        closed = set(class_avoiders([pat], "knuth", 4, want_members=True).members)
+        plain = set(avoid_all(rep.pattern_class, 4))
+        assert closed - plain == {(4, 2, 1, 3)} and plain <= closed
 
     def test_witness_direction(self):
         # The witness avoids the whole pattern class but has a classmate

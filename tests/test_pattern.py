@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -306,6 +307,27 @@ def _kernel_source(pat) -> list[str]:
     tail = _tail(pat)
     with mock.patch.object(pattern_module, "_compile", lambda lines: lines):
         return pattern_module._kernel.__wrapped__(tail.pinned, tail.free, tail.new, tail.gap)
+
+
+class TestRestOnlyPlans:
+    def test_flag_matches_the_kernel_source(self):
+        # `_reads_rest_only` decides from the plan alone whether its kernel
+        # never reads `prefix` or `posv`; the generated source must agree,
+        # for every plan of length 1 to 4 and the longer ones that the
+        # kernel compile check runs.
+        pats = [pat for k in range(1, 5) for pat in all_patterns(k)] + [parse_pattern(text) for text in (
+            "54132", "35124;x=2,3;y=3,5", "251364;y=1,4", "53142;y=0", "24153;x=5",
+            "1342765;x=2,3,4,5,6;y=4,5,7", "2671354;x=2,4,5,7;y=0,1,6")]
+        plans = {}
+        for pat in pats:
+            tail = _tail(pat)
+            plans.setdefault((tail.pinned, tail.free, tail.new, tail.gap), pat)
+        flags = []
+        for pat in plans.values():
+            body = "\n".join(_kernel_source(pat)[1:])
+            flags.append(pattern_module._reads_rest_only(_tail(pat)))
+            assert flags[-1] == (re.search(r"\b(prefix|posv)\b", body) is None), str(pat)
+        assert (sum(flags), len(flags)) == (69, 17334)
 
 
 def _hoisted(k: int) -> list:

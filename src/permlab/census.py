@@ -42,8 +42,10 @@ number of completions of each kept prefix and builds no word; with members
 the words come from `avoid_all` or `match_all`. Avoiders of patterns such
 as 231, 321, 132 and 213;y=1, whose kernels read only the set of unplaced
 values and have no deciding value, are counted once per such set: the set
-alone fixes how many completions of a prefix are kept (see
-`permlab.generate`).
+alone fixes how many completions of a prefix are kept. Avoiders of other
+classical patterns, such as 2413, are counted once per label of unplaced
+count and partial occurrences, and containers of one pattern as n! less its
+avoiders (see `permlab.generate`).
 """
 
 from __future__ import annotations

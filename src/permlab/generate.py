@@ -55,26 +55,50 @@ Both loops run in one of two modes. The word mode, behind `avoiders` and
 `containers`, emits each kept prefix's completions as words. The count
 mode, behind `count`, adds their number, (n - m)! for a prefix of length
 m, to a running total, and builds no word: it enters the same prefixes and
-runs the same kernels, and is what a plain count without members needs. At
-the last position it grows, `_grow_avoiders` adds (n - m)! times the number
-of children its kernels keep.
+runs the same kernels. At the last position it grows, `_grow_avoiders`
+adds (n - m)! times the number of children its kernels keep.
 
-One count walks sets instead of prefixes: that of avoiders of patterns
-without a deciding value whose kernels read only m, n+1 and `rest` (no step
-is pinned to a position before m, and the plan has no free step or one
-loop, which becomes a bitmask of the placed values; `_reads_rest_only`),
-such as 231, 321, 132 and 213;y=1. As m = n + 1 - |rest|, the children a
-prefix keeps, and so its number of kept completions, depend only on its
-set of unplaced values, the label of West's generating tree. `_count_unplaced`
-expands each such set once per call, storing its number in a dict that
-lives for that call, and reads it back for every later prefix with the
-same set; the sets it expands are those of the prefixes the walk enters.
+A count of avoiders takes the first of three walks that applies. The first
+two walk labels instead of prefixes, so that two prefixes with equal labels
+share one memo entry: a dict that lives for one `count` call maps each
+label met to its number of kept completions.
+
+- The set walk, `_count_unplaced`, for patterns without a deciding value
+  whose kernels read only m, n+1 and `rest` (no step is pinned to a
+  position before m, and the plan has no free step or one loop, which
+  becomes a bitmask of the placed values; `_reads_rest_only`), such as
+  231, 321, 132 and 213;y=1. As m = n + 1 - |rest|, the children a prefix
+  keeps, and so its number of kept completions, depend only on its set of
+  unplaced values, the label of West's generating tree. The sets it
+  expands are those of the prefixes the prefix walk enters.
+- The label walk, `_count_labels`, for classical patterns (X = Y = {}) of
+  which at least one is not counted by the set walk, such as 2413 and
+  1234. Its label is (r, threats): r is the number of unplaced values, and
+  a threat is an occurrence in the prefix of the first j slots of a
+  pattern, recorded only by the gap indices of its matched values (a gap
+  index is the number of unplaced values below that value), and only of
+  the slots that are the nearest lower or upper rank neighbour of some
+  unmatched slot. This is exact: an occurrence splits into a part inside
+  the prefix and a part entirely in later letters, and the two parts
+  compare only through those gap indices, as in the enumeration schemes
+  of Zeilberger (Ann. Comb. 2, 1998) and Vatter (CPC 17, 2008). Placing
+  the unplaced value of rank rho extends each threat whose next slot's
+  window of gap indices holds rho, lowers the gap indices above rho, and
+  drops each threat left with an empty window or with more slots to fill
+  than values; the child is dead when an occurrence ends there, or when a
+  threat short of only the last slot still leaves it a window, the gap
+  test above. No kernel runs.
+- Otherwise the prefix walk, `_grow_avoiders` or `_grow_open`.
+
+A container count of one pattern is n! less its avoider count, and so
+takes the same walk; that of several patterns walks prefixes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial
 from typing import Iterable
 
@@ -119,20 +143,35 @@ def containers(pats: Iterable[BivincularPattern], n: int) -> list[Word]:
 def count(avoid: bool, pats: Iterable[BivincularPattern], n: int) -> int:
     """The number of permutations of 1..n avoiding (or, for `avoid` false,
     containing) every pattern: the length of `avoiders(pats, n)` (or of
-    `containers(pats, n)`), found by the same walk without building a word.
-    Avoiders of patterns without a deciding value whose kernels all read
-    only `rest` are counted over the sets of unplaced values instead (see
-    the module docstring).
+    `containers(pats, n)`), found without building a word. Avoiders are
+    counted by the first walk that applies (see the module docstring):
+    over the sets of unplaced values when every kernel reads only those and
+    no pattern has a deciding value; over the labels (r, threats) when
+    every pattern is classical; otherwise by the prefix walk in its count
+    mode. Containers of one pattern are n! less its avoiders; those of
+    several patterns are counted by the prefix walk.
 
     >>> from permlab.pattern import pattern
     >>> count(True, [pattern((2, 3, 1))], 9), count(False, [pattern((2, 3, 1))], 9)
     (4862, 358018)
+    >>> count(True, [pattern((2, 4, 1, 3))], 9)
+    91245
     """
     pats = tuple(pats)
+    if not avoid and len(pats) == 1:
+        avoided = count(True, pats, n)
+        return factorial(n) - avoided
+    by_rest = all(_reads_rest_only(_tail(pat)) for pat in pats if pat.k)
+    if avoid and not by_rest and all(pat.k and not pat.x and not pat.y for pat in pats):
+        if n < 0:
+            raise ValueError(f"degree {n} is negative")
+        states, roots = _label_states([pat.p for pat in pats])
+        start = frozenset(root for root, pat in zip(roots, pats) if pat.k <= n)
+        return _count_labels(states, n, start, {}, {})
     checks = _checks(avoid, pats, n)
     if checks is None:
         return 0
-    return _walk(avoid, checks, n, False, all(_reads_rest_only(_tail(pat)) for pat in pats if pat.k))
+    return _walk(avoid, checks, n, False, by_rest)
 
 
 def _checks(avoid: bool, pats: Iterable[BivincularPattern], n: int) -> list | None:
@@ -232,6 +271,108 @@ def _count_unplaced(live_at, horizon: int, top: int, rest: int, memo: dict) -> i
         total = alive.bit_count() * factorial(top - 1 - m)
     memo[rest] = total
     return total
+
+
+def _label_states(perms: list[Word]) -> tuple[list[tuple], list[tuple[int]]]:
+    """The states of the threats of `_count_labels`, and each pattern's
+    root, the threat (sid,) of no slot matched. A state sid is a pattern p
+    of length k with its first j < k slots matched, and a threat in it is
+    (sid, *gaps): the gap indices of the matched slots whose ranks are the
+    nearest lower or upper rank neighbour of an unmatched slot, by
+    increasing rank. The gaps are read padded as [0, *gaps, r], so that an
+    unmatched slot whose rank lies above i of those ranks may take the
+    unplaced values of ranks padded[i] <= rho < padded[i+1]: its window i.
+
+    A state is (next, need, windows, longer, recipe): the window of the
+    next slot, p[j]; need = k - j, the slots left to fill; the windows of
+    all unmatched slots; the state with one slot more matched, or None when
+    the next slot is the last; and, for that state, the indices of its
+    padded gaps in this state's padded gaps followed by the new value."""
+    states: list[tuple] = []
+    roots = []
+    for p in perms:
+        k, base = len(p), len(states)
+        roots.append((base,))
+        kept = []
+        for j in range(k):
+            matched = sorted(p[:j])
+            near: set[int] = set()
+            for u in p[j:]:
+                i = bisect(matched, u)
+                near.update(matched[max(i - 1, 0):i + 1])
+            kept.append(sorted(near))
+        for j in range(k):
+            windows = [bisect(kept[j], u) for u in p[j:]]
+            longer = recipe = None
+            if j + 1 < k:
+                longer, fresh = base + j + 1, len(kept[j]) + 2
+                recipe = (0, *[kept[j].index(a) + 1 if a != p[j] else fresh for a in kept[j + 1]],
+                          fresh - 1)
+            states.append((windows[0], k - j, tuple(sorted(set(windows))), longer, recipe))
+    return states, roots
+
+
+def _count_labels(states: list[tuple], r: int, threats: frozenset, memo: dict, moves: dict) -> int:
+    """The number of completions kept below a prefix whose label is
+    (r, threats): r unplaced values and the threats of `_label_states` in
+    it. Each label met is expanded once and its number stored in `memo`;
+    each threat's children at each r are found once and stored in
+    `moves`. A label without threats has r! completions, and at r = 0 no
+    threat is left."""
+    if not threats:
+        return factorial(r)
+    rows = []
+    for threat in threats:
+        row = moves.get((r, threat))
+        if row is None:
+            row = moves[r, threat] = _threat_moves(states, r, threat)
+        rows.append(row)
+    total = 0
+    for kids in zip(*rows):
+        if None in kids:
+            continue
+        label = (r - 1, frozenset(chain.from_iterable(kids)))
+        total += memo[label] if label in memo else _count_labels(states, r - 1, label[1], memo, moves)
+    memo[r, threats] = total
+    return total
+
+
+def _threat_moves(states: list[tuple], r: int, threat: tuple) -> list[list[tuple] | None]:
+    """For each rank rho < r of the value placed next, the threats that
+    `threat` leaves in the child, or None when the child is dead: an
+    occurrence ends at it, or a threat short of only its last slot leaves
+    that slot a window. The threat itself stays, with the gap indices above
+    rho lowered, while no window of its unmatched slots is empty and it has
+    no more slots left to fill than values; it grows a slot when its next
+    slot's window holds rho."""
+    sid = threat[0]
+    window, need, windows, longer, recipe = states[sid]
+    gaps = [0, *threat[1:], r]
+    low, high = gaps[window], gaps[window + 1]
+    out: list[list[tuple] | None] = []
+    for rho in range(r):
+        shifted = [g - (g > rho) for g in gaps]
+        kids = [(sid, *shifted[1:-1])] if need < r and _open(shifted, windows) else []
+        if low <= rho < high:
+            if longer is None:
+                out.append(None)
+                continue
+            shifted.append(rho)
+            grown = [shifted[i] for i in recipe]
+            longer_need, longer_windows = states[longer][1:3]
+            if _open(grown, longer_windows):
+                if longer_need == 1:
+                    out.append(None)
+                    continue
+                if longer_need < r:
+                    kids.append((longer, *grown[1:-1]))
+        out.append(kids)
+    return out
+
+
+def _open(gaps: list[int], windows: tuple[int, ...]) -> bool:
+    """Whether each window i of the padded `gaps` holds an unplaced value."""
+    return all(gaps[i] < gaps[i + 1] for i in windows)
 
 
 def _grow_open(avoid: bool, checks: tuple, prefix: list[int], posv: list[int], rest: int,

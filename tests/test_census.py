@@ -31,7 +31,7 @@ from permlab.census import (
 from permlab.arith import natural_perms, sigma_arith
 from permlab.core import s_n
 from permlab import generate
-from permlab.pattern import pat_shift, pattern
+from permlab.pattern import parse_pattern, pat_shift, pattern
 from permlab.relations import RELATIONS, Relation, census, check_budget
 
 
@@ -82,6 +82,8 @@ _231 = pattern((2, 3, 1))
     pytest.param(lambda: generate.avoiders([], -1), id="avoiders"),
     pytest.param(lambda: generate.containers([_231], -2), id="containers"),
     pytest.param(lambda: generate.count(True, [], -1), id="count"),
+    pytest.param(lambda: generate.count(True, [pattern((2, 4, 1, 3))], -1), id="count-labels"),
+    pytest.param(lambda: generate.count(False, [_231], -2), id="count-complement"),
     pytest.param(lambda: survey("conjugacy", 1, n_range=[-2, 1]), id="survey"),
     pytest.param(lambda: check_budget(-1, 0), id="check_budget"),
     pytest.param(lambda: natural_perms(-1), id="natural_perms"),
@@ -250,7 +252,8 @@ class TestGenerationAgainstScan:
         try:
             avoid_all(pats, 6), match_all(pats, 6)
             generate.count(True, pats, 6), generate.count(False, pats, 6)
-            generate.count(True, [pattern((2, 4, 1, 3))], 6)  # the avoider-only loop
+            generate.count(True, [pattern((2, 4, 1, 3), y=[2])], 6)  # the avoider-only loop
+            generate.count(True, [pattern((2, 4, 1, 3))], 6)  # the label walk
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -352,10 +355,10 @@ class TestGenerationPruning:
 
     def test_one_kernel_call_per_entered_prefix(self, entered, monkeypatch):
         # The kernel of 2413 gives at once every child whose new letter ends
-        # an occurrence, so the walk calls it once in each prefix it enters
-        # where an occurrence can end, at m >= first = 3: every entered
-        # prefix but the empty one and the 8 of length 1. A call per child
-        # made 36,701.
+        # an occurrence, so the word walk calls it once in each prefix it
+        # enters where an occurrence can end, at m >= first = 3: every
+        # entered prefix but the empty one and the 8 of length 1. A call per
+        # child made 36,701. (Its count walks labels, and runs no kernel.)
         calls = []
 
         def counted(pat, n, check=generate._check):
@@ -368,7 +371,7 @@ class TestGenerationPruning:
             return first, last, kernel, decider
 
         monkeypatch.setattr(generate, "_check", counted)
-        assert generate.count(True, [pattern((2, 4, 1, 3))], 8) == 15485
+        assert len(generate.avoiders([pattern((2, 4, 1, 3))], 8)) == 15485
         assert len(calls) == 14616 and len(entered) == 14625
         assert sorted(calls) == sorted(len(u) + 1 for u in entered if len(u) >= 2)
 
@@ -381,32 +384,53 @@ class TestGenerationPruning:
         (False, pattern((2, 1), x=[1], y=[0, 2]), 7),
     ])
     def test_count_walk_enters_the_word_walks_prefixes(self, entered, monkeypatch, avoid, pat, n):
-        # Counting changes only what is done with a kept child's completions,
-        # not which prefixes are grown. The one exception is an avoider walk
-        # whose kernel reads only `rest` (231 here), counted once per set of
-        # unplaced values: the memo holds the set of each prefix the word
-        # walk enters, for 231 at n = 9 the 502 sets of the 7,072 above.
-        assert generate.count(avoid, [pat], n) == len(
-            (generate.avoiders if avoid else generate.containers)([pat], n))
+        # A container count of one pattern is n! less its avoider count, so
+        # both sides take the avoider count's walk. Counting changes only
+        # what is done with a kept child's completions, not which prefixes
+        # are grown, except for the two walks over labels. An avoider walk
+        # whose kernel reads only `rest` (231 here) is counted once per set
+        # of unplaced values: the memo holds the set of each prefix the word
+        # walk enters, for 231 at n = 9 the 502 sets of the 7,072 above. A
+        # classical pattern that no such kernel counts (2413) is counted
+        # over labels, and enters no prefix.
+        side = generate.avoiders if avoid else generate.containers
+        assert generate.count(avoid, [pat], n) == len(side([pat], n))
+        entered.clear()
+        generate.avoiders([pat], n)
         words = set(entered)
         entered.clear()
-        memos = []
+        memos: dict = {"sets": [], "labels": []}
+        # The memo is the last argument of _count_unplaced and the one
+        # before the last of _count_labels.
+        for name, walk, at in (("sets", "_count_unplaced", -1), ("labels", "_count_labels", -2)):
+            def record(*args, expand=getattr(generate, walk), seen=memos[name], at=at):
+                seen.append(args[at])
+                return expand(*args)
 
-        def record(live_at, horizon, top, rest, memo, expand=generate._count_unplaced):
-            memos.append(memo)
-            return expand(live_at, horizon, top, rest, memo)
+            monkeypatch.setattr(generate, walk, record)
+        sides = []
 
-        monkeypatch.setattr(generate, "_count_unplaced", record)
+        def walked(side, *args, walk=generate._walk):
+            sides.append(side)
+            return walk(side, *args)
+
+        monkeypatch.setattr(generate, "_walk", walked)
         generate.count(avoid, [pat], n)
+        assert all(sides)  # no container walk
         if str(pat) == "231;x=;y=":
-            assert len(words) == 7072 and not entered
-            memo = memos[0]
-            assert all(m is memo for m in memos)
+            assert len(words) == 7072 and not entered and not memos["labels"]
+            memo = memos["sets"][0]
+            assert all(m is memo for m in memos["sets"])
             full = (2 << n) - 2
             assert set(memo) == {full ^ sum(1 << v for v in u) for u in words}
             assert len(memo) == 502
+        elif str(pat) == "2413;x=;y=":
+            assert not entered and not memos["sets"] and memos["labels"]
+            memo = memos["labels"][0]
+            assert all(m is memo for m in memos["labels"])
+            assert len(memo) == {8: 144, 7: 65}[n]
         else:
-            assert entered == words and entered and not memos
+            assert entered == words and entered and not memos["sets"] and not memos["labels"]
 
     @pytest.mark.parametrize("walk", [generate.avoiders, generate.containers])
     def test_entered_prefixes_of_a_deciding_gap_plan(self, entered, walk):
@@ -514,6 +538,81 @@ class TestCountOverUnplacedSets:
         assert bell == 4213597 and _catalan(12) == 208012
         assert generate.count(True, [pattern((2, 1, 3), y=[1])], 12) == bell
         assert generate.count(True, [pattern((2, 3, 1))], 12) == _catalan(12)
+
+
+def _classical(k: int) -> list:
+    return [pattern(p) for p in permutations(range(1, k + 1))]
+
+
+class TestCountOverLabels:
+    """A count of avoiders of classical patterns, not all of whose kernels
+    read only `rest`, walks the labels (r, threats) of
+    `generate._count_labels`. The oracle, `conftest.construction_mask`,
+    shares no code with it. Each case is counted through `count`, which
+    must take the label walk exactly when some pattern's kernel reads more
+    than `rest`, and by the label walk called directly, so that the
+    patterns `count` sends to the set walk check it too."""
+
+    @pytest.fixture
+    def labelled(self, monkeypatch):
+        """The memo of each label walk `count` makes."""
+        memos: list = []
+
+        def record(states, r, threats, memo, moves, expand=generate._count_labels):
+            memos.append(memo)
+            return expand(states, r, threats, memo, moves)
+
+        monkeypatch.setattr(generate, "_count_labels", record)
+        return memos
+
+    @staticmethod
+    def _check(labelled, cases):
+        for pats, n in cases:
+            hit = 0
+            for pat in pats:
+                hit |= construction_mask(pat, n)
+            want = math.factorial(n) - hit.bit_count()
+            labelled.clear()
+            assert generate.count(True, pats, n) == want, ([str(p) for p in pats], n)
+            rest_only = all(generate._reads_rest_only(generate._tail(pat)) for pat in pats)
+            assert bool(labelled) != rest_only, ([str(p) for p in pats], n)
+            states, roots = generate._label_states([pat.p for pat in pats])
+            start = frozenset(root for root, pat in zip(roots, pats) if pat.k <= n)
+            assert generate._count_labels(states, n, start, {}, {}) == want, (
+                [str(p) for p in pats], n)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_classical_pattern(self, labelled, k):
+        cases = [([pat], n) for pat in _classical(k) for n in range(8)]
+        cases += [([pat], 8) for pat in _classical(4)] if k == 4 else []
+        self._check(labelled, cases)
+
+    def test_pattern_sets(self, labelled):
+        rng = random.Random(34)
+        pool = _classical(3) + _classical(4)
+        self._check(labelled, [(rng.sample(pool, rng.choice((2, 3))), n)
+                               for _ in range(30) for n in range(8)])
+
+    def test_length_five(self, labelled):
+        pats = random.Random(5).sample(_classical(5), 8)
+        self._check(labelled, [([pat], n) for pat in pats for n in range(9)])
+
+    def test_labels_of_2413_at_eight(self, labelled):
+        # 144 labels with a threat, against the 14,625 prefixes the word
+        # walk enters.
+        assert generate.count(True, [pattern((2, 4, 1, 3))], 8) == 15485
+        assert len(labelled) > 1 and all(memo is labelled[0] for memo in labelled)
+        assert len(labelled[0]) == 144
+
+    @pytest.mark.parametrize("pats, want", [
+        (["2413"], 555662),          # A022558
+        (["1342"], 555662),          # A022558
+        (["1234"], 586590),          # A005802
+        (["2413", "3142"], 206098),  # large Schroeder numbers
+    ])
+    def test_counts_at_ten(self, labelled, pats, want):
+        assert generate.count(True, [parse_pattern(text) for text in pats], 10) == want
+        assert labelled
 
 
 RELATION_NAMES = ("conjugacy", "order", "knuth", "toric", "descent")

@@ -90,17 +90,30 @@ label met to its number of kept completions.
   test above. No kernel runs.
 - Otherwise the prefix walk, `_grow_avoiders` or `_grow_open`.
 
-A container count of one pattern is n! less its avoider count, and so
-takes the same walk; that of several patterns walks prefixes.
+A container count of one pattern, or of several classical patterns, is
+the sum over the subsets S of the patterns of (-1)^|S| times the avoider
+count of S, with n! for the empty set: the words containing every pattern
+are those avoiding none. For one pattern that is n! less its avoider
+count, which takes the same walk. A container count of several patterns
+of which one is not classical walks prefixes.
+
+`placements` builds words without a walk: it places p at each site, a
+choice of positions that X admits and values that Y admits, and fills the
+other n - k letters in every order, so it gives each word once per
+occurrence of the pattern in it. A pattern of length k is fixed-site when
+|X| >= k or |Y| >= k: its anchors leave at most one gap free, so every
+occurrence uses the same positions, or the same values, and a word holds
+at most one. Its placements are then exactly its containers, each once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations, repeat
 from math import factorial
-from typing import Iterable
+from operator import add, itemgetter
+from typing import Iterable, Iterator
 
 from .core import Word
 from .pattern import (BivincularPattern, _check, _empty_pattern_occurs, _members, _reads_rest_only,
@@ -140,6 +153,60 @@ def containers(pats: Iterable[BivincularPattern], n: int) -> list[Word]:
     return [] if checks is None else _walk(False, checks, n, True)
 
 
+def placements(pat: BivincularPattern, n: int) -> Iterator[Word]:
+    """The words of S_n with p placed at a site, positions that X admits
+    and values that Y admits, and the other letters in every order: one
+    word per occurrence of `pat` in S_n, `occurrence_total(pat, n)` in all,
+    streamed one site at a time. For a fixed-site pattern (see the module
+    docstring) they are its containers, each once.
+
+    >>> from permlab.pattern import pattern
+    >>> list(placements(pattern((2, 1), x=[1], y=[0, 2]), 3))
+    [(3, 1, 2), (2, 3, 1)]
+    """
+    k = pat.k
+    value_sites = list(_sites(pat.y, k, n))
+    if k and len(value_sites) == 1 and pat.x == frozenset(range(k - 1)):
+        # The first k - 1 slots fill the positions 1..k-1 and the last slot
+        # may take any later one: its sites hold every order of the letters
+        # after those.
+        return _placed(pat.p[:-1], range(1, k), value_sites[0], n)
+    return chain.from_iterable(_placed(pat.p, positions, values, n)
+                               for positions in _sites(pat.x, k, n) for values in value_sites)
+
+
+def _sites(adjacent: frozenset[int], k: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The k-subsets e_1 < ... < e_k of 1..n with e_{a+1} = e_a + 1 for each
+    a in `adjacent`, where e_0 = 0 and e_{k+1} = n + 1."""
+    if len(adjacent) >= k:
+        # At most one gap g, between e_g and e_{g+1}, is free, and the n - k
+        # values left out all fall into it.
+        if n == k or n > k and len(adjacent) == k:
+            g = min(set(range(k + 1)).difference(adjacent), default=k)
+            yield (*range(1, g + 1), *range(n - k + g + 1, n + 1))
+        return
+    for site in combinations(range(1, n + 1), k):
+        ends = (0, *site, n + 1)
+        if all(ends[a + 1] == ends[a] + 1 for a in adjacent):
+            yield site
+
+
+def _placed(p: Word, positions, values: tuple[int, ...], n: int) -> Iterator[Word]:
+    """The words holding values[p_s - 1] at positions[s] for each slot s,
+    the other values filling the other positions in every order. At the
+    positions 1..len(p) these are the placed letters followed by each order
+    of the rest; elsewhere each such tuple is gathered into place."""
+    fixed = tuple(map((0, *values).__getitem__, p))
+    rest = sorted(set(range(1, n + 1)).difference(fixed))
+    if not positions or positions[-1] == len(positions):
+        return map(fixed.__add__, permutations(rest))
+    # Each order of the rest followed by the placed letters, read in word order.
+    order = list(range(len(rest)))
+    for s, i in enumerate(positions):
+        order.insert(i - 1, len(rest) + s)
+    return map(itemgetter(*order), map(add, permutations(rest), repeat(fixed)))
+
+
 def count(avoid: bool, pats: Iterable[BivincularPattern], n: int) -> int:
     """The number of permutations of 1..n avoiding (or, for `avoid` false,
     containing) every pattern: the length of `avoiders(pats, n)` (or of
@@ -148,19 +215,22 @@ def count(avoid: bool, pats: Iterable[BivincularPattern], n: int) -> int:
     over the sets of unplaced values when every kernel reads only those and
     no pattern has a deciding value; over the labels (r, threats) when
     every pattern is classical; otherwise by the prefix walk in its count
-    mode. Containers of one pattern are n! less its avoiders; those of
-    several patterns are counted by the prefix walk.
+    mode. Containers of one pattern, or of several classical ones, are
+    counted by inclusion-exclusion over avoider counts (n! less the
+    avoiders, for one pattern); those of other sets by the prefix walk.
 
     >>> from permlab.pattern import pattern
     >>> count(True, [pattern((2, 3, 1))], 9), count(False, [pattern((2, 3, 1))], 9)
     (4862, 358018)
     >>> count(True, [pattern((2, 4, 1, 3))], 9)
     91245
+    >>> count(False, [pattern((2, 4, 1, 3)), pattern((3, 1, 4, 2))], 9)
+    221976
     """
     pats = tuple(pats)
-    if not avoid and len(pats) == 1:
-        avoided = count(True, pats, n)
-        return factorial(n) - avoided
+    if not avoid and (len(pats) == 1 or all(not pat.x and not pat.y for pat in pats)):
+        return sum((-1) ** size * count(True, subset, n)
+                   for size in range(len(pats) + 1) for subset in combinations(pats, size))
     by_rest = all(_reads_rest_only(_tail(pat)) for pat in pats if pat.k)
     if avoid and not by_rest and all(pat.k and not pat.x and not pat.y for pat in pats):
         if n < 0:

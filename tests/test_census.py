@@ -31,7 +31,7 @@ from permlab.census import (
 from permlab.arith import natural_perms, sigma_arith
 from permlab.core import s_n
 from permlab import generate
-from permlab.pattern import parse_pattern, pat_shift, pattern
+from permlab.pattern import occurrence_total, parse_pattern, pat_shift, pattern
 from permlab.relations import RELATIONS, Relation, census, check_budget
 
 
@@ -615,6 +615,84 @@ class TestCountOverLabels:
         assert labelled
 
 
+def _fixed_site(k: int) -> list:
+    """The patterns of length k with |X| >= k or |Y| >= k."""
+    return [pat for pat in all_patterns(k) if len(pat.x) >= k or len(pat.y) >= k]
+
+
+class TestPlacements:
+    """`generate.placements` places p at every site and fills the other
+    letters in every order. For a fixed-site pattern these are its
+    containers, each once, and `occurrence_total` of them. The oracle is
+    the conftest signature table, which reads each word's occurrences from
+    their definition; `construction_mask` places the pattern as
+    `placements` does, so it is not used here."""
+
+    @staticmethod
+    def _check(pat, n, want):
+        words = list(generate.placements(pat, n))
+        assert len(words) == len(set(words)) == occurrence_total(pat, n), (str(pat), n)
+        assert sorted(words) == want, (str(pat), n)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_every_short_fixed_site_pattern(self, k):
+        pats = _fixed_site(k)
+        assert len(pats) == (4, 15, 96, 810)[k]
+        for pat in pats:
+            for n in range(8):
+                self._check(pat, n, words_of(occurrence_mask(pat, n), n))
+
+    def test_length_four(self):
+        for pat in random.Random(35).sample(_fixed_site(4), 80):
+            for n in range(7):
+                self._check(pat, n, scan_matchers([pat], n))
+
+
+class TestContainerCountsByInclusionExclusion:
+    """A count of the words containing each of several classical patterns
+    sums, over the subsets of the patterns, the avoider counts of each
+    subset with alternating signs, and walks no prefix. A set holding a
+    bivincular pattern still walks prefixes."""
+
+    @pytest.fixture
+    def open_walks(self, monkeypatch):
+        """The degrees of the `_grow_open` walks made."""
+        walks: list = []
+
+        def record(avoid, checks, prefix, *args, grow=generate._grow_open):
+            if not prefix:
+                walks.append(len(args[0]) - 2)
+            return grow(avoid, checks, prefix, *args)
+
+        monkeypatch.setattr(generate, "_grow_open", record)
+        return walks
+
+    def test_classical_sets(self, open_walks):
+        rng = random.Random(36)
+        pool = _classical(2) + _classical(3) + _classical(4)
+        cases = [(rng.sample(pool, rng.choice((2, 3))), n) for _ in range(20) for n in range(8)]
+        cases += [(rng.sample(_classical(5), 2) + rng.sample(pool, 1), 7) for _ in range(5)]
+        for pats, n in cases:
+            both = (1 << math.factorial(n)) - 1
+            for pat in pats:
+                both &= (occurrence_mask if pat.k <= 4 else construction_mask)(pat, n)
+            assert generate.count(False, pats, n) == both.bit_count(), ([str(p) for p in pats], n)
+        assert not open_walks
+
+    def test_against_construction(self):
+        # construction_mask, from the other side: the words it places both
+        # patterns in, counted at n = 8, past the signature table.
+        pats = [pattern((2, 4, 1, 3)), pattern((3, 1, 4, 2))]
+        both = construction_mask(pats[0], 8) & construction_mask(pats[1], 8)
+        assert generate.count(False, pats, 8) == both.bit_count()
+
+    def test_bivincular_sets_walk_prefixes(self, open_walks):
+        pats = [pattern((2, 4, 1, 3)), pattern((2, 1), y=[1])]
+        want = len(scan_matchers(pats, 6))
+        assert generate.count(False, pats, 6) == want > 0
+        assert open_walks == [6]
+
+
 RELATION_NAMES = ("conjugacy", "order", "knuth", "toric", "descent")
 
 
@@ -624,7 +702,9 @@ def _sides_walked():
     walk of its requested side and the side it closed ("kept" when it keyed
     that walk's words, "other" when it dropped them and keyed the other
     side), or "bound" when it made no walk of its requested side, because
-    the occurrence bound sent it to the other side at once."""
+    the occurrence bound sent it to the other side at once. There it keys
+    the placements of a fixed-site pattern, which no walk makes, and the
+    container walk of any other pattern."""
     sides: list = []
     walked: list = []
     closed: list = []
@@ -749,9 +829,9 @@ class TestClassClosedCountOnly:
     @pytest.mark.parametrize("rel", RELATION_NAMES)
     def test_bound_tie(self, rel, avoid_masks, class_masks):
         # 1;x=0;y=0 occurs once in S_2, in 12, so the bound holds with
-        # equality and both sides hold n!/2 = 1 word: the containers are
-        # walked for avoidance, and for containment the walk of exactly
-        # n!/2 containers is kept.
+        # equality and both sides hold n!/2 = 1 word: for avoidance the
+        # pattern's one placement is keyed, and for containment the walk of
+        # exactly n!/2 containers is kept.
         pat = pattern((1,), x=[0], y=[0])
         with _sides_walked() as sides:
             got = class_avoiders([pat], rel, 2), class_matchers([pat], rel, 2)
@@ -825,6 +905,57 @@ class TestClassClosedCountOnly:
         monkeypatch.setenv("PERMLAB_BUDGET_N", "6")
         with pytest.raises(permlab.BudgetExceeded):
             census(rel, 7)
+
+
+class TestFixedSiteRoute:
+    """A count-only class-avoid call whose occurrence bound holds keys the
+    other side at once: the placements of a fixed-site pattern, and the
+    container walk of any other."""
+
+    @pytest.mark.parametrize("rel", RELATION_NAMES)
+    def test_placements_keyed_without_a_walk(self, rel, monkeypatch):
+        rng = random.Random(rel)
+        pats = rng.sample(_fixed_site(2), 10) + rng.sample(_fixed_site(3), 20)
+        pats += rng.sample(_fixed_site(4), 20)
+        cases = [(pat, n) for pat in pats for n in range(7)
+                 if 2 * occurrence_total(pat, n) <= math.factorial(n)]
+        assert len(cases) > 100
+        want = [_counts(class_avoiders([pat], rel, n, want_members=True)) for pat, n in cases]
+        placed = []
+
+        def walk(pats, n):
+            raise AssertionError(([str(p) for p in pats], n))
+
+        def placing(pat, n, real=census_module.placements):
+            placed.append((pat, n))
+            return real(pat, n)
+
+        monkeypatch.setattr(census_module, "avoiders", walk)
+        monkeypatch.setattr(census_module, "containers", walk)
+        monkeypatch.setattr(census_module, "placements", placing)
+        got = [_counts(class_avoiders([pat], rel, n)) for pat, n in cases]
+        assert got == want
+        assert placed == cases
+
+    def test_other_patterns_walk_their_containers(self, monkeypatch):
+        # 123;x=0,1;y=1,2 occurs 600 <= 7!/2 times in S_7, so the bound
+        # holds, but its positions and its values both vary.
+        pat = pattern((1, 2, 3), x=[0, 1], y=[1, 2])
+        assert occurrence_total(pat, 7) == 600
+        want = _counts(class_avoiders([pat], "conjugacy", 7, want_members=True))
+        walked = []
+
+        def walking(pats, n, real=census_module.containers):
+            walked.append((pats, n))
+            return real(pats, n)
+
+        def placing(pat, n):
+            raise AssertionError((str(pat), n))
+
+        monkeypatch.setattr(census_module, "containers", walking)
+        monkeypatch.setattr(census_module, "placements", placing)
+        assert _counts(class_avoiders([pat], "conjugacy", 7)) == want
+        assert walked == [([pat], 7)]
 
 
 class TestKnuthMatching:
@@ -1258,19 +1389,23 @@ class TestSequenceCheck:
         with pytest.raises(ValueError):
             sequence_check("A999999")
 
-    def test_pinned_conjugacy_rows_walk_no_avoiders(self, monkeypatch):
+    def test_pinned_conjugacy_rows_walk_neither_side(self, monkeypatch):
         # Each row's pattern is pinned to position n or chained to an
         # anchor, so its occurrences over S_n number (n - 1)! or (n - 1)!/2:
-        # at every degree the bound sends the call to the containers, and
-        # the avoiders are never walked.
-        def no_avoiders(pats, n):
+        # at every degree the bound sends the call to the other side. Y
+        # fixes all its values, so the pattern is fixed-site and its
+        # placements are keyed: neither its avoiders nor its containers are
+        # walked.
+        def no_walk(pats, n):
             raise AssertionError(([str(p) for p in pats], n))
 
         monkeypatch.delenv("PERMLAB_BUDGET_N", raising=False)
-        monkeypatch.setattr(census_module, "avoiders", no_avoiders)
+        monkeypatch.setattr(census_module, "avoiders", no_walk)
+        monkeypatch.setattr(census_module, "containers", no_walk)
         for table_id in ("transpositions", "fpf-involutions", "id-3cycles", "id-2cycles-3cycles"):
             rep = sequence_check(table_id)
-            assert rep.ok and max(rep.computed) == 9 and not rep.skipped, table_id
+            assert rep.ok and sorted(rep.computed) == list(range(1, 10)), table_id
+            assert not rep.skipped, table_id
 
     def test_every_table_has_recompute_path(self):
         for table_id in SEQUENCE_TABLES:

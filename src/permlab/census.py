@@ -21,11 +21,16 @@ totals sum to at most n!/2 the containers are keyed at once. Otherwise the
 requested side is walked whole; if it holds more than n!/2 words they are
 dropped and the other side is walked and keyed instead, so a count-only
 request never keys more than n!/2 words of its own side. The containers of
-a fixed-site pattern, of length k with |X| >= k or |Y| >= k, are keyed from
-its placements (`permlab.generate.placements`) rather than walked: its
-anchors fix the positions or the values of every occurrence, so a word
-holds at most one, and placing p at each site X and Y admit, with the
-other letters in every order, gives each container exactly once.
+a fixed-site pattern, of length k with |X| >= k or |Y| >= k, are not
+walked: its anchors fix the positions or the values of every occurrence,
+so a word holds at most one, and placing p at each site X and Y admit,
+with the other letters in every order, gives each container exactly once.
+Under conjugacy and order each site is keyed as one block
+(`permlab.generate.blocks`, `Relation.block_keys`): the placed letters form
+a partial injection whose completions join its open paths, so the cycle
+types they touch are its closed cycles with each coarsening of the path
+lengths, and the orders their lcms. Under the other relations each
+placement (`permlab.generate.placements`) is keyed.
 
 A survey asks this of hundreds of patterns at once. It first reduces them
 to one row per symmetry orbit on integer codes (`PatternCodes`, one per
@@ -49,9 +54,10 @@ as 231, 321, 132 and 213;y=1, whose kernels read only the set of unplaced
 values and have no deciding value, are counted once per such set: the set
 alone fixes how many completions of a prefix are kept. Avoiders of other
 classical patterns, such as 2413, are counted once per label of unplaced
-count and partial occurrences. Containers of one pattern are counted as n!
-less its avoiders, and those of several classical patterns by
-inclusion-exclusion over avoider counts (see `permlab.generate`).
+count and partial occurrences. The avoiders of one fixed-site pattern are
+n! less its occurrence total, with no walk. Containers of one pattern are
+counted as n! less its avoiders, and those of several classical patterns
+by inclusion-exclusion over avoider counts (see `permlab.generate`).
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from typing import Hashable
 
 from .catalog import CATALOG, DIVISOR_PATTERN, SEQUENCE_TABLES, match_tables
 from .core import Word, format_perm, s_n
-from .generate import avoiders, containers, count, placements
+from .generate import avoiders, blocks, containers, count, fixed_site, placements
 from .pattern import (BivincularPattern, PatternCodes, mask_table, occurrence_total,
                       signature_masks)
 from .relations import RELATIONS, Relation, census, check_budget, resolve_budget
@@ -154,7 +160,8 @@ def _closed_result(avoid: bool, pats, relation: Relation | str, n: int, want_mem
     the union of one set per pattern: its containers for avoidance, its
     avoiders for containment. Each set is walked, except the containers of
     a fixed-site pattern, which are exactly its placements, since a word
-    holds at most one of its occurrences; they are keyed as placed. Where
+    holds at most one of its occurrences. A relation with `block_keys`
+    keys them a block at a time, the others as placed. Where
     the bound holds the avoiders number at least n!/2, so their walk would
     be dropped unless they number exactly n!/2."""
     rel = _as_relation(relation)
@@ -172,8 +179,13 @@ def _closed_result(avoid: bool, pats, relation: Relation | str, n: int, want_mem
     else:
         touched = set()
         for pat in pats:
-            fixed_site = avoid and (len(pat.x) >= pat.k or len(pat.y) >= pat.k)
-            touched.update(map(rel.key, placements(pat, n) if fixed_site else other([pat], n)))
+            if not (avoid and fixed_site(pat)):
+                touched.update(map(rel.key, other([pat], n)))
+            elif rel.block_keys is None:
+                touched.update(map(rel.key, placements(pat, n)))
+            else:
+                for positions, letters in blocks(pat, n):
+                    touched.update(rel.block_keys(positions, letters, n))
         count = total - sum(rel.class_size(n, k) for k in touched)
         class_count = census(rel, n, budget=budget).class_count - len(touched)
         members = None

@@ -119,6 +119,42 @@ def cycle_type(pi: Sequence[int]) -> Word:
     return tuple(sorted(_cycle_lengths(pi), reverse=True))
 
 
+def open_paths(positions: Sequence[int], letters: Sequence[int], n: int) -> tuple[Word, Word]:
+    """The closed cycles and the open paths of the partial injection of
+    1..n sending positions[s] to letters[s], as weakly decreasing lengths.
+    A path runs from a node outside the image to one outside the domain, and
+    its length is its number of nodes. A completion to a permutation sends
+    the path ends to the path starts, so its cycles are the closed cycles
+    and, for each cycle of that matching, one as long as its paths together
+    (Stanley, Enumerative Combinatorics 1, section 1.3).
+
+    >>> open_paths((1, 2), (3, 1), 4)  # the paths 2 -> 1 -> 3 and 4
+    ((), (3, 1))
+    >>> open_paths((1, 3), (3, 1), 4)
+    ((2,), (1, 1))
+    """
+    step = dict(zip(positions, letters))
+    seen = set()
+    paths = []
+    for v in set(range(1, n + 1)).difference(letters):
+        length = 1
+        while v in step:
+            seen.add(v)
+            v = step[v]
+            length += 1
+        paths.append(length)
+    closed = []
+    for v in positions:
+        length = 0
+        while v not in seen:
+            seen.add(v)
+            v = step[v]
+            length += 1
+        if length:
+            closed.append(length)
+    return tuple(sorted(closed, reverse=True)), tuple(sorted(paths, reverse=True))
+
+
 def order(pi: Sequence[int]) -> int:
     """Least m >= 1 with pi^m = id: the lcm of the cycle lengths.
 

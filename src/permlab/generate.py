@@ -100,10 +100,14 @@ of which one is not classical walks prefixes.
 `placements` builds words without a walk: it places p at each site, a
 choice of positions that X admits and values that Y admits, and fills the
 other n - k letters in every order, so it gives each word once per
-occurrence of the pattern in it. A pattern of length k is fixed-site when
-|X| >= k or |Y| >= k: its anchors leave at most one gap free, so every
-occurrence uses the same positions, or the same values, and a word holds
-at most one. Its placements are then exactly its containers, each once.
+occurrence of the pattern in it. `blocks` gives the sites themselves, each
+as a block: the letters placed and their positions, standing for every
+word that holds them there. A pattern of length k is fixed-site
+(`fixed_site`) when |X| >= k or |Y| >= k: its anchors leave at most one gap
+free, so every occurrence uses the same positions, or the same values, and
+a word holds at most one. Its placements are then exactly its containers,
+each once, and `count` gives their number, `occurrence_total`, and n! less
+it for the avoiders, without a walk.
 """
 
 from __future__ import annotations
@@ -117,7 +121,7 @@ from typing import Iterable, Iterator
 
 from .core import Word
 from .pattern import (BivincularPattern, _check, _empty_pattern_occurs, _members, _reads_rest_only,
-                      _tail)
+                      _tail, occurrence_total)
 
 
 def avoiders(pats: Iterable[BivincularPattern], n: int) -> list[Word]:
@@ -153,16 +157,24 @@ def containers(pats: Iterable[BivincularPattern], n: int) -> list[Word]:
     return [] if checks is None else _walk(False, checks, n, True)
 
 
-def placements(pat: BivincularPattern, n: int) -> Iterator[Word]:
-    """The words of S_n with p placed at a site, positions that X admits
-    and values that Y admits, and the other letters in every order: one
-    word per occurrence of `pat` in S_n, `occurrence_total(pat, n)` in all,
-    streamed one site at a time. For a fixed-site pattern (see the module
-    docstring) they are its containers, each once.
+def fixed_site(pat: BivincularPattern) -> bool:
+    """Whether `pat`, of length k, has |X| >= k or |Y| >= k, so that a word
+    holds at most one occurrence (see the module docstring)."""
+    return len(pat.x) >= pat.k or len(pat.y) >= pat.k
+
+
+def blocks(pat: BivincularPattern, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The sites of `pat` in S_n, one (positions, letters) pair each: the
+    word holds letters[s] at positions[s], and its other letters take the
+    other positions in every order. A site of a pattern whose first k - 1
+    slots fill the positions 1..k-1 and whose values have one site gives
+    one block of k - 1 letters for every position of its last slot.
 
     >>> from permlab.pattern import pattern
-    >>> list(placements(pattern((2, 1), x=[1], y=[0, 2]), 3))
-    [(3, 1, 2), (2, 3, 1)]
+    >>> list(blocks(pattern((2, 1), x=[1], y=[0, 2]), 3))
+    [((1, 2), (3, 1)), ((2, 3), (3, 1))]
+    >>> list(blocks(pattern((1, 2), x=[0], y=[0, 1]), 4))
+    [((1,), (1,))]
     """
     k = pat.k
     value_sites = list(_sites(pat.y, k, n))
@@ -170,9 +182,25 @@ def placements(pat: BivincularPattern, n: int) -> Iterator[Word]:
         # The first k - 1 slots fill the positions 1..k-1 and the last slot
         # may take any later one: its sites hold every order of the letters
         # after those.
-        return _placed(pat.p[:-1], range(1, k), value_sites[0], n)
-    return chain.from_iterable(_placed(pat.p, positions, values, n)
-                               for positions in _sites(pat.x, k, n) for values in value_sites)
+        yield tuple(range(1, k)), tuple(value_sites[0][i - 1] for i in pat.p[:-1])
+        return
+    for positions in _sites(pat.x, k, n):
+        for values in value_sites:
+            yield positions, tuple(values[i - 1] for i in pat.p)
+
+
+def placements(pat: BivincularPattern, n: int) -> Iterator[Word]:
+    """The words of S_n with p placed at a site, positions that X admits
+    and values that Y admits, and the other letters in every order: one
+    word per occurrence of `pat` in S_n, `occurrence_total(pat, n)` in all,
+    streamed one block (`blocks`) at a time. For a fixed-site pattern they
+    are its containers, each once.
+
+    >>> from permlab.pattern import pattern
+    >>> list(placements(pattern((2, 1), x=[1], y=[0, 2]), 3))
+    [(3, 1, 2), (2, 3, 1)]
+    """
+    return chain.from_iterable(_placed(positions, letters, n) for positions, letters in blocks(pat, n))
 
 
 def _sites(adjacent: frozenset[int], k: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -191,20 +219,19 @@ def _sites(adjacent: frozenset[int], k: int, n: int) -> Iterator[tuple[int, ...]
             yield site
 
 
-def _placed(p: Word, positions, values: tuple[int, ...], n: int) -> Iterator[Word]:
-    """The words holding values[p_s - 1] at positions[s] for each slot s,
-    the other values filling the other positions in every order. At the
-    positions 1..len(p) these are the placed letters followed by each order
-    of the rest; elsewhere each such tuple is gathered into place."""
-    fixed = tuple(map((0, *values).__getitem__, p))
-    rest = sorted(set(range(1, n + 1)).difference(fixed))
+def _placed(positions: tuple[int, ...], letters: tuple[int, ...], n: int) -> Iterator[Word]:
+    """The words of the block (positions, letters), as `blocks` gives it. At
+    the positions 1..len(letters) these are the placed letters followed by
+    each order of the rest; elsewhere each such tuple is gathered into
+    place."""
+    rest = sorted(set(range(1, n + 1)).difference(letters))
     if not positions or positions[-1] == len(positions):
-        return map(fixed.__add__, permutations(rest))
+        return map(letters.__add__, permutations(rest))
     # Each order of the rest followed by the placed letters, read in word order.
     order = list(range(len(rest)))
     for s, i in enumerate(positions):
         order.insert(i - 1, len(rest) + s)
-    return map(itemgetter(*order), map(add, permutations(rest), repeat(fixed)))
+    return map(itemgetter(*order), map(add, permutations(rest), repeat(letters)))
 
 
 def count(avoid: bool, pats: Iterable[BivincularPattern], n: int) -> int:
@@ -218,6 +245,8 @@ def count(avoid: bool, pats: Iterable[BivincularPattern], n: int) -> int:
     mode. Containers of one pattern, or of several classical ones, are
     counted by inclusion-exclusion over avoider counts (n! less the
     avoiders, for one pattern); those of other sets by the prefix walk.
+    One fixed-site pattern occurs at most once per word, so its avoiders
+    are n! less `occurrence_total`.
 
     >>> from permlab.pattern import pattern
     >>> count(True, [pattern((2, 3, 1))], 9), count(False, [pattern((2, 3, 1))], 9)
@@ -226,11 +255,17 @@ def count(avoid: bool, pats: Iterable[BivincularPattern], n: int) -> int:
     91245
     >>> count(False, [pattern((2, 4, 1, 3)), pattern((3, 1, 4, 2))], 9)
     221976
+    >>> count(True, [pattern((2, 1), x=[1], y=[0, 2])], 9)  # 9! - 8!
+    322560
     """
     pats = tuple(pats)
     if not avoid and (len(pats) == 1 or all(not pat.x and not pat.y for pat in pats)):
         return sum((-1) ** size * count(True, subset, n)
                    for size in range(len(pats) + 1) for subset in combinations(pats, size))
+    if avoid and len(pats) == 1 and fixed_site(pats[0]):
+        if n < 0:
+            raise ValueError(f"degree {n} is negative")
+        return factorial(n) - occurrence_total(pats[0], n)
     by_rest = all(_reads_rest_only(_tail(pat)) for pat in pats if pat.k)
     if avoid and not by_rest and all(pat.k and not pat.x and not pat.y for pat in pats):
         if n < 0:

@@ -10,6 +10,14 @@ the list of r/c/i compositions that transport its classes to classes (so
 class-avoider counts are invariant under them). The sizes are n!/z_lam, its
 sums over a fixed lcm, f^lam, the least period, in fields, of a packed toric
 step cycle and beta_n(S). `census` memoises each histogram per degree.
+
+Conjugacy and order also key a block, the words of S_n holding given
+letters at given positions, without building its words: the placed
+letters form a partial injection (`open_paths`), each completion joins its
+open paths into cycles by a permutation of the paths, so the cycle types
+of the block are its closed cycles with each coarsening of the path
+lengths (`_coarsenings`, memoised per length tuple), and its orders their
+lcms.
 """
 
 from __future__ import annotations
@@ -18,11 +26,11 @@ import functools
 import math
 import os
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Hashable, Mapping, Sequence
 
 from .arith import steggall_census
-from .core import Word, cycle_type, descent_set, order
+from .core import Word, cycle_type, descent_set, open_paths, order
 from .errors import BudgetExceeded, InternalCheckError
 from .pattern import BivincularPattern, shift_orbit
 from .records import FrozenRecord
@@ -70,20 +78,25 @@ class Relation(FrozenRecord):
     `sizes(n)` {size: classes} of S_n, whether its census is `bounded` by the
     degree budget, and the r/c/i compositions compatible with it. Class
     closure tallies keys against these sizes. `pattern_class` is set for the
-    relations that also act on patterns (Knuth and toric).
+    relations that also act on patterns (Knuth and toric). `block_keys` is
+    set for the relations whose keys a block gives without its words
+    (conjugacy and order): `block_keys(positions, letters, n)` is the set of
+    keys of the words of S_n holding letters[s] at positions[s] for each s.
 
     Immutable and hashable: relations with equal fields are equal, and
     assigning to a field raises AttributeError.
     """
 
-    __slots__ = ("name", "key", "symmetries", "class_size", "sizes", "bounded", "pattern_class")
+    __slots__ = ("name", "key", "symmetries", "class_size", "sizes", "bounded", "pattern_class",
+                 "block_keys")
 
     def __init__(self, name: str, key: Callable[[Word], Hashable], symmetries: tuple[str, ...],
                  class_size: Callable[[int, Hashable], int], sizes: Callable[[int], Mapping[int, int]],
                  bounded: bool,
                  pattern_class: Callable[[BivincularPattern], frozenset[BivincularPattern]] | None = None,
+                 block_keys: Callable[[Word, Word, int], frozenset] | None = None,
                  ) -> None:
-        self._freeze(name, key, symmetries, class_size, sizes, bounded, pattern_class)
+        self._freeze(name, key, symmetries, class_size, sizes, bounded, pattern_class, block_keys)
 
 
 class ClassCensus:
@@ -122,6 +135,42 @@ def _order_table(n: int) -> Counter[int]:
     for lam in partitions(n):
         table[math.lcm(*lam)] += _cycle_index_size(n, lam)
     return table
+
+
+@functools.cache
+def _coarsenings(lengths: Word) -> frozenset[Word]:
+    """The multisets, as weakly decreasing tuples, of the part sums of each
+    set partition of `lengths`, a weakly decreasing tuple. The part of the
+    first length takes a sub-multiset of the others, chosen by how many of
+    each distinct length it takes, so that r equal lengths give r choices
+    rather than 2^(r-1) subsets.
+
+    >>> sorted(_coarsenings((2, 1, 1)))
+    [(2, 1, 1), (2, 2), (3, 1), (4,)]
+    """
+    if not lengths:
+        return frozenset({()})
+    first, *others = lengths
+    mult = Counter(others)
+    out = set()
+    for take in product(*(range(m + 1) for m in mult.values())):
+        joined = first + sum(t * v for t, v in zip(take, mult))
+        left = tuple(v for t, (v, m) in zip(take, mult.items()) for _ in range(m - t))
+        out.update(tuple(sorted((joined, *tail), reverse=True)) for tail in _coarsenings(left))
+    return frozenset(out)
+
+
+@functools.cache
+def _path_cycle_types(closed: Word, paths: Word) -> frozenset[Word]:
+    """The cycle types of the completions of a partial injection with these
+    closed cycles and open paths (`open_paths`): the closed cycles with each
+    coarsening of the paths."""
+    return frozenset(tuple(sorted(closed + joined, reverse=True)) for joined in _coarsenings(paths))
+
+
+@functools.cache
+def _path_orders(closed: Word, paths: Word) -> frozenset[int]:
+    return frozenset(math.lcm(*lam) for lam in _path_cycle_types(closed, paths))
 
 
 @functools.cache
@@ -239,6 +288,7 @@ CONJUGACY = Relation(
     # One class per partition lam of n.
     sizes=lambda n: Counter(_cycle_index_size(n, lam) for lam in partitions(n)),
     bounded=False,
+    block_keys=lambda positions, letters, n: _path_cycle_types(*open_paths(positions, letters, n)),
 )
 
 ORDER = Relation(
@@ -248,6 +298,7 @@ ORDER = Relation(
     class_size=lambda n, m: _order_table(n)[m],
     sizes=lambda n: Counter(_order_table(n).values()),
     bounded=False,
+    block_keys=lambda positions, letters, n: _path_orders(*open_paths(positions, letters, n)),
 )
 
 KNUTH = Relation(

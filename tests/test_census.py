@@ -14,7 +14,7 @@ import permlab
 import permlab.census as census_module
 from conftest import (PERMS_BY_N, all_patterns, apply_symmetry, construction_mask,
                       occurrence_mask, scan_avoiders, scan_matchers, words_of)
-from permlab.catalog import KNUTH_MATCHING_PATTERN, SEQUENCE_TABLES
+from permlab.catalog import CATALOG, KNUTH_MATCHING_PATTERN, SEQUENCE_TABLES
 from permlab.census import (
     SequenceCheckReport,
     avoid_all,
@@ -29,7 +29,7 @@ from permlab.census import (
     survey,
 )
 from permlab.arith import natural_perms, sigma_arith
-from permlab.core import s_n
+from permlab.core import cycle_type, order, s_n
 from permlab import generate
 from permlab.pattern import occurrence_total, parse_pattern, pat_shift, pattern
 from permlab.relations import RELATIONS, Relation, census, check_budget
@@ -416,6 +416,13 @@ class TestGenerationPruning:
 
         monkeypatch.setattr(generate, "_walk", walked)
         generate.count(avoid, [pat], n)
+        if generate.fixed_site(pat):
+            # Its count is n! less its occurrence total, and enters no prefix
+            # and no label; the avoider walk it would take, run directly,
+            # must still agree and enter the word walk's prefixes.
+            assert not entered and not memos["sets"] and not memos["labels"]
+            checks = generate._checks(True, [pat], n)
+            assert generate._walk(True, checks, n, False) == math.factorial(n) - occurrence_total(pat, n)
         assert all(sides)  # no container walk
         if str(pat) == "231;x=;y=":
             assert len(words) == 7072 and not entered and not memos["labels"]
@@ -528,6 +535,11 @@ class TestCountOverUnplacedSets:
             expanded.clear()
             want = math.factorial(n) - construction_mask(pat, n).bit_count()
             assert generate.count(True, [pat], n) == want, (str(pat), n)
+            if generate.fixed_site(pat):
+                # Counted from its occurrence total with no walk; the set walk
+                # it would take, run directly, must agree.
+                assert not expanded, (str(pat), n)
+                assert generate._walk(True, generate._checks(True, [pat], n), n, False, True) == want
             # Only a pattern that cannot occur in S_n is counted without a walk.
             assert expanded or want == math.factorial(n), (str(pat), n)
 
@@ -646,6 +658,52 @@ class TestPlacements:
         for pat in random.Random(35).sample(_fixed_site(4), 80):
             for n in range(7):
                 self._check(pat, n, scan_matchers([pat], n))
+
+
+class TestBlockKeys:
+    """Under conjugacy and order, a count-only call keys each block of a
+    fixed-site pattern (`generate.blocks`) by `Relation.block_keys`. The
+    keys of all its blocks must be those of its placements, read word by
+    word by `cycle_type` and `order`."""
+
+    KEYS = {"conjugacy": cycle_type, "order": order}
+
+    def _check(self, rel, pat, n):
+        got = set()
+        for positions, letters in generate.blocks(pat, n):
+            got.update(RELATIONS[rel].block_keys(positions, letters, n))
+        assert got == set(map(self.KEYS[rel], generate.placements(pat, n))), (rel, str(pat), n)
+
+    @pytest.mark.parametrize("rel", ["conjugacy", "order"])
+    def test_every_short_fixed_site_pattern(self, rel):
+        pats = [pat for k in range(4) for pat in _fixed_site(k)]
+        assert len(pats) == 925
+        for pat in pats:
+            for n in range(8):
+                self._check(rel, pat, n)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_catalog_rows(self, n):
+        rows = [entry for entry in CATALOG
+                if entry.relation in self.KEYS and generate.fixed_site(entry.pat)]
+        assert [entry.name for entry in rows] == [
+            "derangements", "involutions", "transpositions", "fpf-involutions", "id-3cycles",
+            "id-2cycles-3cycles", "order-products"]
+        for entry in rows:
+            self._check(entry.relation, entry.pat, n)
+
+
+class TestFixedSiteCounts:
+    """A plain count of one fixed-site pattern is read from its occurrence
+    total, and must equal the number of words the walks list."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_every_short_fixed_site_pattern(self, k):
+        for pat in _fixed_site(k):
+            for n in range(8):
+                got = generate.count(True, [pat], n), generate.count(False, [pat], n)
+                want = len(generate.avoiders([pat], n)), len(generate.containers([pat], n))
+                assert got == want, (str(pat), n)
 
 
 class TestContainerCountsByInclusionExclusion:
@@ -909,8 +967,9 @@ class TestClassClosedCountOnly:
 
 class TestFixedSiteRoute:
     """A count-only class-avoid call whose occurrence bound holds keys the
-    other side at once: the placements of a fixed-site pattern, and the
-    container walk of any other."""
+    other side at once: the blocks of a fixed-site pattern under conjugacy
+    and order, its placements under the other relations, and the container
+    walk of any other pattern."""
 
     @pytest.mark.parametrize("rel", RELATION_NAMES)
     def test_placements_keyed_without_a_walk(self, rel, monkeypatch):
@@ -921,7 +980,7 @@ class TestFixedSiteRoute:
                  if 2 * occurrence_total(pat, n) <= math.factorial(n)]
         assert len(cases) > 100
         want = [_counts(class_avoiders([pat], rel, n, want_members=True)) for pat, n in cases]
-        placed = []
+        placed, blocked = [], []
 
         def walk(pats, n):
             raise AssertionError(([str(p) for p in pats], n))
@@ -930,12 +989,20 @@ class TestFixedSiteRoute:
             placed.append((pat, n))
             return real(pat, n)
 
+        def blocking(pat, n, real=census_module.blocks):
+            blocked.append((pat, n))
+            return real(pat, n)
+
         monkeypatch.setattr(census_module, "avoiders", walk)
         monkeypatch.setattr(census_module, "containers", walk)
         monkeypatch.setattr(census_module, "placements", placing)
+        monkeypatch.setattr(census_module, "blocks", blocking)
         got = [_counts(class_avoiders([pat], rel, n)) for pat, n in cases]
         assert got == want
-        assert placed == cases
+        if rel in ("conjugacy", "order"):
+            assert placed == [] and blocked == cases
+        else:
+            assert placed == cases and blocked == []
 
     def test_other_patterns_walk_their_containers(self, monkeypatch):
         # 123;x=0,1;y=1,2 occurs 600 <= 7!/2 times in S_7, so the bound

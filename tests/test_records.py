@@ -72,8 +72,12 @@ class TestBivincularPattern:
 class TestRelation:
     def test_construction_and_default(self):
         conj = RELATIONS["conjugacy"]
+        bare = Relation(conj.name, conj.key, conj.symmetries, conj.class_size, conj.sizes,
+                        conj.bounded)
+        assert bare.pattern_class is None and bare.block_keys is None
+        assert bare != conj
         rel = Relation(conj.name, conj.key, conj.symmetries, conj.class_size, conj.sizes,
-                       conj.bounded)
+                       conj.bounded, block_keys=conj.block_keys)
         assert rel.pattern_class is None
         assert rel == conj and hash(rel) == hash(conj)
         same = Relation(name=conj.name, key=conj.key, symmetries=conj.symmetries,

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,7 @@ from permlab.errors import BudgetExceeded, InternalCheckError
 from permlab.relations import (
     RELATIONS,
     ClassCensus,
+    _coarsenings,
     census,
     check_budget,
     resolve_budget,
@@ -29,6 +31,25 @@ from permlab.relations import (
 def class_size(rel, w):
     """Closed-form size of w's class."""
     return rel.class_size(len(w), rel.key(w))
+
+
+def test_coarsenings_join_labelled_paths():
+    # r labelled paths lie on consecutive nodes, each node stepping to the
+    # next; every sigma of S_r sends the end of path a to the start of path
+    # sigma(a). The cycle types of the words built so are the coarsenings,
+    # for every multiset of path lengths with sum at most 7.
+    multisets = {tuple(sorted(lengths, reverse=True)) for r in range(8)
+                 for lengths in combinations_with_replacement(range(1, 8), r) if sum(lengths) <= 7}
+    assert len(multisets) == 45  # p(0) + ... + p(7)
+    for lengths in multisets:
+        starts = [sum(lengths[:a]) + 1 for a in range(len(lengths))]
+        want = set()
+        for sigma in permutations(range(len(lengths))):
+            word = list(range(2, sum(lengths) + 2))
+            for a, b in enumerate(sigma):
+                word[starts[a] + lengths[a] - 2] = starts[b]
+            want.add(cycle_type(word))
+        assert _coarsenings(lengths) == want, lengths
 
 
 class TestCycleTypeGeneration:

@@ -19,18 +19,26 @@ avoidance the words containing a pattern number at most its occurrences
 over all of S_n (`occurrence_total`; the first-moment bound), so when those
 totals sum to at most n!/2 the containers are keyed at once. Otherwise the
 requested side is walked whole; if it holds more than n!/2 words they are
-dropped and the other side is walked and keyed instead, so a count-only
-request never keys more than n!/2 words of its own side. The containers of
-a fixed-site pattern, of length k with |X| >= k or |Y| >= k, are not
-walked: its anchors fix the positions or the values of every occurrence,
-so a word holds at most one, and placing p at each site X and Y admit,
-with the other letters in every order, gives each container exactly once.
-Under conjugacy and order each site is keyed as one block
-(`permlab.generate.blocks`, `Relation.block_keys`): the placed letters form
-a partial injection whose completions join its open paths, so the cycle
-types they touch are its closed cycles with each coarsening of the path
-lengths, and the orders their lcms. Under the other relations each
-placement (`permlab.generate.placements`) is keyed.
+dropped and the other side is keyed instead, so a count-only request never
+keys more than n!/2 words of its own side.
+
+The other side is keyed by one rule. The containers of a pattern are the
+words of its blocks (`permlab.generate.blocks`): p placed at a site,
+positions that X admits and values that Y admits, with the other letters
+in any order. Where no walk is needed, the blocks are keyed:
+
+- under conjugacy and order, for every pattern: `Relation.block_keys` keys
+  a whole block in closed form, so blocks that overlap cost nothing. The
+  completions of its placed letters join their open paths into cycles, so
+  its cycle types are its closed cycles with each coarsening of the path
+  lengths, and its orders their lcms;
+- under Knuth, toric and descent, for a fixed-site pattern, of length k
+  with |X| >= k or |Y| >= k: its anchors fix the positions or the values
+  of every occurrence, so its blocks are disjoint, and their words
+  (`permlab.generate.block_words`) are keyed one by one.
+
+Otherwise the other side is walked: the containers of any other pattern,
+and the avoiders for containment.
 
 A survey asks this of hundreds of patterns at once. It first reduces them
 to one row per symmetry orbit on integer codes (`PatternCodes`, one per
@@ -69,7 +77,7 @@ from typing import Hashable
 
 from .catalog import CATALOG, DIVISOR_PATTERN, SEQUENCE_TABLES, match_tables
 from .core import Word, format_perm, s_n
-from .generate import avoiders, blocks, containers, count, fixed_site, placements
+from .generate import avoiders, block_words, blocks, containers, count, fixed_site
 from .pattern import (BivincularPattern, PatternCodes, mask_table, occurrence_total,
                       signature_masks)
 from .relations import RELATIONS, Relation, census, check_budget, resolve_budget
@@ -153,17 +161,13 @@ def _class_closed(kept: list[Word], rel: Relation,
 
 def _closed_result(avoid: bool, pats, relation: Relation | str, n: int, want_members: bool,
                    budget: int | None) -> EnumerationResult:
-    """Close one walk of the requested side, or key the other side, as the
-    module docstring describes: at once for a count-only avoidance whose
-    patterns' occurrence totals sum to at most n!/2, or for a count-only
-    call whose requested side holds more than n!/2 words. The other side is
-    the union of one set per pattern: its containers for avoidance, its
-    avoiders for containment. Each set is walked, except the containers of
-    a fixed-site pattern, which are exactly its placements, since a word
-    holds at most one of its occurrences. A relation with `block_keys`
-    keys them a block at a time, the others as placed. Where
-    the bound holds the avoiders number at least n!/2, so their walk would
-    be dropped unless they number exactly n!/2."""
+    """The classes all of whose members avoid (or, for `avoid` false,
+    contain) every pattern. With members, the requested side is walked and
+    closed. Without, the other side is keyed instead when the patterns'
+    occurrence totals sum to at most n!/2 (avoidance only) or the requested
+    side holds more than n!/2 words. Each pattern's part of the other side
+    is keyed by its blocks where no walk is needed, and walked otherwise
+    (see the module docstring)."""
     rel = _as_relation(relation)
     pats = tuple(pats)
     check_budget(n, budget)
@@ -177,15 +181,15 @@ def _closed_result(avoid: bool, pats, relation: Relation | str, n: int, want_mem
     if kept is not None:
         count, class_count, members = _class_closed(kept, rel, want_members)
     else:
+        block_keys = rel.block_keys or (
+            lambda positions, letters, n: map(rel.key, block_words(positions, letters, n)))
         touched = set()
         for pat in pats:
-            if not (avoid and fixed_site(pat)):
-                touched.update(map(rel.key, other([pat], n)))
-            elif rel.block_keys is None:
-                touched.update(map(rel.key, placements(pat, n)))
-            else:
+            if avoid and (rel.block_keys or fixed_site(pat)):
                 for positions, letters in blocks(pat, n):
-                    touched.update(rel.block_keys(positions, letters, n))
+                    touched.update(block_keys(positions, letters, n))
+            else:
+                touched.update(map(rel.key, other([pat], n)))
         count = total - sum(rel.class_size(n, k) for k in touched)
         class_count = census(rel, n, budget=budget).class_count - len(touched)
         members = None

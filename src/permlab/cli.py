@@ -19,6 +19,7 @@ import sys
 
 from .arith import natural_perms, robin_range, sigma_arith, sigma_via_divisor_perms
 from .census import (
+    SURVEY_MAX_LENGTH,
     class_avoiders,
     class_matchers,
     plain_avoiders,
@@ -31,7 +32,7 @@ from .census import (
 from .core import format_perm, parse_perm
 from .errors import BudgetExceeded, InternalCheckError, ParseError
 from .pattern import parse_pattern
-from .relations import RELATIONS, census, check_budget, resolve_budget
+from .relations import BUDGET_ENV_VAR, DEFAULT_BUDGET_N, RELATIONS, census, check_budget, resolve_budget
 from .tableau import format_tableau, rsk
 
 
@@ -257,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "so it changes neither the output nor the work done")
     common.add_argument("--budget-n", type=int, default=None, dest="budget_n",
                         help="largest degree enumerations may touch "
-                             "(default: PERMLAB_BUDGET_N or 9)")
+                             f"(default: {BUDGET_ENV_VAR} or {DEFAULT_BUDGET_N})")
 
     parser = argparse.ArgumentParser(prog="permlab",
                                      description="pattern avoidance on classes of permutations")
@@ -283,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="class-closed avoidance counts for all patterns of one length")
     p.add_argument("--relation", choices=tuple(sorted(RELATIONS)), required=True)
     p.add_argument("--length", type=int, required=True,
-                   help="pattern length, 0 to 5 (a longer one exits 2)")
+                   help=f"pattern length, 0 to {SURVEY_MAX_LENGTH} (a longer one exits 2)")
     p.add_argument("--n-max", type=int, default=5, dest="n_max")
     p.add_argument("--merge-shift", action="store_true", dest="merge_shift",
                    help="merge orbits linked by the shift map, which preserves class-closed "

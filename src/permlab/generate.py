@@ -97,17 +97,19 @@ are those avoiding none. For one pattern that is n! less its avoider
 count, which takes the same walk. A container count of several patterns
 of which one is not classical walks prefixes.
 
-`placements` builds words without a walk: it places p at each site, a
-choice of positions that X admits and values that Y admits, and fills the
-other n - k letters in every order, so it gives each word once per
-occurrence of the pattern in it. `blocks` gives the sites themselves, each
-as a block: the letters placed and their positions, standing for every
-word that holds them there. A pattern of length k is fixed-site
-(`fixed_site`) when |X| >= k or |Y| >= k: its anchors leave at most one gap
-free, so every occurrence uses the same positions, or the same values, and
-a word holds at most one. Its placements are then exactly its containers,
-each once, and `count` gives their number, `occurrence_total`, and n! less
-it for the avoiders, without a walk.
+`blocks` gives a pattern's sites, a choice of positions that X admits and
+values that Y admits, each as a block: the letters p places there and
+their positions, standing for the words that hold them there
+(`block_words`, the other n - k letters in every order). A word lies in
+one block per occurrence of the pattern in it. A pattern of length k is
+fixed-site (`fixed_site`) when |X| >= k or |Y| >= k: its anchors leave at
+most one gap free, so every occurrence uses the same positions, or the
+same values, and a word holds at most one. Its blocks are then disjoint
+and their words are exactly its containers, each once, and `count` gives
+their number, `occurrence_total`, and n! less it for the avoiders,
+without a walk. Class closure (`permlab.census`) keys blocks in place of
+a container walk wherever no walk is needed: every pattern's under
+conjugacy and order, a fixed-site pattern's under the other relations.
 """
 
 from __future__ import annotations
@@ -189,20 +191,6 @@ def blocks(pat: BivincularPattern, n: int) -> Iterator[tuple[tuple[int, ...], tu
             yield positions, tuple(values[i - 1] for i in pat.p)
 
 
-def placements(pat: BivincularPattern, n: int) -> Iterator[Word]:
-    """The words of S_n with p placed at a site, positions that X admits
-    and values that Y admits, and the other letters in every order: one
-    word per occurrence of `pat` in S_n, `occurrence_total(pat, n)` in all,
-    streamed one block (`blocks`) at a time. For a fixed-site pattern they
-    are its containers, each once.
-
-    >>> from permlab.pattern import pattern
-    >>> list(placements(pattern((2, 1), x=[1], y=[0, 2]), 3))
-    [(3, 1, 2), (2, 3, 1)]
-    """
-    return chain.from_iterable(_placed(positions, letters, n) for positions, letters in blocks(pat, n))
-
-
 def _sites(adjacent: frozenset[int], k: int, n: int) -> Iterator[tuple[int, ...]]:
     """The k-subsets e_1 < ... < e_k of 1..n with e_{a+1} = e_a + 1 for each
     a in `adjacent`, where e_0 = 0 and e_{k+1} = n + 1."""
@@ -219,11 +207,16 @@ def _sites(adjacent: frozenset[int], k: int, n: int) -> Iterator[tuple[int, ...]
             yield site
 
 
-def _placed(positions: tuple[int, ...], letters: tuple[int, ...], n: int) -> Iterator[Word]:
-    """The words of the block (positions, letters), as `blocks` gives it. At
-    the positions 1..len(letters) these are the placed letters followed by
-    each order of the rest; elsewhere each such tuple is gathered into
-    place."""
+def block_words(positions: tuple[int, ...], letters: tuple[int, ...], n: int) -> Iterator[Word]:
+    """The words of S_n holding letters[s] at positions[s] for each s, the
+    block (positions, letters) as `blocks` gives it. At the positions
+    1..len(letters) these are the placed letters followed by each order of
+    the rest; elsewhere each such tuple is gathered into place.
+
+    >>> from permlab.pattern import pattern
+    >>> [w for block in blocks(pattern((2, 1), x=[1], y=[0, 2]), 3) for w in block_words(*block, 3)]
+    [(3, 1, 2), (2, 3, 1)]
+    """
     rest = sorted(set(range(1, n + 1)).difference(letters))
     if not positions or positions[-1] == len(positions):
         return map(letters.__add__, permutations(rest))
@@ -258,18 +251,16 @@ def count(avoid: bool, pats: Iterable[BivincularPattern], n: int) -> int:
     >>> count(True, [pattern((2, 1), x=[1], y=[0, 2])], 9)  # 9! - 8!
     322560
     """
+    if n < 0:
+        raise ValueError(f"degree {n} is negative")
     pats = tuple(pats)
     if not avoid and (len(pats) == 1 or all(not pat.x and not pat.y for pat in pats)):
         return sum((-1) ** size * count(True, subset, n)
                    for size in range(len(pats) + 1) for subset in combinations(pats, size))
     if avoid and len(pats) == 1 and fixed_site(pats[0]):
-        if n < 0:
-            raise ValueError(f"degree {n} is negative")
         return factorial(n) - occurrence_total(pats[0], n)
     by_rest = all(_reads_rest_only(_tail(pat)) for pat in pats if pat.k)
     if avoid and not by_rest and all(pat.k and not pat.x and not pat.y for pat in pats):
-        if n < 0:
-            raise ValueError(f"degree {n} is negative")
         states, roots = _label_states([pat.p for pat in pats])
         start = frozenset(root for root, pat in zip(roots, pats) if pat.k <= n)
         return _count_labels(states, n, start, {}, {})

@@ -5,7 +5,7 @@ import inspect
 import math
 import random
 from contextlib import contextmanager
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -633,16 +633,16 @@ def _fixed_site(k: int) -> list:
 
 
 class TestPlacements:
-    """`generate.placements` places p at every site and fills the other
-    letters in every order. For a fixed-site pattern these are its
-    containers, each once, and `occurrence_total` of them. The oracle is
-    the conftest signature table, which reads each word's occurrences from
-    their definition; `construction_mask` places the pattern as
-    `placements` does, so it is not used here."""
+    """`generate.block_words` over `generate.blocks` places p at every site
+    and fills the other letters in every order. For a fixed-site pattern
+    these are its containers, each once, and `occurrence_total` of them.
+    The oracle is the conftest signature table, which reads each word's
+    occurrences from their definition; `construction_mask` places the
+    pattern as `blocks` does, so it is not used here."""
 
     @staticmethod
     def _check(pat, n, want):
-        words = list(generate.placements(pat, n))
+        words = [w for block in generate.blocks(pat, n) for w in generate.block_words(*block, n)]
         assert len(words) == len(set(words)) == occurrence_total(pat, n), (str(pat), n)
         assert sorted(words) == want, (str(pat), n)
 
@@ -662,9 +662,10 @@ class TestPlacements:
 
 class TestBlockKeys:
     """Under conjugacy and order, a count-only call keys each block of a
-    fixed-site pattern (`generate.blocks`) by `Relation.block_keys`. The
-    keys of all its blocks must be those of its placements, read word by
-    word by `cycle_type` and `order`."""
+    pattern (`generate.blocks`) by `Relation.block_keys`. The keys of all
+    its blocks must be those of the oracle's containers, read word by word
+    by `cycle_type` and `order`. A fixed-site pattern's blocks are
+    disjoint; those of any other pattern may overlap."""
 
     KEYS = {"conjugacy": cycle_type, "order": order}
 
@@ -672,7 +673,7 @@ class TestBlockKeys:
         got = set()
         for positions, letters in generate.blocks(pat, n):
             got.update(RELATIONS[rel].block_keys(positions, letters, n))
-        assert got == set(map(self.KEYS[rel], generate.placements(pat, n))), (rel, str(pat), n)
+        assert got == set(map(self.KEYS[rel], scan_matchers([pat], n))), (rel, str(pat), n)
 
     @pytest.mark.parametrize("rel", ["conjugacy", "order"])
     def test_every_short_fixed_site_pattern(self, rel):
@@ -680,6 +681,14 @@ class TestBlockKeys:
         assert len(pats) == 925
         for pat in pats:
             for n in range(8):
+                self._check(rel, pat, n)
+
+    @pytest.mark.parametrize("rel", ["conjugacy", "order"])
+    def test_every_short_other_pattern(self, rel):
+        pats = [pat for k in range(4) for pat in all_patterns(k) if not generate.fixed_site(pat)]
+        assert len(pats) == 759
+        for pat in pats:
+            for n in range(7):
                 self._check(rel, pat, n)
 
     @pytest.mark.parametrize("n", [8, 9])
@@ -761,8 +770,8 @@ def _sides_walked():
     that walk's words, "other" when it dropped them and keyed the other
     side), or "bound" when it made no walk of its requested side, because
     the occurrence bound sent it to the other side at once. There it keys
-    the placements of a fixed-site pattern, which no walk makes, and the
-    container walk of any other pattern."""
+    the blocks of a pattern where no walk is needed (TestFixedSiteRoute),
+    and the container walk of any other pattern."""
     sides: list = []
     walked: list = []
     closed: list = []
@@ -888,7 +897,7 @@ class TestClassClosedCountOnly:
     def test_bound_tie(self, rel, avoid_masks, class_masks):
         # 1;x=0;y=0 occurs once in S_2, in 12, so the bound holds with
         # equality and both sides hold n!/2 = 1 word: for avoidance the
-        # pattern's one placement is keyed, and for containment the walk of
+        # pattern's one block is keyed, and for containment the walk of
         # exactly n!/2 containers is kept.
         pat = pattern((1,), x=[0], y=[0])
         with _sides_walked() as sides:
@@ -966,13 +975,43 @@ class TestClassClosedCountOnly:
 
 
 class TestFixedSiteRoute:
-    """A count-only class-avoid call whose occurrence bound holds keys the
-    other side at once: the blocks of a fixed-site pattern under conjugacy
-    and order, its placements under the other relations, and the container
-    walk of any other pattern."""
+    """A count-only class-avoid call that reaches the other side keys a
+    pattern's containers by one of two routes. It keys the pattern's blocks
+    (`generate.blocks`) where no walk is needed: for every pattern under
+    conjugacy and order, whose `block_keys` key a whole block, and for a
+    fixed-site pattern under the other relations, whose blocks are disjoint
+    and are keyed word by word (`generate.block_words`). Otherwise it walks
+    the pattern's containers."""
+
+    BLOCK_KEYED = ("conjugacy", "order")
+
+    @staticmethod
+    def _record(monkeypatch, walks: bool) -> dict:
+        """The arguments of each call of `blocks`, of `block_words` and of
+        the container walk. For `walks` false a walk of either side fails
+        the test."""
+        calls: dict = {"blocks": [], "block_words": [], "containers": []}
+
+        def recording(name, real):
+            def recorded(*args):
+                calls[name].append(args)
+                return real(*args)
+            return recorded
+
+        def walk(*args):
+            raise AssertionError(args)
+
+        for name in calls:
+            monkeypatch.setattr(census_module, name, recording(name, getattr(census_module, name)))
+        if not walks:
+            monkeypatch.setattr(census_module, "avoiders", walk)
+            monkeypatch.setattr(census_module, "containers", walk)
+        return calls
 
     @pytest.mark.parametrize("rel", RELATION_NAMES)
     def test_placements_keyed_without_a_walk(self, rel, monkeypatch):
+        # A fixed-site pattern whose occurrence bound holds makes no walk
+        # under any relation and keys its blocks.
         rng = random.Random(rel)
         pats = rng.sample(_fixed_site(2), 10) + rng.sample(_fixed_site(3), 20)
         pats += rng.sample(_fixed_site(4), 20)
@@ -980,49 +1019,52 @@ class TestFixedSiteRoute:
                  if 2 * occurrence_total(pat, n) <= math.factorial(n)]
         assert len(cases) > 100
         want = [_counts(class_avoiders([pat], rel, n, want_members=True)) for pat, n in cases]
-        placed, blocked = [], []
-
-        def walk(pats, n):
-            raise AssertionError(([str(p) for p in pats], n))
-
-        def placing(pat, n, real=census_module.placements):
-            placed.append((pat, n))
-            return real(pat, n)
-
-        def blocking(pat, n, real=census_module.blocks):
-            blocked.append((pat, n))
-            return real(pat, n)
-
-        monkeypatch.setattr(census_module, "avoiders", walk)
-        monkeypatch.setattr(census_module, "containers", walk)
-        monkeypatch.setattr(census_module, "placements", placing)
-        monkeypatch.setattr(census_module, "blocks", blocking)
+        calls = self._record(monkeypatch, walks=False)
         got = [_counts(class_avoiders([pat], rel, n)) for pat, n in cases]
         assert got == want
-        if rel in ("conjugacy", "order"):
-            assert placed == [] and blocked == cases
-        else:
-            assert placed == cases and blocked == []
+        assert calls["blocks"] == cases
+        assert (calls["block_words"] == []) == (rel in self.BLOCK_KEYED)
 
     def test_other_patterns_walk_their_containers(self, monkeypatch):
-        # 123;x=0,1;y=1,2 occurs 600 <= 7!/2 times in S_7, so the bound
-        # holds, but its positions and its values both vary.
-        pat = pattern((1, 2, 3), x=[0, 1], y=[1, 2])
-        assert occurrence_total(pat, 7) == 600
-        want = _counts(class_avoiders([pat], "conjugacy", 7, want_members=True))
-        walked = []
+        # These patterns are not fixed-site: their positions and their values
+        # both vary. Each occurs 600 or 1,800 <= 7!/2 times in S_7, so the
+        # occurrence bound sends every call to the other side at once. Under
+        # conjugacy and order it keys their blocks, which may overlap, and
+        # walks nothing; under the other relations it walks the containers
+        # once.
+        texts = ["123;x=0,1;y=1,2", "123;x=0;y=0,1", "231;x=0,1;y=2,3", "132;x=0,1;y=1,2"]
+        for pat, rel in product(map(parse_pattern, texts), RELATION_NAMES):
+            assert not generate.fixed_site(pat) and occurrence_total(pat, 7) in (600, 1800)
+            want = _counts(class_avoiders([pat], rel, 7, want_members=True))
+            keyed = rel in self.BLOCK_KEYED
+            with monkeypatch.context() as patched:
+                calls = self._record(patched, walks=not keyed)
+                assert _counts(class_avoiders([pat], rel, 7)) == want, (str(pat), rel)
+            assert not calls["block_words"], (str(pat), rel)
+            if keyed:
+                assert calls["blocks"] == [(pat, 7)] and not calls["containers"], (str(pat), rel)
+            else:
+                assert calls["containers"] == [([pat], 7)] and not calls["blocks"], (str(pat), rel)
 
-        def walking(pats, n, real=census_module.containers):
-            walked.append((pats, n))
-            return real(pats, n)
-
-        def placing(pat, n):
-            raise AssertionError((str(pat), n))
-
-        monkeypatch.setattr(census_module, "containers", walking)
-        monkeypatch.setattr(census_module, "placements", placing)
-        assert _counts(class_avoiders([pat], "conjugacy", 7)) == want
-        assert walked == [([pat], 7)]
+    @pytest.mark.parametrize("rel", RELATION_NAMES)
+    def test_routes_of_short_patterns(self, rel, avoid_masks, class_masks, monkeypatch):
+        # Every pattern of length 1-3 at n = 1..6, against the oracle. Under
+        # conjugacy and order no count-only class-avoid call walks
+        # containers, and patterns of both kinds key their blocks. Under the
+        # other relations only fixed-site patterns key their blocks, and
+        # only the others walk their containers.
+        calls = self._record(monkeypatch, walks=True)
+        for n in range(1, 7):
+            classes = class_masks(rel, n)
+            for pat, per_n in avoid_masks.items():
+                want = _oracle_triple(_closed_classes(per_n[n], classes), n)[:2]
+                assert _counts(class_avoiders([pat], rel, n)) == want, (str(pat), n)
+        blocked = {generate.fixed_site(pat) for pat, _ in calls["blocks"]}
+        walked = {generate.fixed_site(pat) for (pat,), _ in calls["containers"]}
+        if rel in self.BLOCK_KEYED:
+            assert blocked == {True, False} and not walked and not calls["block_words"]
+        else:
+            assert blocked == {True} and walked == {False} and calls["block_words"]
 
 
 class TestKnuthMatching:
@@ -1034,7 +1076,7 @@ class TestKnuthMatching:
     def test_member_characterization(self):
         # Every member starts with n-1 and the rest, read as a word, has no
         # increasing triple.
-        from itertools import combinations, permutations
+        from itertools import combinations, permutations, product
 
         from conftest import lis_length
 
@@ -1052,7 +1094,7 @@ class TestKnuthMatching:
 
 class TestStability:
     def test_classical_length3_knuth_stable(self):
-        from itertools import combinations, permutations
+        from itertools import combinations, permutations, product
 
         for p in permutations((1, 2, 3)):
             rep = stability(pattern(p), "knuth", 6)
@@ -1461,7 +1503,7 @@ class TestSequenceCheck:
         # anchor, so its occurrences over S_n number (n - 1)! or (n - 1)!/2:
         # at every degree the bound sends the call to the other side. Y
         # fixes all its values, so the pattern is fixed-site and its
-        # placements are keyed: neither its avoiders nor its containers are
+        # blocks are keyed: neither its avoiders nor its containers are
         # walked.
         def no_walk(pats, n):
             raise AssertionError(([str(p) for p in pats], n))

@@ -14,31 +14,19 @@ it. A count-only request may read either side: a class is counted exactly
 when none of its members lies on the other side (the words containing some
 pattern, for avoidance), so keying the other side gives the count as n!
 less the sizes of the classes it touches, and the class count as the
-number of classes in the relation's census less their number. For
-avoidance the words containing a pattern number at most its occurrences
-over all of S_n (`occurrence_total`; the first-moment bound), so when those
-totals sum to at most n!/2 the containers are keyed at once. Otherwise the
-requested side is walked whole; if it holds more than n!/2 words they are
-dropped and the other side is keyed instead, so a count-only request never
-keys more than n!/2 words of its own side.
+number of classes in the relation's census less their number.
 
-The other side is keyed by one rule. The containers of a pattern are the
-words of its blocks (`permlab.generate.blocks`): p placed at a site,
-positions that X admits and values that Y admits, with the other letters
-in any order. Where no walk is needed, the blocks are keyed:
-
-- under conjugacy and order, for every pattern: `Relation.block_keys` keys
-  a whole block in closed form, so blocks that overlap cost nothing. The
-  completions of its placed letters join their open paths into cycles, so
-  its cycle types are its closed cycles with each coarsening of the path
-  lengths, and its orders their lcms;
-- under Knuth, toric and descent, for a fixed-site pattern, of length k
-  with |X| >= k or |Y| >= k: its anchors fix the positions or the values
-  of every occurrence, so its blocks are disjoint, and their words
-  (`permlab.generate.block_words`) are keyed one by one.
-
-Otherwise the other side is walked: the containers of any other pattern,
-and the avoiders for containment.
+Under conjugacy and order a count-only avoidance keys the containers at
+once and without a word, whatever n (`Relation.container_keys`): their
+cycle types are read from the shapes of the pattern's sites, memoised per
+pattern and number of letters covered (`permlab.generate.cover_shapes`).
+Under the other relations it does so when the occurrence totals sum to at
+most n!/2 (`occurrence_total` bounds the containers; the first-moment
+bound), keying the words of a fixed-site pattern's blocks, which are
+disjoint (`permlab.generate.blocks`), and walking the containers of any
+other. Any other count-only request walks its side whole; if that holds
+more than n!/2 words they are dropped and the other side is keyed (walked
+first, for containment), so it never keys more than n!/2 of its own words.
 
 A survey asks this of hundreds of patterns at once. It first reduces them
 to one row per symmetry orbit on integer codes (`PatternCodes`, one per
@@ -55,17 +43,9 @@ every class is seen whole. A row's reference rows are read from an index of
 their values (`match_tables`), once per distinct count sequence.
 
 Plain avoidance and containment (no relation) need no keys. Without
-members they are counted by the same walk in its count mode, which adds the
-number of completions of each kept prefix and builds no word; with members
-the words come from `avoid_all` or `match_all`. Avoiders of patterns such
-as 231, 321, 132 and 213;y=1, whose kernels read only the set of unplaced
-values and have no deciding value, are counted once per such set: the set
-alone fixes how many completions of a prefix are kept. Avoiders of other
-classical patterns, such as 2413, are counted once per label of unplaced
-count and partial occurrences. The avoiders of one fixed-site pattern are
-n! less its occurrence total, with no walk. Containers of one pattern are
-counted as n! less its avoiders, and those of several classical patterns
-by inclusion-exclusion over avoider counts (see `permlab.generate`).
+members they are counted by `permlab.generate.count`, which builds no word
+(see there for its walks); with members the words come from `avoid_all`
+or `match_all`.
 """
 
 from __future__ import annotations
@@ -163,31 +143,28 @@ def _closed_result(avoid: bool, pats, relation: Relation | str, n: int, want_mem
                    budget: int | None) -> EnumerationResult:
     """The classes all of whose members avoid (or, for `avoid` false,
     contain) every pattern. With members, the requested side is walked and
-    closed. Without, the other side is keyed instead when the patterns'
-    occurrence totals sum to at most n!/2 (avoidance only) or the requested
-    side holds more than n!/2 words. Each pattern's part of the other side
-    is keyed by its blocks where no walk is needed, and walked otherwise
-    (see the module docstring)."""
+    closed; without, the other side may be keyed instead, by the rules of
+    the module docstring."""
     rel = _as_relation(relation)
     pats = tuple(pats)
     check_budget(n, budget)
     total = math.factorial(n)
     walk, other = (avoiders, containers) if avoid else (containers, avoiders)
-    few_containers = (avoid and not want_members
-                      and 2 * sum(occurrence_total(pat, n) for pat in pats) <= total)
-    kept = None if few_containers else walk(pats, n)
+    at_once = avoid and not want_members and (
+        rel.container_keys or 2 * sum(occurrence_total(pat, n) for pat in pats) <= total)
+    kept = None if at_once else walk(pats, n)
     if kept is not None and not want_members and 2 * len(kept) > total:
         kept = None  # the other side is the smaller: drop these words, key it
     if kept is not None:
         count, class_count, members = _class_closed(kept, rel, want_members)
     else:
-        block_keys = rel.block_keys or (
-            lambda positions, letters, n: map(rel.key, block_words(positions, letters, n)))
         touched = set()
         for pat in pats:
-            if avoid and (rel.block_keys or fixed_site(pat)):
-                for positions, letters in blocks(pat, n):
-                    touched.update(block_keys(positions, letters, n))
+            if avoid and rel.container_keys:
+                touched.update(rel.container_keys(pat, n))
+            elif avoid and fixed_site(pat):
+                for block in blocks(pat, n):
+                    touched.update(map(rel.key, block_words(*block, n)))
             else:
                 touched.update(map(rel.key, other([pat], n)))
         count = total - sum(rel.class_size(n, k) for k in touched)
@@ -374,19 +351,12 @@ def _codes(length: int) -> PatternCodes:
 def survey(relation: Relation | str, length: int, *, n_range=range(1, 6),
            merge_shift: bool = False, budget: int | None = None) -> SurveyResult:
     """Class-closed avoidance counts for all patterns of one length, one row
-    per symmetry orbit of the relation.
-
-    `length` must lie in 0..SURVEY_MAX_LENGTH; a longer one raises
-    ValueError before any table is built.
-
-    Rows are reduced on integer codes (`PatternCodes`, built once per length
-    and process and shared by every survey). `rel.symmetries` form a group,
-    so a code's orbit is the set of its images under them, and
-    `PatternCodes.least` gives every code the least code of its orbit from
-    the symmetries' tables on p and on the pair (X, Y); counting those gives
-    the orbit sizes. A row is named by its least code, which is its least
-    pattern by `_pat_key`. A `BivincularPattern` is built only for each
-    row's name.
+    per symmetry orbit of the relation, read off one pass over S_n per
+    degree (see the module docstring). The orbits are found on integer codes
+    (`PatternCodes.least` over `rel.symmetries`, which form a group), and a
+    row is named by its least code, which is its least pattern by
+    `_pat_key`. `length` must lie in 0..SURVEY_MAX_LENGTH; a longer one
+    raises ValueError before any table is built.
 
     `merge_shift` additionally merges the orbits that the shift map links,
     following it from each orbit's least pattern while the rank lies in Y;
@@ -394,14 +364,6 @@ def survey(relation: Relation | str, length: int, *, n_range=range(1, 6),
     closed under the value shift, so only there does the shift preserve
     class-closed counts, and any other relation raises ValueError. A row's
     `orbit_size` counts the patterns it covers.
-
-    Each degree is one pass over S_n that tests every row's pattern at once
-    (`signature_masks`, reading a table of the rows' (X bits, Y bits, row
-    bit) built once per survey) and keys each word once by `rel.key`. Each
-    class then adds the mask of the rows it avoids, times its size, into
-    binary counter planes, from which each row's count is read out once.
-    A row's reference rows are looked up once per distinct count sequence
-    (`match_tables`).
     """
     rel = _as_relation(relation)
     if merge_shift and rel.name != "toric":

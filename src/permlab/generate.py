@@ -97,19 +97,15 @@ are those avoiding none. For one pattern that is n! less its avoider
 count, which takes the same walk. A container count of several patterns
 of which one is not classical walks prefixes.
 
-`blocks` gives a pattern's sites, a choice of positions that X admits and
-values that Y admits, each as a block: the letters p places there and
-their positions, standing for the words that hold them there
-(`block_words`, the other n - k letters in every order). A word lies in
-one block per occurrence of the pattern in it. A pattern of length k is
-fixed-site (`fixed_site`) when |X| >= k or |Y| >= k: its anchors leave at
-most one gap free, so every occurrence uses the same positions, or the
-same values, and a word holds at most one. Its blocks are then disjoint
-and their words are exactly its containers, each once, and `count` gives
-their number, `occurrence_total`, and n! less it for the avoiders,
-without a walk. Class closure (`permlab.census`) keys blocks in place of
-a container walk wherever no walk is needed: every pattern's under
-conjugacy and order, a fixed-site pattern's under the other relations.
+A pattern's sites are the positions X admits and values Y admits; `blocks`
+gives each with the letters p places there, standing for the words that
+hold them (`block_words`). A word lies in one block per occurrence in it.
+A fixed-site pattern (`fixed_site`) occurs at most once per word, so its
+blocks are disjoint, and `count` reads its avoiders as n! less
+`occurrence_total`. Class closure (`permlab.census`) keys the words of its
+blocks in place of a container walk under Knuth, toric and descent; under
+conjugacy and order it keys every pattern's containers from the shapes of
+its sites (`cover_shapes`, read by `permlab.relations`).
 """
 
 from __future__ import annotations
@@ -121,7 +117,7 @@ from math import factorial
 from operator import add, itemgetter
 from typing import Iterable, Iterator
 
-from .core import Word
+from .core import Word, open_paths
 from .pattern import (BivincularPattern, _check, _empty_pattern_occurs, _members, _reads_rest_only,
                       _tail, occurrence_total)
 
@@ -160,8 +156,9 @@ def containers(pats: Iterable[BivincularPattern], n: int) -> list[Word]:
 
 
 def fixed_site(pat: BivincularPattern) -> bool:
-    """Whether `pat`, of length k, has |X| >= k or |Y| >= k, so that a word
-    holds at most one occurrence (see the module docstring)."""
+    """Whether `pat`, of length k, has |X| >= k or |Y| >= k: its anchors
+    leave at most one gap free, so all its occurrences use the same
+    positions, or the same values, and a word holds at most one."""
     return len(pat.x) >= pat.k or len(pat.y) >= pat.k
 
 
@@ -202,9 +199,47 @@ def _sites(adjacent: frozenset[int], k: int, n: int) -> Iterator[tuple[int, ...]
             yield (*range(1, g + 1), *range(n - k + g + 1, n + 1))
         return
     for site in combinations(range(1, n + 1), k):
-        ends = (0, *site, n + 1)
-        if all(ends[a + 1] == ends[a] + 1 for a in adjacent):
+        if _admits(adjacent, site, n):
             yield site
+
+
+def _admits(adjacent: frozenset[int], site, n: int) -> bool:
+    """Whether e_{a+1} = e_a + 1 for each a in `adjacent`, where e_1 < ... <
+    e_k is `site`, e_0 = 0 and e_{k+1} = n + 1."""
+    ends = (0, *site, n + 1)
+    return all(ends[a + 1] == ends[a] + 1 for a in adjacent)
+
+
+@lru_cache(maxsize=None)
+def cover_shapes(pat: BivincularPattern, m: int) -> tuple[tuple[tuple[Word, Word], bool], ...]:
+    """The shapes of the sites of `pat` in S_m whose positions and values
+    cover 1..m, for k <= m <= 2k, each paired with whether it grows. A shape
+    is the closed cycles and open paths (`open_paths`) of the positions
+    sent to the values p places there. A site of any degree becomes one of
+    these when the letters it leaves out, paths of one node, are dropped:
+    anchors only force gaps empty. Its values are the m - k letters outside
+    its positions and 2k - m of these. It grows when a letter fits between
+    t and t + 1 for some t in 0..m, in a free gap of the positions and of
+    the values: then its shape recurs at each degree n > m with n - m paths
+    of one node added. A shape's sites are read only until one grows.
+
+    >>> from permlab.pattern import pattern
+    >>> [dict(cover_shapes(pattern((2, 1), x=[1], y=[0, 2]), m)) for m in (2, 3, 4)]
+    [{((2,), ()): False}, {((), (3,)): True}, {((), (2, 2)): True}]
+    """
+    k, by_x = pat.k, len(pat.x) >= len(pat.y)  # the more anchored side leaves fewer sites
+    shapes: dict[tuple[Word, Word], bool] = {}
+    for site in _sites(pat.x if by_x else pat.y, k, m):
+        outside = [v for v in range(1, m + 1) if v not in site]
+        for inside in combinations(site, 2 * k - m):
+            other = sorted((*outside, *inside))
+            if _admits(pat.y if by_x else pat.x, other, m):
+                positions, values = (site, other) if by_x else (other, site)
+                shape = open_paths(positions, [values[i - 1] for i in pat.p], m)
+                if not shapes.get(shape):
+                    shapes[shape] = any(bisect(positions, t) not in pat.x
+                                        and bisect(values, t) not in pat.y for t in range(m + 1))
+    return tuple(shapes.items())
 
 
 def block_words(positions: tuple[int, ...], letters: tuple[int, ...], n: int) -> Iterator[Word]:
@@ -230,16 +265,8 @@ def block_words(positions: tuple[int, ...], letters: tuple[int, ...], n: int) ->
 def count(avoid: bool, pats: Iterable[BivincularPattern], n: int) -> int:
     """The number of permutations of 1..n avoiding (or, for `avoid` false,
     containing) every pattern: the length of `avoiders(pats, n)` (or of
-    `containers(pats, n)`), found without building a word. Avoiders are
-    counted by the first walk that applies (see the module docstring):
-    over the sets of unplaced values when every kernel reads only those and
-    no pattern has a deciding value; over the labels (r, threats) when
-    every pattern is classical; otherwise by the prefix walk in its count
-    mode. Containers of one pattern, or of several classical ones, are
-    counted by inclusion-exclusion over avoider counts (n! less the
-    avoiders, for one pattern); those of other sets by the prefix walk.
-    One fixed-site pattern occurs at most once per word, so its avoiders
-    are n! less `occurrence_total`.
+    `containers(pats, n)`), found without building a word by the first
+    route of the module docstring that applies.
 
     >>> from permlab.pattern import pattern
     >>> count(True, [pattern((2, 3, 1))], 9), count(False, [pattern((2, 3, 1))], 9)

@@ -11,13 +11,12 @@ class-avoider counts are invariant under them). The sizes are n!/z_lam, its
 sums over a fixed lcm, f^lam, the least period, in fields, of a packed toric
 step cycle and beta_n(S). `census` memoises each histogram per degree.
 
-Conjugacy and order also key a block, the words of S_n holding given
-letters at given positions, without building its words: the placed
-letters form a partial injection (`open_paths`), each completion joins its
-open paths into cycles by a permutation of the paths, so the cycle types
-of the block are its closed cycles with each coarsening of the path
-lengths (`_coarsenings`, memoised per length tuple), and its orders their
-lcms.
+Conjugacy and order also key the containers of a pattern without a word
+(`container_keys`). The letters p places at a site leave closed cycles and
+open paths (`open_paths`) that each completion joins into cycles, so the
+cycle types there are the closed cycles with each coarsening of the path
+lengths (`_coarsenings`, memoised per length tuple), and the orders their
+lcms. Only the shape of the site matters (`permlab.generate.cover_shapes`).
 """
 
 from __future__ import annotations
@@ -30,8 +29,9 @@ from itertools import combinations, product
 from typing import Callable, Hashable, Mapping, Sequence
 
 from .arith import steggall_census
-from .core import Word, cycle_type, descent_set, open_paths, order
+from .core import Word, cycle_type, descent_set, order
 from .errors import BudgetExceeded, InternalCheckError
+from .generate import cover_shapes
 from .pattern import BivincularPattern, shift_orbit
 from .records import FrozenRecord
 from .tableau import Shape, count_syt, insertion_tableau, knuth_class, partitions, shape_of
@@ -78,25 +78,25 @@ class Relation(FrozenRecord):
     `sizes(n)` {size: classes} of S_n, whether its census is `bounded` by the
     degree budget, and the r/c/i compositions compatible with it. Class
     closure tallies keys against these sizes. `pattern_class` is set for the
-    relations that also act on patterns (Knuth and toric). `block_keys` is
-    set for the relations whose keys a block gives without its words
-    (conjugacy and order): `block_keys(positions, letters, n)` is the set of
-    keys of the words of S_n holding letters[s] at positions[s] for each s.
+    relations that also act on patterns (Knuth and toric). `container_keys`
+    is set for the relations that key a pattern's containers without their
+    words (conjugacy and order): `container_keys(pat, n)` is the set of keys
+    of the words of S_n containing pat.
 
     Immutable and hashable: relations with equal fields are equal, and
     assigning to a field raises AttributeError.
     """
 
     __slots__ = ("name", "key", "symmetries", "class_size", "sizes", "bounded", "pattern_class",
-                 "block_keys")
+                 "container_keys")
 
     def __init__(self, name: str, key: Callable[[Word], Hashable], symmetries: tuple[str, ...],
                  class_size: Callable[[int, Hashable], int], sizes: Callable[[int], Mapping[int, int]],
                  bounded: bool,
                  pattern_class: Callable[[BivincularPattern], frozenset[BivincularPattern]] | None = None,
-                 block_keys: Callable[[Word, Word, int], frozenset] | None = None,
+                 container_keys: Callable[[BivincularPattern, int], frozenset] | None = None,
                  ) -> None:
-        self._freeze(name, key, symmetries, class_size, sizes, bounded, pattern_class, block_keys)
+        self._freeze(name, key, symmetries, class_size, sizes, bounded, pattern_class, container_keys)
 
 
 class ClassCensus:
@@ -171,6 +171,17 @@ def _path_cycle_types(closed: Word, paths: Word) -> frozenset[Word]:
 @functools.cache
 def _path_orders(closed: Word, paths: Word) -> frozenset[int]:
     return frozenset(math.lcm(*lam) for lam in _path_cycle_types(closed, paths))
+
+
+def _container_keys(path_keys: Callable[[Word, Word], frozenset], pat: BivincularPattern,
+                    n: int) -> frozenset:
+    """The keys, by `path_keys` of a shape's closed cycles and paths, of the
+    words of S_n containing pat: those of each shape at degree m = n, and
+    of each shape at m < n that grows, with n - m paths of one node added."""
+    return frozenset().union(*(path_keys(closed, paths + (1,) * (n - m))
+                               for m in range(pat.k, min(n, 2 * pat.k) + 1)
+                               for (closed, paths), grows in cover_shapes(pat, m)
+                               if grows or m == n))
 
 
 @functools.cache
@@ -288,7 +299,7 @@ CONJUGACY = Relation(
     # One class per partition lam of n.
     sizes=lambda n: Counter(_cycle_index_size(n, lam) for lam in partitions(n)),
     bounded=False,
-    block_keys=lambda positions, letters, n: _path_cycle_types(*open_paths(positions, letters, n)),
+    container_keys=functools.partial(_container_keys, _path_cycle_types),
 )
 
 ORDER = Relation(
@@ -298,7 +309,7 @@ ORDER = Relation(
     class_size=lambda n, m: _order_table(n)[m],
     sizes=lambda n: Counter(_order_table(n).values()),
     bounded=False,
-    block_keys=lambda positions, letters, n: _path_orders(*open_paths(positions, letters, n)),
+    container_keys=functools.partial(_container_keys, _path_orders),
 )
 
 KNUTH = Relation(

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import permlab
 import permlab.census as census_module
+import permlab.cli
 from conftest import (PERMS_BY_N, all_patterns, apply_symmetry, construction_mask,
                       occurrence_mask, scan_avoiders, scan_matchers, words_of)
 from permlab.catalog import CATALOG, KNUTH_MATCHING_PATTERN, SEQUENCE_TABLES
@@ -661,19 +662,19 @@ class TestPlacements:
 
 
 class TestBlockKeys:
-    """Under conjugacy and order, a count-only call keys each block of a
-    pattern (`generate.blocks`) by `Relation.block_keys`. The keys of all
-    its blocks must be those of the oracle's containers, read word by word
-    by `cycle_type` and `order`. A fixed-site pattern's blocks are
-    disjoint; those of any other pattern may overlap."""
+    """Under conjugacy and order, a count-only class-avoid call keys the
+    containers of each pattern by `Relation.container_keys`, read from the
+    shapes of the pattern's sites (`generate.cover_shapes`) without a word.
+    Those keys must be the keys of the oracle's containers, read word by
+    word by `cycle_type` and `order`: off the conftest signature table up to
+    n = 7 and length 4, and off `construction_mask` beyond it."""
 
     KEYS = {"conjugacy": cycle_type, "order": order}
 
-    def _check(self, rel, pat, n):
-        got = set()
-        for positions, letters in generate.blocks(pat, n):
-            got.update(RELATIONS[rel].block_keys(positions, letters, n))
-        assert got == set(map(self.KEYS[rel], scan_matchers([pat], n))), (rel, str(pat), n)
+    def _check(self, rel, pat, n, words=None):
+        got = RELATIONS[rel].container_keys(pat, n)
+        words = scan_matchers([pat], n) if words is None else words
+        assert got == set(map(self.KEYS[rel], words)), (rel, str(pat), n)
 
     @pytest.mark.parametrize("rel", ["conjugacy", "order"])
     def test_every_short_fixed_site_pattern(self, rel):
@@ -690,6 +691,27 @@ class TestBlockKeys:
         for pat in pats:
             for n in range(7):
                 self._check(rel, pat, n)
+
+    @pytest.mark.parametrize("rel", ["conjugacy", "order"])
+    def test_seeded_length_four(self, rel):
+        # Sites of length 4 cover m = 4..8 letters, so n = 8 is the first
+        # degree that reads the shapes of every m; every fifth pattern runs
+        # there, against the construction oracle.
+        pats = random.Random(38).sample(list(all_patterns(4)), 60)
+        for i, pat in enumerate(pats):
+            for n in range(8 if i % 5 else 9):
+                self._check(rel, pat, n)
+
+    @pytest.mark.parametrize("rel", ["conjugacy", "order"])
+    def test_12345(self, rel):
+        for n in range(8):
+            self._check(rel, pattern((1, 2, 3, 4, 5)), n)
+
+    def test_1234_at_nine(self):
+        pat = pattern((1, 2, 3, 4))
+        words = scan_matchers([pat], 9)
+        for rel in self.KEYS:
+            self._check(rel, pat, 9, words)
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_catalog_rows(self, n):
@@ -761,6 +783,9 @@ class TestContainerCountsByInclusionExclusion:
 
 
 RELATION_NAMES = ("conjugacy", "order", "knuth", "toric", "descent")
+#: The relations with `container_keys`: a count-only class-avoid call keys
+#: its patterns' containers at once, and walks neither side.
+CONTAINER_KEYED = ("conjugacy", "order")
 
 
 @contextmanager
@@ -768,10 +793,12 @@ def _sides_walked():
     """Record, for each count-only class-closed call, the path it took: the
     walk of its requested side and the side it closed ("kept" when it keyed
     that walk's words, "other" when it dropped them and keyed the other
-    side), or "bound" when it made no walk of its requested side, because
-    the occurrence bound sent it to the other side at once. There it keys
-    the blocks of a pattern where no walk is needed (TestFixedSiteRoute),
-    and the container walk of any other pattern."""
+    side), or "at once" when it made no walk of its requested side and
+    keyed the other side at once: under conjugacy and order every
+    class-avoid call does so by `container_keys`, and under the other
+    relations one whose occurrence bound holds, keying the blocks of a
+    fixed-site pattern and walking the containers of any other
+    (TestFixedSiteRoute)."""
     sides: list = []
     walked: list = []
     closed: list = []
@@ -796,7 +823,7 @@ def _sides_walked():
             side = "avoiders" if avoid else "containers"
             if walked[:1] != [side]:
                 assert not closed
-                sides.append("bound")
+                sides.append("at once")
             else:
                 sides.append((side, "kept" if closed else "other"))
         return result
@@ -864,8 +891,9 @@ class TestClassClosedCountOnly:
     """Count-only class-closed calls read their counts from whichever side is
     smaller: when the occurrence bound proves the containers few, or when
     the requested side holds more than n!/2 words, they key the other side
-    and subtract from n! and the class total. They are compared with the
-    oracle classes, and every path must be taken."""
+    and subtract from n! and the class total. Under conjugacy and order a
+    class-avoid call always keys the containers, by `container_keys`. They
+    are compared with the oracle classes, and every path must be taken."""
 
     @pytest.mark.parametrize("rel", RELATION_NAMES)
     def test_all_length3_patterns(self, rel, avoid_masks, class_masks, monkeypatch):
@@ -880,29 +908,36 @@ class TestClassClosedCountOnly:
             return real(kept, relation, want_members)
 
         monkeypatch.setattr(census_module, "_class_closed", bounded)
+        routes = {class_avoiders: set(), class_matchers: set()}
         with _sides_walked() as sides:
             for fn, n, pat, want in _short_pattern_cells(rel, avoid_masks, class_masks):
                 case, before = (fn.__name__, n, str(pat)), len(sides)
                 assert _counts(fn([pat], rel, n)) == want[:2], case
                 assert len(sides) == before + 1, case
-                if sides[-1] == "bound":
+                routes[fn].add(sides[-1])
+                if sides[-1] == "at once" and rel not in CONTAINER_KEYED:
                     # The bound holds only where the oracle's containers are few.
                     containers = math.factorial(n) - avoid_masks[pat][n].bit_count()
                     assert 2 * containers <= math.factorial(n), case
-        assert set(sides) == {(walk, side) for walk in ("avoiders", "containers")
-                              for side in ("kept", "other")} | {"bound"}
+        walked = {(walk, side) for walk in ("avoiders", "containers") for side in ("kept", "other")}
+        if rel in CONTAINER_KEYED:
+            assert routes[class_avoiders] == {"at once"}
+            assert routes[class_matchers] == {("containers", "kept"), ("containers", "other")}
+        else:
+            assert routes[class_avoiders] | routes[class_matchers] == walked | {"at once"}
         assert len(keyed) > 100
 
     @pytest.mark.parametrize("rel", RELATION_NAMES)
     def test_bound_tie(self, rel, avoid_masks, class_masks):
         # 1;x=0;y=0 occurs once in S_2, in 12, so the bound holds with
         # equality and both sides hold n!/2 = 1 word: for avoidance the
-        # pattern's one block is keyed, and for containment the walk of
-        # exactly n!/2 containers is kept.
+        # containers are keyed at once (by the pattern's one block, or by
+        # its container keys under conjugacy and order), and for
+        # containment the walk of exactly n!/2 containers is kept.
         pat = pattern((1,), x=[0], y=[0])
         with _sides_walked() as sides:
             got = class_avoiders([pat], rel, 2), class_matchers([pat], rel, 2)
-        assert sides == ["bound", ("containers", "kept")]
+        assert sides == ["at once", ("containers", "kept")]
         avoid = avoid_masks[pat][2]
         for res, kept in zip(got, (avoid, 3 & ~avoid)):
             assert _counts(res) == _oracle_triple(_closed_classes(kept, class_masks(rel, 2)), 2)[:2]
@@ -976,21 +1011,20 @@ class TestClassClosedCountOnly:
 
 class TestFixedSiteRoute:
     """A count-only class-avoid call that reaches the other side keys a
-    pattern's containers by one of two routes. It keys the pattern's blocks
-    (`generate.blocks`) where no walk is needed: for every pattern under
-    conjugacy and order, whose `block_keys` key a whole block, and for a
-    fixed-site pattern under the other relations, whose blocks are disjoint
-    and are keyed word by word (`generate.block_words`). Otherwise it walks
-    the pattern's containers."""
-
-    BLOCK_KEYED = ("conjugacy", "order")
+    pattern's containers by one of three routes. Under conjugacy and order
+    it reads their keys from the pattern's site shapes
+    (`Relation.container_keys`), with no walk, no word and no `rel.key`.
+    Under the other relations it keys the blocks of a fixed-site pattern
+    (`generate.blocks`), which are disjoint, word by word
+    (`generate.block_words`), and walks the containers of any other."""
 
     @staticmethod
     def _record(monkeypatch, walks: bool) -> dict:
-        """The arguments of each call of `blocks`, of `block_words` and of
-        the container walk. For `walks` false a walk of either side fails
-        the test."""
-        calls: dict = {"blocks": [], "block_words": [], "containers": []}
+        """The arguments of each call of `blocks`, of `block_words`, of the
+        container walk and of `container_keys`. Under conjugacy and order a
+        call of `rel.key` fails the test, and so, for `walks` false, does a
+        walk of either side."""
+        calls: dict = {"blocks": [], "block_words": [], "containers": [], "container_keys": []}
 
         def recording(name, real):
             def recorded(*args):
@@ -998,20 +1032,26 @@ class TestFixedSiteRoute:
                 return real(*args)
             return recorded
 
-        def walk(*args):
+        def fail(*args):
             raise AssertionError(args)
 
-        for name in calls:
+        for name in ("blocks", "block_words", "containers"):
             monkeypatch.setattr(census_module, name, recording(name, getattr(census_module, name)))
+        for name in CONTAINER_KEYED:
+            rel = RELATIONS[name]
+            monkeypatch.setitem(RELATIONS, name, Relation(
+                rel.name, fail, rel.symmetries, rel.class_size, rel.sizes, rel.bounded,
+                rel.pattern_class, recording("container_keys", rel.container_keys)))
         if not walks:
-            monkeypatch.setattr(census_module, "avoiders", walk)
-            monkeypatch.setattr(census_module, "containers", walk)
+            monkeypatch.setattr(census_module, "avoiders", fail)
+            monkeypatch.setattr(census_module, "containers", fail)
         return calls
 
     @pytest.mark.parametrize("rel", RELATION_NAMES)
     def test_placements_keyed_without_a_walk(self, rel, monkeypatch):
         # A fixed-site pattern whose occurrence bound holds makes no walk
-        # under any relation and keys its blocks.
+        # under any relation. Under conjugacy and order it reads its
+        # container keys, and under the others it keys its blocks.
         rng = random.Random(rel)
         pats = rng.sample(_fixed_site(2), 10) + rng.sample(_fixed_site(3), 20)
         pats += rng.sample(_fixed_site(4), 20)
@@ -1022,49 +1062,126 @@ class TestFixedSiteRoute:
         calls = self._record(monkeypatch, walks=False)
         got = [_counts(class_avoiders([pat], rel, n)) for pat, n in cases]
         assert got == want
-        assert calls["blocks"] == cases
-        assert (calls["block_words"] == []) == (rel in self.BLOCK_KEYED)
+        if rel in CONTAINER_KEYED:
+            assert calls["container_keys"] == cases
+            assert not calls["blocks"] and not calls["block_words"]
+        else:
+            assert calls["blocks"] == cases and calls["block_words"]
+            assert not calls["container_keys"]
 
     def test_other_patterns_walk_their_containers(self, monkeypatch):
         # These patterns are not fixed-site: their positions and their values
         # both vary. Each occurs 600 or 1,800 <= 7!/2 times in S_7, so the
         # occurrence bound sends every call to the other side at once. Under
-        # conjugacy and order it keys their blocks, which may overlap, and
-        # walks nothing; under the other relations it walks the containers
-        # once.
+        # conjugacy and order it reads their container keys and walks
+        # nothing; under the other relations it walks the containers once.
         texts = ["123;x=0,1;y=1,2", "123;x=0;y=0,1", "231;x=0,1;y=2,3", "132;x=0,1;y=1,2"]
         for pat, rel in product(map(parse_pattern, texts), RELATION_NAMES):
             assert not generate.fixed_site(pat) and occurrence_total(pat, 7) in (600, 1800)
             want = _counts(class_avoiders([pat], rel, 7, want_members=True))
-            keyed = rel in self.BLOCK_KEYED
+            keyed = rel in CONTAINER_KEYED
             with monkeypatch.context() as patched:
                 calls = self._record(patched, walks=not keyed)
                 assert _counts(class_avoiders([pat], rel, 7)) == want, (str(pat), rel)
-            assert not calls["block_words"], (str(pat), rel)
+            assert not calls["blocks"] and not calls["block_words"], (str(pat), rel)
             if keyed:
-                assert calls["blocks"] == [(pat, 7)] and not calls["containers"], (str(pat), rel)
+                assert calls["container_keys"] == [(pat, 7)] and not calls["containers"], (str(pat), rel)
             else:
-                assert calls["containers"] == [([pat], 7)] and not calls["blocks"], (str(pat), rel)
+                assert calls["containers"] == [([pat], 7)] and not calls["container_keys"], (str(pat), rel)
 
     @pytest.mark.parametrize("rel", RELATION_NAMES)
     def test_routes_of_short_patterns(self, rel, avoid_masks, class_masks, monkeypatch):
         # Every pattern of length 1-3 at n = 1..6, against the oracle. Under
-        # conjugacy and order no count-only class-avoid call walks
-        # containers, and patterns of both kinds key their blocks. Under the
-        # other relations only fixed-site patterns key their blocks, and
-        # only the others walk their containers.
-        calls = self._record(monkeypatch, walks=True)
+        # conjugacy and order every count-only class-avoid call reads its
+        # container keys and walks neither side. Under the other relations
+        # only fixed-site patterns key their blocks, and only the others
+        # walk their containers.
+        keyed = rel in CONTAINER_KEYED
+        calls = self._record(monkeypatch, walks=not keyed)
+        cases = []
         for n in range(1, 7):
             classes = class_masks(rel, n)
             for pat, per_n in avoid_masks.items():
                 want = _oracle_triple(_closed_classes(per_n[n], classes), n)[:2]
                 assert _counts(class_avoiders([pat], rel, n)) == want, (str(pat), n)
+                cases.append((pat, n))
         blocked = {generate.fixed_site(pat) for pat, _ in calls["blocks"]}
         walked = {generate.fixed_site(pat) for (pat,), _ in calls["containers"]}
-        if rel in self.BLOCK_KEYED:
-            assert blocked == {True, False} and not walked and not calls["block_words"]
+        if keyed:
+            assert calls["container_keys"] == cases
+            assert not blocked and not walked and not calls["block_words"]
         else:
             assert blocked == {True} and walked == {False} and calls["block_words"]
+            assert not calls["container_keys"]
+
+
+class TestContainerKeyRoute:
+    """A count-only class-avoid call under conjugacy and order makes no
+    walk, no first-moment test and no `rel.key` call, whatever n, and the
+    shapes of each (pattern, m) are built once per process."""
+
+    @pytest.mark.parametrize("rel", CONTAINER_KEYED)
+    def test_1234_at_nine(self, rel, monkeypatch):
+        # Every cycle type and order of S_9 is met by a container of 1234
+        # (TestBlockKeys::test_1234_at_nine), so no class avoids it.
+        def no_bound(*args):
+            raise AssertionError(args)
+
+        calls = TestFixedSiteRoute._record(monkeypatch, walks=False)
+        monkeypatch.setattr(census_module, "occurrence_total", no_bound)
+        pat = pattern((1, 2, 3, 4))
+        assert _counts(class_avoiders([pat], rel, 9)) == (0, 0)
+        assert calls["container_keys"] == [(pat, 9)] and not calls["blocks"]
+
+    def test_range_builds_each_shape_set_once(self, capsys):
+        # 1234 has sites covering m = 4..8 letters; both relations and all
+        # nine degrees share those five shape sets.
+        generate.cover_shapes.cache_clear()
+        for rel in CONTAINER_KEYED:
+            assert permlab.cli.main(["enumerate", "--mode", "class-avoid", "--relation", rel,
+                                     "--pattern", "1234", "--n", "1..9", "--emit", "json"]) == 0
+        assert '"count": 0' in capsys.readouterr().out
+        info = generate.cover_shapes.cache_info()
+        assert (info.misses, info.currsize) == (5, 5)
+        assert info.hits == 2 * sum(min(n, 8) - 3 for n in range(4, 10)) - 5
+
+
+class TestContainerKeyCounts:
+    """Count-only class-avoid calls under conjugacy and order against the
+    oracle classes of conftest: the classes lying wholly inside the words
+    that the signature table finds avoiding every pattern. Their counts
+    are compared with the oracle's, never with another route's."""
+
+    @staticmethod
+    def _want(pats, n, classes):
+        avoid = (1 << math.factorial(n)) - 1
+        for pat in pats:
+            avoid &= ~occurrence_mask(pat, n)
+        closed = _closed_classes(avoid, classes)
+        return sum(cls.bit_count() for cls in closed), len(closed)
+
+    @pytest.mark.parametrize("rel", CONTAINER_KEYED)
+    def test_every_short_pattern(self, rel, class_masks):
+        # Every pattern of length 0 to 3 at n = 0..7: 1,684 patterns.
+        pats = [pat for k in range(4) for pat in all_patterns(k)]
+        for n in range(8):
+            classes = class_masks(rel, n)
+            for pat in pats:
+                want = self._want([pat], n, classes)
+                assert _counts(class_avoiders([pat], rel, n)) == want, (str(pat), n)
+
+    @pytest.mark.parametrize("rel", CONTAINER_KEYED)
+    def test_pattern_sets(self, rel, class_masks):
+        # Sets of two or three patterns of length 0 to 4 at n = 0..7: the
+        # containers are the union of each pattern's.
+        rng = random.Random(rel)
+        pool = [pat for k in range(4) for pat in all_patterns(k)]
+        pool += rng.sample(list(all_patterns(4)), 200)
+        for _ in range(40):
+            pats = rng.sample(pool, rng.choice((2, 3)))
+            for n in range(8):
+                want = self._want(pats, n, class_masks(rel, n))
+                assert _counts(class_avoiders(pats, rel, n)) == want, ([str(p) for p in pats], n)
 
 
 class TestKnuthMatching:
@@ -1499,19 +1616,22 @@ class TestSequenceCheck:
             sequence_check("A999999")
 
     def test_pinned_conjugacy_rows_walk_neither_side(self, monkeypatch):
-        # Each row's pattern is pinned to position n or chained to an
-        # anchor, so its occurrences over S_n number (n - 1)! or (n - 1)!/2:
-        # at every degree the bound sends the call to the other side. Y
-        # fixes all its values, so the pattern is fixed-site and its
-        # blocks are keyed: neither its avoiders nor its containers are
-        # walked.
+        # A count-only class-avoid call under conjugacy or order keys the
+        # containers from the pattern's site shapes at every degree, so
+        # neither its avoiders nor its containers are walked: the four rows
+        # whose pattern is pinned to position n or chained to an anchor, and
+        # every other class-avoid row of those relations.
         def no_walk(pats, n):
             raise AssertionError(([str(p) for p in pats], n))
 
         monkeypatch.delenv("PERMLAB_BUDGET_N", raising=False)
         monkeypatch.setattr(census_module, "avoiders", no_walk)
         monkeypatch.setattr(census_module, "containers", no_walk)
-        for table_id in ("transpositions", "fpf-involutions", "id-3cycles", "id-2cycles-3cycles"):
+        rows = [entry.table for entry in CATALOG
+                if entry.mode == "class-avoid" and entry.relation in CONTAINER_KEYED]
+        assert {"transpositions", "fpf-involutions", "id-3cycles", "id-2cycles-3cycles",
+                "A000124"} < set(rows)
+        for table_id in rows:
             rep = sequence_check(table_id)
             assert rep.ok and sorted(rep.computed) == list(range(1, 10)), table_id
             assert not rep.skipped, table_id

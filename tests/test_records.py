@@ -74,10 +74,10 @@ class TestRelation:
         conj = RELATIONS["conjugacy"]
         bare = Relation(conj.name, conj.key, conj.symmetries, conj.class_size, conj.sizes,
                         conj.bounded)
-        assert bare.pattern_class is None and bare.block_keys is None
+        assert bare.pattern_class is None and bare.container_keys is None
         assert bare != conj
         rel = Relation(conj.name, conj.key, conj.symmetries, conj.class_size, conj.sizes,
-                       conj.bounded, block_keys=conj.block_keys)
+                       conj.bounded, container_keys=conj.container_keys)
         assert rel.pattern_class is None
         assert rel == conj and hash(rel) == hash(conj)
         same = Relation(name=conj.name, key=conj.key, symmetries=conj.symmetries,

@@ -617,6 +617,30 @@ class TestCountOverLabels:
         assert len(labelled) > 1 and all(memo is labelled[0] for memo in labelled)
         assert len(labelled[0]) == 144
 
+    @pytest.mark.parametrize("pats, n, labels, rows", [
+        (["2413"], 7, 65, 38),
+        (["2413"], 8, 144, 60),
+        (["2413"], 10, 709, 126),
+        (["1234"], 8, 245, 50),
+        (["2413", "3142"], 8, 186, 120),
+        (["12345"], 9, 889, 80),
+    ])
+    def test_walk_shape(self, labelled, monkeypatch, pats, n, labels, rows):
+        # The labels memoised and the move rows computed are pinned: however
+        # a label is stored, the walk meets these labels, and it computes
+        # the row of each (r, threat) it expands once.
+        moved = []
+
+        def record(*args, expand=generate._threat_moves):
+            moved.append(args[1:3])
+            return expand(*args)
+
+        monkeypatch.setattr(generate, "_threat_moves", record)
+        generate.count(True, [parse_pattern(text) for text in pats], n)
+        assert labelled and all(memo is labelled[0] for memo in labelled)
+        assert (len(labelled[0]), len(moved)) == (labels, rows)
+        assert len(set(moved)) == rows
+
     @pytest.mark.parametrize("pats, want", [
         (["2413"], 555662),          # A022558
         (["1342"], 555662),          # A022558

@@ -60,8 +60,8 @@ adds (n - m)! times the number of children its kernels keep.
 
 A count of avoiders takes the first of three walks that applies. The first
 two walk labels instead of prefixes, so that two prefixes with equal labels
-share one memo entry: a dict that lives for one `count` call maps each
-label met to its number of kept completions.
+share one entry of a memo that lives for one `count` call and maps each
+label met, as a bitmask, to its number of kept completions.
 
 - The set walk, `_count_unplaced`, for patterns without a deciding value
   whose kernels read only m, n+1 and `rest` (no step is pinned to a
@@ -73,21 +73,16 @@ label met to its number of kept completions.
   expands are those of the prefixes the prefix walk enters.
 - The label walk, `_count_labels`, for classical patterns (X = Y = {}) of
   which at least one is not counted by the set walk, such as 2413 and
-  1234. Its label is (r, threats): r is the number of unplaced values, and
-  a threat is an occurrence in the prefix of the first j slots of a
-  pattern, recorded only by the gap indices of its matched values (a gap
-  index is the number of unplaced values below that value), and only of
-  the slots that are the nearest lower or upper rank neighbour of some
-  unmatched slot. This is exact: an occurrence splits into a part inside
-  the prefix and a part entirely in later letters, and the two parts
-  compare only through those gap indices, as in the enumeration schemes
-  of Zeilberger (Ann. Comb. 2, 1998) and Vatter (CPC 17, 2008). Placing
-  the unplaced value of rank rho extends each threat whose next slot's
-  window of gap indices holds rho, lowers the gap indices above rho, and
-  drops each threat left with an empty window or with more slots to fill
-  than values; the child is dead when an occurrence ends there, or when a
-  threat short of only the last slot still leaves it a window, the gap
-  test above. No kernel runs.
+  1234. Its label is r, the number of unplaced values, and the threats:
+  the partial occurrences that can still grow, each recorded only by the
+  gap indices (the number of unplaced values below) of the matched values
+  that are the nearest rank neighbours of an unmatched slot (`_Threats`).
+  This is exact, as in the enumeration schemes of Zeilberger and of Vatter
+  (CPC 17, 2008): an occurrence splits into a part in the prefix and one
+  in later letters, which compare only through those gap indices. Each
+  threat met at each r is one bit, so a label is one bitmask, and a
+  child's label is the OR of its threats' moves (`_threat_moves`), -1 when
+  the child is dead. No kernel runs.
 - Otherwise the prefix walk, `_grow_avoiders` or `_grow_open`.
 
 A container count of one pattern, or of several classical patterns, is
@@ -112,10 +107,10 @@ from __future__ import annotations
 
 from bisect import bisect
 from functools import lru_cache
-from itertools import chain, combinations, permutations, repeat
+from itertools import combinations, permutations, repeat
 from math import factorial
-from operator import add, itemgetter
-from typing import Iterable, Iterator
+from operator import add, itemgetter, or_
+from typing import Iterable, Iterator, Sequence
 
 from .core import Word, open_paths
 from .pattern import (BivincularPattern, _check, _empty_pattern_occurs, _members, _reads_rest_only,
@@ -288,9 +283,9 @@ def count(avoid: bool, pats: Iterable[BivincularPattern], n: int) -> int:
         return factorial(n) - occurrence_total(pats[0], n)
     by_rest = all(_reads_rest_only(_tail(pat)) for pat in pats if pat.k)
     if avoid and not by_rest and all(pat.k and not pat.x and not pat.y for pat in pats):
-        states, roots = _label_states([pat.p for pat in pats])
-        start = frozenset(root for root, pat in zip(roots, pats) if pat.k <= n)
-        return _count_labels(states, n, start, {}, {})
+        threats = _Threats([pat.p for pat in pats])
+        start = sum(threats[root, 0, n] for root, pat in zip(threats.roots, pats) if pat.k <= n)
+        return _count_labels(threats, n, start, {})
     checks = _checks(avoid, pats, n)
     if checks is None:
         return 0
@@ -396,106 +391,120 @@ def _count_unplaced(live_at, horizon: int, top: int, rest: int, memo: dict) -> i
     return total
 
 
-def _label_states(perms: list[Word]) -> tuple[list[tuple], list[tuple[int]]]:
-    """The states of the threats of `_count_labels`, and each pattern's
-    root, the threat (sid,) of no slot matched. A state sid is a pattern p
-    of length k with its first j < k slots matched, and a threat in it is
-    (sid, *gaps): the gap indices of the matched slots whose ranks are the
-    nearest lower or upper rank neighbour of an unmatched slot, by
-    increasing rank. The gaps are read padded as [0, *gaps, r], so that an
-    unmatched slot whose rank lies above i of those ranks may take the
-    unplaced values of ranks padded[i] <= rho < padded[i+1]: its window i.
+class _Threats(dict):
+    """The threat automaton of some classical patterns, and the threats one
+    label walk (`_count_labels`) meets: the i-th, `met[i]`, maps to 1 << i,
+    and `rows[i]` is its move row, None until a label holding it is expanded.
 
-    A state is (next, need, windows, longer, recipe): the window of the
-    next slot, p[j]; need = k - j, the slots left to fill; the windows of
-    all unmatched slots; the state with one slot more matched, or None when
-    the next slot is the last; and, for that state, the indices of its
-    padded gaps in this state's padded gaps followed by the new value."""
-    states: list[tuple] = []
-    roots = []
-    for p in perms:
-        k, base = len(p), len(states)
-        roots.append((base,))
-        kept = []
-        for j in range(k):
-            matched = sorted(p[:j])
-            near: set[int] = set()
-            for u in p[j:]:
-                i = bisect(matched, u)
-                near.update(matched[max(i - 1, 0):i + 1])
-            kept.append(sorted(near))
-        for j in range(k):
-            windows = [bisect(kept[j], u) for u in p[j:]]
-            longer = recipe = None
-            if j + 1 < k:
-                longer, fresh = base + j + 1, len(kept[j]) + 2
-                recipe = (0, *[kept[j].index(a) + 1 if a != p[j] else fresh for a in kept[j + 1]],
-                          fresh - 1)
-            states.append((windows[0], k - j, tuple(sorted(set(windows))), longer, recipe))
-    return states, roots
+    A state sid is a pattern p of length k with its first j < k slots
+    matched. A threat in it, at r unplaced values, is (sid, *padded) with
+    padded = (0, *gaps, r): the gap indices of the matched values that are
+    the nearest lower or upper rank neighbour of an unmatched slot, by
+    increasing rank. An unmatched slot whose rank lies above i of those
+    ranks has window i, the unplaced values of ranks padded[i] <= rho <
+    padded[i+1]. `states[sid]` is (next, need, windows, longer, recipe):
+    the window of p[j]; need = k - j; the windows of all unmatched slots;
+    the state with one slot more matched, or None when p[j] is the last;
+    and the getter of that state's padded gaps from this one's followed by
+    the new value. `roots` holds each pattern's state of no slot matched."""
+
+    def __init__(self, perms: list[Word]) -> None:
+        super().__init__()
+        self.states, self.roots, self.met, self.rows = [], [], [], []
+        for p in perms:
+            k, base = len(p), len(self.states)
+            self.roots.append(base)
+            # A matched value is the nearest lower (upper) neighbour of an
+            # unmatched one exactly when the value above (below) it is unmatched.
+            kept = [sorted(a for a in p[:j] if {a - 1, a + 1} & set(p[j:])) for j in range(k)]
+            for j in range(k):
+                windows = [bisect(kept[j], u) for u in p[j:]]
+                longer = recipe = None
+                if j + 1 < k:
+                    longer, fresh = base + j + 1, len(kept[j]) + 2
+                    recipe = itemgetter(0, *[kept[j].index(a) + 1 if a != p[j] else fresh
+                                             for a in kept[j + 1]], fresh - 1)
+                self.states.append((windows[0], k - j, tuple(sorted(set(windows))), longer, recipe))
+
+    def __missing__(self, key: tuple) -> int:
+        bit = self[key] = 1 << len(self.met)
+        self.met.append(key)
+        self.rows.append(None)
+        return bit
 
 
-def _count_labels(states: list[tuple], r: int, threats: frozenset, memo: dict, moves: dict) -> int:
-    """The number of completions kept below a prefix whose label is
-    (r, threats): r unplaced values and the threats of `_label_states` in
-    it. Each label met is expanded once and its number stored in `memo`;
-    each threat's children at each r are found once and stored in
-    `moves`. A label without threats has r! completions, and at r = 0 no
-    threat is left."""
-    if not threats:
+def _count_labels(threats: _Threats, r: int, label: int, memo: dict) -> int:
+    """The number of completions kept below a prefix with r unplaced values
+    and the threats whose bits make up `label`. Each label met is expanded
+    once and its number stored in `memo`, keyed by its bitmask; each of its
+    threats' move rows is computed once. A label without threats has r!
+    completions, and at r = 0 no threat is left."""
+    if not label:
         return factorial(r)
-    rows = []
-    for threat in threats:
-        row = moves.get((r, threat))
+    kids, rest = None, label
+    while rest:
+        i = rest.bit_length() - 1
+        rest ^= 1 << i
+        row = threats.rows[i]
         if row is None:
-            row = moves[r, threat] = _threat_moves(states, r, threat)
-        rows.append(row)
+            threat = threats.met[i]
+            row = threats.rows[i] = _threat_moves(threats, threat[-1], threat)
+        kids = row if kids is None else map(or_, kids, row)
     total = 0
-    for kids in zip(*rows):
-        if None in kids:
-            continue
-        label = (r - 1, frozenset(chain.from_iterable(kids)))
-        total += memo[label] if label in memo else _count_labels(states, r - 1, label[1], memo, moves)
-    memo[r, threats] = total
+    for child in kids:
+        if child > 0:
+            got = memo.get(child)
+            total += _count_labels(threats, r - 1, child, memo) if got is None else got
+        elif not child:
+            total += factorial(r - 1)
+    memo[label] = total
     return total
 
 
-def _threat_moves(states: list[tuple], r: int, threat: tuple) -> list[list[tuple] | None]:
-    """For each rank rho < r of the value placed next, the threats that
-    `threat` leaves in the child, or None when the child is dead: an
-    occurrence ends at it, or a threat short of only its last slot leaves
-    that slot a window. The threat itself stays, with the gap indices above
-    rho lowered, while no window of its unmatched slots is empty and it has
-    no more slots left to fill than values; it grows a slot when its next
-    slot's window holds rho."""
+def _threat_moves(threats: _Threats, r: int, threat: tuple) -> tuple[int, ...]:
+    """For each rank rho < r of the value placed next, the OR of the bits of
+    the threats that `threat` leaves in the child, or -1, which stays -1
+    when ORed, if the child is dead: an occurrence ends at it, or a threat
+    short of only its last slot leaves that slot a window. The threat
+    stays, with the gap indices above rho lowered, while no window of its
+    unmatched slots is empty and it has no more slots to fill than values;
+    it grows a slot when its next slot's window holds rho. Between two
+    neighbouring gap values the same gaps are lowered, so the threat that
+    stays is found once there."""
     sid = threat[0]
-    window, need, windows, longer, recipe = states[sid]
-    gaps = [0, *threat[1:], r]
+    window, need, windows, longer, recipe = threats.states[sid]
+    gaps = threat[1:]
     low, high = gaps[window], gaps[window + 1]
-    out: list[list[tuple] | None] = []
-    for rho in range(r):
-        shifted = [g - (g > rho) for g in gaps]
-        kids = [(sid, *shifted[1:-1])] if need < r and _open(shifted, windows) else []
-        if low <= rho < high:
-            if longer is None:
-                out.append(None)
-                continue
-            shifted.append(rho)
-            grown = [shifted[i] for i in recipe]
-            longer_need, longer_windows = states[longer][1:3]
-            if _open(grown, longer_windows):
-                if longer_need == 1:
-                    out.append(None)
-                    continue
-                if longer_need < r:
-                    kids.append((longer, *grown[1:-1]))
-        out.append(kids)
-    return out
+    bounds = sorted(set(gaps))
+    row: list[int] = []
+    for a, b in zip(bounds, bounds[1:]):  # each interval a <= rho < b
+        shifted = [g - (g > a) for g in gaps]
+        stay = threats[(sid, *shifted)] if need < r and _open(shifted, windows) else 0
+        if not low <= a < high:
+            row += [stay] * (b - a)
+        elif longer is None:
+            row += [-1] * (b - a)
+        else:
+            longer_need, longer_windows = threats.states[longer][1:3]
+            shifted.append(a)
+            for rho in range(a, b):
+                shifted[-1] = rho
+                grown = recipe(shifted)
+                if not _open(grown, longer_windows):
+                    row.append(stay)
+                elif longer_need == 1:
+                    row.append(-1)
+                else:
+                    row.append(stay | threats[(longer, *grown)] if longer_need < r else stay)
+    return tuple(row)
 
 
-def _open(gaps: list[int], windows: tuple[int, ...]) -> bool:
+def _open(gaps: Sequence[int], windows: tuple[int, ...]) -> bool:
     """Whether each window i of the padded `gaps` holds an unplaced value."""
-    return all(gaps[i] < gaps[i + 1] for i in windows)
+    for i in windows:
+        if gaps[i] >= gaps[i + 1]:
+            return False
+    return True
 
 
 def _grow_open(avoid: bool, checks: tuple, prefix: list[int], posv: list[int], rest: int,

@@ -401,11 +401,11 @@ class TestGenerationPruning:
         words = set(entered)
         entered.clear()
         memos: dict = {"sets": [], "labels": []}
-        # The memo is the last argument of _count_unplaced and the one
-        # before the last of _count_labels.
-        for name, walk, at in (("sets", "_count_unplaced", -1), ("labels", "_count_labels", -2)):
-            def record(*args, expand=getattr(generate, walk), seen=memos[name], at=at):
-                seen.append(args[at])
+        # The memo is the last argument of _count_unplaced and of
+        # _count_labels.
+        for name, walk in (("sets", "_count_unplaced"), ("labels", "_count_labels")):
+            def record(*args, expand=getattr(generate, walk), seen=memos[name]):
+                seen.append(args[-1])
                 return expand(*args)
 
             monkeypatch.setattr(generate, walk, record)
@@ -571,9 +571,9 @@ class TestCountOverLabels:
         """The memo of each label walk `count` makes."""
         memos: list = []
 
-        def record(states, r, threats, memo, moves, expand=generate._count_labels):
+        def record(threats, r, label, memo, expand=generate._count_labels):
             memos.append(memo)
-            return expand(states, r, threats, memo, moves)
+            return expand(threats, r, label, memo)
 
         monkeypatch.setattr(generate, "_count_labels", record)
         return memos
@@ -589,9 +589,9 @@ class TestCountOverLabels:
             assert generate.count(True, pats, n) == want, ([str(p) for p in pats], n)
             rest_only = all(generate._reads_rest_only(generate._tail(pat)) for pat in pats)
             assert bool(labelled) != rest_only, ([str(p) for p in pats], n)
-            states, roots = generate._label_states([pat.p for pat in pats])
-            start = frozenset(root for root, pat in zip(roots, pats) if pat.k <= n)
-            assert generate._count_labels(states, n, start, {}, {}) == want, (
+            threats = generate._Threats([pat.p for pat in pats])
+            start = sum(threats[root, 0, n] for root, pat in zip(threats.roots, pats) if pat.k <= n)
+            assert generate._count_labels(threats, n, start, {}) == want, (
                 [str(p) for p in pats], n)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -650,6 +650,20 @@ class TestCountOverLabels:
     def test_counts_at_ten(self, labelled, pats, want):
         assert generate.count(True, [parse_pattern(text) for text in pats], 10) == want
         assert labelled
+
+    @pytest.mark.parametrize("pats, row", [
+        (["2413"], [1, 2, 6, 23, 103, 512, 2740, 15485, 91245, 555662, 3475090, 22214707]),
+        (["1342"], [1, 2, 6, 23, 103, 512, 2740, 15485, 91245, 555662, 3475090, 22214707]),
+        (["1234"], [1, 2, 6, 23, 103, 513, 2761, 15767, 94359, 586590, 3763290, 24792705]),
+        (["2413", "3142"], [1, 2, 6, 22, 90, 394, 1806, 8558, 41586, 206098, 1037718, 5293446]),
+        (["12345"], [1, 2, 6, 24, 119, 694, 4582, 33324, 261808, 2190688, 19318688, 178108704]),
+    ])
+    def test_reference_rows_to_twelve(self, labelled, pats, row):
+        # A022558, A005802, the large Schroeder numbers A006318 and A047889,
+        # at n = 1..12, all by the label walk.
+        pats = [parse_pattern(text) for text in pats]
+        assert [generate.count(True, pats, n) for n in range(1, 13)] == row
+        assert len(labelled) > 12
 
 
 def _fixed_site(k: int) -> list:

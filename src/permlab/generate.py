@@ -100,7 +100,8 @@ blocks are disjoint, and `count` reads its avoiders as n! less
 `occurrence_total`. Class closure (`permlab.census`) keys the words of its
 blocks in place of a container walk under Knuth, toric and descent; under
 conjugacy and order it keys every pattern's containers from the shapes of
-its sites (`cover_shapes`, read by `permlab.relations`).
+its sites (`cover_shapes`, read by `permlab.relations` for each number of
+letters covered up to the pattern's length plus `cover_reach`).
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import Word, open_paths
 from .pattern import (BivincularPattern, _check, _empty_pattern_occurs, _members, _reads_rest_only,
-                      _tail, occurrence_total)
+                      _slots, _tail, occurrence_total)
 
 
 def avoiders(pats: Iterable[BivincularPattern], n: int) -> list[Word]:
@@ -235,6 +236,28 @@ def cover_shapes(pat: BivincularPattern, m: int) -> tuple[tuple[tuple[Word, Word
                     shapes[shape] = any(bisect(positions, t) not in pat.x
                                         and bisect(values, t) not in pat.y for t in range(m + 1))
     return tuple(shapes.items())
+
+
+def cover_reach(pat: BivincularPattern) -> int:
+    """The largest m - k for which `cover_shapes(pat, m)` has a shape: hi - lo
+    for the least and greatest slots lo and hi that X or Y leaves free, or 0
+    unless both leave one. Read 1..m upward as a path from (0, 0) to (k, k)
+    whose letters that are a position and a value step (1, 1), those only a
+    position (1, 0) at a row not in Y, and those only a value (0, 1) at a
+    column not in X. It leaves and meets the diagonal only at free slots, so
+    takes at most hi - lo steps (1, 0). It takes that many at row lo, then
+    as many (0, 1) at column hi, if lo is not in Y and hi not in X; else it
+    passes through a free slot of the other side between them (or takes the
+    mirror). A step (1, 0) and a step (0, 1) with only steps (1, 1) between
+    them merge, so every smaller m - k has a shape too.
+
+    >>> from permlab.pattern import pattern
+    >>> cover_reach(pattern((2, 3, 1), x=[0, 1], y=[0, 1, 2])), cover_reach(pattern((1, 2)))
+    (1, 2)
+    """
+    free_x, free_y = _slots(pat.k) - pat.x, _slots(pat.k) - pat.y
+    free = free_x | free_y
+    return max(free) - min(free) if free_x and free_y else 0
 
 
 def block_words(positions: tuple[int, ...], letters: tuple[int, ...], n: int) -> Iterator[Word]:

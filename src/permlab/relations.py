@@ -31,7 +31,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 from .arith import steggall_census
 from .core import Word, cycle_type, descent_set, order
 from .errors import BudgetExceeded, InternalCheckError
-from .generate import cover_shapes
+from .generate import cover_reach, cover_shapes
 from .pattern import BivincularPattern, shift_orbit
 from .records import FrozenRecord
 from .tableau import Shape, count_syt, insertion_tableau, knuth_class, partitions, shape_of
@@ -179,7 +179,7 @@ def _container_keys(path_keys: Callable[[Word, Word], frozenset], pat: Bivincula
     words of S_n containing pat: those of each shape at degree m = n, and
     of each shape at m < n that grows, with n - m paths of one node added."""
     return frozenset().union(*(path_keys(closed, paths + (1,) * (n - m))
-                               for m in range(pat.k, min(n, 2 * pat.k) + 1)
+                               for m in range(pat.k, min(n, pat.k + cover_reach(pat)) + 1)
                                for (closed, paths), grows in cover_shapes(pat, m)
                                if grows or m == n))
 

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import permlab
 import permlab.census as census_module
 import permlab.cli
+import permlab.relations as relations_module
 from conftest import (PERMS_BY_N, all_patterns, apply_symmetry, construction_mask,
                       occurrence_mask, scan_avoiders, scan_matchers, words_of)
 from permlab.catalog import CATALOG, KNUTH_MATCHING_PATTERN, SEQUENCE_TABLES
@@ -760,6 +761,45 @@ class TestBlockKeys:
             "id-2cycles-3cycles", "order-products"]
         for entry in rows:
             self._check(entry.relation, entry.pat, n)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_cover_reach(self, k):
+        # A site covers 1..m letters exactly for k <= m <= k + cover_reach:
+        # no m with a shape lies beyond it, and none without one below it.
+        for pat in all_patterns(k):
+            reach = generate.cover_reach(pat)
+            for m in range(k, 2 * k + 1):
+                assert bool(generate.cover_shapes(pat, m)) == (m <= k + reach), (str(pat), m)
+
+    def test_cover_reach_at_length_four(self):
+        # Whether a site exists depends on X and Y alone: every pair, each
+        # with a seeded p.
+        rng = random.Random(39)
+        slots = [frozenset(s) for size in range(6) for s in combinations(range(5), size)]
+        for x, y in product(slots, slots):
+            pat = pattern(rng.choice(list(permutations(range(1, 5)))), x, y)
+            reach = generate.cover_reach(pat)
+            for m in range(4, 9):
+                assert bool(generate.cover_shapes(pat, m)) == (m <= 4 + reach), (str(pat), m)
+
+    def test_catalog_rows_skip_degrees_without_sites(self, monkeypatch):
+        # container_keys builds no shape set for an m that no site covers:
+        # m = 5 and 6 of involutions, 6 of fpf-involutions and id-3cycles,
+        # 2 of derangements and order-products.
+        asked = []
+
+        def record(pat, m, shapes=relations_module.cover_shapes):
+            asked.append((str(pat), m))
+            return shapes(pat, m)
+
+        monkeypatch.setattr(relations_module, "cover_shapes", record)
+        want = {"derangements": [1], "involutions": [3, 4], "fpf-involutions": [3, 4, 5],
+                "id-3cycles": [3, 4, 5], "order-products": [1]}
+        for entry in CATALOG:
+            if entry.name in want:
+                asked.clear()
+                RELATIONS[entry.relation].container_keys(entry.pat, 8)
+                assert asked == [(str(entry.pat), m) for m in want[entry.name]], entry.name
 
 
 class TestFixedSiteCounts:
